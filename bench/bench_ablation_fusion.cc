@@ -13,12 +13,13 @@
 // significant when full-precision convolutions are replaced with binary
 // ones."
 // The `--json=<path>` variant sweep below additionally ablates the shared
-// ConvPipeline row-tile engine at the kernel level: binarized depthwise,
-// grouped binary, and int8 convolutions, each fused (the production
-// row-tile path) vs force_unfused (the legacy full-image pipeline). The
-// committed BENCH_conv_pipeline.json at the repo root is this report; the
-// perf-smoke CI job asserts its per-variant fused/interior tile counters
-// and the fused >= legacy geomean per variant.
+// ConvPipeline row-tile engine at the kernel level: grouped binary and int8
+// convolutions, each fused (the production row-tile path) vs the paper's
+// full-image im2col baseline (bench/im2col_baseline.h), plus the fused
+// binarized depthwise convolution, which has no im2col form. The committed
+// BENCH_conv_pipeline.json at the repo root is this report; the perf-smoke
+// CI job asserts its per-variant fused/interior tile counters and prints
+// the fused-vs-im2col geomeans.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -26,6 +27,7 @@
 
 #include "bench_common.h"
 #include "gemm/int8_isa.h"
+#include "im2col_baseline.h"
 #include "kernels/bconv2d.h"
 #include "kernels/bdepthwise.h"
 #include "kernels/conv2d_int8.h"
@@ -94,30 +96,31 @@ void Run(const char* name, const std::function<Graph(int)>& build,
               t_nofu * 1e3, 100.0 * (t_nofu - t_full) / t_full);
 }
 
-// Interleaved fused-vs-legacy medians for one prepared kernel pair; the
+// Interleaved fused-vs-im2col medians for one prepared kernel pair; the
 // round-robin sampling is the same drift defense the graph ablation uses.
-template <typename RunFused, typename RunLegacy>
-std::pair<double, double> FusedVsLegacy(const RunFused& fused,
-                                        const RunLegacy& legacy) {
-  constexpr int kWarmup = 2, kSamples = 31;
-  std::vector<double> s_fused, s_legacy;
-  s_fused.reserve(kSamples);
-  s_legacy.reserve(kSamples);
-  for (int i = 0; i < kWarmup; ++i) {
+constexpr int kKernelWarmup = 2, kKernelSamples = 31;
+
+template <typename RunFused, typename RunIm2Col>
+std::pair<double, double> FusedVsIm2Col(const RunFused& fused,
+                                        const RunIm2Col& im2col) {
+  std::vector<double> s_fused, s_im2col;
+  s_fused.reserve(kKernelSamples);
+  s_im2col.reserve(kKernelSamples);
+  for (int i = 0; i < kKernelWarmup; ++i) {
     fused();
-    legacy();
+    im2col();
   }
-  for (int s = 0; s < kSamples; ++s) {
+  for (int s = 0; s < kKernelSamples; ++s) {
     double t0 = profiling::NowSeconds();
     fused();
     double t1 = profiling::NowSeconds();
-    legacy();
+    im2col();
     double t2 = profiling::NowSeconds();
     s_fused.push_back(t1 - t0);
-    s_legacy.push_back(t2 - t1);
+    s_im2col.push_back(t2 - t1);
   }
   return {profiling::Median(std::move(s_fused)),
-          profiling::Median(std::move(s_legacy))};
+          profiling::Median(std::move(s_im2col))};
 }
 
 // Accumulates per-shape speedups into a per-variant geomean and the report.
@@ -126,12 +129,12 @@ class VariantSweep {
   VariantSweep(const char* variant, telemetry::RunReport& report)
       : variant_(variant), report_(report) {}
 
-  void Add(const std::string& shape, double fused_s, double legacy_s) {
-    const double speedup = fused_s > 0 ? legacy_s / fused_s : 0.0;
+  void Add(const std::string& shape, double fused_s, double im2col_s) {
+    const double speedup = fused_s > 0 ? im2col_s / fused_s : 0.0;
     std::printf("  %-24s %12.3f %12.3f %10.2fx\n", shape.c_str(),
-                fused_s * 1e3, legacy_s * 1e3, speedup);
+                fused_s * 1e3, im2col_s * 1e3, speedup);
     report_.AddResult(variant_ + ".fused_ms." + shape, fused_s * 1e3);
-    report_.AddResult(variant_ + ".legacy_ms." + shape, legacy_s * 1e3);
+    report_.AddResult(variant_ + ".im2col_ms." + shape, im2col_s * 1e3);
     report_.AddResult(variant_ + ".fused_speedup." + shape, speedup);
     if (speedup > 0) {
       log_speedup_ += std::log(speedup);
@@ -142,9 +145,9 @@ class VariantSweep {
   void Finish() {
     if (n_ == 0) return;
     const double geomean = std::exp(log_speedup_ / n_);
-    std::printf("  %s geomean fused-vs-legacy: %.2fx\n\n", variant_.c_str(),
+    std::printf("  %s geomean fused-vs-im2col: %.2fx\n\n", variant_.c_str(),
                 geomean);
-    report_.AddResult(variant_ + ".geomean_fused_vs_legacy", geomean);
+    report_.AddResult(variant_ + ".geomean_fused_vs_im2col", geomean);
   }
 
  private:
@@ -157,13 +160,13 @@ class VariantSweep {
 void SweepConvPipelineVariants(gemm::Context& ctx,
                                telemetry::RunReport& report) {
   std::printf(
-      "=== ConvPipeline variant ablation: fused row-tile vs legacy "
-      "full-image ===\n\n");
-  std::printf("  %-24s %12s %12s %11s\n", "shape", "fused-ms", "legacy-ms",
+      "=== ConvPipeline variant ablation: fused row-tile vs full-image "
+      "im2col ===\n\n");
+  std::printf("  %-24s %12s %12s %11s\n", "shape", "fused-ms", "im2col-ms",
               "speedup");
 
-  {  // Binarized depthwise (the QuickNet spatial reduction stages).
-    VariantSweep sweep("bdepthwise", report);
+  {  // Binarized depthwise (the QuickNet spatial reduction stages): fused
+     // only, since a depthwise convolution has no im2col + GEMM form.
     const struct {
       int hw, ch, stride;
     } cases[] = {{56, 64, 1}, {28, 128, 2}, {14, 256, 1}};
@@ -181,22 +184,21 @@ void SweepConvPipelineVariants(gemm::Context& ctx,
       for (auto& v : w) v = rng.Sign();
       BDepthwiseConv2DAttrs attrs;
       attrs.geo = g;
-      BDepthwiseConv2D fused(w.data(), attrs);
-      attrs.force_unfused = true;
-      BDepthwiseConv2D legacy(w.data(), attrs);
+      const BDepthwiseConv2D fused(w.data(), attrs);
       Tensor out(DataType::kFloat32, Shape{1, g.out_h(), g.out_w(), c.ch});
-      const auto [f, l] =
-          FusedVsLegacy([&] { fused.Run(in, out, ctx); },
-                        [&] { legacy.Run(in, out, ctx); });
+      const double f = profiling::MeasureMedianSeconds(
+          [&] { fused.Run(in, out, ctx); }, kKernelWarmup, kKernelSamples,
+          kKernelSamples, /*min_seconds=*/0.0);
       char shape[64];
       std::snprintf(shape, sizeof(shape), "%dx%dx%d_s%d", c.hw, c.hw, c.ch,
                     c.stride);
-      sweep.Add(shape, f, l);
+      std::printf("  %-24s %12.3f\n", shape, f * 1e3);
+      report.AddResult(std::string("bdepthwise.fused_ms.") + shape, f * 1e3);
     }
-    sweep.Finish();
+    std::printf("\n");
   }
 
-  {  // Grouped binary convolution (previously always fell back to unfused).
+  {  // Grouped binary convolution.
     VariantSweep sweep("bconv2d_grouped", report);
     const struct {
       int hw, ch, groups;
@@ -216,17 +218,16 @@ void SweepConvPipelineVariants(gemm::Context& ctx,
       BConv2DAttrs attrs;
       attrs.geo = g;
       attrs.groups = c.groups;
-      BConv2D fused(w.data(), attrs);
-      attrs.force_unfused = true;
-      BConv2D legacy(w.data(), attrs);
+      const BConv2D fused(w.data(), attrs);
+      const Im2ColBConv2D im2col(w.data(), attrs);
       Tensor out(DataType::kFloat32, Shape{1, g.out_h(), g.out_w(), c.ch});
-      const auto [f, l] =
-          FusedVsLegacy([&] { fused.Run(in, out, ctx); },
-                        [&] { legacy.Run(in, out, ctx); });
+      const auto [f, b] =
+          FusedVsIm2Col([&] { fused.Run(in, out, ctx); },
+                        [&] { im2col.Run(in, out, ctx); });
       char shape[64];
       std::snprintf(shape, sizeof(shape), "%dx%dx%d_g%d", c.hw, c.hw, c.ch,
                     c.groups);
-      sweep.Add(shape, f, l);
+      sweep.Add(shape, f, b);
     }
     sweep.Finish();
   }
@@ -254,22 +255,16 @@ void SweepConvPipelineVariants(gemm::Context& ctx,
       attrs.input_quant = {0.02f, 3};
       attrs.weight_quant = {0.005f, 0};
       attrs.output_quant = {0.05f, -4};
-      Conv2DInt8 fused(w.data(), attrs);
-      attrs.force_unfused = true;
-      Conv2DInt8 legacy(w.data(), attrs);
+      const Conv2DInt8 fused(w.data(), attrs);
+      const Im2ColConv2DInt8 im2col(w.data(), attrs);
       Tensor out(DataType::kInt8, Shape{1, g.out_h(), g.out_w(), c.out_c});
-      const auto [f, l] =
-          FusedVsLegacy([&] { fused.Run(in, out, ctx); },
-                        [&] { legacy.Run(in, out, ctx); });
-      // Each sample pair ends on the legacy run, which parks the
-      // conv2d_int8.tier gauge on the widened family; one trailing fused
-      // run leaves it at the tier the fused path actually selected so the
-      // report snapshot (and the CI gauge assertion) sees it.
-      fused.Run(in, out, ctx);
+      const auto [f, b] =
+          FusedVsIm2Col([&] { fused.Run(in, out, ctx); },
+                        [&] { im2col.Run(in, out, ctx); });
       char shape[64];
       std::snprintf(shape, sizeof(shape), "%dx%dx%d-%d", c.hw, c.hw, c.in_c,
                     c.out_c);
-      sweep.Add(shape, f, l);
+      sweep.Add(shape, f, b);
     }
     sweep.Finish();
   }

@@ -10,8 +10,8 @@
 #include "core/random.h"
 #include "gemm/bgemm.h"
 #include "gemm/float_gemm.h"
-#include "gemm/indirect_bgemm.h"
 #include "gemm/int8_gemm.h"
+#include "im2col_baseline.h"
 #include "kernels/bconv2d.h"
 #include "kernels/bmaxpool.h"
 #include "kernels/quantize_ops.h"
@@ -148,9 +148,9 @@ void BM_BConv2D(benchmark::State& state) {
 BENCHMARK(BM_BConv2D)->Arg(0)->Arg(1);
 
 // Execution-mode comparison on a QuickNet-S shape (28x28x128, 3x3).
-// Mode 0 = unfused im2col + BGEMM, 1 = unfused indirect (scalar gather),
-// 2 = fused tiled indirect (the production default). The second argument is
-// the thread count, showing the fused pipeline's row-tile sharding.
+// Mode 0 = the full-image im2col + BGEMM baseline (bench/im2col_baseline.h),
+// 1 = the production fused row-tile pipeline. The second argument is the
+// thread count, showing the fused pipeline's row-tile sharding.
 void BM_BConv2DExecMode(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
@@ -169,13 +169,16 @@ void BM_BConv2DExecMode(benchmark::State& state) {
   BConv2DAttrs attrs;
   attrs.geo = g;
   attrs.output_type = BConvOutputType::kFloat;
-  attrs.use_indirect_bgemm = mode != 0;
-  attrs.force_unfused = mode != 2;
-  BConv2D op(w.data(), attrs);
+  const bench::Im2ColBConv2D im2col(w.data(), attrs);
+  const BConv2D fused(w.data(), attrs);
   Tensor out(DataType::kFloat32, Shape{1, 28, 28, 128});
   gemm::Context ctx(threads);
   for (auto _ : state) {
-    op.Run(in, out, ctx);
+    if (mode == 0) {
+      im2col.Run(in, out, ctx);
+    } else {
+      fused.Run(in, out, ctx);
+    }
     benchmark::DoNotOptimize(out.raw_data());
   }
   state.counters["GMAC/s"] = benchmark::Counter(
@@ -186,8 +189,7 @@ BENCHMARK(BM_BConv2DExecMode)
     ->ArgNames({"mode", "threads"})
     ->Args({0, 1})
     ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({2, 4});
+    ->Args({1, 4});
 
 }  // namespace
 

@@ -32,8 +32,9 @@ struct ResourceLimits {
   std::size_t max_arena_bytes = std::size_t{8} << 30;  // 8 GiB
 
   // Worst-case im2col patch-matrix footprint of a single convolution
-  // (rows * filter_volume * element_size); bounds kernel scratch space,
-  // which lives outside the planned arena.
+  // (rows * filter_volume * element_size); bounds kernel scratch space and
+  // the per-convolution indirection tables, which live outside the planned
+  // arena.
   std::size_t max_im2col_bytes = std::size_t{2} << 30;  // 2 GiB
 
   // Graph-structure caps.

@@ -1,14 +1,8 @@
 #include "gemm/indirect_bgemm.h"
 
-#include <algorithm>
-#include <bit>
-#include <cstring>
 #include <limits>
 
 #include "core/macros.h"
-#include "gemm/bgemm.h"
-#include "telemetry/metrics.h"
-#include "telemetry/tracer.h"
 
 namespace lce::gemm {
 
@@ -50,75 +44,6 @@ IndirectionOffsets::IndirectionOffsets(const Conv2DGeometry& g,
           }
         }
       }
-    }
-  }
-}
-
-IndirectionBuffer::IndirectionBuffer(const TBitpacked* input,
-                                     const Conv2DGeometry& g) {
-  const IndirectionOffsets offsets(g);
-  words_ = offsets.words();
-  taps_ = offsets.taps();
-  rows_ = static_cast<int>(offsets.rows());
-  zero_row_.assign(words_, 0);  // 0 bits = +1.0 one-padding
-  pointers_.resize(static_cast<std::size_t>(rows_) * taps_);
-  const std::int32_t* off = offsets.row(0);
-  for (std::size_t i = 0; i < pointers_.size(); ++i) {
-    pointers_[i] = off[i] < 0 ? zero_row_.data() : input + off[i];
-  }
-}
-
-void IndirectBGemm(const IndirectionBuffer& ind, const TBitpacked* weight_rows,
-                   int n, int k_bits, std::int32_t* out, int ldc) {
-  LCE_TRACE_SCOPE_CAT("bgemm/indirect_compute", "gemm");
-  static telemetry::Metric* macs =
-      telemetry::MetricsRegistry::Global().Counter("bgemm.binary_macs");
-  macs->Add(static_cast<std::int64_t>(ind.rows()) * n * k_bits);
-  const int taps = ind.taps();
-  const int words = ind.words();
-  const int row_words = taps * words;
-
-  // 1x4 output-channel blocking: each loaded activation word is reused
-  // against four weight rows.
-  for (int r = 0; r < ind.rows(); ++r) {
-    const TBitpacked* const* tap_ptrs =
-        ind.data() + static_cast<std::size_t>(r) * taps;
-    int n0 = 0;
-    for (; n0 + 4 <= n; n0 += 4) {
-      std::int32_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-      const TBitpacked* w0 = weight_rows + static_cast<std::int64_t>(n0) * row_words;
-      const TBitpacked* w1 = w0 + row_words;
-      const TBitpacked* w2 = w1 + row_words;
-      const TBitpacked* w3 = w2 + row_words;
-      int wi = 0;
-      for (int t = 0; t < taps; ++t) {
-        const TBitpacked* a = tap_ptrs[t];
-        for (int w = 0; w < words; ++w, ++wi) {
-          const TBitpacked av = a[w];
-          acc0 += std::popcount(av ^ w0[wi]);
-          acc1 += std::popcount(av ^ w1[wi]);
-          acc2 += std::popcount(av ^ w2[wi]);
-          acc3 += std::popcount(av ^ w3[wi]);
-        }
-      }
-      std::int32_t* o = out + static_cast<std::int64_t>(r) * ldc + n0;
-      o[0] = k_bits - 2 * acc0;
-      o[1] = k_bits - 2 * acc1;
-      o[2] = k_bits - 2 * acc2;
-      o[3] = k_bits - 2 * acc3;
-    }
-    for (; n0 < n; ++n0) {
-      std::int32_t acc = 0;
-      const TBitpacked* wr =
-          weight_rows + static_cast<std::int64_t>(n0) * row_words;
-      int wi = 0;
-      for (int t = 0; t < taps; ++t) {
-        const TBitpacked* a = tap_ptrs[t];
-        for (int w = 0; w < words; ++w, ++wi) {
-          acc += std::popcount(a[w] ^ wr[wi]);
-        }
-      }
-      out[static_cast<std::int64_t>(r) * ldc + n0] = k_bits - 2 * acc;
     }
   }
 }

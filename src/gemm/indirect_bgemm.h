@@ -1,25 +1,17 @@
-// Indirect BGEMM: binarized convolution without im2col (the second kernel
-// family in the upstream LCE codebase).
+// Indirection offsets: binarized (and int8) convolution without im2col.
 //
 // Instead of materializing [out_pixels][fh*fw*words] patch rows, a setup
 // step builds an *indirection table* -- one entry per (output pixel, filter
-// tap) -- into the bitpacked input feature map, with padded taps marked by a
-// sentinel. The table is stored as input-relative word offsets, so it
-// depends only on the convolution geometry: BConv2D builds it once at
-// prepare time (CompiledModel::Compile) and every Invoke rebases offsets to
-// pointers on the fly while gathering. This trades the im2col copy for
-// indirect loads; it wins whenever the patch buffer round-trip would cost
-// more than the gather.
+// tap) -- into the input feature map, with padded taps marked by a
+// sentinel. The table is stored as input-relative element offsets, so it
+// depends only on the convolution geometry: the convolution kernels build
+// it once at prepare time (CompiledModel::Compile) and every Invoke rebases
+// offsets to addresses on the fly while gathering.
 //
-// Two consumers:
-//   * The gather/pack strategies in kernels/pipeline/gather_pack.h pack
-//     micro-kernel A-panels straight from the feature map, feeding the same
-//     register-tiled SIMD kernels as the packed BGEMM (gemm/bgemm.h) -- the
-//     fused ConvPipeline used by BConv2D, grouped BConv2D, BDepthwiseConv2D
-//     and Conv2DInt8.
-//   * The legacy IndirectionBuffer + IndirectBGemm pair (pointer table
-//     rebuilt per call, scalar 1x4 kernel) is kept as the unfused baseline
-//     for the ablation benchmarks.
+// The consumers are the gather/pack strategies in
+// kernels/pipeline/gather_pack.h, which pack micro-kernel A-panels straight
+// from the feature map for the fused ConvPipeline used by BConv2D, grouped
+// BConv2D, BDepthwiseConv2D and Conv2DInt8.
 #ifndef LCE_GEMM_INDIRECT_BGEMM_H_
 #define LCE_GEMM_INDIRECT_BGEMM_H_
 
@@ -27,7 +19,6 @@
 #include <vector>
 
 #include "core/types.h"
-#include "gemm/context.h"
 #include "kernels/conv_params.h"
 
 namespace lce::gemm {
@@ -68,35 +59,6 @@ class IndirectionOffsets {
   int taps_ = 0, words_ = 0;
   std::vector<std::int32_t> offsets_;  // [rows][taps]
 };
-
-// Legacy per-call pointer table: rebuilt from the geometry and input pointer
-// on every construction. Kept as the unfused-indirect ablation baseline.
-class IndirectionBuffer {
- public:
-  IndirectionBuffer() = default;
-
-  // Builds pointers for every (output position, filter tap) into `input`
-  // (bitpacked NHWC). Padded taps point at an internal zero row.
-  IndirectionBuffer(const TBitpacked* input, const Conv2DGeometry& geo);
-
-  int rows() const { return rows_; }       // output positions
-  int taps() const { return taps_; }       // filter_h * filter_w
-  int words() const { return words_; }     // words(in_c)
-  const TBitpacked* const* data() const { return pointers_.data(); }
-
- private:
-  int rows_ = 0, taps_ = 0, words_ = 0;
-  std::vector<const TBitpacked*> pointers_;  // [rows][taps]
-  std::vector<TBitpacked> zero_row_;         // one-padding source
-};
-
-// out[r][n] = k_bits - 2 * popcount over the r-th output position's taps
-// against weight row n. Weights layout: [n][taps][words] (the BConv2D
-// packed_rows_ layout). Single-threaded scalar 1x4 kernel; the fused
-// BConv2D pipeline supersedes this for production use.
-void IndirectBGemm(const IndirectionBuffer& indirection,
-                   const TBitpacked* weight_rows, int n, int k_bits,
-                   std::int32_t* out, int ldc);
 
 }  // namespace lce::gemm
 

@@ -51,10 +51,8 @@ telemetry::Metric* LiveExecutionContexts() {
 CompiledModel::CompiledModel(const Graph& graph) : graph_(graph) {}
 
 CompiledModel::CompiledModel(std::unique_ptr<const Graph> owned_graph,
-                             std::shared_ptr<const CompiledModel> base)
-    : graph_(*owned_graph),
-      owned_graph_(std::move(owned_graph)),
-      base_(std::move(base)) {}
+                             const CompiledModel* base)
+    : graph_(*owned_graph), owned_graph_(std::move(owned_graph)), base_(base) {}
 
 CompiledModel::~CompiledModel() {
   ResidentPackedBytes()->Add(-static_cast<std::int64_t>(packed_weight_bytes_));
@@ -117,7 +115,8 @@ Status CompiledModel::CompileBatchVariant(
   options.enable_node_histograms = base->node_histograms_enabled_;
   options.limits = base->limits_;
   std::shared_ptr<CompiledModel> model(
-      new CompiledModel(std::move(clone), base));
+      new CompiledModel(std::move(clone), base.get()));
+  model->base_owner_ = base;
   model->batch_ = batch;
   LCE_RETURN_IF_ERROR(
       model->Build(std::move(options), base.get(), &node_map));
@@ -148,22 +147,32 @@ Status CompiledModel::CompileShapeVariant(
     *out = root;
     return Status::Ok();
   }
+  std::unique_ptr<CompiledModel> model;
+  LCE_RETURN_IF_ERROR(BuildShapeVariant(*root, input_hw, &model));
+  model->base_owner_ = root;
+  *out = std::move(model);
+  return Status::Ok();
+}
+
+Status CompiledModel::BuildShapeVariant(const CompiledModel& root,
+                                        int input_hw,
+                                        std::unique_ptr<CompiledModel>* out) {
   std::unique_ptr<Graph> clone;
   std::vector<int> node_map;
   LCE_RETURN_IF_ERROR(
-      CloneGraphWithInputSize(root->graph_, input_hw, &clone, &node_map));
+      CloneGraphWithInputSize(root.graph_, input_hw, &clone, &node_map));
   // Same pool, profile, name, limits and histogram setting as the root: a
   // bucket is the same model at another resolution, and its per-node
   // histograms intentionally merge with the root's.
   CompileOptions options;
-  options.thread_pool = root->pool_;
-  options.kernel_profile = root->kernel_profile_;
-  options.model_name = root->model_name_;
-  options.enable_node_histograms = root->node_histograms_enabled_;
-  options.limits = root->limits_;
-  std::shared_ptr<CompiledModel> model(
-      new CompiledModel(std::move(clone), root));
-  LCE_RETURN_IF_ERROR(model->Build(std::move(options), root.get(), &node_map));
+  options.thread_pool = root.pool_;
+  options.kernel_profile = root.kernel_profile_;
+  options.model_name = root.model_name_;
+  options.enable_node_histograms = root.node_histograms_enabled_;
+  options.limits = root.limits_;
+  std::unique_ptr<CompiledModel> model(
+      new CompiledModel(std::move(clone), &root));
+  LCE_RETURN_IF_ERROR(model->Build(std::move(options), &root, &node_map));
   *out = std::move(model);
   return Status::Ok();
 }
@@ -187,22 +196,26 @@ Status CompiledModel::GetOrCompileShapeBucket(
   // only touch the map).
   std::lock_guard<std::mutex> lock(root->bucket_mu_);
   auto it = root->shape_buckets_.find(input_hw);
-  if (it != root->shape_buckets_.end()) {
-    *out = it->second;
-    return Status::Ok();
+  if (it == root->shape_buckets_.end()) {
+    // The root counts as one bucket against the cap: reject when the
+    // registry already holds max_shape_buckets resolutions in total.
+    if (static_cast<std::int64_t>(root->shape_buckets_.size()) + 1 >=
+        root->limits_.max_shape_buckets) {
+      return Status::ResourceExhausted(
+          "shape bucket count would exceed "
+          "ResourceLimits::max_shape_buckets");
+    }
+    LCE_RETURN_IF_ERROR(
+        ValidateShapeBucketRequest(root->graph_, input_hw, root->limits_));
+    std::unique_ptr<CompiledModel> bucket;
+    LCE_RETURN_IF_ERROR(BuildShapeVariant(*root, input_hw, &bucket));
+    it = root->shape_buckets_.emplace(input_hw, std::move(bucket)).first;
+    root->PublishBucketGaugesLocked();
   }
-  // The root counts as one bucket against the cap: reject when the registry
-  // already holds max_shape_buckets resolutions in total.
-  if (static_cast<std::int64_t>(root->shape_buckets_.size()) + 1 >=
-      root->limits_.max_shape_buckets) {
-    return Status::ResourceExhausted(
-        "shape bucket count would exceed ResourceLimits::max_shape_buckets");
-  }
-  std::shared_ptr<const CompiledModel> bucket;
-  LCE_RETURN_IF_ERROR(CompileShapeVariant(root, input_hw, &bucket));
-  root->shape_buckets_.emplace(input_hw, bucket);
-  root->PublishBucketGaugesLocked();
-  *out = std::move(bucket);
+  // Aliasing constructor: the bucket is handed out under the root's
+  // ownership, so a caller holding it keeps the root -- and with it the
+  // registry that owns the bucket -- alive.
+  *out = std::shared_ptr<const CompiledModel>(root, it->second.get());
   return Status::Ok();
 }
 
@@ -499,13 +512,6 @@ Status CompiledModel::Build(CompileOptions options,
         attrs.pre_activation = n.attrs.pre_activation;
         attrs.multiplier = n.attrs.multiplier;
         attrs.bias = n.attrs.bias;
-        // Kernel selection (docs/PERFORMANCE.md): non-pointwise
-        // convolutions gather through the prepare-time indirection table
-        // instead of materializing im2col patches per Invoke; pointwise
-        // convolutions feed the input to the BGEMM directly either way.
-        attrs.use_indirect_bgemm =
-            attrs.geo.filter_h > 1 || attrs.geo.filter_w > 1 ||
-            attrs.geo.stride_h > 1 || attrs.geo.stride_w > 1;
         if (src != nullptr) {
           k.bconv = std::make_shared<BConv2D>(*src->bconv, std::move(attrs));
           break;

@@ -137,8 +137,10 @@ class CompiledModel {
   // the same resolution compile it once. Enforces
   // ResourceLimits::max_shape_buckets (counting the root as one bucket):
   // beyond the cap, unseen resolutions are rejected with ResourceExhausted
-  // rather than compiling unbounded variants. Buckets registered here live
-  // as long as the root model.
+  // rather than compiling unbounded variants. The root owns the buckets
+  // registered here: a returned bucket shares the root's ownership, so
+  // holding it keeps the root alive, and releasing the last reference to
+  // the root (or to any of its buckets) frees them all.
   static Status GetOrCompileShapeBucket(
       const std::shared_ptr<const CompiledModel>& root, int input_hw,
       std::shared_ptr<const CompiledModel>* out);
@@ -167,7 +169,7 @@ class CompiledModel {
   // model, N for a CompileBatchVariant sibling).
   int batch() const { return batch_; }
   // The base model a variant was compiled from; null for base models.
-  const CompiledModel* base_model() const { return base_.get(); }
+  const CompiledModel* base_model() const { return base_; }
   // Square input resolution this model executes: dim 1 of graph input 0
   // (== dim 2; the shape-bucket surface only admits square rank-4 inputs).
   // 0 when the graph has no rank-4 image input -- such models cannot be
@@ -186,7 +188,12 @@ class CompiledModel {
 
   explicit CompiledModel(const Graph& graph);
   CompiledModel(std::unique_ptr<const Graph> owned_graph,
-                std::shared_ptr<const CompiledModel> base);
+                const CompiledModel* base);
+  // Compiles the shape variant of `root` at `input_hw`, which the caller
+  // has screened with ValidateShapeBucketRequest and which is not root's
+  // own resolution. Sets base_; who owns the variant is the caller's call.
+  static Status BuildShapeVariant(const CompiledModel& root, int input_hw,
+                                  std::unique_ptr<CompiledModel>* out);
   // When `weight_source` is non-null this is a batch-variant build:
   // `node_map` maps this graph's node ids to the source model's, and every
   // weight-bearing kernel is constructed as a sibling sharing the mapped
@@ -195,11 +202,14 @@ class CompiledModel {
                const std::vector<int>* node_map);
 
   const Graph& graph_;
-  // Set only for batch variants: the variant owns its graph clone (base
-  // models borrow their caller's graph) and keeps the base model -- whose
-  // kernels own the shared packed weights -- alive.
+  // Set only for variants: the variant owns its graph clone (base models
+  // borrow their caller's graph) and links to the model it was compiled
+  // from, whose kernels own the shared packed weights. base_owner_ keeps
+  // that model alive; it stays null for registry buckets, which their root
+  // owns (a bucket holding its root would be a reference cycle).
   std::unique_ptr<const Graph> owned_graph_;
-  std::shared_ptr<const CompiledModel> base_;
+  const CompiledModel* base_ = nullptr;
+  std::shared_ptr<const CompiledModel> base_owner_;
   int batch_ = 1;
   std::shared_ptr<ThreadPool> pool_;
   gemm::KernelProfile kernel_profile_ = gemm::KernelProfile::kSimd;
@@ -237,19 +247,19 @@ class CompiledModel {
   bool node_histograms_enabled_ = false;
 
   // Shape-bucket registry (meaningful on root models only). Lazily grown by
-  // GetOrCompileShapeBucket, keyed by square input resolution; entries keep
-  // their variants alive for the root's lifetime so a bucket is compiled at
-  // most once per process however requests interleave. `mutable` because
+  // GetOrCompileShapeBucket, keyed by square input resolution; the root
+  // owns its buckets for its whole lifetime, so a bucket is compiled at
+  // most once per root however requests interleave. `mutable` because
   // registering a bucket does not change the root's own immutable compiled
   // state -- concurrent Invokes never touch it.
   const CompiledModel* Root() const {
     const CompiledModel* m = this;
-    while (m->base_ != nullptr) m = m->base_.get();
+    while (m->base_ != nullptr) m = m->base_;
     return m;
   }
   void PublishBucketGaugesLocked() const;
   mutable std::mutex bucket_mu_;
-  mutable std::map<int, std::shared_ptr<const CompiledModel>> shape_buckets_;
+  mutable std::map<int, std::unique_ptr<const CompiledModel>> shape_buckets_;
 };
 
 struct ExecutionOptions {

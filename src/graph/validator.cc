@@ -194,9 +194,11 @@ int ExpectedArity(OpType t) {
   }
 }
 
-// Bounds the scratch allocation a convolution makes at Run time for its
-// im2col patch matrix (rows x depth elements); this lives outside the
-// planned arena, so the arena cap does not cover it.
+// Bounds a convolution's im2col patch-matrix footprint (rows x depth
+// elements). That is the float kernel's Run-time patch scratch, and up to
+// a small constant factor the indirection table the binary and int8 kernels
+// build at Compile (rows x taps int32 entries). Both live outside the
+// planned arena, so the arena cap does not cover them.
 Status CheckIm2ColBytes(const Node& n, std::int64_t depth,
                         std::int64_t elem_bytes,
                         const ResourceLimits& limits) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -10,13 +9,9 @@
 #include "core/macros.h"
 #include "kernels/im2col.h"
 #include "kernels/pipeline/gather_pack.h"
-#include "telemetry/clock.h"
 #include "telemetry/metrics.h"
-#include "telemetry/tracer.h"
 
 namespace lce {
-
-using telemetry::NowNanos;
 
 BConv2D::BConv2D(const float* weights_ohwi, BConv2DAttrs attrs)
     : attrs_(std::move(attrs)) {
@@ -98,17 +93,12 @@ void BConv2D::InitGeometry() {
   const int words = BitpackedWords(in_c_pg);
   k_bits_ = g.filter_h * g.filter_w * in_c_pg;
 
-  // Gather path setup. Grouped convolutions always gather (their per-group
-  // word slices have no contiguous im2col-free form); for groups == 1 the
-  // indirection table is built when the user asked for the indirect BGEMM
-  // and the convolution is not pointwise (a 1x1 stride-1 convolution feeds
-  // the input to the GEMM directly and needs no table). The table depends
-  // only on the geometry, so it is built once here instead of on every Run
-  // (the paper's indirect BGEMM setup cost moves entirely out of the
-  // inference hot path).
-  const bool pointwise = g.filter_h == 1 && g.filter_w == 1 &&
-                         g.stride_h == 1 && g.stride_w == 1;
-  if (groups > 1 || (attrs_.use_indirect_bgemm && !pointwise)) {
+  // Gather setup. Every convolution gathers its patch rows through the
+  // indirection table except an ungrouped 1x1 stride-1 one, which feeds its
+  // input to the GEMM directly and needs no table. The table depends only
+  // on the geometry, so it is built once here instead of on every Run (the
+  // indirection setup cost stays out of the inference hot path).
+  if (!DirectPack()) {
     indirection_ = gemm::IndirectionOffsets(g);
     zero_row_.assign(words, 0);  // 0 bits = +1.0 one-padding
   }
@@ -153,8 +143,8 @@ void BConv2D::InitWeights(SharedWeights* weights) const {
     }
   }
 
-  // Output transform policy, shared verbatim by the fused and legacy paths
-  // (the bitpacked flavor precomputes its thresholds in its constructor).
+  // Output transform policy (the bitpacked flavor precomputes its
+  // thresholds in its constructor).
   switch (attrs_.output_type) {
     case BConvOutputType::kFloat:
       weights->transform = std::make_unique<pipeline::FloatOutputTransform>(
@@ -208,25 +198,22 @@ void BConv2D::ApplyZeroPaddingCorrectionRows(std::int32_t* acc,
 }
 
 // TileCompute policy of the binary convolution: pack BGEMM A-panels (from
-// contiguous patches, by gathering through the indirection cache, or by
-// per-group sliced gathering) and run the XOR-popcount block kernel.
+// the pointwise input rows, by gathering through the indirection cache, or
+// by per-group sliced gathering) and run the XOR-popcount block kernel.
 class BConvTileCompute final : public pipeline::TileCompute {
  public:
   enum class Mode {
-    kPatches,        // contiguous patch rows (im2col output or pointwise input)
+    kPatches,        // contiguous patch rows (the pointwise input)
     kGather,         // indirect gather, groups == 1
     kGatherGrouped,  // per-group sliced gather, one GEMM per group
   };
 
-  BConvTileCompute(const BConv2D& op, Mode mode, const TBitpacked* input,
-                   const TBitpacked* patches, std::int64_t rows,
-                   int patch_words)
+  BConvTileCompute(const BConv2D& op, Mode mode, const TBitpacked* input)
       : op_(op),
         mode_(mode),
         input_(input),
-        patches_(patches),
-        rows_(rows),
-        patch_words_(patch_words),
+        rows_(Im2ColRows(op.attrs_.geo)),
+        patch_words_(Im2ColDepthBitpacked(op.attrs_.geo)),
         k_blocks_(op.weights_->groups[0].k_blocks()),
         a_elems_(gemm::BGemmApanelElems(k_blocks_, gemm::kBgemmMr)) {}
 
@@ -275,7 +262,7 @@ class BConvTileCompute final : public pipeline::TileCompute {
                                       gemm::kBgemmMr, k_blocks_,
                                       plan.interior(tile0 + i), panel);
       } else {
-        gemm::BGemmPackLhsTile(patches_, static_cast<int>(rows_), patch_words_,
+        gemm::BGemmPackLhsTile(input_, static_cast<int>(rows_), patch_words_,
                                static_cast<int>(tile_row0), gemm::kBgemmMr,
                                k_blocks_, panel);
       }
@@ -289,7 +276,6 @@ class BConvTileCompute final : public pipeline::TileCompute {
   const BConv2D& op_;
   Mode mode_;
   const TBitpacked* input_;
-  const TBitpacked* patches_;
   std::int64_t rows_;
   int patch_words_;
   int k_blocks_;
@@ -327,56 +313,24 @@ void BConv2D::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
       break;
   }
 
-  if (attrs_.force_unfused) {
-    static telemetry::Metric* forced =
-        telemetry::MetricsRegistry::Global().Counter("bconv2d.forced_unfused");
-    forced->Add(1);
-    RunUnfused(input, output, ctx, times);
-    return;
-  }
-
-  // Fused row-tile pipeline for every configuration, grouped included. The
-  // only full-image stage left is the im2col copy of the non-indirect
-  // ungrouped variant; everything downstream (pack, BGEMM, zero-padding
-  // correction, output transform) runs per row tile inside the shared
-  // engine, so no full-image accumulator is ever allocated.
+  // Fused row-tile pipeline for every configuration: pack (or gather),
+  // BGEMM, zero-padding correction and output transform all run per row
+  // tile inside the shared engine, so neither patches nor a full-image
+  // accumulator are ever materialized.
   const int groups = std::max(1, attrs_.groups);
-  const std::int64_t rows = Im2ColRows(g);
-  const int patch_words = Im2ColDepthBitpacked(g);
-  const bool pointwise = g.filter_h == 1 && g.filter_w == 1 &&
-                         g.stride_h == 1 && g.stride_w == 1;
-  const bool timed = telemetry::TracingActive() || times != nullptr;
-
-  std::uint64_t t0 = 0;
-  if (timed) t0 = NowNanos();
-  BConvTileCompute::Mode mode = BConvTileCompute::Mode::kPatches;
-  const TBitpacked* patches = nullptr;
+  BConvTileCompute::Mode mode = BConvTileCompute::Mode::kGather;
   if (groups > 1) {
     mode = BConvTileCompute::Mode::kGatherGrouped;
-  } else if (pointwise) {
-    // A 1x1 stride-1 convolution's im2col is the identity, so the bitpacked
-    // input feeds the tile packer directly (no patch materialization).
-    patches = input.data<TBitpacked>();
-  } else if (attrs_.use_indirect_bgemm) {
-    mode = BConvTileCompute::Mode::kGather;
-  } else {
-    const std::size_t patch_bytes =
-        static_cast<std::size_t>(rows) * patch_words * sizeof(TBitpacked);
-    auto* scratch = reinterpret_cast<TBitpacked*>(ctx.Scratch(1, patch_bytes));
-    static telemetry::Metric* im2col_bytes =
-        telemetry::MetricsRegistry::Global().Gauge("bconv2d.im2col_bytes");
-    im2col_bytes->SetMax(static_cast<std::int64_t>(patch_bytes));
-    Im2ColBitpacked(input.data<TBitpacked>(), g, scratch);
-    patches = scratch;
+  } else if (DirectPack()) {
+    // A 1x1 stride-1 convolution's patch rows are its input rows.
+    mode = BConvTileCompute::Mode::kPatches;
   }
-  const std::uint64_t t1 = timed ? NowNanos() : 0;
 
   static telemetry::Metric* macs =
       telemetry::MetricsRegistry::Global().Counter("bgemm.binary_macs");
-  macs->Add(rows * (g.out_c / groups) * k_bits_ * groups);
+  macs->Add(Im2ColRows(g) * (g.out_c / groups) * k_bits_ * groups);
 
-  const BConvTileCompute compute(*this, mode, input.data<TBitpacked>(),
-                                 patches, rows, patch_words);
+  const BConvTileCompute compute(*this, mode, input.data<TBitpacked>());
   const BConvZeroPadCorrector corrector(*this);
 
   pipeline::ConvPipelineArgs args;
@@ -388,124 +342,7 @@ void BConv2D::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
       g.padding == Padding::kSameZero ? &corrector : nullptr;
   args.transform = weights_->transform.get();
   args.out = output.raw_data();
-  args.pre_t0 = t0;
-  args.pre_t1 = t1;
   pipeline::RunConvPipeline(args, ctx, times);
-}
-
-void BConv2D::RunUnfused(const Tensor& input, Tensor& output,
-                         gemm::Context& ctx, BConvStageTimes* times) const {
-  // Tripwire: the legacy path must only ever run when explicitly forced.
-  // If a future change reintroduces a silent fallback, this counter goes
-  // nonzero and the perf-smoke CI assertion catches it.
-  if (!attrs_.force_unfused) {
-    static telemetry::Metric* fallback =
-        telemetry::MetricsRegistry::Global().Counter(
-            "bconv2d.fallback_unfused");
-    fallback->Add(1);
-  }
-
-  const Conv2DGeometry& g = attrs_.geo;
-  const std::int64_t rows = Im2ColRows(g);
-  const int patch_words = Im2ColDepthBitpacked(g);
-
-  const int groups = std::max(1, attrs_.groups);
-  const int in_c_pg = g.in_c / groups;
-  const int out_c_pg = g.out_c / groups;
-  const int group_words = BitpackedWords(in_c_pg);
-  const int total_words = groups * group_words;
-
-  // Fast path: a 1x1 stride-1 convolution's im2col is the identity, so the
-  // bitpacked input feeds the BGEMM directly (no patch materialization).
-  const bool pointwise = groups == 1 && g.filter_h == 1 && g.filter_w == 1 &&
-                         g.stride_h == 1 && g.stride_w == 1;
-  const bool indirect = groups == 1 && attrs_.use_indirect_bgemm;
-
-  // Stage timestamps are taken only when someone consumes them: the per-op
-  // profiler (`times`) and/or the tracer. Both are fed from the same
-  // telemetry-clock reads, so the Table 4 stage split and the Chrome trace
-  // are two views of one measurement; the unobserved hot path reads no
-  // clock at all.
-  const bool tracing = telemetry::TracingActive();
-  const bool timed = tracing || times != nullptr;
-  telemetry::Tracer& tracer = telemetry::Tracer::Global();
-
-  std::uint64_t t0 = 0;
-  if (timed) t0 = NowNanos();
-  const TBitpacked* patches = nullptr;
-  TBitpacked* patch_scratch = nullptr;
-  if (pointwise) {
-    patches = input.data<TBitpacked>();
-  } else if (!indirect) {
-    // The indirect path needs no patch buffer: gathering replaces im2col,
-    // so neither the slot-1 scratch nor the im2col gauge is touched.
-    const std::size_t patch_bytes =
-        static_cast<std::size_t>(rows) * patch_words * sizeof(TBitpacked);
-    patch_scratch = reinterpret_cast<TBitpacked*>(ctx.Scratch(1, patch_bytes));
-    static telemetry::Metric* im2col_bytes =
-        telemetry::MetricsRegistry::Global().Gauge("bconv2d.im2col_bytes");
-    im2col_bytes->SetMax(static_cast<std::int64_t>(patch_bytes));
-    if (groups == 1) {
-      Im2ColBitpacked(input.data<TBitpacked>(), g, patch_scratch);
-    }
-    patches = patch_scratch;
-  }
-
-  std::uint64_t t1 = timed ? NowNanos() : 0;
-  auto* acc = reinterpret_cast<std::int32_t*>(ctx.Scratch(
-      2, static_cast<std::size_t>(rows) * g.out_c * sizeof(std::int32_t)));
-  if (indirect && !pointwise) {
-    // Indirect path: pointer setup replaces im2col entirely.
-    const gemm::IndirectionBuffer ind(input.data<TBitpacked>(), g);
-    if (timed) t1 = NowNanos();
-    gemm::IndirectBGemm(ind, weights_->rows.data(), g.out_c, k_bits_, acc,
-                        g.out_c);
-  } else if (groups == 1) {
-    gemm::BGemm(patches, static_cast<int>(rows), weights_->groups[0], k_bits_,
-                acc, g.out_c, ctx);
-  } else {
-    std::uint64_t im2col_total = timed ? t1 - t0 : 0;
-    for (int grp = 0; grp < groups; ++grp) {
-      const std::uint64_t g0 = timed ? NowNanos() : 0;
-      Im2ColBitpackedGroup(input.data<TBitpacked>(), g, total_words,
-                           grp * group_words, group_words, patch_scratch);
-      const std::uint64_t g1 = timed ? NowNanos() : 0;
-      gemm::BGemm(patch_scratch, static_cast<int>(rows),
-                  weights_->groups[grp], k_bits_,
-                  acc + static_cast<std::int64_t>(grp) * out_c_pg, g.out_c,
-                  ctx);
-      if (timed) {
-        im2col_total += g1 - g0;
-        if (tracing) {
-          tracer.RecordCompleteWithArg("bconv2d/im2col", "kernel", g0, g1,
-                                       "group", grp);
-        }
-      }
-    }
-    // Fold the per-group stage timings into the im2col/gemm boundary.
-    if (timed) t1 = t0 + im2col_total;
-  }
-
-  const std::uint64_t t2 = timed ? NowNanos() : 0;
-  if (g.padding == Padding::kSameZero) {
-    ApplyZeroPaddingCorrectionRows(acc, 0, rows);
-  }
-  weights_->transform->Apply(acc, 0, rows, output.raw_data());
-
-  if (!timed) return;
-  const std::uint64_t t3 = NowNanos();
-  if (tracing) {
-    // The grouped path already emitted per-group im2col spans above; the
-    // ungrouped paths get one im2col span for the t0..t1 segment.
-    if (groups == 1) tracer.RecordComplete("bconv2d/im2col", "kernel", t0, t1);
-    tracer.RecordComplete("bconv2d/gemm", "kernel", t1, t2);
-    tracer.RecordComplete("bconv2d/output_transform", "kernel", t2, t3);
-  }
-  if (times != nullptr) {
-    times->im2col = static_cast<double>(t1 - t0) * 1e-9;
-    times->gemm = static_cast<double>(t2 - t1) * 1e-9;
-    times->transform = static_cast<double>(t3 - t2) * 1e-9;
-  }
 }
 
 }  // namespace lce

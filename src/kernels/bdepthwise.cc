@@ -61,7 +61,7 @@ BDepthwiseConv2D::BDepthwiseConv2D(const float* weights,
                packed_weights_.data() + static_cast<std::int64_t>(p) * words);
   }
 
-  // Fused-path state: the tap offsets and interior classification depend
+  // Pipeline state: the tap offsets and interior classification depend
   // only on the geometry, so both are built once here.
   indirection_ = gemm::IndirectionOffsets(g);
   zero_row_.assign(words, 0);  // 0 bits = +1.0 one-padding
@@ -137,11 +137,6 @@ void BDepthwiseConv2D::Run(const Tensor& input, Tensor& output,
   LCE_CHECK(input.dtype() == DataType::kBitpacked);
   LCE_CHECK(output.dtype() == DataType::kFloat32);
 
-  if (attrs_.force_unfused) {
-    RunUnfused(input, output);
-    return;
-  }
-
   static telemetry::Metric* macs =
       telemetry::MetricsRegistry::Global().Counter("bgemm.binary_macs");
   macs->Add(Im2ColRows(g) * g.in_c * g.filter_h * g.filter_w);
@@ -155,60 +150,6 @@ void BDepthwiseConv2D::Run(const Tensor& input, Tensor& output,
   args.transform = transform_.get();
   args.out = output.raw_data();
   pipeline::RunConvPipeline(args, ctx, times);
-}
-
-void BDepthwiseConv2D::RunUnfused(const Tensor& input, Tensor& output) const {
-  const Conv2DGeometry& g = attrs_.geo;
-  const int words = BitpackedWords(g.in_c);
-  const int out_h = g.out_h(), out_w = g.out_w();
-  const int pad_h = g.pad_h_begin(), pad_w = g.pad_w_begin();
-  const int taps = g.filter_h * g.filter_w;
-  const TBitpacked* in = input.data<TBitpacked>();
-  float* out = output.data<float>();
-  const bool has_mult = !attrs_.multiplier.empty();
-  const bool has_bias = !attrs_.bias.empty();
-
-  for (int b = 0; b < g.batch; ++b) {
-    for (int oy = 0; oy < out_h; ++oy) {
-      for (int ox = 0; ox < out_w; ++ox) {
-        float* o =
-            out + ((static_cast<std::int64_t>(b) * out_h + oy) * out_w + ox) *
-                      g.in_c;
-        for (int w = 0; w < words; ++w) {
-          SlicedCounter counter;
-          for (int ky = 0; ky < g.filter_h; ++ky) {
-            const int iy = oy * g.stride_h - pad_h + ky;
-            for (int kx = 0; kx < g.filter_w; ++kx) {
-              const int ix = ox * g.stride_w - pad_w + kx;
-              const TBitpacked wv =
-                  packed_weights_[static_cast<std::size_t>(
-                                      ky * g.filter_w + kx) *
-                                      words +
-                                  w];
-              TBitpacked av = 0;  // one-padding: +1.0 = 0 bits
-              if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w) {
-                av = in[((static_cast<std::int64_t>(b) * g.in_h + iy) *
-                             g.in_w +
-                         ix) *
-                            words +
-                        w];
-              }
-              counter.Add(av ^ wv);
-            }
-          }
-          const int base = w * kBitpackWordSize;
-          const int valid = std::min(kBitpackWordSize, g.in_c - base);
-          for (int bit = 0; bit < valid; ++bit) {
-            const int c = base + bit;
-            float v = static_cast<float>(taps - 2 * counter.Count(bit));
-            if (has_mult) v *= attrs_.multiplier[c];
-            if (has_bias) v += attrs_.bias[c];
-            o[c] = v;
-          }
-        }
-      }
-    }
-  }
 }
 
 }  // namespace lce

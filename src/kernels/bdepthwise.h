@@ -37,9 +37,6 @@ struct BDepthwiseConv2DAttrs {
   // fusion, as in LceBConv2d). Empty means 1 / 0.
   std::vector<float> multiplier;
   std::vector<float> bias;
-  // Escape hatch for benchmarks and parity tests: run the legacy
-  // single-threaded full-image loop instead of the fused row-tile pipeline.
-  bool force_unfused = false;
 };
 
 class BDepthwiseConv2D {
@@ -48,22 +45,19 @@ class BDepthwiseConv2D {
   BDepthwiseConv2D(const float* weights, BDepthwiseConv2DAttrs attrs);
 
   // input: bitpacked NHWC; output: float NHWC.
-  // scratch usage: context slot 2 (fused path: per-shard row-tile
-  // accumulator); the legacy force_unfused path uses no scratch.
+  // scratch usage: context slot 2 (per-shard row-tile accumulator).
   void Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
            pipeline::ConvStageTimes* times = nullptr) const;
 
   const BDepthwiseConv2DAttrs& attrs() const { return attrs_; }
 
  private:
-  void RunUnfused(const Tensor& input, Tensor& output) const;
-
   friend class BDepthwiseTileCompute;
 
   BDepthwiseConv2DAttrs attrs_;
   // Bitpacked weights, [filter_h*filter_w][words(channels)].
   std::vector<TBitpacked> packed_weights_;
-  // Fused-path state, built once at construction: tap offsets, one-padding
+  // Pipeline state, built once at construction: tap offsets, one-padding
   // source row, interior/border tile classification and the shared float
   // output transform.
   gemm::IndirectionOffsets indirection_;

@@ -23,6 +23,62 @@ telemetry::Metric* TierGauge() {
 
 }  // namespace
 
+std::unique_ptr<pipeline::OutputTransform> MakeInt8RequantTransform(
+    const Conv2DInt8Attrs& attrs, const std::int32_t* row_sums) {
+  const int out_c = attrs.geo.out_c;
+  std::vector<std::int32_t> requant_multiplier;
+  std::vector<int> requant_shift;
+  if (!attrs.weight_scales.empty()) {
+    LCE_CHECK_EQ(static_cast<int>(attrs.weight_scales.size()), out_c);
+    requant_multiplier.resize(out_c);
+    requant_shift.resize(out_c);
+    for (int n = 0; n < out_c; ++n) {
+      const double real_multiplier =
+          static_cast<double>(attrs.input_quant.scale) *
+          attrs.weight_scales[n] / attrs.output_quant.scale;
+      QuantizeMultiplier(real_multiplier, &requant_multiplier[n],
+                         &requant_shift[n]);
+    }
+  } else {
+    requant_multiplier.resize(1);
+    requant_shift.resize(1);
+    const double real_multiplier =
+        static_cast<double>(attrs.input_quant.scale) *
+        attrs.weight_quant.scale / attrs.output_quant.scale;
+    QuantizeMultiplier(real_multiplier, &requant_multiplier[0],
+                       &requant_shift[0]);
+  }
+
+  // Fused activation becomes clamping in the quantized domain. Tiny output
+  // scales push the quotient far past the int32 range, so saturate in the
+  // floating-point domain -- casting an out-of-range double would be UB.
+  std::int32_t act_min = -128, act_max = 127;
+  const auto quantize_clamp = [&](double real) -> std::int32_t {
+    const double q = std::round(real / attrs.output_quant.scale) +
+                     attrs.output_quant.zero_point;
+    if (q < -128.0) return -128;
+    if (q > 127.0) return 127;
+    return static_cast<std::int32_t>(q);
+  };
+  switch (attrs.activation) {
+    case Activation::kNone:
+    case Activation::kSigmoid:  // not supported fused in the int8 path
+      break;
+    case Activation::kRelu:
+      act_min = quantize_clamp(0.0);
+      break;
+    case Activation::kRelu6:
+      act_min = quantize_clamp(0.0);
+      act_max = quantize_clamp(6.0);
+      break;
+  }
+
+  return std::make_unique<pipeline::Int8RequantTransform>(
+      out_c, attrs.input_quant.zero_point, attrs.output_quant.zero_point,
+      row_sums, attrs.bias, std::move(requant_multiplier),
+      std::move(requant_shift), act_min, act_max);
+}
+
 Conv2DInt8::Conv2DInt8(const std::int8_t* weights_ohwi, Conv2DInt8Attrs attrs)
     : attrs_(std::move(attrs)) {
   const Conv2DGeometry& g = attrs_.geo;
@@ -44,58 +100,8 @@ Conv2DInt8::Conv2DInt8(const std::int8_t* weights_ohwi, Conv2DInt8Attrs attrs)
                                                   Im2ColDepthFloat(g));
 #endif
 
-  std::vector<std::int32_t> requant_multiplier;
-  std::vector<int> requant_shift;
-  if (!attrs_.weight_scales.empty()) {
-    LCE_CHECK_EQ(static_cast<int>(attrs_.weight_scales.size()), g.out_c);
-    requant_multiplier.resize(g.out_c);
-    requant_shift.resize(g.out_c);
-    for (int n = 0; n < g.out_c; ++n) {
-      const double real_multiplier =
-          static_cast<double>(attrs_.input_quant.scale) *
-          attrs_.weight_scales[n] / attrs_.output_quant.scale;
-      QuantizeMultiplier(real_multiplier, &requant_multiplier[n],
-                         &requant_shift[n]);
-    }
-  } else {
-    requant_multiplier.resize(1);
-    requant_shift.resize(1);
-    const double real_multiplier =
-        static_cast<double>(attrs_.input_quant.scale) *
-        attrs_.weight_quant.scale / attrs_.output_quant.scale;
-    QuantizeMultiplier(real_multiplier, &requant_multiplier[0],
-                       &requant_shift[0]);
-  }
-
-  // Fused activation becomes clamping in the quantized domain. Tiny output
-  // scales push the quotient far past the int32 range, so saturate in the
-  // floating-point domain -- casting an out-of-range double would be UB.
-  std::int32_t act_min = -128, act_max = 127;
-  const auto quantize_clamp = [&](double real) -> std::int32_t {
-    const double q = std::round(real / attrs_.output_quant.scale) +
-                     attrs_.output_quant.zero_point;
-    if (q < -128.0) return -128;
-    if (q > 127.0) return 127;
-    return static_cast<std::int32_t>(q);
-  };
-  switch (attrs_.activation) {
-    case Activation::kNone:
-    case Activation::kSigmoid:  // not supported fused in the int8 path
-      break;
-    case Activation::kRelu:
-      act_min = quantize_clamp(0.0);
-      break;
-    case Activation::kRelu6:
-      act_min = quantize_clamp(0.0);
-      act_max = quantize_clamp(6.0);
-      break;
-  }
-
-  weights->transform = std::make_unique<pipeline::Int8RequantTransform>(
-      g.out_c, attrs_.input_quant.zero_point, attrs_.output_quant.zero_point,
-      weights->matrix.row_sums().data(), attrs_.bias,
-      std::move(requant_multiplier), std::move(requant_shift), act_min,
-      act_max);
+  weights->transform =
+      MakeInt8RequantTransform(attrs_, weights->matrix.row_sums().data());
   weights_ = std::move(weights);
 
   InitGeometry();
@@ -120,11 +126,11 @@ Conv2DInt8::Conv2DInt8(const Conv2DInt8& base, Conv2DInt8Attrs attrs)
 void Conv2DInt8::InitGeometry() {
   const Conv2DGeometry& g = attrs_.geo;
   // Pad with the input zero point so padding contributes zero after offset
-  // subtraction (same value the legacy im2col uses).
+  // subtraction (the value Im2ColInt8 pads with too).
   pad_value_ = static_cast<std::int8_t>(
       std::clamp(attrs_.input_quant.zero_point, -128, 127));
 
-  // Fused-path state: byte-offset tap table and interior classification,
+  // Pipeline state: byte-offset tap table and interior classification,
   // both geometry-only, built once here.
   indirection_ = gemm::IndirectionOffsets(g, g.in_c);
   tile_plan_ = pipeline::TilePlan(g, gemm::kInt8Mr);
@@ -262,15 +268,6 @@ void Conv2DInt8::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
     tier = gemm::Int8Tier::kWidened;
   }
 
-  if (attrs_.force_unfused) {
-    // The legacy path has no dot-product kernel: it is the ablation
-    // baseline, and keeping it on the widened family makes the fused-path
-    // speedup attributable end to end.
-    TierGauge()->Set(static_cast<std::int64_t>(
-        scalar_ctx ? gemm::Int8Tier::kScalar : gemm::Int8Tier::kWidened));
-    RunUnfused(input, output, ctx);
-    return;
-  }
   TierGauge()->Set(static_cast<std::int64_t>(tier));
 
   const Conv2DInt8TileCompute panel_compute(
@@ -283,7 +280,7 @@ void Conv2DInt8::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
   args.variant = "conv2d_int8";
   // kInt8Mr is small (2 rows per tile), so a 16-tile block would re-stream
   // the packed RHS every 32 rows; the default 64 tiles (128 rows) amortize
-  // the B-panel loads like the legacy full-image GEMM while the staged
+  // the B-panel loads like a full-image GEMM while the staged
   // rows + accumulator still fit in L2. Swept by bench_int8_dotprod.
   args.block_tiles = attrs_.block_tiles;
   args.out_c = g.out_c;
@@ -294,23 +291,6 @@ void Conv2DInt8::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
   args.transform = weights_->transform.get();
   args.out = output.raw_data();
   pipeline::RunConvPipeline(args, ctx, times);
-}
-
-void Conv2DInt8::RunUnfused(const Tensor& input, Tensor& output,
-                            gemm::Context& ctx) const {
-  const Conv2DGeometry& g = attrs_.geo;
-  const std::int64_t rows = Im2ColRows(g);
-  const int depth = Im2ColDepthFloat(g);
-  auto* patches = reinterpret_cast<std::int8_t*>(
-      ctx.Scratch(1, static_cast<std::size_t>(rows) * depth));
-  Im2ColInt8(input.data<std::int8_t>(), g, pad_value_, patches);
-
-  auto* acc = reinterpret_cast<std::int32_t*>(ctx.Scratch(
-      2, static_cast<std::size_t>(rows) * g.out_c * sizeof(std::int32_t)));
-  gemm::Int8Gemm(patches, static_cast<int>(rows), weights_->matrix, acc,
-                 g.out_c, ctx);
-
-  weights_->transform->Apply(acc, 0, rows, output.raw_data());
 }
 
 }  // namespace lce

@@ -79,8 +79,7 @@ void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
   // plus a block accumulator, both strides rounded to 64 bytes (panels need
   // 32-byte alignment for the AVX kernels' aligned loads; 64 avoids false
   // sharing between shards). Total is shards * O(block) -- independent of
-  // the image size, unlike the legacy full-image accumulators this engine
-  // replaced.
+  // the image size, unlike a full-image accumulator.
   const auto align64 = [](std::size_t v) {
     return (v + 63) & ~static_cast<std::size_t>(63);
   };
@@ -186,17 +185,13 @@ void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
     // Span names are copied into the trace buffer, so the temporaries are
     // fine; the category must be a literal.
     const std::string prefix(args.variant);
-    if (args.pre_t1 > args.pre_t0) {
-      tracer.RecordComplete((prefix + "/im2col").c_str(), "kernel",
-                            args.pre_t0, args.pre_t1);
-    }
     tracer.RecordComplete((prefix + "/gemm").c_str(), "kernel", tp0,
                           tp0 + gemm_wall);
     tracer.RecordComplete((prefix + "/output_transform").c_str(), "kernel",
                           tp0 + gemm_wall, tp1);
   }
   if (times != nullptr) {
-    times->im2col = static_cast<double>(args.pre_t1 - args.pre_t0) * 1e-9;
+    times->im2col = 0.0;
     times->gemm = static_cast<double>(gemm_wall) * 1e-9;
     times->transform = static_cast<double>(wall - gemm_wall) * 1e-9;
   }

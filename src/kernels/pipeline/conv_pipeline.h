@@ -32,8 +32,8 @@ namespace lce::pipeline {
 
 // Wall-clock seconds spent in each stage of the last run; used by the
 // profiler for the Table 4 accumulation-loop vs output-transform breakdown.
-// (im2col covers any pre-stage: patch materialization or, for gather-based
-// variants, nothing.)
+// (im2col is the patch-materialization pre-stage; every variant gathers
+// inside the gemm stage instead, so the engine reports it as zero.)
 struct ConvStageTimes {
   double im2col = 0.0;
   double gemm = 0.0;
@@ -82,14 +82,10 @@ struct ConvPipelineArgs {
   const RowCorrector* corrector = nullptr; // optional, border blocks only
   const OutputTransform* transform = nullptr;  // required
   void* out = nullptr;  // start of the full output buffer
-  // Pre-stage (im2col) interval for stage attribution; both zero when the
-  // variant has no pre-stage or timing is off.
-  std::uint64_t pre_t0 = 0, pre_t1 = 0;
 };
 
 // Runs the fused pipeline. Scratch: context slot 2 (per-shard compute
-// scratch + block accumulator; size independent of the image, unlike the
-// legacy full-image accumulator paths).
+// scratch + block accumulator; size independent of the image).
 void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
                      ConvStageTimes* times);
 

@@ -11,7 +11,7 @@
 //     word boundaries by construction).
 //   * GatherPackInt8            — byte gather into int8-GEMM A-panels with
 //     the maddubs +128 bias applied during packing (Conv2DInt8); padded
-//     taps read the input zero point, exactly like the legacy im2col.
+//     taps read the input zero point, exactly like Im2ColInt8.
 //
 // All three take an `interior` flag from the shared TilePlan: interior
 // tiles have no padded taps, so the gather skips the kPaddedTap sentinel

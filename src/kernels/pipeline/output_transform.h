@@ -11,9 +11,9 @@
 //   * Int8RequantTransform      — TFLite-style requantization
 //     out = clamp(z_out + M * (acc - z_in * rowsum(w) + bias)).
 //
-// The transforms are shared between the fused pipeline (per row-tile block)
-// and the legacy force_unfused paths (once over the full image), so both
-// paths are bit-identical by construction.
+// The fused pipeline applies them per row-tile block; the benchmarks' im2col
+// baseline (bench/im2col_baseline.h) applies the same transforms once over
+// the full image, so the two are bit-identical by construction.
 #ifndef LCE_KERNELS_PIPELINE_OUTPUT_TRANSFORM_H_
 #define LCE_KERNELS_PIPELINE_OUTPUT_TRANSFORM_H_
 

@@ -110,7 +110,11 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(12, 16, 128, 3, Padding::kSameOne),
         std::make_tuple(6, 512, 64, 1, Padding::kSameOne),
         std::make_tuple(4, 1024, 32, 1, Padding::kSameZero),
-        std::make_tuple(11, 48, 96, 2, Padding::kValid)));
+        std::make_tuple(11, 48, 96, 2, Padding::kValid),
+        std::make_tuple(8, 64, 48, 1, Padding::kSameZero),
+        std::make_tuple(7, 40, 17, 2, Padding::kSameOne),
+        std::make_tuple(9, 96, 13, 2, Padding::kSameZero),
+        std::make_tuple(6, 128, 64, 1, Padding::kValid)));
 
 TEST(BConv2D, FusedMultiplierBiasAndPreActivation) {
   const Problem p = MakeProblem(6, 6, 64, 32, 3, 1, Padding::kSameOne, 17);
@@ -140,7 +144,7 @@ TEST(BConv2D, FusedMultiplierBiasAndPreActivation) {
 
 class BConvBitpackedOutput : public ::testing::TestWithParam<int> {};
 
-TEST_P(BConvBitpackedOutput, MatchesSignOfFloatOutput) {
+TEST_P(BConvBitpackedOutput, MatchesSignOfReference) {
   const int seed = GetParam();
   const Problem p = MakeProblem(7, 7, 40, 48, 3, 1, Padding::kSameOne, seed);
   Rng rng(seed + 1);
@@ -154,29 +158,25 @@ TEST_P(BConvBitpackedOutput, MatchesSignOfFloatOutput) {
 
   BConv2DAttrs attrs;
   attrs.geo = p.geo;
+  attrs.output_type = BConvOutputType::kBitpacked;
   attrs.pre_activation = Activation::kRelu;
   attrs.multiplier = mult;
   attrs.bias = bias;
+  BConv2D op(p.weights.data(), attrs);
 
-  // Float output.
-  attrs.output_type = BConvOutputType::kFloat;
-  BConv2D op_float(p.weights.data(), attrs);
-  Tensor out_float(DataType::kFloat32, Shape{1, 7, 7, 48});
-  gemm::Context ctx(1);
-  op_float.Run(p.input_packed, out_float, ctx);
-
-  // Bitpacked output.
-  attrs.output_type = BConvOutputType::kBitpacked;
-  BConv2D op_packed(p.weights.data(), attrs);
-  Tensor out_packed(DataType::kBitpacked, Shape{1, 7, 7, 48});
-  op_packed.Run(p.input_packed, out_packed, ctx);
-
-  // sign(float output) must equal the unpacked bitpacked output.
-  Tensor unpacked(DataType::kFloat32, Shape{1, 7, 7, 48});
-  UnpackTensor(out_packed, unpacked);
-  for (std::int64_t i = 0; i < out_float.num_elements(); ++i) {
-    ASSERT_EQ(unpacked.data<float>()[i], SignValue(out_float.data<float>()[i]))
-        << "element " << i;
+  // The unpacked output must be the sign of the transformed reference.
+  const auto expected =
+      Reference(p, mult.data(), bias.data(), Activation::kRelu);
+  for (const int threads : {1, 4}) {
+    Tensor out_packed(DataType::kBitpacked, Shape{1, 7, 7, 48});
+    gemm::Context ctx(threads);
+    op.Run(p.input_packed, out_packed, ctx);
+    Tensor unpacked(DataType::kFloat32, Shape{1, 7, 7, 48});
+    UnpackTensor(out_packed, unpacked);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(unpacked.data<float>()[i], SignValue(expected[i]))
+          << "threads=" << threads << " element " << i;
+    }
   }
 }
 
@@ -251,40 +251,6 @@ TEST(BConv2D, StageTimesAreReported) {
   EXPECT_GT(times.gemm, 0.0);
   EXPECT_GE(times.transform, 0.0);
 }
-
-class BConvIndirect
-    : public ::testing::TestWithParam<std::tuple<int, int, int, int, Padding>> {};
-
-TEST_P(BConvIndirect, IndirectBGemmMatchesIm2ColPath) {
-  const auto [hw, in_c, out_c, stride, pad] = GetParam();
-  const Problem p = MakeProblem(hw, hw, in_c, out_c, 3, stride, pad,
-                                hw * 7 + in_c + out_c + stride);
-  BConv2DAttrs attrs;
-  attrs.geo = p.geo;
-  attrs.output_type = BConvOutputType::kFloat;
-  BConv2D im2col_op(p.weights.data(), attrs);
-  attrs.use_indirect_bgemm = true;
-  BConv2D indirect_op(p.weights.data(), attrs);
-
-  Tensor out_a(DataType::kFloat32,
-               Shape{1, p.geo.out_h(), p.geo.out_w(), out_c});
-  Tensor out_b(DataType::kFloat32, out_a.shape());
-  gemm::Context ctx(1);
-  im2col_op.Run(p.input_packed, out_a, ctx);
-  indirect_op.Run(p.input_packed, out_b, ctx);
-  for (std::int64_t i = 0; i < out_a.num_elements(); ++i) {
-    ASSERT_EQ(out_a.data<float>()[i], out_b.data<float>()[i]) << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, BConvIndirect,
-    ::testing::Values(
-        std::make_tuple(8, 32, 32, 1, Padding::kSameOne),
-        std::make_tuple(8, 64, 48, 1, Padding::kSameZero),
-        std::make_tuple(7, 40, 17, 2, Padding::kSameOne),
-        std::make_tuple(9, 96, 13, 2, Padding::kSameZero),
-        std::make_tuple(6, 128, 64, 1, Padding::kValid)));
 
 class BConvGroups : public ::testing::TestWithParam<int> {};
 
@@ -366,8 +332,7 @@ TEST(BConv2D, GroupedZeroPaddingCorrection) {
   FillSigns(in_f, rng);
   Tensor in_b(DataType::kBitpacked, in_f.shape());
   BitpackTensor(in_f, in_b);
-  const int in_c_pg = in_c / groups, out_c_pg = out_c / groups;
-  std::vector<float> w(static_cast<std::size_t>(out_c) * 9 * in_c_pg);
+  std::vector<float> w(static_cast<std::size_t>(out_c) * 9 * (in_c / groups));
   for (auto& v : w) v = rng.Sign();
 
   BConv2DAttrs attrs;
@@ -379,30 +344,13 @@ TEST(BConv2D, GroupedZeroPaddingCorrection) {
   gemm::Context ctx(1);
   op.Run(in_b, out, ctx);
 
-  // Float reference with zero padding, per group.
-  for (int grp = 0; grp < groups; ++grp) {
-    Conv2DGeometry ref_geo = geo;
-    ref_geo.in_c = in_c_pg;
-    ref_geo.out_c = out_c_pg;
-    std::vector<float> slice(static_cast<std::size_t>(hw) * hw * in_c_pg);
-    for (int p = 0; p < hw * hw; ++p) {
-      std::memcpy(slice.data() + static_cast<std::int64_t>(p) * in_c_pg,
-                  in_f.data<float>() + static_cast<std::int64_t>(p) * in_c +
-                      grp * in_c_pg,
-                  in_c_pg * sizeof(float));
-    }
-    std::vector<float> expected(static_cast<std::size_t>(hw) * hw * out_c_pg);
-    RefConv2DFloat(slice.data(),
-                   w.data() + static_cast<std::size_t>(grp) * out_c_pg * 9 * in_c_pg,
-                   ref_geo, /*pad_value=*/0.0f, nullptr, nullptr,
-                   Activation::kNone, expected.data());
-    for (int p = 0; p < hw * hw; ++p) {
-      for (int n = 0; n < out_c_pg; ++n) {
-        ASSERT_EQ(out.data<float>()[p * out_c + grp * out_c_pg + n],
-                  expected[p * out_c_pg + n])
-            << "group " << grp;
-      }
-    }
+  // Grouped float reference with zero padding.
+  std::vector<float> expected(static_cast<std::size_t>(hw) * hw * out_c);
+  RefConv2DFloat(in_f.data<float>(), w.data(), geo, /*pad_value=*/0.0f,
+                 nullptr, nullptr, Activation::kNone, expected.data(),
+                 groups);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(out.data<float>()[i], expected[i]) << i;
   }
 }
 

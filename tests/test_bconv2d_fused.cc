@@ -1,15 +1,13 @@
 // Fused row-tile BConv2D pipeline tests.
 //
-// The fused path (the default for groups == 1) must be bit-identical to the
-// float reference for every geometry class -- pointwise, grouped, one- and
-// zero-padded, strided, odd channel counts -- single- and multi-threaded,
-// for both the im2col and the cached-indirection A-panel sources. On top of
-// the value parity, these tests pin down the resource contract: no
-// full-image accumulator in scratch slot 2, no im2col patch buffer on the
-// indirect path, and the `bconv2d.fused_tiles` telemetry counter.
+// The pipeline must be bit-identical to the float reference for every
+// geometry class -- pointwise, grouped, one- and zero-padded, strided, odd
+// channel counts -- single- and multi-threaded, and for every output type.
+// On top of the value parity, these tests pin down the resource contract:
+// no full-image accumulator in scratch slot 2, no im2col patch buffer in
+// slot 1, and the `bconv2d.fused_tiles` telemetry counter.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -62,39 +60,13 @@ Problem MakeProblem(int hw, int in_c, int out_c, int k, int stride,
   return p;
 }
 
-// Float reference supporting groups: per group, slice the input channels and
-// run the dense reference convolution.
+// Float convolution of the +/-1 data (one-padded for SAME_ONE).
 std::vector<float> Reference(const Problem& p) {
   const Conv2DGeometry& g = p.geo;
-  const float pad_value = g.padding == Padding::kSameOne ? 1.0f : 0.0f;
-  const int in_c_pg = g.in_c / p.groups, out_c_pg = g.out_c / p.groups;
-  const std::int64_t pixels =
-      static_cast<std::int64_t>(g.batch) * g.in_h * g.in_w;
-  const std::int64_t out_pixels =
-      static_cast<std::int64_t>(g.batch) * g.out_h() * g.out_w();
-  std::vector<float> out(out_pixels * g.out_c);
-  std::vector<float> slice(pixels * in_c_pg);
-  std::vector<float> group_out(out_pixels * out_c_pg);
-  for (int grp = 0; grp < p.groups; ++grp) {
-    for (std::int64_t px = 0; px < pixels; ++px) {
-      std::memcpy(slice.data() + px * in_c_pg,
-                  p.input_float.data<float>() + px * g.in_c + grp * in_c_pg,
-                  in_c_pg * sizeof(float));
-    }
-    Conv2DGeometry ref_geo = g;
-    ref_geo.in_c = in_c_pg;
-    ref_geo.out_c = out_c_pg;
-    RefConv2DFloat(slice.data(),
-                   p.weights.data() + static_cast<std::size_t>(grp) *
-                                          out_c_pg * g.filter_h * g.filter_w *
-                                          in_c_pg,
-                   ref_geo, pad_value, nullptr, nullptr, Activation::kNone,
-                   group_out.data());
-    for (std::int64_t px = 0; px < out_pixels; ++px) {
-      std::memcpy(out.data() + px * g.out_c + grp * out_c_pg,
-                  group_out.data() + px * out_c_pg, out_c_pg * sizeof(float));
-    }
-  }
+  std::vector<float> out(Im2ColRows(g) * g.out_c);
+  RefConv2DFloat(p.input_float.data<float>(), p.weights.data(), g,
+                 g.padding == Padding::kSameOne ? 1.0f : 0.0f, nullptr,
+                 nullptr, Activation::kNone, out.data(), p.groups);
   return out;
 }
 
@@ -109,23 +81,18 @@ TEST_P(FusedParity, BitExactVsReference) {
                                 hw * 131 + in_c * 7 + out_c + k + stride);
   const auto expected = Reference(p);
 
-  for (const bool indirect : {false, true}) {
-    if (indirect && groups > 1) continue;  // indirect requires groups == 1
-    BConv2DAttrs attrs;
-    attrs.geo = p.geo;
-    attrs.groups = groups;
-    attrs.output_type = BConvOutputType::kFloat;
-    attrs.use_indirect_bgemm = indirect;
-    BConv2D op(p.weights.data(), attrs);
+  BConv2DAttrs attrs;
+  attrs.geo = p.geo;
+  attrs.groups = groups;
+  attrs.output_type = BConvOutputType::kFloat;
+  BConv2D op(p.weights.data(), attrs);
 
-    Tensor out(DataType::kFloat32,
-               Shape{1, p.geo.out_h(), p.geo.out_w(), out_c});
-    gemm::Context ctx(threads);
-    op.Run(p.input_packed, out, ctx);
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(out.data<float>()[i], expected[i])
-          << (indirect ? "indirect" : "im2col") << " element " << i;
-    }
+  Tensor out(DataType::kFloat32,
+             Shape{1, p.geo.out_h(), p.geo.out_w(), out_c});
+  gemm::Context ctx(threads);
+  op.Run(p.input_packed, out, ctx);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(out.data<float>()[i], expected[i]) << "element " << i;
   }
 }
 
@@ -143,6 +110,7 @@ std::vector<FusedCase> FusedSweep() {
       {7, 33, 17, 3, 1, Padding::kSameZero, 1},   // odd channels
       {7, 33, 17, 5, 1, Padding::kSameOne, 1},    // 5x5, odd channels
       {10, 100, 64, 3, 2, Padding::kValid, 1},    // VALID, strided
+      {12, 72, 40, 3, 2, Padding::kSameZero, 1},  // strided border tiles
       {6, 128, 16, 3, 1, Padding::kSameOne, 2},   // grouped (fused gather)
       {6, 128, 16, 3, 1, Padding::kSameZero, 4},  // grouped + zero-padding
   };
@@ -158,90 +126,20 @@ std::vector<FusedCase> FusedSweep() {
 INSTANTIATE_TEST_SUITE_P(GeometrySweep, FusedParity,
                          ::testing::ValuesIn(FusedSweep()));
 
-TEST(BConvFused, MatchesForcedUnfusedPath) {
-  // The fused pipeline and the legacy full-image pipeline are two
-  // implementations of one operator; their outputs must be bit-identical,
-  // including the indirect-vs-im2col pairing under zero padding.
-  const Problem p =
-      MakeProblem(12, 72, 40, 3, 2, Padding::kSameZero, 1, 2026);
-  const auto expected = Reference(p);
-  for (const bool indirect : {false, true}) {
-    for (const int threads : {1, 4}) {
-      BConv2DAttrs attrs;
-      attrs.geo = p.geo;
-      attrs.output_type = BConvOutputType::kFloat;
-      attrs.use_indirect_bgemm = indirect;
-      BConv2D fused(p.weights.data(), attrs);
-      attrs.force_unfused = true;
-      BConv2D unfused(p.weights.data(), attrs);
-
-      Tensor out_fused(DataType::kFloat32,
-                       Shape{1, p.geo.out_h(), p.geo.out_w(), p.geo.out_c});
-      Tensor out_unfused(DataType::kFloat32, out_fused.shape());
-      gemm::Context ctx(threads);
-      fused.Run(p.input_packed, out_fused, ctx);
-      unfused.Run(p.input_packed, out_unfused, ctx);
-      for (std::int64_t i = 0; i < out_fused.num_elements(); ++i) {
-        ASSERT_EQ(out_fused.data<float>()[i], out_unfused.data<float>()[i])
-            << (indirect ? "indirect" : "im2col") << " threads=" << threads
-            << " element " << i;
-      }
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(out_fused.data<float>()[i], expected[i]) << i;
-      }
-    }
-  }
-}
-
-TEST(BConvFused, BitpackedOutputMatchesUnfused) {
-  const Problem p = MakeProblem(7, 40, 48, 3, 1, Padding::kSameOne, 1, 99);
-  Rng rng(100);
-  std::vector<float> mult(48), bias(48);
-  for (int i = 0; i < 48; ++i) {
-    mult[i] = (i % 5 == 0) ? 0.0f : rng.Uniform(-0.2f, 0.2f);
-    bias[i] = rng.Uniform(-3.0f, 3.0f);
-  }
-  BConv2DAttrs attrs;
-  attrs.geo = p.geo;
-  attrs.output_type = BConvOutputType::kBitpacked;
-  attrs.pre_activation = Activation::kRelu;
-  attrs.multiplier = mult;
-  attrs.bias = bias;
-  attrs.use_indirect_bgemm = true;
-  BConv2D fused(p.weights.data(), attrs);
-  attrs.force_unfused = true;
-  BConv2D unfused(p.weights.data(), attrs);
-
-  Tensor out_fused(DataType::kBitpacked, Shape{1, 7, 7, 48});
-  Tensor out_unfused(DataType::kBitpacked, out_fused.shape());
-  gemm::Context ctx(4);
-  fused.Run(p.input_packed, out_fused, ctx);
-  unfused.Run(p.input_packed, out_unfused, ctx);
-  const std::int64_t words = Im2ColRows(p.geo) * BitpackedWords(p.geo.out_c);
-  for (std::int64_t i = 0; i < words; ++i) {
-    ASSERT_EQ(out_fused.data<TBitpacked>()[i],
-              out_unfused.data<TBitpacked>()[i])
-        << i;
-  }
-}
-
-TEST(BConvFused, Int32OutputMatchesUnfused) {
+TEST(BConvFused, Int32OutputMatchesReference) {
   const Problem p = MakeProblem(6, 96, 24, 3, 1, Padding::kSameZero, 1, 123);
   BConv2DAttrs attrs;
   attrs.geo = p.geo;
   attrs.output_type = BConvOutputType::kInt32;
-  BConv2D fused(p.weights.data(), attrs);
-  attrs.force_unfused = true;
-  BConv2D unfused(p.weights.data(), attrs);
+  BConv2D op(p.weights.data(), attrs);
 
-  Tensor out_fused(DataType::kInt32, Shape{1, 6, 6, 24});
-  Tensor out_unfused(DataType::kInt32, out_fused.shape());
+  Tensor out(DataType::kInt32, Shape{1, 6, 6, 24});
   gemm::Context ctx(2);
-  fused.Run(p.input_packed, out_fused, ctx);
-  unfused.Run(p.input_packed, out_unfused, ctx);
-  for (std::int64_t i = 0; i < out_fused.num_elements(); ++i) {
-    ASSERT_EQ(out_fused.data<std::int32_t>()[i],
-              out_unfused.data<std::int32_t>()[i])
+  op.Run(p.input_packed, out, ctx);
+  const auto expected = Reference(p);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(out.data<std::int32_t>()[i],
+              static_cast<std::int32_t>(expected[i]))
         << i;
   }
 }
@@ -256,65 +154,35 @@ TEST(BConvFused, NoFullImageAccumulatorInScratch) {
   BConv2DAttrs attrs;
   attrs.geo = p.geo;
   attrs.output_type = BConvOutputType::kFloat;
-  attrs.use_indirect_bgemm = true;
   BConv2D fused(p.weights.data(), attrs);
   Tensor out(DataType::kFloat32, Shape{1, 32, 32, 64});
 
-  auto& registry = telemetry::MetricsRegistry::Global();
-  registry.Reset();
-  {
-    gemm::Context ctx(1);
-    fused.Run(p.input_packed, out, ctx);
-  }
+  telemetry::MetricsRegistry::Global().Reset();
+  gemm::Context ctx(1);
+  fused.Run(p.input_packed, out, ctx);
   const std::int64_t fused_slot2 = GaugeValue("gemm.scratch_bytes.slot2");
   EXPECT_GT(fused_slot2, 0);
   EXPECT_LT(fused_slot2, full_acc_bytes / 4)
       << "fused path still allocates an image-sized accumulator";
-
-  // The legacy path, by contrast, must show the full-image allocation.
-  registry.Reset();
-  attrs.force_unfused = true;
-  BConv2D unfused(p.weights.data(), attrs);
-  {
-    gemm::Context ctx(1);
-    unfused.Run(p.input_packed, out, ctx);
-  }
-  EXPECT_GE(GaugeValue("gemm.scratch_bytes.slot2"), full_acc_bytes);
 }
 
-TEST(BConvFused, IndirectPathSkipsIm2ColScratch) {
-  // Regression test: the indirect path used to allocate the full im2col
-  // patch buffer (and bump its gauge) without ever writing to it.
-  const Problem p = MakeProblem(16, 64, 32, 3, 1, Padding::kSameOne, 1, 11);
+TEST(BConvFused, NoIm2ColPatchBufferInScratch) {
+  // Gathering replaces im2col: neither an ungrouped nor a grouped
+  // convolution touches the slot-1 patch scratch.
   Tensor out(DataType::kFloat32, Shape{1, 16, 16, 32});
-  auto& registry = telemetry::MetricsRegistry::Global();
-
-  for (const bool unfused : {false, true}) {
+  for (const int groups : {1, 2}) {
+    const Problem p =
+        MakeProblem(16, 64, 32, 3, 1, Padding::kSameOne, groups, 11);
     BConv2DAttrs attrs;
     attrs.geo = p.geo;
+    attrs.groups = groups;
     attrs.output_type = BConvOutputType::kFloat;
-    attrs.use_indirect_bgemm = true;
-    attrs.force_unfused = unfused;
     BConv2D op(p.weights.data(), attrs);
-    registry.Reset();
+    telemetry::MetricsRegistry::Global().Reset();
     gemm::Context ctx(1);
     op.Run(p.input_packed, out, ctx);
-    EXPECT_EQ(GaugeValue("bconv2d.im2col_bytes"), 0)
-        << (unfused ? "unfused" : "fused");
-    EXPECT_EQ(GaugeValue("gemm.scratch_bytes.slot1"), 0)
-        << (unfused ? "unfused" : "fused");
+    EXPECT_EQ(GaugeValue("gemm.scratch_bytes.slot1"), 0) << "groups=" << groups;
   }
-
-  // Sanity: the im2col variant does touch both.
-  BConv2DAttrs attrs;
-  attrs.geo = p.geo;
-  attrs.output_type = BConvOutputType::kFloat;
-  BConv2D op(p.weights.data(), attrs);
-  registry.Reset();
-  gemm::Context ctx(1);
-  op.Run(p.input_packed, out, ctx);
-  EXPECT_GT(GaugeValue("bconv2d.im2col_bytes"), 0);
-  EXPECT_GT(GaugeValue("gemm.scratch_bytes.slot1"), 0);
 }
 
 TEST(BConvFused, FusedTilesCounter) {
@@ -322,7 +190,6 @@ TEST(BConvFused, FusedTilesCounter) {
   BConv2DAttrs attrs;
   attrs.geo = p.geo;
   attrs.output_type = BConvOutputType::kFloat;
-  attrs.use_indirect_bgemm = true;
   BConv2D op(p.weights.data(), attrs);
   Tensor out(DataType::kFloat32, Shape{1, 8, 8, 32});
 
@@ -338,26 +205,20 @@ TEST(BConvFused, FusedTilesCounter) {
 
 TEST(BConvFused, StageTimesSurviveFusion) {
   // The Table 4 stage split must keep flowing from the fused pipeline: the
-  // gemm share is reconstructed from per-shard busy time, im2col reflects
-  // the actual patch copy (zero on the indirect path).
+  // gemm share is reconstructed from per-shard busy time, and im2col is
+  // zero because the gather runs inside the gemm stage.
   const Problem p = MakeProblem(16, 64, 64, 3, 1, Padding::kSameOne, 1, 21);
   Tensor out(DataType::kFloat32, Shape{1, 16, 16, 64});
 
   BConv2DAttrs attrs;
   attrs.geo = p.geo;
   attrs.output_type = BConvOutputType::kFloat;
-  BConv2D im2col_op(p.weights.data(), attrs);
-  attrs.use_indirect_bgemm = true;
-  BConv2D indirect_op(p.weights.data(), attrs);
+  BConv2D op(p.weights.data(), attrs);
 
   gemm::Context ctx(2);
   BConvStageTimes times;
-  im2col_op.Run(p.input_packed, out, ctx, &times);
-  EXPECT_GT(times.im2col, 0.0);
-  EXPECT_GT(times.gemm, 0.0);
-  EXPECT_GT(times.transform, 0.0);
-
-  indirect_op.Run(p.input_packed, out, ctx, &times);
+  op.Run(p.input_packed, out, ctx, &times);
+  EXPECT_EQ(times.im2col, 0.0);
   EXPECT_GT(times.gemm, 0.0);
   EXPECT_GT(times.transform, 0.0);
 }

@@ -40,49 +40,12 @@ TEST_P(BDepthwiseGeometry, MatchesFloatReference) {
   gemm::Context ctx(2);
   op.Run(in_b, out, ctx);
 
-  // Reference: float depthwise conv. For one-padding we emulate by padding
-  // the input with +1 explicitly (the reference ignores padded taps, which
-  // is zero-padding semantics, so build a pre-padded input for SAME_ONE).
+  // Reference: float depthwise conv of the +/-1 data, one-padded for
+  // SAME_ONE.
   std::vector<float> expected(out.num_elements());
-  if (pad == Padding::kValid) {
-    RefDepthwiseConv2DFloat(in_f.data<float>(), w.data(), geo, nullptr,
-                            Activation::kNone, expected.data());
-  } else {
-    const int pad_h = geo.pad_h_begin(), pad_w = geo.pad_w_begin();
-    const int ph = hw + k - 1;  // enough for SAME with stride 1 or 2
-    std::vector<float> padded(static_cast<std::size_t>(ph) * ph * channels,
-                              1.0f);
-    for (int y = 0; y < hw; ++y) {
-      for (int x = 0; x < hw; ++x) {
-        for (int c = 0; c < channels; ++c) {
-          padded[((static_cast<std::size_t>(y) + pad_h) * ph + x + pad_w) *
-                     channels +
-                 c] = in_f.data<float>()[(static_cast<std::size_t>(y) * hw + x) *
-                                             channels +
-                                         c];
-        }
-      }
-    }
-    Conv2DGeometry padded_geo = geo;
-    padded_geo.in_h = padded_geo.in_w = ph;
-    padded_geo.padding = Padding::kValid;
-    // VALID on the pre-padded input: same output size (or larger); compute
-    // and compare the leading out_h x out_w block.
-    const int big_oh = padded_geo.out_h(), big_ow = padded_geo.out_w();
-    std::vector<float> big(static_cast<std::size_t>(big_oh) * big_ow * channels);
-    RefDepthwiseConv2DFloat(padded.data(), w.data(), padded_geo, nullptr,
-                            Activation::kNone, big.data());
-    for (int oy = 0; oy < geo.out_h(); ++oy) {
-      for (int ox = 0; ox < geo.out_w(); ++ox) {
-        for (int c = 0; c < channels; ++c) {
-          expected[(static_cast<std::size_t>(oy) * geo.out_w() + ox) * channels +
-                   c] = big[(static_cast<std::size_t>(oy) * big_ow + ox) *
-                                channels +
-                            c];
-        }
-      }
-    }
-  }
+  RefDepthwiseConv2DFloat(in_f.data<float>(), w.data(), geo, nullptr,
+                          Activation::kNone, expected.data(),
+                          /*pad_value=*/1.0f);
   for (std::int64_t i = 0; i < out.num_elements(); ++i) {
     ASSERT_EQ(out.data<float>()[i], expected[i]) << "element " << i;
   }

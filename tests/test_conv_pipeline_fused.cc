@@ -1,10 +1,9 @@
-// Fused-vs-legacy bit-exactness for the ConvPipeline variants that joined
-// the shared engine after BConv2D: binary depthwise, grouped binary, and
-// int8. Each variant's fused row-tile execution must be bit-identical to
-// its force_unfused legacy pipeline (which in turn is covered against the
-// float/dequantized references by the per-kernel suites), single- and
-// multi-threaded. The per-variant `*.fused_tiles` / `*.interior_tiles`
-// telemetry and the bconv2d fallback tripwire are pinned down here too.
+// Bit-exactness of the ConvPipeline variants that joined the shared engine
+// after BConv2D -- binary depthwise, grouped binary, and int8 -- against
+// the independent references in kernels/reference.h, single- and
+// multi-threaded, and for int8 on every compiled-in micro-kernel tier. The
+// per-variant `*.fused_tiles` / `*.interior_tiles` telemetry is pinned down
+// here too.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,6 +16,7 @@
 #include "kernels/bdepthwise.h"
 #include "kernels/conv2d_int8.h"
 #include "kernels/im2col.h"
+#include "kernels/reference.h"
 #include "telemetry/metrics.h"
 
 namespace lce {
@@ -37,7 +37,7 @@ struct DepthwiseCase {
 
 class DepthwiseFusedParity : public ::testing::TestWithParam<DepthwiseCase> {};
 
-TEST_P(DepthwiseFusedParity, FusedMatchesLegacy) {
+TEST_P(DepthwiseFusedParity, FusedMatchesReference) {
   const DepthwiseCase c = GetParam();
   Conv2DGeometry geo;
   geo.in_h = geo.in_w = c.hw;
@@ -61,22 +61,26 @@ TEST_P(DepthwiseFusedParity, FusedMatchesLegacy) {
   attrs.geo = geo;
   attrs.multiplier = mult;
   attrs.bias = bias;
-  BDepthwiseConv2D fused(w.data(), attrs);
-  attrs.force_unfused = true;
-  BDepthwiseConv2D legacy(w.data(), attrs);
+  BDepthwiseConv2D op(w.data(), attrs);
 
-  Tensor out_legacy(DataType::kFloat32,
-                    Shape{1, geo.out_h(), geo.out_w(), c.channels});
-  {
-    gemm::Context ctx(1);
-    legacy.Run(in_b, out_legacy, ctx);
+  // Float depthwise convolution of the +/-1 data (one-padded), then the
+  // fused per-channel transform.
+  std::vector<float> expected(static_cast<std::size_t>(geo.out_h()) *
+                              geo.out_w() * c.channels);
+  RefDepthwiseConv2DFloat(in_f.data<float>(), w.data(), geo, nullptr,
+                          Activation::kNone, expected.data(),
+                          /*pad_value=*/1.0f);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const std::size_t ch = i % c.channels;
+    expected[i] = expected[i] * mult[ch] + bias[ch];
   }
   for (const int threads : {1, 4}) {
-    Tensor out_fused(DataType::kFloat32, out_legacy.shape());
+    Tensor out(DataType::kFloat32,
+               Shape{1, geo.out_h(), geo.out_w(), c.channels});
     gemm::Context ctx(threads);
-    fused.Run(in_b, out_fused, ctx);
-    for (std::int64_t i = 0; i < out_fused.num_elements(); ++i) {
-      ASSERT_EQ(out_fused.data<float>()[i], out_legacy.data<float>()[i])
+    op.Run(in_b, out, ctx);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(out.data<float>()[i], expected[i])
           << "threads=" << threads << " element " << i;
     }
   }
@@ -132,7 +136,7 @@ struct GroupedCase {
 
 class GroupedFusedParity : public ::testing::TestWithParam<GroupedCase> {};
 
-TEST_P(GroupedFusedParity, FusedMatchesLegacy) {
+TEST_P(GroupedFusedParity, FusedMatchesReference) {
   const GroupedCase c = GetParam();
   Conv2DGeometry geo;
   geo.in_h = geo.in_w = c.hw;
@@ -159,42 +163,40 @@ TEST_P(GroupedFusedParity, FusedMatchesLegacy) {
   attrs.output_type = c.output;
   attrs.multiplier = mult;
   attrs.bias = bias;
-  BConv2D fused(w.data(), attrs);
-  attrs.force_unfused = true;
-  BConv2D legacy(w.data(), attrs);
+  BConv2D op(w.data(), attrs);
 
+  // Grouped float convolution of the +/-1 data, then the fused
+  // per-channel transform; bitpacked output is its sign, packed.
+  const Shape out_shape{1, geo.out_h(), geo.out_w(), c.out_c};
+  Tensor expected(DataType::kFloat32, out_shape);
+  float* e = expected.data<float>();
+  RefConv2DFloat(in_f.data<float>(), w.data(), geo,
+                 c.pad == Padding::kSameOne ? 1.0f : 0.0f, nullptr, nullptr,
+                 Activation::kNone, e, c.groups);
+  for (std::int64_t i = 0; i < expected.num_elements(); ++i) {
+    const std::int64_t n = i % c.out_c;
+    e[i] = e[i] * mult[n] + bias[n];
+  }
   const DataType out_dtype = c.output == BConvOutputType::kBitpacked
                                  ? DataType::kBitpacked
                                  : DataType::kFloat32;
-  Tensor out_legacy(out_dtype, Shape{1, geo.out_h(), geo.out_w(), c.out_c});
-  {
-    gemm::Context ctx(1);
-    legacy.Run(in_b, out_legacy, ctx);
+  if (out_dtype == DataType::kBitpacked) {
+    Tensor packed(DataType::kBitpacked, out_shape);
+    BitpackTensor(expected, packed);
+    expected = std::move(packed);
   }
   telemetry::MetricsRegistry::Global().Reset();
   for (const int threads : {1, 4}) {
-    Tensor out_fused(out_dtype, out_legacy.shape());
+    Tensor out(out_dtype, out_shape);
     gemm::Context ctx(threads);
-    fused.Run(in_b, out_fused, ctx);
-    if (out_dtype == DataType::kFloat32) {
-      for (std::int64_t i = 0; i < out_fused.num_elements(); ++i) {
-        ASSERT_EQ(out_fused.data<float>()[i], out_legacy.data<float>()[i])
-            << "threads=" << threads << " element " << i;
-      }
-    } else {
-      const std::int64_t words =
-          Im2ColRows(geo) * BitpackedWords(geo.out_c);
-      for (std::int64_t i = 0; i < words; ++i) {
-        ASSERT_EQ(out_fused.data<TBitpacked>()[i],
-                  out_legacy.data<TBitpacked>()[i])
-            << "threads=" << threads << " word " << i;
-      }
-    }
+    op.Run(in_b, out, ctx);
+    ASSERT_EQ(std::memcmp(out.raw_data(), expected.raw_data(),
+                          expected.byte_size()),
+              0)
+        << "threads=" << threads;
   }
-  // Grouped runs now go through the fused engine: tiles counted, no silent
-  // fallback (the legacy runs above were explicitly forced).
+  // Grouped runs go through the fused engine.
   EXPECT_GT(CounterValue("bconv2d.fused_tiles"), 0);
-  EXPECT_EQ(CounterValue("bconv2d.fallback_unfused"), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -214,35 +216,6 @@ INSTANTIATE_TEST_SUITE_P(
                     BConvOutputType::kBitpacked},
         GroupedCase{6, 96, 36, 3, 1, Padding::kValid,
                     BConvOutputType::kFloat}));
-
-TEST(GroupedFused, ForcedUnfusedCounterAdvances) {
-  Conv2DGeometry geo;
-  geo.in_h = geo.in_w = 6;
-  geo.in_c = 64;
-  geo.out_c = 16;
-  geo.filter_h = geo.filter_w = 3;
-  geo.padding = Padding::kSameOne;
-
-  Rng rng(8);
-  Tensor in_b(DataType::kBitpacked, Shape{1, 6, 6, 64});
-  FillBitpacked(in_b, rng);
-  std::vector<float> w(static_cast<std::size_t>(16) * 9 * 32, 1.0f);
-
-  BConv2DAttrs attrs;
-  attrs.geo = geo;
-  attrs.groups = 2;
-  attrs.force_unfused = true;
-  BConv2D op(w.data(), attrs);
-  Tensor out(DataType::kFloat32, Shape{1, 6, 6, 16});
-
-  telemetry::MetricsRegistry::Global().Reset();
-  gemm::Context ctx(1);
-  op.Run(in_b, out, ctx);
-  EXPECT_EQ(CounterValue("bconv2d.forced_unfused"), 1);
-  // Explicitly forced runs are not fallbacks.
-  EXPECT_EQ(CounterValue("bconv2d.fallback_unfused"), 0);
-  EXPECT_EQ(CounterValue("bconv2d.fused_tiles"), 0);
-}
 
 // ---------------------------------------------------------------------------
 // Int8 convolution
@@ -267,9 +240,45 @@ std::vector<gemm::Int8Tier> AvailableInt8Tiers() {
   return tiers;
 }
 
+// RefConv2DInt8 on the attrs' quantization, with the per-tensor weight
+// scale broadcast when the attrs have no per-channel scales.
+std::vector<std::int8_t> Int8Reference(const Tensor& in,
+                                       const std::vector<std::int8_t>& w,
+                                       const Conv2DInt8Attrs& attrs) {
+  const Conv2DGeometry& g = attrs.geo;
+  std::vector<float> scales = attrs.weight_scales;
+  if (scales.empty()) scales.assign(g.out_c, attrs.weight_quant.scale);
+  std::vector<std::int8_t> out(static_cast<std::size_t>(g.out_h()) *
+                               g.out_w() * g.out_c);
+  RefConv2DInt8(in.data<std::int8_t>(), w.data(), g, attrs.input_quant,
+                scales.data(), attrs.output_quant,
+                attrs.bias.empty() ? nullptr : attrs.bias.data(),
+                attrs.activation, out.data());
+  return out;
+}
+
+// Runs `op` on every int8 tier selectable on this machine, single- and
+// multi-threaded, and requires each run to reproduce `expected` exactly.
+void ExpectEveryTierMatches(const Conv2DInt8& op, const Tensor& in,
+                            const std::vector<std::int8_t>& expected) {
+  const Conv2DGeometry& g = op.attrs().geo;
+  for (const gemm::Int8Tier tier : AvailableInt8Tiers()) {
+    gemm::SetInt8TierOverrideForTest(static_cast<int>(tier));
+    for (const int threads : {1, 4}) {
+      Tensor out(DataType::kInt8, Shape{1, g.out_h(), g.out_w(), g.out_c});
+      gemm::Context ctx(threads);
+      op.Run(in, out, ctx);
+      EXPECT_EQ(std::memcmp(out.raw_data(), expected.data(), expected.size()),
+                0)
+          << "tier=" << gemm::Int8TierName(tier) << " threads=" << threads;
+    }
+  }
+  gemm::SetInt8TierOverrideForTest(0);
+}
+
 class Int8FusedParity : public ::testing::TestWithParam<Int8Case> {};
 
-TEST_P(Int8FusedParity, FusedMatchesLegacy) {
+TEST_P(Int8FusedParity, FusedMatchesReference) {
   const Int8Case c = GetParam();
   Conv2DGeometry geo;
   geo.in_h = geo.in_w = c.hw;
@@ -293,7 +302,7 @@ TEST_P(Int8FusedParity, FusedMatchesLegacy) {
   attrs.weight_quant = {0.005f, 0};
   // A small output scale pushes many accumulators past +/-127, so the
   // requantization rounding and clamping at the saturation boundaries is
-  // exercised on both paths.
+  // exercised.
   attrs.output_quant = {c.out_scale, -4};
   attrs.bias.resize(c.out_c);
   for (auto& v : attrs.bias) {
@@ -303,33 +312,8 @@ TEST_P(Int8FusedParity, FusedMatchesLegacy) {
     attrs.weight_scales.resize(c.out_c);
     for (auto& v : attrs.weight_scales) v = rng.Uniform(0.001f, 0.01f);
   }
-  Conv2DInt8 fused(w.data(), attrs);
-  attrs.force_unfused = true;
-  Conv2DInt8 legacy(w.data(), attrs);
-
-  Tensor out_legacy(DataType::kInt8,
-                    Shape{1, geo.out_h(), geo.out_w(), c.out_c});
-  {
-    gemm::Context ctx(1);
-    legacy.Run(in, out_legacy, ctx);
-  }
-  // Every tier selectable on this machine must reproduce the legacy
-  // widened path byte-for-byte, single- and multi-threaded.
-  for (const gemm::Int8Tier tier : AvailableInt8Tiers()) {
-    gemm::SetInt8TierOverrideForTest(static_cast<int>(tier));
-    for (const int threads : {1, 4}) {
-      Tensor out_fused(DataType::kInt8, out_legacy.shape());
-      gemm::Context ctx(threads);
-      fused.Run(in, out_fused, ctx);
-      for (std::int64_t i = 0; i < out_fused.num_elements(); ++i) {
-        ASSERT_EQ(out_fused.data<std::int8_t>()[i],
-                  out_legacy.data<std::int8_t>()[i])
-            << "tier=" << gemm::Int8TierName(tier) << " threads=" << threads
-            << " element " << i;
-      }
-    }
-  }
-  gemm::SetInt8TierOverrideForTest(0);
+  const Conv2DInt8 op(w.data(), attrs);
+  ExpectEveryTierMatches(op, in, Int8Reference(in, w, attrs));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -376,8 +360,8 @@ TEST(Int8Fused, TileCountersAdvance) {
 // Adversarial saturation property test at the convolution level: weights
 // and activations drawn only from {-128, -127, +127}, so a saturating
 // vpmaddubsw pairwise sum (or a bias/rowsum bookkeeping slip) in any tier
-// diverges from the exact widened-dot legacy path. Padding is exercised
-// too (kSameZero with a nonzero input zero point).
+// diverges from the exact reference. Padding is exercised too (kSameZero
+// with a nonzero input zero point).
 TEST(Int8Fused, ExtremeValueTierParity) {
   Conv2DGeometry geo;
   geo.in_h = geo.in_w = 9;
@@ -400,28 +384,8 @@ TEST(Int8Fused, ExtremeValueTierParity) {
   attrs.input_quant = {0.02f, 3};
   attrs.weight_quant = {0.005f, 0};
   attrs.output_quant = {0.25f, -4};  // keep most outputs off the clamp rails
-  Conv2DInt8 fused(w.data(), attrs);
-  attrs.force_unfused = true;
-  Conv2DInt8 legacy(w.data(), attrs);
-
-  Tensor out_legacy(DataType::kInt8, Shape{1, 9, 9, 24});
-  {
-    gemm::Context ctx(1);
-    legacy.Run(in, out_legacy, ctx);
-  }
-  for (const gemm::Int8Tier tier : AvailableInt8Tiers()) {
-    gemm::SetInt8TierOverrideForTest(static_cast<int>(tier));
-    for (const int threads : {1, 4}) {
-      Tensor out(DataType::kInt8, out_legacy.shape());
-      gemm::Context ctx(threads);
-      fused.Run(in, out, ctx);
-      EXPECT_EQ(std::memcmp(out.raw_data(), out_legacy.raw_data(),
-                            static_cast<std::size_t>(out.num_elements())),
-                0)
-          << "tier=" << gemm::Int8TierName(tier) << " threads=" << threads;
-    }
-  }
-  gemm::SetInt8TierOverrideForTest(0);
+  const Conv2DInt8 op(w.data(), attrs);
+  ExpectEveryTierMatches(op, in, Int8Reference(in, w, attrs));
 }
 
 // The conv2d_int8.tier gauge must report the tier that actually ran.

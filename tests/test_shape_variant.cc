@@ -385,6 +385,56 @@ TEST(ShapeBucketRegistry, RejectionCodesMatchTheValidatorContract) {
       << "past max_input_hw is a limit violation, not a semantic defect";
 }
 
+TEST(ShapeBucketRegistry, ReleasingTheRootFreesEveryBucket) {
+  // The root owns its registered buckets; a bucket only shares the root's
+  // ownership. So a held bucket, or a batch variant of one, keeps the root
+  // alive, and once the root, the server and the contexts are gone nothing
+  // of the model -- root, buckets, variants, packed weights -- is resident.
+  static const Graph* g = new Graph(MakeMixedGraph(16));
+  auto* gauge = telemetry::MetricsRegistry::Global().Gauge(
+      "weights.resident_packed_bytes");
+  const std::int64_t resident_before = gauge->value();
+  std::weak_ptr<const CompiledModel> weak_root;
+  {
+    CompileOptions opts;
+    opts.input_resolutions = {24, 32};
+    std::shared_ptr<const CompiledModel> root;
+    ASSERT_TRUE(CompiledModel::Compile(*g, opts, &root).ok());
+    weak_root = root;
+    EXPECT_GT(gauge->value(), resident_before);
+
+    ServerOptions server_opts;
+    server_opts.max_inflight = 1;
+    server_opts.max_batch_size = 2;
+    auto server = std::make_unique<Server>(root, server_opts);
+    auto fill = [](ExecutionContext& ctx) { FillInput(ctx.input(0), 1); };
+    ASSERT_TRUE(server->Infer(32, fill).ok());
+
+    std::shared_ptr<const CompiledModel> bucket, batched;
+    ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 24, &bucket).ok());
+    ASSERT_TRUE(CompiledModel::CompileBatchVariant(bucket, 2, &batched).ok());
+    auto ctx = std::make_unique<ExecutionContext>(bucket);
+    fill(*ctx);
+    ctx->Invoke();
+
+    root.reset();
+    server.reset();
+    bucket.reset();
+    EXPECT_FALSE(weak_root.expired()) << "a live context must pin its root";
+    ctx.reset();
+    EXPECT_FALSE(weak_root.expired())
+        << "a live batch variant of a bucket must pin its root";
+    {
+      ExecutionContext batched_ctx(batched);
+      batched_ctx.Invoke();
+    }
+    batched.reset();
+  }
+  EXPECT_TRUE(weak_root.expired())
+      << "a root with registered buckets outlived every reference to it";
+  EXPECT_EQ(gauge->value(), resident_before);
+}
+
 // ---------------------------------------------------------------------------
 // ContextPool keyed by (shape bucket, batch) -- the regression that
 // motivated generalizing the free-list key: two buckets sharing a batch
