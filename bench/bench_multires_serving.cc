@@ -20,11 +20,11 @@
 // runs this bench and greps for the [check] lines):
 //
 //   * `weights.resident_packed_bytes` stays FLAT from the moment the base
-//     model is compiled, through every bucket and batch-variant compile,
-//     to the end of the run: buckets borrow the packed weights, they never
-//     duplicate them.
+//     model is compiled, through every specialization compile, to the end
+//     of the run: buckets borrow the packed weights, they never duplicate
+//     them.
 //   * no shaped request is shape-rejected, and the resident-arena peak
-//     honors max_inflight * the largest bucket's batch-variant arena.
+//     honors max_inflight * the largest bucket's batch-N arena.
 //
 // `--smoke` shrinks the run for CI (96/160 px, short wall time); `--json=`
 // writes the committed BENCH_multires.json.
@@ -121,15 +121,15 @@ int main(int argc, char** argv) {
 
   // One QuickNet-S, compiled once at the first resolution; every other
   // resolution becomes a shape bucket sharing its packed weights. The
-  // bucket list goes through CompileOptions so a misconfigured resolution
-  // fails here, at startup.
+  // buckets are specialized here, before the server exists, so a
+  // misconfigured resolution fails at startup; the server then picks the
+  // registry entries up.
   const QuickNetConfig cfg = QuickNetSmallConfig();
   Graph g = BuildQuickNet(cfg, resolutions.front());
   LCE_CHECK(Convert(g).ok());
   CompileOptions copts;
   copts.num_threads = pool_threads;
   copts.kernel_profile = profile;
-  copts.input_resolutions = resolutions;
   std::shared_ptr<const CompiledModel> model;
   LCE_CHECK(CompiledModel::Compile(g, copts, &model).ok());
   const std::int64_t packed_resident =
@@ -139,9 +139,9 @@ int main(int argc, char** argv) {
   // Per-bucket arena accounting straight from the registry buckets.
   std::vector<std::size_t> bucket_arenas;
   std::size_t max_bucket_arena = 0;
-  for (const int hw : model->ShapeBucketResolutions()) {
+  for (const int hw : resolutions) {
     std::shared_ptr<const CompiledModel> bucket;
-    LCE_CHECK(CompiledModel::GetOrCompileShapeBucket(model, hw, &bucket).ok());
+    LCE_CHECK(CompiledModel::Specialize(model, {1, hw, hw}, &bucket).ok());
     LCE_CHECK(bucket.get() == model.get() ||
               bucket->packed_weight_bytes() == 0);
     bucket_arenas.push_back(bucket->arena_bytes());
@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
   sopts.batch_timeout = std::chrono::nanoseconds{0};
   serving::Server server(model, sopts);
   LCE_CHECK(GaugeValue("weights.resident_packed_bytes") == packed_resident &&
-            "server-side bucket/batch variants duplicated packed weights");
+            "server-side specializations duplicated packed weights");
 
   // One canonical input per bucket, memcpy'd by the fill callbacks.
   std::map<int, std::vector<float>> inputs;
@@ -352,8 +352,8 @@ int main(int argc, char** argv) {
   LCE_CHECK(stats.shape_rejected == 0 &&
             "a configured resolution was shape-rejected");
   std::printf("[check] shape_rejected == 0: OK\n");
-  // The arena bound covers inflight contexts of the largest bucket's
-  // largest batch variant (batch lanes scale the arena linearly).
+  // The arena bound covers inflight contexts of the largest bucket at the
+  // largest batch size (batch lanes scale the arena linearly).
   const std::int64_t arena_bound =
       static_cast<std::int64_t>(inflight) *
       static_cast<std::int64_t>(max_bucket_arena) * max_batch;

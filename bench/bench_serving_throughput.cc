@@ -33,7 +33,7 @@
 // overloads the batched server with Poisson arrivals. Both runs assert the
 // bounds stay intact under batching: queue depth within max_queue_depth,
 // resident arenas within max_inflight * the *batch-N* arena, and the
-// resident packed-weight gauge flat across every compiled batch variant.
+// resident packed-weight gauge flat across every compiled batch size.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -453,7 +453,7 @@ BatchLoopResult RunServerClosedLoop(
             "admission queue exceeded max_queue_depth under batching");
   LCE_CHECK(r.arena_peak_bytes <=
                 static_cast<std::int64_t>(inflight) * arena_bound_per_ctx &&
-            "resident arenas exceeded max_inflight * batch-variant arena");
+            "resident arenas exceeded max_inflight * batch-N arena");
   return r;
 }
 
@@ -634,15 +634,18 @@ int main(int argc, char** argv) {
     std::shared_ptr<const CompiledModel> model;
     LCE_CHECK(CompiledModel::Compile(g, copts, &model).ok());
 
-    // The arena bound under batching covers the largest variant; compiling
-    // it standalone also proves the packed weights are borrowed: the
-    // resident gauge must not move for any batch variant.
+    // The arena bound under batching covers the largest specialization;
+    // compiling it up front also proves the packed weights are borrowed:
+    // the resident gauge must not move for any batch size. The batched
+    // server reuses this registry entry instead of compiling it again.
     const std::int64_t packed_before = ResidentPackedBytes();
     std::shared_ptr<const CompiledModel> largest;
-    LCE_CHECK(
-        CompiledModel::CompileBatchVariant(model, max_batch, &largest).ok());
+    LCE_CHECK(CompiledModel::Specialize(model, {max_batch, batch_input,
+                                                batch_input},
+                                        &largest)
+                  .ok());
     LCE_CHECK(ResidentPackedBytes() == packed_before &&
-              "batch variants must share, not duplicate, packed weights");
+              "specializations must share, not duplicate, packed weights");
     const auto arena_bound =
         static_cast<std::int64_t>(largest->arena_bytes());
 

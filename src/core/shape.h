@@ -4,6 +4,7 @@
 #define LCE_CORE_SHAPE_H_
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <initializer_list>
 #include <numeric>
@@ -85,6 +86,25 @@ class Shape {
  private:
   int rank_ = 0;
   std::array<std::int64_t, kMaxDims> dims_{};
+};
+
+// The input geometry one compiled model executes (docs/SERVING.md): the
+// leading (batch) dimension of its graph inputs and the spatial extent of
+// its rank-4 [N, H, W, C] image inputs -- (0, 0) for a graph without one.
+// Ordered, so it keys the specialization registry, the context pool and
+// the batch scheduler alike.
+struct InputSignature {
+  int batch = 1;
+  int h = 0;
+  int w = 0;
+
+  auto operator<=>(const InputSignature&) const = default;
+  std::string ToString() const {
+    std::string s = "{";
+    s += std::to_string(batch) + ", " + std::to_string(h) + ", " +
+         std::to_string(w) + "}";
+    return s;
+  }
 };
 
 }  // namespace lce

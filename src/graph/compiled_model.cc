@@ -6,7 +6,6 @@
 
 #include "core/bitpack.h"
 #include "core/macros.h"
-#include "graph/batch_variant.h"
 #include "graph/memory_planner.h"
 #include "graph/shape_variant.h"
 #include "graph/validator.h"
@@ -46,13 +45,30 @@ telemetry::Metric* LiveExecutionContexts() {
       "serving.execution_contexts");
 }
 
+// Dim 0 of graph input 0 and the spatial extent of the first rank-4 input.
+InputSignature GraphSignature(const Graph& g) {
+  InputSignature sig;
+  if (g.input_ids().empty()) return sig;
+  const Shape& first = g.value(g.input_ids().front()).shape;
+  if (first.rank() >= 1) sig.batch = static_cast<int>(first.dim(0));
+  for (const int vid : g.input_ids()) {
+    const Shape& s = g.value(vid).shape;
+    if (s.rank() == 4) {
+      sig.h = static_cast<int>(s.dim(1));
+      sig.w = static_cast<int>(s.dim(2));
+      break;
+    }
+  }
+  return sig;
+}
+
 }  // namespace
 
 CompiledModel::CompiledModel(const Graph& graph) : graph_(graph) {}
 
 CompiledModel::CompiledModel(std::unique_ptr<const Graph> owned_graph,
-                             const CompiledModel* base)
-    : graph_(*owned_graph), owned_graph_(std::move(owned_graph)), base_(base) {}
+                             const CompiledModel* root)
+    : graph_(*owned_graph), owned_graph_(std::move(owned_graph)), base_(root) {}
 
 CompiledModel::~CompiledModel() {
   ResidentPackedBytes()->Add(-static_cast<std::int64_t>(packed_weight_bytes_));
@@ -64,188 +80,173 @@ Status CompiledModel::Compile(const Graph& graph, CompileOptions options,
   // Build into a private instance: a failed compile leaves `*out` untouched
   // and the partially-built arena plan / kernel state dies here, so retrying
   // after a failure always starts from a clean slate.
-  std::vector<int> resolutions = std::move(options.input_resolutions);
   std::shared_ptr<CompiledModel> model(new CompiledModel(graph));
   LCE_RETURN_IF_ERROR(model->Build(std::move(options), nullptr, nullptr));
-  // Eagerly compile the requested shape buckets so misconfigured resolution
-  // lists fail at startup. Registration goes through the same registry as
-  // lazy bucketing, so pre-compiled and on-demand buckets are
-  // indistinguishable afterwards.
-  std::shared_ptr<const CompiledModel> root = model;
-  for (int hw : resolutions) {
-    std::shared_ptr<const CompiledModel> bucket;
-    LCE_RETURN_IF_ERROR(GetOrCompileShapeBucket(root, hw, &bucket));
-  }
-  *out = std::move(root);
+  *out = std::move(model);
   return Status::Ok();
 }
 
-Status CompiledModel::CompileBatchVariant(
-    const std::shared_ptr<const CompiledModel>& base, int batch,
+Status CompiledModel::Specialize(
+    const std::shared_ptr<const CompiledModel>& root, InputSignature sig,
     std::shared_ptr<const CompiledModel>* out) {
-  LCE_CHECK(base != nullptr && out != nullptr);
-  if (batch < 1) {
-    return Status::InvalidArgument("batch variant requires batch >= 1");
-  }
-  if (batch == 1) {
-    // The base model IS the batch-1 variant.
-    *out = base;
-    return Status::Ok();
-  }
-  // A batch variant widens a batch-1 model; its base may be the root or a
-  // shape bucket (whose kernels already alias the root's weights -- the
-  // sibling copy just re-shares the same shared_ptr state), but never
-  // another batch variant.
-  if (base->batch_ != 1) {
-    return Status::InvalidArgument(
-        "batch variants must be compiled from a batch-1 model, not from "
-        "another batch variant");
-  }
-  std::unique_ptr<Graph> clone;
-  std::vector<int> node_map;
-  LCE_RETURN_IF_ERROR(
-      CloneGraphWithBatch(base->graph_, batch, &clone, &node_map));
-  // Same pool, profile, name, limits and histogram setting as the base:
-  // the variant is the same model, executed N requests at a time, and its
-  // per-node histograms intentionally merge with the base's.
-  CompileOptions options;
-  options.thread_pool = base->pool_;
-  options.kernel_profile = base->kernel_profile_;
-  options.model_name = base->model_name_;
-  options.enable_node_histograms = base->node_histograms_enabled_;
-  options.limits = base->limits_;
-  std::shared_ptr<CompiledModel> model(
-      new CompiledModel(std::move(clone), base.get()));
-  model->base_owner_ = base;
-  model->batch_ = batch;
-  LCE_RETURN_IF_ERROR(
-      model->Build(std::move(options), base.get(), &node_map));
-  *out = std::move(model);
-  return Status::Ok();
+  return Resolve(root, sig, /*compile=*/true, out);
 }
 
-int CompiledModel::input_hw() const {
-  if (graph_.input_ids().empty()) return 0;
-  const Value& v = graph_.value(graph_.input_ids()[0]);
-  if (v.shape.rank() != 4) return 0;
-  return static_cast<int>(v.shape.dim(1));
-}
-
-Status CompiledModel::CompileShapeVariant(
-    const std::shared_ptr<const CompiledModel>& root, int input_hw,
-    std::shared_ptr<const CompiledModel>* out) {
-  LCE_CHECK(root != nullptr && out != nullptr);
-  if (root->base_ != nullptr || root->batch_ != 1) {
-    return Status::InvalidArgument(
-        "shape variants must be compiled from the root model, not from "
-        "another variant");
-  }
-  LCE_RETURN_IF_ERROR(
-      ValidateShapeBucketRequest(root->graph_, input_hw, root->limits_));
-  if (input_hw == root->input_hw()) {
-    // The root IS its own resolution's bucket.
-    *out = root;
-    return Status::Ok();
-  }
-  std::unique_ptr<CompiledModel> model;
-  LCE_RETURN_IF_ERROR(BuildShapeVariant(*root, input_hw, &model));
-  model->base_owner_ = root;
-  *out = std::move(model);
-  return Status::Ok();
-}
-
-Status CompiledModel::BuildShapeVariant(const CompiledModel& root,
-                                        int input_hw,
-                                        std::unique_ptr<CompiledModel>* out) {
-  std::unique_ptr<Graph> clone;
-  std::vector<int> node_map;
-  LCE_RETURN_IF_ERROR(
-      CloneGraphWithInputSize(root.graph_, input_hw, &clone, &node_map));
-  // Same pool, profile, name, limits and histogram setting as the root: a
-  // bucket is the same model at another resolution, and its per-node
-  // histograms intentionally merge with the root's.
-  CompileOptions options;
-  options.thread_pool = root.pool_;
-  options.kernel_profile = root.kernel_profile_;
-  options.model_name = root.model_name_;
-  options.enable_node_histograms = root.node_histograms_enabled_;
-  options.limits = root.limits_;
-  std::unique_ptr<CompiledModel> model(
-      new CompiledModel(std::move(clone), &root));
-  LCE_RETURN_IF_ERROR(model->Build(std::move(options), &root, &node_map));
-  *out = std::move(model);
-  return Status::Ok();
+Status CompiledModel::Lookup(const std::shared_ptr<const CompiledModel>& root,
+                             InputSignature sig,
+                             std::shared_ptr<const CompiledModel>* out) {
+  return Resolve(root, sig, /*compile=*/false, out);
 }
 
 Status CompiledModel::GetOrCompileShapeBucket(
     const std::shared_ptr<const CompiledModel>& root, int input_hw,
     std::shared_ptr<const CompiledModel>* out) {
+  return Specialize(root, {1, input_hw, input_hw}, out);
+}
+
+Status CompiledModel::Resolve(const std::shared_ptr<const CompiledModel>& root,
+                              InputSignature sig, bool compile,
+                              std::shared_ptr<const CompiledModel>* out) {
   LCE_CHECK(root != nullptr && out != nullptr);
-  if (root->base_ != nullptr || root->batch_ != 1) {
+  if (root->base_ != nullptr) {
     return Status::InvalidArgument(
-        "shape buckets are registered on the root model, not on variants");
+        "specializations are registered on the root model, not on another "
+        "specialization");
   }
-  if (input_hw == 0 || input_hw == root->input_hw()) {
+  if (sig.h == 0 && sig.w == 0) {
+    sig.h = root->signature_.h;
+    sig.w = root->signature_.w;
+  }
+  if (sig == root->signature_) {
     *out = root;
     return Status::Ok();
   }
   // Compilation happens under the registry lock: concurrent first requests
-  // for the same unseen resolution compile it exactly once, and requests for
-  // other resolutions briefly serialize behind it (bucket compiles are
-  // O(IR) -- no weight packing -- so the hold is short; steady-state lookups
-  // only touch the map).
-  std::lock_guard<std::mutex> lock(root->bucket_mu_);
-  auto it = root->shape_buckets_.find(input_hw);
-  if (it == root->shape_buckets_.end()) {
-    // The root counts as one bucket against the cap: reject when the
-    // registry already holds max_shape_buckets resolutions in total.
-    if (static_cast<std::int64_t>(root->shape_buckets_.size()) + 1 >=
-        root->limits_.max_shape_buckets) {
+  // for the same unseen signature compile it exactly once, and requests for
+  // other signatures briefly serialize behind it (the compile is O(IR) --
+  // no weight packing -- so the hold is short; steady-state lookups only
+  // touch the map).
+  std::lock_guard<std::mutex> lock(root->registry_mu_);
+  auto it = root->registry_.find(sig);
+  if (it == root->registry_.end()) {
+    if (!compile) {
+      return Status::InvalidArgument("no compiled specialization for " +
+                                     sig.ToString());
+    }
+    const std::set<std::pair<int, int>> shapes = root->ShapesLocked();
+    if (!shapes.contains({sig.h, sig.w}) &&
+        static_cast<std::int64_t>(shapes.size()) >=
+            root->limits_.max_shape_buckets) {
       return Status::ResourceExhausted(
           "shape bucket count would exceed "
           "ResourceLimits::max_shape_buckets");
     }
     LCE_RETURN_IF_ERROR(
-        ValidateShapeBucketRequest(root->graph_, input_hw, root->limits_));
-    std::unique_ptr<CompiledModel> bucket;
-    LCE_RETURN_IF_ERROR(BuildShapeVariant(*root, input_hw, &bucket));
-    it = root->shape_buckets_.emplace(input_hw, std::move(bucket)).first;
-    root->PublishBucketGaugesLocked();
+        ValidateShapeBucketRequest(root->graph_, sig, root->limits_));
+    std::unique_ptr<CompiledModel> model;
+    LCE_RETURN_IF_ERROR(root->BuildSpecialization(sig, &model));
+    it = root->registry_.emplace(sig, std::move(model)).first;
+    root->PublishRegistryGaugesLocked();
   }
-  // Aliasing constructor: the bucket is handed out under the root's
-  // ownership, so a caller holding it keeps the root -- and with it the
-  // registry that owns the bucket -- alive.
+  // Aliasing constructor: the specialization is handed out under the
+  // root's ownership, so a caller holding it keeps the root -- and with it
+  // the registry that owns the specialization -- alive.
   *out = std::shared_ptr<const CompiledModel>(root, it->second.get());
   return Status::Ok();
 }
 
+Status CompiledModel::BuildSpecialization(
+    InputSignature sig, std::unique_ptr<CompiledModel>* out) const {
+  // Every graph input takes the new batch; image inputs take the new
+  // spatial extent unless it is the root's own, so a batch-only
+  // specialization leaves every input's H and W alone.
+  const bool resize = sig.h != signature_.h || sig.w != signature_.w;
+  std::vector<Shape> shapes;
+  shapes.reserve(graph_.input_ids().size());
+  for (const int vid : graph_.input_ids()) {
+    Shape shape = graph_.value(vid).shape;
+    shape.dim(0) = sig.batch;
+    if (resize && shape.rank() == 4) {
+      shape.dim(1) = sig.h;
+      shape.dim(2) = sig.w;
+    }
+    shapes.push_back(shape);
+  }
+  std::unique_ptr<Graph> clone;
+  std::vector<int> node_map;
+  LCE_RETURN_IF_ERROR(
+      CloneGraphWithInputShapes(graph_, shapes, &clone, &node_map));
+  for (const int vid : clone->output_ids()) {
+    const Value& v = clone->value(vid);
+    if (v.shape.rank() < 1 || v.shape.dim(0) != sig.batch) {
+      // Lane slicing needs dim 0 == batch on every output; an op that folds
+      // or reorders the batch dimension cannot be batched this way.
+      return Status::InvalidArgument(
+          "specialization " + sig.ToString() + " output '" + v.name +
+          "' does not carry the batch dimension; model cannot be batched");
+    }
+  }
+  // Same pool, profile, name, limits and histogram setting as the root: a
+  // specialization is the same model at another signature, and its
+  // per-node histograms intentionally merge with the root's.
+  CompileOptions options;
+  options.thread_pool = pool_;
+  options.kernel_profile = kernel_profile_;
+  options.model_name = model_name_;
+  options.enable_node_histograms = node_histograms_enabled_;
+  options.limits = limits_;
+  std::unique_ptr<CompiledModel> model(
+      new CompiledModel(std::move(clone), this));
+  LCE_RETURN_IF_ERROR(model->Build(std::move(options), this, &node_map));
+  *out = std::move(model);
+  return Status::Ok();
+}
+
 std::vector<int> CompiledModel::ShapeBucketResolutions() const {
-  const CompiledModel* root = Root();
+  const CompiledModel* root = base_ != nullptr ? base_ : this;
   std::vector<int> out;
-  out.push_back(root->input_hw());
+  if (root->signature_.h == root->signature_.w) {
+    out.push_back(root->signature_.h);
+  }
   {
-    std::lock_guard<std::mutex> lock(root->bucket_mu_);
-    for (const auto& entry : root->shape_buckets_) out.push_back(entry.first);
+    std::lock_guard<std::mutex> lock(root->registry_mu_);
+    for (const auto& [sig, model] : root->registry_) {
+      if (sig.batch == 1 && sig.h == sig.w) out.push_back(sig.h);
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
-void CompiledModel::PublishBucketGaugesLocked() const {
-  // Cross-bucket arena accounting (docs/SERVING.md): the high-water gauge is
-  // the honest per-context resident figure when contexts cycle across
-  // buckets; the unshared gauge is what pinning every bucket's arena at once
-  // would cost. Published on every registration so the bench and the stats
-  // page see the current bucket set.
+int CompiledModel::shape_bucket_count() const {
+  const CompiledModel* root = base_ != nullptr ? base_ : this;
+  std::lock_guard<std::mutex> lock(root->registry_mu_);
+  return static_cast<int>(root->ShapesLocked().size());
+}
+
+std::set<std::pair<int, int>> CompiledModel::ShapesLocked() const {
+  std::set<std::pair<int, int>> shapes{{signature_.h, signature_.w}};
+  for (const auto& entry : registry_) {
+    shapes.emplace(entry.first.h, entry.first.w);
+  }
+  return shapes;
+}
+
+void CompiledModel::PublishRegistryGaugesLocked() const {
+  // Cross-bucket arena accounting (docs/SERVING.md) over the batch-1
+  // entries: the high-water gauge is the honest per-context resident
+  // figure when contexts cycle across buckets; the unshared gauge is what
+  // pinning every bucket's arena at once would cost. Published on every
+  // registration so the bench and the stats page see the current set.
   std::vector<std::size_t> arenas;
   arenas.push_back(arena_size_);
-  for (const auto& entry : shape_buckets_) {
-    arenas.push_back(entry.second->arena_size_);
+  for (const auto& [sig, model] : registry_) {
+    if (sig.batch == 1) arenas.push_back(model->arena_size_);
   }
   const CrossBucketArena plan = PlanCrossBucketArena(arenas);
   auto& reg = telemetry::MetricsRegistry::Global();
   reg.Gauge("serving.shape_buckets")
-      ->SetMax(static_cast<std::int64_t>(arenas.size()));
+      ->SetMax(static_cast<std::int64_t>(ShapesLocked().size()));
   reg.Gauge("planner.bucket_arena_high_water_bytes")
       ->SetMax(static_cast<std::int64_t>(plan.high_water));
   reg.Gauge("planner.bucket_arena_unshared_bytes")
@@ -257,6 +258,7 @@ Status CompiledModel::Build(CompileOptions options,
                             const std::vector<int>* node_map) {
   if (options.enable_tracing) telemetry::Tracer::Global().Enable();
   LCE_TRACE_SCOPE_CAT("compiled_model/compile", "interpreter");
+  signature_ = GraphSignature(graph_);
   kernel_profile_ = options.kernel_profile;
   model_name_ = options.model_name.empty() ? "model" : options.model_name;
   limits_ = options.limits;
@@ -367,14 +369,14 @@ Status CompiledModel::Build(CompileOptions options,
       ->SetMax(static_cast<std::int64_t>(total_bytes));
   }  // prepare/plan
 
-  // Prepare kernels. On a batch-variant build (weight_source != null) the
+  // Prepare kernels. On a specialization build (weight_source != null) the
   // weight-bearing kernels are constructed as siblings of the mapped source
-  // kernel: the expensive batch-invariant state (packed/bitpacked weights,
-  // correction tables, output transforms) is shared by reference and only
-  // the geometry-dependent state (indirection tables, tile plans) is
-  // rebuilt for the batch-N geometry. Batch-agnostic kernels (the fully
-  // connected pair, which read the batch from their input tensor at Run)
-  // are aliased outright.
+  // kernel: the expensive geometry-invariant state (packed/bitpacked
+  // weights, correction tables, output transforms) is shared by reference
+  // and only the geometry-dependent state (indirection tables, tile plans)
+  // is rebuilt for the specialized geometry. Shape-agnostic kernels (the
+  // fully connected pair, which read the batch from their input tensor at
+  // Run) are aliased outright.
   LCE_TRACE_SCOPE_CAT("prepare/pack", "interpreter");
   std::size_t packed_weight_bytes = 0;
   kernels_.clear();
@@ -437,7 +439,7 @@ Status CompiledModel::Build(CompileOptions options,
       case OpType::kFullyConnected: {
         if (src != nullptr) {
           // Batch-agnostic (batch comes from the input tensor at Run):
-          // the variant aliases the base kernel outright.
+          // the specialization aliases the root kernel outright.
           k.fc = src->fc;
           break;
         }
@@ -532,9 +534,9 @@ Status CompiledModel::Build(CompileOptions options,
         break;  // stateless ops
     }
   }
-  // Variants report 0 resident weight bytes: everything they hold is an
-  // alias of the base model's packed weights (asserted flat by the serving
-  // bench's across-variant check).
+  // Specializations report 0 resident weight bytes: everything they hold
+  // is an alias of the root's packed weights (asserted flat by the serving
+  // bench's across-specialization check).
   packed_weight_bytes_ = weight_source == nullptr ? packed_weight_bytes : 0;
   if (options.enable_node_histograms) {
     // One latency histogram per node, namespaced by model: the serving
@@ -635,7 +637,7 @@ Tensor ExecutionContext::output(int i) {
 }
 
 void ExecutionContext::set_io_lane(int lane) {
-  LCE_CHECK(lane >= -1 && lane < model_->batch_);
+  LCE_CHECK(lane >= -1 && lane < model_->signature_.batch);
   io_lane_ = lane;
 }
 

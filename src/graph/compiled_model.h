@@ -23,7 +23,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/aligned_buffer.h"
@@ -68,15 +70,6 @@ struct CompileOptions {
   bool enable_node_histograms = false;
   // Enforced on the graph and its memory plan; see core/resource_limits.h.
   ResourceLimits limits;
-  // Square input resolutions to pre-compile as shape buckets at Compile()
-  // (docs/SERVING.md, "Multi-resolution serving"). Each entry other than the
-  // graph's own resolution becomes a ShapeVariant sharing the base model's
-  // packed weights; resolutions not listed here can still be admitted later
-  // through GetOrCompileShapeBucket (lazy compilation), subject to
-  // ResourceLimits::max_shape_buckets. Requires batch-1 rank-4 square
-  // inputs; Compile() fails if any listed resolution is inadmissible, so a
-  // misconfigured bucket list is caught at startup, not on first request.
-  std::vector<int> input_resolutions;
 };
 
 // One executed node's latency record.
@@ -101,46 +94,44 @@ class CompiledModel {
   static Status Compile(const Graph& graph, CompileOptions options,
                         std::shared_ptr<const CompiledModel>* out);
 
-  // Compiles a sibling model that executes `base` over `batch` stacked
-  // requests (docs/SERVING.md). The variant owns its own batch-N graph
-  // clone, topological order, memory plan and arena size, but every
-  // weight-bearing kernel SHARES the base kernel's packed weights -- only
-  // the geometry-dependent state (indirection tables, tile plans) is
-  // rebuilt, so N batch variants cost one set of packed weights plus
-  // O(IR) metadata each. The variant keeps `base` alive. batch == 1
-  // returns `base` itself. Requires a base model (not itself a variant)
-  // whose graph has batch-1 inputs and outputs.
-  static Status CompileBatchVariant(
-      const std::shared_ptr<const CompiledModel>& base, int batch,
-      std::shared_ptr<const CompiledModel>* out);
+  // Returns the specialization of `root` at `sig` (docs/SERVING.md): a
+  // sibling model executing root's graph over `sig.batch` stacked requests
+  // at input resolution (sig.h, sig.w). h == w == 0 keeps the root's own
+  // spatial extent, and the root's own signature returns `root` itself. A
+  // specialization owns its graph clone, topological order and arena plan,
+  // but every weight-bearing kernel shares the root kernel's packed
+  // weights -- only geometry-dependent state (indirection tables, zero
+  // rows, tile plans) is rebuilt -- so it costs O(IR) metadata plus its
+  // arena and reports 0 packed-weight bytes.
+  //
+  // Every specialization lives in the root's one registry, keyed by
+  // signature. Thread-safe: concurrent first requests for an unseen
+  // signature compile it once (under the registry lock; the compile is
+  // O(IR), no weight packing), later requests only touch the map. The
+  // root owns what it registers and hands it out through the shared_ptr
+  // aliasing constructor, so holding a specialization keeps the root
+  // alive, and releasing the last reference to the root (or to any of its
+  // specializations) frees them all.
+  //
+  // Requires a root (not itself a specialization) with batch-1 inputs.
+  // Fails with `*out` untouched: InvalidArgument for an inadmissible
+  // signature (ValidateShapeBucketRequest, a graph whose ops cannot replay
+  // at it, an output that does not carry the batch dimension),
+  // ResourceExhausted beyond ResourceLimits -- including
+  // max_shape_buckets, which caps the distinct (h, w) on the registry,
+  // root included; batch sizes do not count against it.
+  static Status Specialize(const std::shared_ptr<const CompiledModel>& root,
+                           InputSignature sig,
+                           std::shared_ptr<const CompiledModel>* out);
 
-  // Compiles a sibling model that executes `root` at a different square
-  // input resolution (docs/SERVING.md, "Multi-resolution serving"). Like a
-  // batch variant, the shape variant owns its own graph clone, topological
-  // order and arena plan while every weight-bearing kernel shares the root
-  // kernel's packed weights; only spatial state (indirection tables, zero
-  // rows, tile plans) is rebuilt for the new geometry, so a bucket costs
-  // O(IR) metadata plus its arena plan and reports 0 packed-weight bytes.
-  // `root` must be a root model (batch 1, not itself a variant) with rank-4
-  // batch-1 inputs. input_hw equal to the root's own resolution returns
-  // `root` itself. Inadmissible shapes -- a graph whose ops cannot replay at
-  // the new resolution (e.g. flatten into a fixed fully-connected layer
-  // anywhere but global pooling), or a request outside ResourceLimits --
-  // fail with InvalidArgument / ResourceExhausted and `*out` untouched.
-  static Status CompileShapeVariant(
-      const std::shared_ptr<const CompiledModel>& root, int input_hw,
-      std::shared_ptr<const CompiledModel>* out);
+  // Specialize without the compile: a signature missing from the registry
+  // is InvalidArgument. The serving context pool's lookup.
+  static Status Lookup(const std::shared_ptr<const CompiledModel>& root,
+                       InputSignature sig,
+                       std::shared_ptr<const CompiledModel>* out);
 
-  // Bucket registry: returns the shape bucket for `input_hw`, compiling it
-  // on first use (lazy bucketing). input_hw == 0 or the root's own
-  // resolution returns `root`. Thread-safe; concurrent first requests for
-  // the same resolution compile it once. Enforces
-  // ResourceLimits::max_shape_buckets (counting the root as one bucket):
-  // beyond the cap, unseen resolutions are rejected with ResourceExhausted
-  // rather than compiling unbounded variants. The root owns the buckets
-  // registered here: a returned bucket shares the root's ownership, so
-  // holding it keeps the root alive, and releasing the last reference to
-  // the root (or to any of its buckets) frees them all.
+  // The square batch-1 shape bucket: Specialize(root, {1, input_hw,
+  // input_hw}); input_hw == 0 returns `root`.
   static Status GetOrCompileShapeBucket(
       const std::shared_ptr<const CompiledModel>& root, int input_hw,
       std::shared_ptr<const CompiledModel>* out);
@@ -158,43 +149,42 @@ class CompiledModel {
   // Bytes each ExecutionContext allocates for its arena.
   std::size_t arena_bytes() const { return arena_size_; }
   // Bytes of bitpacked weights held by this model's kernels -- allocated
-  // once here, shared by every context. Batch variants report 0: their
-  // kernels alias the base model's weights, and the resident-bytes gauge
-  // must stay flat however many variants exist.
+  // once here, shared by every context. Specializations report 0: their
+  // kernels alias the root's weights, and the resident-bytes gauge must
+  // stay flat however many specializations exist.
   std::size_t packed_weight_bytes() const { return packed_weight_bytes_; }
   const std::shared_ptr<ThreadPool>& thread_pool() const { return pool_; }
   gemm::KernelProfile kernel_profile() const { return kernel_profile_; }
   const std::string& model_name() const { return model_name_; }
-  // Leading-dimension batch this model executes per Invoke (1 for a base
-  // model, N for a CompileBatchVariant sibling).
-  int batch() const { return batch_; }
-  // The base model a variant was compiled from; null for base models.
+  // The input geometry this model executes: dim 0 of graph input 0 and
+  // the spatial extent of the first rank-4 input ((0, 0) without one).
+  InputSignature signature() const { return signature_; }
+  // The root a specialization was compiled from; null for roots.
   const CompiledModel* base_model() const { return base_; }
-  // Square input resolution this model executes: dim 1 of graph input 0
-  // (== dim 2; the shape-bucket surface only admits square rank-4 inputs).
-  // 0 when the graph has no rank-4 image input -- such models cannot be
-  // shape-bucketed but compile and serve normally at their one shape.
-  int input_hw() const;
-  // The bucket key this model serves under: its own input_hw(), for both
-  // roots and variants (a batch variant inherits its base's bucket).
-  int shape_bucket_hw() const { return input_hw(); }
-  // Registered shape buckets on this root, base resolution included, sorted
-  // ascending. For a variant, delegates to its root. Snapshot under the
-  // registry lock; the count backs the serving.shape_buckets gauge.
+  // Square batch-1 entries of the root's registry, the root's own
+  // resolution included when square, sorted ascending. A specialization
+  // reports its root's registry. Snapshot under the registry lock.
   std::vector<int> ShapeBucketResolutions() const;
+  // Distinct (h, w) on the root's registry, root included: the count
+  // ResourceLimits::max_shape_buckets caps and the serving layer reports.
+  int shape_bucket_count() const;
 
  private:
   friend class ExecutionContext;
 
   explicit CompiledModel(const Graph& graph);
   CompiledModel(std::unique_ptr<const Graph> owned_graph,
-                const CompiledModel* base);
-  // Compiles the shape variant of `root` at `input_hw`, which the caller
-  // has screened with ValidateShapeBucketRequest and which is not root's
-  // own resolution. Sets base_; who owns the variant is the caller's call.
-  static Status BuildShapeVariant(const CompiledModel& root, int input_hw,
-                                  std::unique_ptr<CompiledModel>* out);
-  // When `weight_source` is non-null this is a batch-variant build:
+                const CompiledModel* root);
+  // Specialize (compile == true) and Lookup share this resolution path.
+  static Status Resolve(const std::shared_ptr<const CompiledModel>& root,
+                        InputSignature sig, bool compile,
+                        std::shared_ptr<const CompiledModel>* out);
+  // Compiles this root's specialization at `sig`, which the caller has
+  // screened with ValidateShapeBucketRequest and which is not the root's
+  // own signature; the caller registers it.
+  Status BuildSpecialization(InputSignature sig,
+                             std::unique_ptr<CompiledModel>* out) const;
+  // When `weight_source` is non-null this is a specialization build:
   // `node_map` maps this graph's node ids to the source model's, and every
   // weight-bearing kernel is constructed as a sibling sharing the mapped
   // source kernel's packed weights.
@@ -202,15 +192,13 @@ class CompiledModel {
                const std::vector<int>* node_map);
 
   const Graph& graph_;
-  // Set only for variants: the variant owns its graph clone (base models
-  // borrow their caller's graph) and links to the model it was compiled
-  // from, whose kernels own the shared packed weights. base_owner_ keeps
-  // that model alive; it stays null for registry buckets, which their root
-  // owns (a bucket holding its root would be a reference cycle).
+  // Set only for specializations: a specialization owns its graph clone
+  // (roots borrow their caller's graph) and links to its root, whose
+  // kernels own the shared packed weights and whose registry owns the
+  // specialization (holding the root instead would be a reference cycle).
   std::unique_ptr<const Graph> owned_graph_;
   const CompiledModel* base_ = nullptr;
-  std::shared_ptr<const CompiledModel> base_owner_;
-  int batch_ = 1;
+  InputSignature signature_;
   std::shared_ptr<ThreadPool> pool_;
   gemm::KernelProfile kernel_profile_ = gemm::KernelProfile::kSimd;
   std::string model_name_;
@@ -229,9 +217,9 @@ class CompiledModel {
   // Prepared kernel objects, indexed by node id (only one is non-null).
   // Kernel Run() is const and keeps no per-invocation state (all scratch
   // comes from the caller's gemm::Context), so one kernel instance serves
-  // all concurrent contexts. shared_ptr because a batch variant aliases
-  // the base model's batch-agnostic kernels (bfc/fc) outright and holds
-  // weight-sharing siblings of the batch-dependent ones.
+  // all concurrent contexts. shared_ptr because a specialization aliases
+  // the root's shape-agnostic kernels (bfc/fc) outright and holds
+  // weight-sharing siblings of the geometry-dependent ones.
   struct PreparedKernels {
     std::shared_ptr<const BConv2D> bconv;
     std::shared_ptr<const BFullyConnected> bfc;
@@ -241,25 +229,23 @@ class CompiledModel {
     std::shared_ptr<const FullyConnectedFloat> fc;
   };
   std::vector<PreparedKernels> kernels_;
-  // Retained for CompileBatchVariant (variants compile under the same
-  // limits and histogram setting as their base).
+  // Retained for Specialize (specializations compile under the same limits
+  // and histogram setting as their root).
   ResourceLimits limits_;
   bool node_histograms_enabled_ = false;
 
-  // Shape-bucket registry (meaningful on root models only). Lazily grown by
-  // GetOrCompileShapeBucket, keyed by square input resolution; the root
-  // owns its buckets for its whole lifetime, so a bucket is compiled at
-  // most once per root however requests interleave. `mutable` because
-  // registering a bucket does not change the root's own immutable compiled
-  // state -- concurrent Invokes never touch it.
-  const CompiledModel* Root() const {
-    const CompiledModel* m = this;
-    while (m->base_ != nullptr) m = m->base_;
-    return m;
-  }
-  void PublishBucketGaugesLocked() const;
-  mutable std::mutex bucket_mu_;
-  mutable std::map<int, std::unique_ptr<const CompiledModel>> shape_buckets_;
+  // The specialization registry (meaningful on roots only), keyed by
+  // signature, grown by Specialize. The root owns its specializations for
+  // its whole lifetime, so each signature compiles at most once however
+  // requests interleave. `mutable` because registering one does not change
+  // the root's own immutable compiled state -- concurrent Invokes never
+  // touch it.
+  mutable std::mutex registry_mu_;
+  mutable std::map<InputSignature, std::unique_ptr<const CompiledModel>>
+      registry_;
+  // Distinct (h, w) among the root and its registry. Requires registry_mu_.
+  std::set<std::pair<int, int>> ShapesLocked() const;
+  void PublishRegistryGaugesLocked() const;
 };
 
 struct ExecutionOptions {
@@ -303,7 +289,7 @@ class ExecutionContext {
   // makes input()/output() return views of lane i -- the [1, ...] dim-0
   // slice of the batched tensor -- so per-request fill and read callbacks
   // written against a batch-1 model work unchanged against a batch-N
-  // variant. Lane -1 (the default) restores whole-tensor views. The lane
+  // specialization. Lane -1 (the default) restores whole-tensor views. The lane
   // only affects input()/output(); Invoke always runs the full batch.
   void set_io_lane(int lane);
   void clear_io_lane() { io_lane_ = -1; }

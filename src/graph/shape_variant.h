@@ -1,25 +1,22 @@
-// Input-shape graph cloning for shape-bucketed compilation
-// (docs/SERVING.md, "Multi-resolution serving").
+// Input-shape graph cloning for specialized compilation (docs/SERVING.md,
+// "Multi-resolution serving").
 //
-// A shape bucket runs the *same* model at a different input resolution, so
-// its graph differs from the base graph only in the spatial dimensions of
-// every non-constant value. CloneGraphWithInputSize rebuilds that graph by
-// replaying the base graph's live nodes against resized inputs: AddNode's
-// shape inference re-derives all geometry (conv/pool spatial dims, output
-// sizes) from the resized operand shapes, so no per-op shape handling lives
-// here. A model whose structure cannot follow the new resolution (for
+// A specialization runs the *same* model at another InputSignature
+// (batch, h, w), so its graph differs from the root graph only in the
+// leading and spatial dimensions of every non-constant value.
+// CloneGraphWithInputShapes rebuilds that graph by replaying the root
+// graph's live nodes against the new input shapes: AddNode's shape
+// inference re-derives all geometry (conv/pool batch and spatial dims,
+// output sizes) from the new operand shapes, so no per-op shape handling
+// lives here. A model whose structure cannot follow the new shapes (for
 // example a flatten feeding a fixed-width fully connected layer) fails the
 // replay with InvalidArgument instead of producing a broken graph -- that
 // failure IS the shape-admissibility answer for such models.
 //
 // Constants are NOT copied: the clone's constant Values hold Tensors that
-// share the base graph's underlying buffers. The clone therefore costs
+// share the root graph's underlying buffers. The clone therefore costs
 // O(IR nodes), not O(model bytes) -- the packed weights stay shared one
-// level up, in CompiledModel::CompileShapeVariant.
-//
-// CloneGraphWithInputShapes is the shared replay engine; the batch-variant
-// clone (graph/batch_variant.h) delegates to it with widened leading
-// dimensions instead of resized spatial ones.
+// level up, in CompiledModel::Specialize.
 #ifndef LCE_GRAPH_SHAPE_VARIANT_H_
 #define LCE_GRAPH_SHAPE_VARIANT_H_
 
@@ -38,20 +35,19 @@ namespace lce {
 // node that cannot legally execute at the new shapes fails the clone with
 // the node's own InvalidArgument. On success `*out` holds the clone and,
 // when non-null, `*node_map` maps every clone node id to the id of the
-// source node it replays (used by the CompiledModel variant builders to
-// pair each clone kernel with the base kernel whose packed weights it
-// shares).
+// source node it replays (used by CompiledModel::Specialize to pair each
+// clone kernel with the root kernel whose packed weights it shares).
 Status CloneGraphWithInputShapes(const Graph& src,
                                  const std::vector<Shape>& input_shapes,
                                  std::unique_ptr<Graph>* out,
                                  std::vector<int>* node_map = nullptr);
 
 // Clones `src` with every rank-4 [1, H, W, C] graph input resized to
-// [1, input_hw, input_hw, C]. Requirements checked here:
+// [1, input_hw, input_hw, C]: a fresh single-resolution graph, the
+// independent reference a square batch-1 specialization is checked
+// against. Requirements checked here:
 //   * input_hw >= 1;
-//   * every graph input has rank 4 with leading (batch) dimension 1 -- the
-//     serving layer buckets by square input resolution, which is only
-//     meaningful for image-shaped batch-1 inputs.
+//   * every graph input has rank 4 with leading (batch) dimension 1.
 Status CloneGraphWithInputSize(const Graph& src, int input_hw,
                                std::unique_ptr<Graph>* out,
                                std::vector<int>* node_map = nullptr);

@@ -1,5 +1,6 @@
 #include "graph/validator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -547,50 +548,61 @@ Status ValidateGraph(const Graph& g, const ResourceLimits& limits) {
   return st;
 }
 
-Status ValidateShapeBucketRequest(const Graph& g, int input_hw,
+Status ValidateShapeBucketRequest(const Graph& g, InputSignature sig,
                                   const ResourceLimits& limits) {
-  // The resolution itself: zero/negative is nonsense, and anything past
-  // the cap is refused before a single byte of the clone exists. The
-  // square is overflow-checked so a hostile resolution near INT_MAX cannot
-  // wrap the per-tensor element math downstream (which is itself checked,
-  // but this surface should reject with a shape-specific diagnostic).
-  if (input_hw < 1) {
+  // The request itself: a zero/negative extent is nonsense, and anything
+  // past the cap is refused before a single byte of the clone exists.
+  if (sig.batch < 1) {
+    return Status::InvalidArgument("specialization batch must be >= 1, got " +
+                                   std::to_string(sig.batch));
+  }
+  const bool has_image =
+      std::any_of(g.input_ids().begin(), g.input_ids().end(),
+                  [&g](int vid) { return g.value(vid).shape.rank() == 4; });
+  if (!has_image && (sig.h != 0 || sig.w != 0)) {
     return Status::InvalidArgument(
-        "shape bucket resolution must be >= 1, got " +
-        std::to_string(input_hw));
+        "specialization " + sig.ToString() +
+        " resizes a graph with no rank-4 [N, H, W, C] image input");
   }
-  if (static_cast<std::int64_t>(input_hw) > limits.max_input_hw) {
-    return Status::ResourceExhausted(
-        "shape bucket resolution " + std::to_string(input_hw) +
-        " exceeds the max_input_hw limit (" +
-        std::to_string(limits.max_input_hw) + ")");
+  if (has_image) {
+    for (const int extent : {sig.h, sig.w}) {
+      if (extent < 1) {
+        return Status::InvalidArgument(
+            "shape bucket resolution must be >= 1, got " + sig.ToString());
+      }
+      if (static_cast<std::int64_t>(extent) > limits.max_input_hw) {
+        return Status::ResourceExhausted(
+            "shape bucket resolution " + sig.ToString() +
+            " exceeds the max_input_hw limit (" +
+            std::to_string(limits.max_input_hw) + ")");
+      }
+    }
   }
-  std::int64_t spatial = 0;
-  if (__builtin_mul_overflow(static_cast<std::int64_t>(input_hw),
-                             static_cast<std::int64_t>(input_hw), &spatial)) {
-    return Status::InvalidArgument("shape bucket resolution overflows");
-  }
-  // The graph side: bucketing replaces the H/W of every graph input, which
-  // is only meaningful for image-shaped batch-1 inputs. Per-tensor element
-  // and byte caps on the resized inputs are pre-checked here; the full
-  // validator re-checks every intermediate tensor when the variant graph
-  // is compiled.
+  // The graph side: a specialization replaces the leading dimension of
+  // every graph input (and the H/W of its image inputs), which is only
+  // meaningful for batch-1 inputs. Per-tensor element caps on the
+  // specialized inputs are pre-checked here, overflow-checked so a hostile
+  // extent cannot wrap the math; the full validator re-checks every
+  // intermediate tensor when the specialization compiles.
   for (const int vid : g.input_ids()) {
     const Value& v = g.value(vid);
-    if (v.shape.rank() != 4 || v.shape.dim(0) != 1) {
+    if (v.shape.rank() < 1 || v.shape.dim(0) != 1) {
       return Status::InvalidArgument(
-          "shape buckets require rank-4 batch-1 [1, H, W, C] graph inputs; "
-          "input '" + v.name + "' has rank " +
-          std::to_string(v.shape.rank()));
+          "specializations require batch-1 graph inputs; input '" + v.name +
+          "' has shape " + v.shape.ToString());
     }
-    const std::int64_t channels = v.shape.dim(3);
+    Shape specialized = v.shape;
+    specialized.dim(0) = sig.batch;
+    if (specialized.rank() == 4) {
+      specialized.dim(1) = sig.h;
+      specialized.dim(2) = sig.w;
+    }
     std::int64_t elements = 0;
-    if (__builtin_mul_overflow(spatial, channels, &elements) ||
+    if (!specialized.checked_num_elements(&elements) ||
         elements > limits.max_tensor_elements) {
       return Status::ResourceExhausted(
-          "shape bucket input '" + v.name +
-          "' exceeds the per-tensor element limit at resolution " +
-          std::to_string(input_hw));
+          "input '" + v.name + "' exceeds the per-tensor element limit at " +
+          sig.ToString());
     }
   }
   return Status::Ok();

@@ -49,20 +49,21 @@ Status ValidateNode(const Graph& g, const Node& n);
 // model and by Interpreter::Prepare before planning memory.
 Status ValidateGraph(const Graph& g, const ResourceLimits& limits = {});
 
-// Admissibility predicate for the shape-polymorphic surface
-// (docs/SERVING.md, "Multi-resolution serving"): can `g` legally be
-// re-bucketed to a square `input_hw` resolution under `limits`? Checks the
-// request shape itself (>= 1, <= max_input_hw, overflow-free square),
-// and that every graph input is a rank-4 batch-1 image whose resized
-// element count stays within the per-tensor limits. Structural
-// admissibility -- whether every op in the graph can execute at the new
-// resolution -- is decided by the clone replay plus full re-validation
-// when the bucket actually compiles; this predicate is the cheap
+// Admissibility predicate for the specialization surface (docs/SERVING.md,
+// "Multi-resolution serving"): can `g` legally be specialized to `sig`
+// under `limits`? Checks the request itself -- batch >= 1; h and w in
+// [1, max_input_hw] for a graph with a rank-4 image input, both 0 for a
+// graph without one -- and that every graph input is batch-1 and stays
+// within the per-tensor element limit at `sig` (overflow-checked).
+// Structural admissibility -- whether every op in the graph can execute at
+// the new shapes -- is decided by the clone replay plus full re-validation
+// when the specialization actually compiles; this predicate is the cheap
 // reject-early surface the serving layer and the lazy-compile path consult
 // per request. InvalidArgument for nonsense shapes, ResourceExhausted for
 // over-limit ones. The bucket-count cap (ResourceLimits::max_shape_buckets)
-// is enforced by CompiledModel's bucket registry, which owns that count.
-Status ValidateShapeBucketRequest(const Graph& g, int input_hw,
+// is enforced by CompiledModel's specialization registry, which owns that
+// count.
+Status ValidateShapeBucketRequest(const Graph& g, InputSignature sig,
                                   const ResourceLimits& limits = {});
 
 }  // namespace lce

@@ -48,24 +48,24 @@ std::int64_t BatchScheduler::CloseDeadlineNs() const {
   // Timeout close: the oldest member bounds how long the batch stays open.
   // A zero timeout makes this instant `enqueue_ns` itself, i.e. "close
   // with whatever is here" -- opportunistic batching. The head item always
-  // belongs to the closing batch (batches form around the head's shape
-  // key), so its enqueue time is the right timeout anchor.
+  // belongs to the closing batch (batches form around the head's
+  // signature), so its enqueue time is the right timeout anchor.
   std::int64_t close =
       static_cast<std::int64_t>(queue_.front().enqueue_ns) +
       options_.batch_timeout_ns;
   // Deadline-aware close: don't hold any *member of this batch* past the
   // last instant it could still start executing and make its deadline.
-  // Only the first max_batch_size head-key items can be in the closing
-  // batch; items under other shape keys wait for a later batch and do not
-  // tighten this one's close.
+  // Only the first max_batch_size head-signature items can be in the
+  // closing batch; items under other signatures wait for a later batch and
+  // do not tighten this one's close.
   std::int64_t est = 0;
   if (options_.execute_estimate_ns) {
     est = std::max<std::int64_t>(0, options_.execute_estimate_ns());
   }
-  const int head_key = queue_.front().shape_key;
+  const InputSignature head = queue_.front().signature;
   int members = 0;
   for (const BatchItem& item : queue_) {
-    if (item.shape_key != head_key) continue;
+    if (item.signature != head) continue;
     if (members++ >= options_.max_batch_size) break;
     if (item.deadline_ns == CancellationToken::kNoDeadline) continue;
     close = std::min(close, item.deadline_ns - est);
@@ -80,13 +80,13 @@ std::vector<BatchItem> BatchScheduler::NextBatch() {
     // Shutdown() drains the queue under the lock, so shutdown implies an
     // empty queue here; empty + awake means "exit".
     if (queue_.empty()) return {};
-    // The batch forms around the head item's shape key: count its
-    // compatible members across the whole queue (only same-key items can
-    // share the batch-N Invoke).
-    const int head_key = queue_.front().shape_key;
+    // The batch forms around the head item's signature: count its
+    // compatible members across the whole queue (only same-signature items
+    // can share the batch-N Invoke).
+    const InputSignature head = queue_.front().signature;
     int matching = 0;
     for (const BatchItem& item : queue_) {
-      if (item.shape_key == head_key) ++matching;
+      if (item.signature == head) ++matching;
     }
     const bool full = matching >= options_.max_batch_size;
     std::int64_t close = 0;
@@ -109,10 +109,11 @@ std::vector<BatchItem> BatchScheduler::NextBatch() {
         std::min<int>(matching, options_.max_batch_size));
     std::vector<BatchItem> batch;
     batch.reserve(n);
-    // Pop the head-key members in FIFO order; items under other shape keys
-    // keep their queue positions (and their FIFO order) for later batches.
+    // Pop the head-signature members in FIFO order; items under other
+    // signatures keep their queue positions (and their FIFO order) for
+    // later batches.
     for (auto it = queue_.begin(); it != queue_.end() && batch.size() < n;) {
-      if (it->shape_key == head_key) {
+      if (it->signature == head) {
         batch.push_back(std::move(*it));
         it = queue_.erase(it);
       } else {

@@ -22,18 +22,17 @@
 // whatever is queued right now, never wait for more. max_batch_size == 1
 // reproduces the unbatched FIFO executor exactly.
 //
-// SHAPE KEYS (docs/SERVING.md, "Multi-resolution serving"). A batch is one
-// batch-N Invoke of one compiled variant, so every lane must share that
-// variant's input resolution -- batches never mix shape buckets. Each item
-// carries an opaque `shape_key` (the server stamps the bucket resolution);
-// a closing batch takes up to max_batch_size items matching the *head*
-// item's key, scanned in FIFO order, leaving other keys queued in their
-// original order. Close conditions (size, timeout, deadline) are evaluated
-// over the head-key members only: the head item is the oldest request in
-// the queue, so head-key-first is deadline-honest, and a minority
-// resolution can never be starved -- its oldest item eventually becomes
-// the head. Uniform-key traffic (the pre-bucket world) behaves exactly as
-// before.
+// SIGNATURES (docs/SERVING.md, "Multi-resolution serving"). A batch is one
+// batch-N Invoke of one specialization, so every lane must share its input
+// resolution -- batches never mix shape buckets. Each item carries its
+// lane signature (batch 1 at the request's resolution); a closing batch
+// takes up to max_batch_size items matching the *head* item's signature,
+// scanned in FIFO order, leaving other signatures queued in their original
+// order. Close conditions (size, timeout, deadline) are evaluated over the
+// head-signature members only: the head item is the oldest request in the
+// queue, so head-first is deadline-honest, and a minority resolution can
+// never be starved -- its oldest item eventually becomes the head. Uniform
+// traffic behaves exactly as one keyless queue.
 //
 // The scheduler is deliberately metrics-free and knows nothing about
 // contexts or models -- it moves BatchItems (request handle + timing
@@ -49,6 +48,7 @@
 #include <mutex>
 #include <vector>
 
+#include "core/shape.h"
 #include "core/status.h"
 
 namespace lce::serving {
@@ -71,10 +71,9 @@ struct BatchItem {
   // request state after TryEnqueue returns (the request is already shared
   // with a concurrently-running executor by then).
   int depth_at_admit = 0;
-  // Opaque batching-compatibility key (see file comment): only items with
-  // equal keys share a batch. The server stamps the shape-bucket
-  // resolution; 0 (everywhere) reproduces keyless batching.
-  int shape_key = 0;
+  // The lane signature (see file comment): only items with equal
+  // signatures share a batch. The default everywhere is keyless batching.
+  InputSignature signature;
 };
 
 class BatchScheduler {

@@ -33,95 +33,27 @@ telemetry::Metric* EvictedTotal() {
   return m;
 }
 
-std::vector<std::shared_ptr<const CompiledModel>> SingleModelVector(
-    std::shared_ptr<const CompiledModel> model) {
-  std::vector<std::shared_ptr<const CompiledModel>> models;
-  models.push_back(std::move(model));
-  return models;
-}
-
 }  // namespace
 
-ContextPool::ContextPool(std::shared_ptr<const CompiledModel> model,
+ContextPool::ContextPool(std::shared_ptr<const CompiledModel> root,
                          int capacity, ExecutionOptions options)
-    : ContextPool(SingleModelVector(std::move(model)), capacity,
-                  std::move(options)) {}
-
-ContextPool::ContextPool(
-    std::vector<std::shared_ptr<const CompiledModel>> models, int capacity,
-    ExecutionOptions options)
-    : capacity_(capacity), options_(std::move(options)) {
-  LCE_CHECK(!models.empty() && "ContextPool requires at least one model");
+    : root_(std::move(root)), capacity_(capacity),
+      options_(std::move(options)) {
+  LCE_CHECK(root_ != nullptr && "ContextPool requires a compiled model");
   LCE_CHECK_GT(capacity_, 0);
-  AddModels(std::move(models));
 }
 
-void ContextPool::AddModels(
-    std::vector<std::shared_ptr<const CompiledModel>> models) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& m : models) {
-    LCE_CHECK(m != nullptr && "ContextPool requires compiled models");
-    if (ModelIndexLocked(m.get()) >= 0 ||
-        VariantIndexLocked(m->shape_bucket_hw(), m->batch()) >= 0) {
-      continue;  // key already registered
-    }
-    models_.push_back(std::move(m));
-    free_.emplace_back();
-  }
-}
-
-int ContextPool::VariantIndexLocked(int shape_hw, int batch) const {
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    if (models_[i]->shape_bucket_hw() == shape_hw &&
-        models_[i]->batch() == batch) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-int ContextPool::ModelIndexLocked(const CompiledModel* model) const {
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    if (models_[i].get() == model) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-Status ContextPool::Acquire(std::unique_ptr<ExecutionContext>* out) {
-  int shape_hw = 0, batch = 1;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shape_hw = models_.front()->shape_bucket_hw();
-    batch = models_.front()->batch();
-  }
-  return Acquire(shape_hw, batch, out);
-}
-
-Status ContextPool::Acquire(int batch, std::unique_ptr<ExecutionContext>* out) {
-  int shape_hw = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shape_hw = models_.front()->shape_bucket_hw();
-  }
-  return Acquire(shape_hw, batch, out);
-}
-
-Status ContextPool::Acquire(int shape_hw, int batch,
+Status ContextPool::Acquire(InputSignature sig,
                             std::unique_ptr<ExecutionContext>* out) {
   LCE_CHECK(out != nullptr);
+  // A miss is an InvalidArgument, never a fallback to a "close" model:
+  // handing out a context whose arena was planned for another resolution
+  // or lane count would read/write through the wrong offsets.
   std::shared_ptr<const CompiledModel> model;
+  LCE_RETURN_IF_ERROR(CompiledModel::Lookup(root_, sig, &model));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const int idx = VariantIndexLocked(shape_hw, batch);
-    if (idx < 0) {
-      // A miss is an InvalidArgument, never a fallback to a "close" variant:
-      // handing out a context whose arena was planned for another
-      // resolution or lane count would read/write through the wrong offsets.
-      return Status::InvalidArgument(
-          "no compiled variant for shape bucket " + std::to_string(shape_hw) +
-          ", batch " + std::to_string(batch));
-    }
-    auto& free_list = free_[static_cast<std::size_t>(idx)];
+    auto& free_list = free_[model->signature()];
     if (!free_list.empty()) {
       *out = std::move(free_list.back());
       free_list.pop_back();
@@ -136,16 +68,18 @@ Status ContextPool::Acquire(int shape_hw, int batch,
     }
     // The capacity bound covers parked contexts too (resident arenas ==
     // outstanding + pooled <= capacity). When every idle slot is parked
-    // under a different variant, evict one: the arena mix follows the
-    // (resolution, batch) keys actually being requested, which is what
-    // keeps resident arena bytes at the cross-bucket high-water mark
-    // instead of the per-bucket sum.
+    // under another signature, evict one: the arena mix follows the
+    // signatures actually being requested, which is what keeps resident
+    // arena bytes at the cross-bucket high-water mark instead of the
+    // per-bucket sum.
     int resident = outstanding_;
-    for (const auto& fl : free_) resident += static_cast<int>(fl.size());
+    for (const auto& entry : free_) {
+      resident += static_cast<int>(entry.second.size());
+    }
     if (resident >= capacity_) {
-      for (auto& fl : free_) {
-        if (!fl.empty()) {
-          fl.pop_back();  // destroys the context (unique_ptr)
+      for (auto& entry : free_) {
+        if (!entry.second.empty()) {
+          entry.second.pop_back();  // destroys the context (unique_ptr)
           ++evicted_;
           EvictedTotal()->Add(1);
           break;
@@ -153,7 +87,6 @@ Status ContextPool::Acquire(int shape_hw, int batch,
       }
     }
     ++outstanding_;  // reserve the slot while constructing outside the lock
-    model = models_[static_cast<std::size_t>(idx)];
   }
   // Construction (one arena allocation) happens outside the pool lock so a
   // slow or failing allocation never blocks concurrent Release/Acquire.
@@ -184,20 +117,19 @@ void ContextPool::Release(std::unique_ptr<ExecutionContext> ctx,
     // context bit-identical (as observable state) to a fresh one.
     ctx->Reset();
   }
+  const CompiledModel& model = ctx->model();
+  LCE_CHECK((&model == root_.get() || model.base_model() == root_.get()) &&
+            "released context does not belong to this pool");
   std::lock_guard<std::mutex> lock(mu_);
-  // Resolve the owning variant by model identity, not by key: identity
-  // lookup cannot be confused by variants that happen to share a key
-  // dimension, so the context always returns to exactly the free list it
-  // came from.
-  const int idx = ModelIndexLocked(&ctx->model());
-  LCE_CHECK(idx >= 0 && "released context does not belong to this pool");
   --outstanding_;
   LCE_CHECK_GE(outstanding_, 0);
   if (quarantine) {
     ++quarantined_;
     ctx.reset();
   } else {
-    free_[static_cast<std::size_t>(idx)].push_back(std::move(ctx));
+    // The registry holds one model per signature, so the signature names
+    // exactly the free list the context came from.
+    free_[model.signature()].push_back(std::move(ctx));
   }
 }
 
@@ -219,7 +151,7 @@ int ContextPool::outstanding() const {
 int ContextPool::pooled() const {
   std::lock_guard<std::mutex> lock(mu_);
   int n = 0;
-  for (const auto& fl : free_) n += static_cast<int>(fl.size());
+  for (const auto& entry : free_) n += static_cast<int>(entry.second.size());
   return n;
 }
 

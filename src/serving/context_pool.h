@@ -23,22 +23,20 @@
 //                   reused, and its slot is replenished lazily by a later
 //                   Acquire. `serving.pool.quarantined_total` counts these.
 //
-// VARIANTS. The pool can serve several sibling CompiledModels at once,
-// sharing one set of packed weights: batch variants
-// (CompiledModel::CompileBatchVariant) and shape buckets
-// (CompiledModel::CompileShapeVariant) in any combination. Each registered
-// model is keyed by (shape bucket, batch) -- Acquire(shape_hw, batch)
-// selects by that pair, so a context's arena always matches both the
-// resolution and the lane count of the work it receives; batch-size-only
-// lookup would hand a 96 px request a 224 px arena the moment two buckets
-// share a batch size. Release() resolves the variant by model identity,
-// which stays correct however many key dimensions variants grow.
+// SIGNATURES. The pool serves a root CompiledModel and every
+// specialization on its registry (CompiledModel::Specialize), sharing one
+// set of packed weights. Free lists are keyed by InputSignature --
+// Acquire(sig) hands out a context of exactly that signature's model, so a
+// context's arena always matches both the resolution and the lane count of
+// the work it receives. The pool never compiles: it finds each model
+// through CompiledModel::Lookup, and a signature missing from the registry
+// is InvalidArgument, never a silently-wrong arena.
 //
-// The `capacity` bound covers contexts of *all* variants together:
+// The `capacity` bound covers contexts of *all* signatures together:
 // checked-out plus parked contexts never exceed capacity, so resident
-// arena bytes stay bounded by capacity * max-variant-arena regardless of
-// how resolutions and batch sizes mix. When the bound forces it, an idle
-// context of another variant is evicted (destroyed,
+// arena bytes stay bounded by capacity * max-specialization-arena however
+// resolutions and batch sizes mix. When the bound forces it, an idle
+// context of another signature is evicted (destroyed,
 // `serving.pool.evicted_total`) to make room -- the pool adapts its
 // resident mix to the traffic actually being served, which is what
 // realizes the cross-bucket arena high-water reuse that
@@ -47,6 +45,7 @@
 #define LCE_SERVING_CONTEXT_POOL_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -58,48 +57,29 @@ namespace lce::serving {
 
 class ContextPool {
  public:
-  // Single-model pool: every Acquire targets `model` (batch-1 serving).
-  ContextPool(std::shared_ptr<const CompiledModel> model, int capacity,
+  // Pool over `root` and the specializations on its registry.
+  ContextPool(std::shared_ptr<const CompiledModel> root, int capacity,
               ExecutionOptions options = {});
-  // Multi-variant pool: `models[i]` are sibling compilations of one model
-  // (each non-null, (shape bucket, batch) pairs unique). Acquire selects by
-  // CompiledModel::shape_bucket_hw() and CompiledModel::batch().
-  ContextPool(std::vector<std::shared_ptr<const CompiledModel>> models,
-              int capacity, ExecutionOptions options = {});
 
   ContextPool(const ContextPool&) = delete;
   ContextPool& operator=(const ContextPool&) = delete;
 
-  // Registers additional sibling variants after construction (lazy shape
-  // buckets: the server compiles a bucket on first request for an unseen
-  // resolution, then registers its batch variants here). Models whose
-  // (shape bucket, batch) key is already registered are ignored. Does not
-  // change `capacity`; the new variants compete for the same slots.
-  void AddModels(std::vector<std::shared_ptr<const CompiledModel>> models);
-
-  // Hands out a context for the first registered model (batch-1 serving).
-  // Fails with ResourceExhausted when every slot is checked out or when a
-  // replacement context's arena allocation fails (in which case nothing is
-  // leaked and a later Acquire retries the allocation).
-  Status Acquire(std::unique_ptr<ExecutionContext>* out);
-  // Same, for the variant serving `batch` lanes in the first registered
-  // model's shape bucket (pre-shape-bucket call sites).
-  Status Acquire(int batch, std::unique_ptr<ExecutionContext>* out);
-  // Same, for the variant serving `batch` lanes at resolution `shape_hw`.
-  // InvalidArgument when no variant with that (shape bucket, batch) key was
-  // registered -- a variant miss is an error, never a silently-wrong arena.
-  Status Acquire(int shape_hw, int batch,
-                 std::unique_ptr<ExecutionContext>* out);
+  // Hands out a context executing `sig` (resolved as CompiledModel::Lookup
+  // resolves it; the root's signature -- or h == w == 0 -- is the root).
+  // InvalidArgument when no model with that signature is registered.
+  // ResourceExhausted when every slot is checked out or when a replacement
+  // context's arena allocation fails (in which case nothing is leaked and a
+  // later Acquire retries the allocation).
+  Status Acquire(InputSignature sig, std::unique_ptr<ExecutionContext>* out);
 
   // Returns a context after a request. `invoke_status` is the request's
   // Invoke status -- Status::Ok() for a request that never invoked. The
-  // context goes back to its own variant's free list (resolved by model
-  // identity).
+  // context goes back to its own signature's free list.
   void Release(std::unique_ptr<ExecutionContext> ctx,
                const Status& invoke_status);
 
   int capacity() const { return capacity_; }
-  // Contexts currently checked out to requests (all variants).
+  // Contexts currently checked out to requests (all signatures).
   int outstanding() const;
   // Contexts parked in the free lists (reused without allocation).
   int pooled() const;
@@ -107,25 +87,18 @@ class ContextPool {
   // the process-wide serving.pool.quarantined_total counter; feeds
   // ServerStats::quarantined).
   std::int64_t quarantined() const;
-  // Idle contexts destroyed to make room for a different variant.
+  // Idle contexts destroyed to make room for another signature.
   std::int64_t evicted() const;
 
  private:
-  // Index into models_/free_ for the (shape bucket, batch) key, or -1.
-  // Caller holds mu_.
-  int VariantIndexLocked(int shape_hw, int batch) const;
-  // Index of the variant `model` itself, or -1. Caller holds mu_.
-  int ModelIndexLocked(const CompiledModel* model) const;
-
+  const std::shared_ptr<const CompiledModel> root_;
   const int capacity_;
   const ExecutionOptions options_;
 
   mutable std::mutex mu_;
-  // Registered variants; grows via AddModels, never shrinks (free_ stays
-  // index-aligned).
-  std::vector<std::shared_ptr<const CompiledModel>> models_;
-  // free_[i] parks idle contexts of models_[i].
-  std::vector<std::vector<std::unique_ptr<ExecutionContext>>> free_;
+  // Idle contexts, by the signature of the model they execute.
+  std::map<InputSignature, std::vector<std::unique_ptr<ExecutionContext>>>
+      free_;
   int outstanding_ = 0;
   std::int64_t quarantined_ = 0;
   std::int64_t evicted_ = 0;

@@ -108,11 +108,14 @@ telemetry::Histogram* BatchOccupancyHist() {
 }
 // Per-bucket occupancy: lanes per executed batch, split by the bucket the
 // batch ran in, so mixed-resolution traffic shows which resolutions batch
-// well ("serving.bucket.224.occupancy" etc.). Registry-owned, looked up by
-// name per batch (a map lookup; batches amortize it over their lanes).
-telemetry::Histogram* BucketOccupancyHist(int shape_hw) {
+// well ("serving.bucket.224.occupancy", "serving.bucket.16x24.occupancy"
+// for a non-square root). Registry-owned, looked up by name per batch (a
+// map lookup; batches amortize it over their lanes).
+telemetry::Histogram* BucketOccupancyHist(InputSignature lane) {
+  std::string bucket = std::to_string(lane.h);
+  if (lane.w != lane.h) bucket += "x" + std::to_string(lane.w);
   return telemetry::MetricsRegistry::Global().Histogram(
-      "serving.bucket." + std::to_string(shape_hw) + ".occupancy");
+      "serving.bucket." + bucket + ".occupancy");
 }
 
 }  // namespace
@@ -171,51 +174,6 @@ void Request::Complete(Status status) {
   cv_.notify_all();
 }
 
-std::vector<std::shared_ptr<const CompiledModel>> Server::BuildModelSet(
-    const std::shared_ptr<const CompiledModel>& model,
-    const ServerOptions& options) {
-  // The startup bucket set: the base resolution, buckets already on the
-  // model's registry (CompileOptions::input_resolutions), and the server's
-  // own configured resolutions.
-  std::vector<int> resolutions = model->ShapeBucketResolutions();
-  resolutions.insert(resolutions.end(), options.input_resolutions.begin(),
-                     options.input_resolutions.end());
-  std::sort(resolutions.begin(), resolutions.end());
-  resolutions.erase(std::unique(resolutions.begin(), resolutions.end()),
-                    resolutions.end());
-
-  std::vector<std::shared_ptr<const CompiledModel>> models;
-  for (const int hw : resolutions) {
-    std::shared_ptr<const CompiledModel> bucket;
-    Status st = CompiledModel::GetOrCompileShapeBucket(model, hw, &bucket);
-    if (!st.ok()) {
-      std::fprintf(stderr,
-                   "[lce] shape bucket %d px compilation failed: %s\n", hw,
-                   st.message().c_str());
-      LCE_CHECK(st.ok() &&
-                "ServerOptions::input_resolutions requires admissible "
-                "resolutions");
-    }
-    models.push_back(bucket);
-    // One weight-sharing sibling per servable batch size, per bucket.
-    // Compilation cost is geometry-only (packed weights are shared, the
-    // resident-weights gauge does not move); a model whose outputs cannot
-    // carry a batch dimension is a configuration error, caught here at
-    // startup.
-    for (int n = 2; n <= options.max_batch_size; ++n) {
-      std::shared_ptr<const CompiledModel> variant;
-      st = CompiledModel::CompileBatchVariant(bucket, n, &variant);
-      if (!st.ok()) {
-        std::fprintf(stderr, "[lce] batch-%d variant compilation failed: %s\n",
-                     n, st.message().c_str());
-        LCE_CHECK(st.ok() && "max_batch_size > 1 requires a batchable model");
-      }
-      models.push_back(std::move(variant));
-    }
-  }
-  return models;
-}
-
 BatchScheduler::Options Server::SchedulerOptions(const ServerOptions& options) {
   BatchScheduler::Options o;
   o.max_queue_depth = options.max_queue_depth;
@@ -234,17 +192,37 @@ BatchScheduler::Options Server::SchedulerOptions(const ServerOptions& options) {
 Server::Server(std::shared_ptr<const CompiledModel> model,
                ServerOptions options)
     : options_(std::move(options)),
-      base_model_(std::move(model)),
-      pool_(BuildModelSet(base_model_, options_),
-            std::max(1, options_.max_inflight), options_.execution),
+      root_(std::move(model)),
+      pool_(root_, std::max(1, options_.max_inflight), options_.execution),
       recorder_(options_.flight_recorder),
       scheduler_(SchedulerOptions(options_)) {
   LCE_CHECK_GT(options_.max_queue_depth, 0);
   LCE_CHECK_GE(options_.max_batch_size, 1);
-  // BuildModelSet registered every startup bucket on the model's registry;
-  // mirror them here so shaped submits route without touching the compile
-  // path.
-  registered_buckets_ = base_model_->ShapeBucketResolutions();
+  // The start-up set, written into the root's registry: the root's own
+  // resolution (0), the square entries already registered and the
+  // configured resolutions, each at every batch size a batch can close at.
+  // Compilation is geometry-only (packed weights are shared, the
+  // resident-weights gauge does not move); an inadmissible resolution or a
+  // model whose outputs cannot carry a batch dimension is a configuration
+  // error, caught here at startup.
+  std::vector<int> resolutions = root_->ShapeBucketResolutions();
+  resolutions.push_back(0);
+  resolutions.insert(resolutions.end(), options_.input_resolutions.begin(),
+                     options_.input_resolutions.end());
+  for (const int hw : resolutions) {
+    for (int n = 1; n <= options_.max_batch_size; ++n) {
+      const InputSignature sig{n, hw, hw};
+      std::shared_ptr<const CompiledModel> unused;
+      const Status st = CompiledModel::Specialize(root_, sig, &unused);
+      if (!st.ok()) {
+        std::fprintf(stderr, "[lce] specialization %s failed: %s\n",
+                     sig.ToString().c_str(), st.message().c_str());
+        LCE_CHECK(st.ok() &&
+                  "ServerOptions requires admissible input_resolutions and, "
+                  "for max_batch_size > 1, a batchable model");
+      }
+    }
+  }
   const int executors = std::max(1, options_.max_inflight);
   executors_.reserve(executors);
   for (int i = 0; i < executors; ++i) {
@@ -283,49 +261,20 @@ std::shared_ptr<Request> Server::Submit(FillFn fill, DoneFn done,
   return Submit(0, std::move(fill), std::move(done), deadline);
 }
 
-Status Server::ResolveShapeBucket(int input_hw, int* shape_key) {
-  if (input_hw == 0 || input_hw == base_model_->input_hw()) {
-    *shape_key = base_model_->input_hw();
-    return Status::Ok();
+Status Server::ResolveShapeBucket(int input_hw, InputSignature* lane) {
+  // The one routing rule: a request is enqueued only when every batch size
+  // its batch can close at is on the registry. With lazy_shape_compile the
+  // missing sizes are compiled here -- the first request for an unseen
+  // resolution pays that one-time cost (O(IR), no weight packing; the
+  // registry compiles each signature once under concurrent first requests).
+  for (int n = 1; n <= options_.max_batch_size; ++n) {
+    std::shared_ptr<const CompiledModel> model;
+    const InputSignature sig{n, input_hw, input_hw};
+    LCE_RETURN_IF_ERROR(options_.lazy_shape_compile
+                            ? CompiledModel::Specialize(root_, sig, &model)
+                            : CompiledModel::Lookup(root_, sig, &model));
+    if (n == 1) *lane = model->signature();
   }
-  {
-    std::lock_guard<std::mutex> lock(shape_mu_);
-    if (std::find(registered_buckets_.begin(), registered_buckets_.end(),
-                  input_hw) != registered_buckets_.end()) {
-      *shape_key = input_hw;
-      return Status::Ok();
-    }
-  }
-  if (!options_.lazy_shape_compile) {
-    return Status::InvalidArgument(
-        "no pre-compiled shape bucket for resolution " +
-        std::to_string(input_hw) + " and lazy shape compilation is disabled");
-  }
-  // First request for an unseen resolution pays the bucket compile (O(IR),
-  // no weight packing). The model's registry dedups the bucket under
-  // concurrent first requests; the pool ignores duplicate (bucket, batch)
-  // keys, so the worst case for a race is a redundant batch-variant
-  // compile whose result is dropped.
-  std::shared_ptr<const CompiledModel> bucket;
-  LCE_RETURN_IF_ERROR(
-      CompiledModel::GetOrCompileShapeBucket(base_model_, input_hw, &bucket));
-  std::vector<std::shared_ptr<const CompiledModel>> add;
-  add.push_back(bucket);
-  for (int n = 2; n <= options_.max_batch_size; ++n) {
-    std::shared_ptr<const CompiledModel> variant;
-    LCE_RETURN_IF_ERROR(CompiledModel::CompileBatchVariant(bucket, n,
-                                                           &variant));
-    add.push_back(std::move(variant));
-  }
-  pool_.AddModels(std::move(add));
-  {
-    std::lock_guard<std::mutex> lock(shape_mu_);
-    if (std::find(registered_buckets_.begin(), registered_buckets_.end(),
-                  input_hw) == registered_buckets_.end()) {
-      registered_buckets_.push_back(input_hw);
-    }
-  }
-  *shape_key = input_hw;
   return Status::Ok();
 }
 
@@ -359,9 +308,9 @@ std::shared_ptr<Request> Server::Submit(int input_hw, FillFn fill, DoneFn done,
   // is refused here -- synchronously, like any other shed -- so nothing
   // unservable ever occupies a queue slot. On the lazy path this is also
   // where a first-seen resolution pays its one-time bucket compile.
-  int shape_key = 0;
+  InputSignature lane;
   {
-    const Status shape_st = ResolveShapeBucket(input_hw, &shape_key);
+    const Status shape_st = ResolveShapeBucket(input_hw, &lane);
     if (!shape_st.ok()) {
       shed_.fetch_add(1, std::memory_order_relaxed);
       shape_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -380,7 +329,7 @@ std::shared_ptr<Request> Server::Submit(int input_hw, FillFn fill, DoneFn done,
   item.request = req;
   item.enqueue_ns = req->enqueue_ns_;
   item.deadline_ns = req->token_.deadline_ns();
-  item.shape_key = shape_key;  // batches never mix shape buckets
+  item.signature = lane;  // batches never mix shape buckets
   // TryEnqueue PUBLISHES the request: the instant it returns, an executor
   // may already be running (or finishing) this request on another thread,
   // so no request state may be written here-after. The depth at admit
@@ -442,10 +391,7 @@ ServerStats Server::StatsSnapshot() const {
   s.quarantined = pool_.quarantined();
   s.batches_executed = batches_executed_.load(std::memory_order_relaxed);
   s.shape_rejected = shape_rejected_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(shape_mu_);
-    s.shape_buckets = static_cast<int>(registered_buckets_.size());
-  }
+  s.shape_buckets = root_->shape_bucket_count();
   s.queue_depth = queue_depth();
   s.queue_depth_peak = queue_depth_peak_.load(std::memory_order_relaxed);
   s.next_request_id = next_request_id_.load(std::memory_order_relaxed);
@@ -467,9 +413,9 @@ void Server::ExecutorLoop() {
 
 void Server::ExecuteBatch(std::vector<BatchItem> batch) {
   const std::uint64_t dequeue_ns = telemetry::NowNanos();
-  // The scheduler only closes same-key batches, so the head item's shape
-  // key is every lane's bucket.
-  const int shape_hw = batch.front().shape_key;
+  // The scheduler only closes same-signature batches, so the head item's
+  // lane signature is every lane's.
+  const InputSignature lane = batch.front().signature;
   // Per-lane queue-wait bookkeeping, then the expired-in-queue filter: a
   // lane whose token fired while queued is completed without ever touching
   // a context, and -- the batching contract -- its eviction shrinks the
@@ -505,7 +451,7 @@ void Server::ExecuteBatch(std::vector<BatchItem> batch) {
   const int n = static_cast<int>(lanes.size());
 
   std::unique_ptr<ExecutionContext> ctx;
-  Status st = pool_.Acquire(shape_hw, n, &ctx);
+  Status st = pool_.Acquire({n, lane.h, lane.w}, &ctx);
   if (!st.ok()) {
     // Pool capacity equals the executor count, so this only fires when a
     // replacement context's arena allocation failed -- shed the batch and
@@ -571,7 +517,7 @@ void Server::ExecuteBatch(std::vector<BatchItem> batch) {
   batches_executed_.fetch_add(1, std::memory_order_relaxed);
   BatchesExecutedTotal()->Add(1);
   BatchOccupancyHist()->Record(n);
-  BucketOccupancyHist(shape_hw)->Record(n);
+  BucketOccupancyHist(lane)->Record(n);
 
   // Gather + per-lane outcome classification. Execute time and the e2e
   // latency are recorded per admitted lane (their histogram counts stay

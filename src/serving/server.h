@@ -28,24 +28,26 @@
 //   * BATCHING IS DYNAMIC. With `max_batch_size > 1` the admission queue
 //     is owned by a BatchScheduler: executors pull *batches* (closed by
 //     size or by a deadline-aware timeout, see serving/batch_scheduler.h)
-//     and run them as one batch-N Invoke on a sibling CompiledModel
-//     variant that shares the base model's packed weights. Requests keep
-//     single-request semantics -- fill/done see a batch-1 lane view of the
-//     batched tensors, and one lane's expiry or cancellation evicts only
-//     that lane's result, never its batchmates'.
+//     and run them as one batch-N Invoke on a specialization of the root
+//     (CompiledModel::Specialize) that shares its packed weights.
+//     Requests keep single-request semantics -- fill/done see a batch-1
+//     lane view of the batched tensors, and one lane's expiry or
+//     cancellation evicts only that lane's result, never its batchmates'.
 //
 //   * RESOLUTIONS ARE BUCKETED (docs/SERVING.md, "Multi-resolution
 //     serving"). The shaped Submit/Infer overloads route a request to the
-//     shape bucket for its square input resolution: a weight-sharing
-//     CompiledModel sibling compiled for that resolution, pre-built from
+//     shape bucket for its square input resolution: the root's
+//     specializations {1..max_batch_size, hw, hw}, pre-built from
 //     ServerOptions::input_resolutions or compiled lazily on the first
-//     request for an unseen admissible resolution. Batches never mix
-//     buckets (the scheduler keys on the bucket), contexts are pooled per
-//     (bucket, batch) so a request can never execute against an arena
-//     planned for another resolution, and packed weights stay flat however
-//     many buckets are live. A resolution the model cannot serve is
-//     rejected at submit time (InvalidArgument / ResourceExhausted, counted
-//     in `shed` and serving.shape_rejected_total), never executed wrong.
+//     request for an unseen admissible resolution. Every specialization
+//     lives on the root's one registry -- the server keeps no list of its
+//     own. Batches never mix buckets (the scheduler keys on the lane
+//     signature), contexts are pooled per signature so a request can never
+//     execute against an arena planned for another resolution, and packed
+//     weights stay flat however many buckets are live. A resolution the
+//     model cannot serve is rejected at submit time (InvalidArgument /
+//     ResourceExhausted, counted in `shed` and
+//     serving.shape_rejected_total), never executed wrong.
 //
 // One Server owns `max_inflight` executor threads. Submit() never blocks;
 // Infer() is the blocking convenience wrapper. Each executor drains the
@@ -86,8 +88,8 @@ struct ServerOptions {
   std::chrono::nanoseconds default_deadline{0};
   // Dynamic batching (docs/SERVING.md, "Batching semantics"). Up to
   // max_batch_size queued requests execute as one batch-N Invoke; the
-  // server compiles one weight-sharing batch variant per size in
-  // [2, max_batch_size] at construction (LCE_CHECK-fails for a model that
+  // server specializes every served resolution at each batch size in
+  // [1, max_batch_size] at construction (LCE_CHECK-fails for a model that
   // cannot be batched). 1 = unbatched, the exact pre-batching behavior.
   int max_batch_size = 1;
   // How long the oldest queued request may wait for more lanes before its
@@ -96,11 +98,11 @@ struct ServerOptions {
   // Zero = opportunistic batching (batch whatever is queued, never wait).
   std::chrono::nanoseconds batch_timeout{0};
   // Multi-resolution serving: square input resolutions to pre-compile as
-  // shape buckets at construction (each with its own batch variants up to
-  // max_batch_size). The base model's own resolution is always served;
-  // resolutions already registered on the model (CompileOptions::
-  // input_resolutions) are picked up automatically. An inadmissible entry
-  // is a configuration error, caught at construction.
+  // shape buckets at construction (each specialized at every batch size up
+  // to max_batch_size). The root's own resolution is always served; square
+  // resolutions already on the root's registry (CompiledModel::Specialize)
+  // are picked up automatically. An inadmissible entry is a configuration
+  // error, caught at construction.
   std::vector<int> input_resolutions;
   // Whether a shaped Submit for a resolution with no pre-built bucket may
   // compile one on the fly (bounded by ResourceLimits::max_shape_buckets).
@@ -158,7 +160,8 @@ struct ServerStats {
   // (inadmissible shape, bucket cap, or lazy compile disabled). A subset of
   // `shed` -- the invariants above already cover these.
   std::int64_t shape_rejected = 0;
-  // Shape buckets this server can currently route to (base included).
+  // Distinct resolutions on the root's registry (root included): the
+  // shape buckets this server can route to.
   int shape_buckets = 0;
   int queue_depth = 0;
   int queue_depth_peak = 0;
@@ -306,20 +309,14 @@ class Server {
   FlightRecorder& flight_recorder() { return recorder_; }
 
  private:
-  // Compiles the startup model set: every shape bucket (the base, buckets
-  // already on the model's registry, and ServerOptions::input_resolutions)
-  // with its weight-sharing batch variants [2, max_batch_size]
-  // (LCE_CHECK-fails for an unbatchable model or an inadmissible
-  // configured resolution).
-  static std::vector<std::shared_ptr<const CompiledModel>> BuildModelSet(
-      const std::shared_ptr<const CompiledModel>& model,
-      const ServerOptions& options);
   static BatchScheduler::Options SchedulerOptions(const ServerOptions& options);
 
-  // Maps `input_hw` to its bucket's shape key, compiling and registering
-  // the bucket (and its batch variants) on first use when allowed. The
-  // rejection status is the submit-time answer for unservable resolutions.
-  Status ResolveShapeBucket(int input_hw, int* shape_key);
+  // Maps `input_hw` (0 = the root's own) to its lane signature once the
+  // registry holds {1..max_batch_size, hw, hw} -- every batch size its
+  // batch can close at -- compiling the missing sizes when
+  // lazy_shape_compile allows. The rejection status is the submit-time
+  // answer for unservable resolutions.
+  Status ResolveShapeBucket(int input_hw, InputSignature* lane);
 
   void ExecutorLoop();
   // One closed batch: queue-wait bookkeeping + expired-lane filtering,
@@ -332,23 +329,14 @@ class Server {
               ExecutionContext* ctx, bool admitted);
 
   const ServerOptions options_;
-  // The root model; kept for lazy shape-bucket compilation (buckets
-  // register on its registry and share its packed weights).
-  const std::shared_ptr<const CompiledModel> base_model_;
+  // The root model, whose registry holds every specialization served.
+  const std::shared_ptr<const CompiledModel> root_;
   ContextPool pool_;
   FlightRecorder recorder_;
   // Owns the admission queue; executors block in scheduler_.NextBatch().
   BatchScheduler scheduler_;
 
   std::vector<std::thread> executors_;
-
-  // Buckets this server can already route to (their batch variants are in
-  // the pool). A resolution absent here on a shaped Submit takes the lazy
-  // compile path; concurrent first requests may both compile (the model's
-  // registry dedups the bucket, the pool dedups registration) but register
-  // once.
-  mutable std::mutex shape_mu_;
-  std::vector<int> registered_buckets_;
 
   // Stats exporter thread state (separate mutex: the exporter must never
   // contend with the admission path).

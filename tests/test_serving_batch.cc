@@ -1,11 +1,12 @@
 // Dynamic-batching tests (docs/SERVING.md, "Batching semantics"): the
-// BatchScheduler's close rules (size, timeout, deadline-aware), batch-N
-// bit-exactness against serial batch-1 execution across the pipeline
-// variants (float conv, depthwise, binary conv, grouped binary conv, int8
-// requantize), per-lane outcome isolation (one lane's cancellation or
-// deadline evicts only that lane), the negative-deadline Submit regression,
-// and the packed-weights-stay-flat guarantee for batch variants. Part of
-// the CI ThreadSanitizer job (name matches the "serving" regex).
+// BatchScheduler's close rules (size, timeout, deadline-aware), kernel
+// sibling parity for batched geometries (grouped binary conv, row tiles
+// straddling samples), batch-N bit-exactness through the request API,
+// per-lane outcome isolation (one lane's cancellation or deadline evicts
+// only that lane), the negative-deadline Submit regression, and the pool's
+// capacity bound across batch sizes. Graph-level bit-exactness of every
+// signature, batched or not, lives in test_shape_variant.cc. Part of the
+// CI ThreadSanitizer job (name matches the "serving" regex).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,13 +18,11 @@
 #include <vector>
 
 #include "converter/convert.h"
-#include "converter/ptq.h"
 #include "core/bitpack.h"
 #include "core/cancellation.h"
 #include "core/macros.h"
 #include "core/random.h"
 #include "gemm/context.h"
-#include "graph/batch_variant.h"
 #include "graph/compiled_model.h"
 #include "kernels/bconv2d.h"
 #include "models/builder.h"
@@ -157,8 +156,7 @@ TEST(BatchScheduler, BoundedQueueRefusesAndShutdownDrains) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-variant bit-exactness at the graph level. The batched run must be
-// bit-identical, lane for lane, to serial batch-1 runs of the same inputs.
+// Fixtures.
 // ---------------------------------------------------------------------------
 
 // Float conv + depthwise conv + binary conv + dense head, converted to the
@@ -181,24 +179,6 @@ Graph MakeBatchableGraph() {
   return g;
 }
 
-// All-float model quantized to int8 by PTQ: the batched path must carry the
-// requantization pipeline bit-exactly too.
-Graph MakeInt8Graph() {
-  Graph g;
-  ModelBuilder b(g, 13);
-  int x = b.Input(16, 16, 3);
-  x = b.Conv(x, 16, 3, 1, Padding::kSameZero, Activation::kRelu);
-  x = b.Conv(x, 32, 3, 2, Padding::kSameZero, Activation::kRelu);
-  x = b.Conv(x, 32, 3, 1, Padding::kSameZero);
-  x = b.GlobalAvgPool(x);
-  x = b.Dense(x, 10);
-  g.MarkOutput(x);
-  PtqStats stats;
-  LCE_CHECK(QuantizeModelInt8(g, {}, &stats).ok());
-  LCE_CHECK(stats.convs_quantized == 3);
-  return g;
-}
-
 void FillInput(Tensor in, std::uint64_t seed) {
   Rng rng(seed);
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
@@ -216,93 +196,8 @@ std::vector<float> SerialReference(
                             out.data<float>() + out.num_elements());
 }
 
-void ExpectBatchedMatchesSerial(
-    const std::shared_ptr<const CompiledModel>& base, int batch,
-    std::uint64_t seed_base) {
-  std::vector<std::vector<float>> refs;
-  for (int i = 0; i < batch; ++i) {
-    refs.push_back(SerialReference(base, seed_base + static_cast<std::uint64_t>(i)));
-  }
-  std::shared_ptr<const CompiledModel> variant;
-  ASSERT_TRUE(CompiledModel::CompileBatchVariant(base, batch, &variant).ok());
-  ASSERT_EQ(variant->batch(), batch);
-
-  ExecutionContext ctx(variant);
-  for (int i = 0; i < batch; ++i) {
-    ctx.set_io_lane(i);
-    FillInput(ctx.input(0), seed_base + static_cast<std::uint64_t>(i));
-  }
-  ctx.clear_io_lane();
-  CancellationToken none;
-  ASSERT_TRUE(ctx.Invoke(&none).ok());
-  for (int i = 0; i < batch; ++i) {
-    ctx.set_io_lane(i);
-    const Tensor out = ctx.output(0);
-    ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), refs[static_cast<std::size_t>(i)].size());
-    EXPECT_EQ(0, std::memcmp(out.data<float>(),
-                             refs[static_cast<std::size_t>(i)].data(),
-                             refs[static_cast<std::size_t>(i)].size() * sizeof(float)))
-        << "batch " << batch << " lane " << i
-        << " diverged from its serial batch-1 reference";
-  }
-}
-
-TEST(BatchVariant, MixedPipelineBitExactForBatch2And3And8) {
-  static const Graph* g = new Graph(MakeBatchableGraph());
-  std::shared_ptr<const CompiledModel> base;
-  ASSERT_TRUE(CompiledModel::Compile(*g, {}, &base).ok());
-  for (const int batch : {2, 3, 8}) {
-    ExpectBatchedMatchesSerial(base, batch, 100 + static_cast<std::uint64_t>(batch));
-  }
-}
-
-TEST(BatchVariant, Int8RequantizePipelineBitExactForBatch2And3And8) {
-  static const Graph* g = new Graph(MakeInt8Graph());
-  std::shared_ptr<const CompiledModel> base;
-  ASSERT_TRUE(CompiledModel::Compile(*g, {}, &base).ok());
-  for (const int batch : {2, 3, 8}) {
-    ExpectBatchedMatchesSerial(base, batch, 500 + static_cast<std::uint64_t>(batch));
-  }
-}
-
-TEST(BatchVariant, Batch1ReturnsTheBaseModelItself) {
-  static const Graph* g = new Graph(MakeBatchableGraph());
-  std::shared_ptr<const CompiledModel> base;
-  ASSERT_TRUE(CompiledModel::Compile(*g, {}, &base).ok());
-  std::shared_ptr<const CompiledModel> variant;
-  ASSERT_TRUE(CompiledModel::CompileBatchVariant(base, 1, &variant).ok());
-  EXPECT_EQ(variant.get(), base.get());
-}
-
-// Batch variants must not duplicate packed weights: the resident gauge
-// stays flat through variant compilation and destruction, and each variant
-// reports zero resident bytes of its own.
-TEST(BatchVariant, PackedWeightsStayFlatAcrossVariants) {
-  static const Graph* g = new Graph(MakeBatchableGraph());
-  auto* gauge = telemetry::MetricsRegistry::Global().Gauge(
-      "weights.resident_packed_bytes");
-  std::shared_ptr<const CompiledModel> base;
-  ASSERT_TRUE(CompiledModel::Compile(*g, {}, &base).ok());
-  ASSERT_GT(base->packed_weight_bytes(), 0u);
-  const std::int64_t resident_with_base = gauge->value();
-  {
-    std::vector<std::shared_ptr<const CompiledModel>> variants;
-    for (const int batch : {2, 3, 8}) {
-      std::shared_ptr<const CompiledModel> v;
-      ASSERT_TRUE(CompiledModel::CompileBatchVariant(base, batch, &v).ok());
-      EXPECT_EQ(v->packed_weight_bytes(), 0u)
-          << "a batch variant must borrow, not own, the packed weights";
-      variants.push_back(std::move(v));
-    }
-    EXPECT_EQ(gauge->value(), resident_with_base)
-        << "compiling batch variants must not move the resident gauge";
-  }
-  EXPECT_EQ(gauge->value(), resident_with_base)
-      << "destroying batch variants must not move the resident gauge";
-}
-
 // ---------------------------------------------------------------------------
-// Kernel-level parity: the batch-variant sibling constructor against serial
+// Kernel-level parity: the batched sibling constructor against serial
 // per-sample runs of the base kernel, for the grouped binarized convolution
 // (no graph-level spelling exists for groups > 1) and for a geometry whose
 // row tiles straddle sample boundaries (out_h*out_w not a multiple of the
@@ -620,33 +515,34 @@ TEST(ServingBatch, NegativeDeadlineCompletesImmediatelyNotUpgraded) {
                                  stats.cancelled_in_queue + stats.admitted);
 }
 
-// Multi-variant pool: the capacity bound covers all batch sizes together,
-// and parked contexts of one batch size are evicted -- not leaked, not
-// overcounted -- when another batch size needs the slot.
+// The capacity bound covers all batch sizes together, and parked contexts
+// of one batch size are evicted -- not leaked, not overcounted -- when
+// another batch size needs the slot.
 TEST(ServingBatch, PoolBoundsResidentContextsAcrossBatchSizes) {
   auto model = CompileServingModel();
   std::shared_ptr<const CompiledModel> batch4;
-  ASSERT_TRUE(CompiledModel::CompileBatchVariant(model, 4, &batch4).ok());
-  ContextPool pool({model, batch4}, /*capacity=*/1);
+  ASSERT_TRUE(CompiledModel::Specialize(model, {4, 16, 16}, &batch4).ok());
+  ContextPool pool(model, /*capacity=*/1);
 
   std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(1, &ctx).ok());
-  EXPECT_EQ(ctx->model().batch(), 1);
+  ASSERT_TRUE(pool.Acquire({1, 16, 16}, &ctx).ok());
+  EXPECT_EQ(&ctx->model(), model.get());
   pool.Release(std::move(ctx), Status::Ok());
   EXPECT_EQ(pool.pooled(), 1);
 
   // Acquiring the other batch size with the lone slot parked under batch-1
   // must evict the idle batch-1 context, keeping resident <= capacity.
-  ASSERT_TRUE(pool.Acquire(4, &ctx).ok());
-  EXPECT_EQ(ctx->model().batch(), 4);
+  ASSERT_TRUE(pool.Acquire({4, 16, 16}, &ctx).ok());
+  EXPECT_EQ(&ctx->model(), batch4.get());
   EXPECT_EQ(pool.pooled(), 0);
   EXPECT_EQ(pool.outstanding(), 1);
   EXPECT_EQ(pool.evicted(), 1);
   pool.Release(std::move(ctx), Status::Ok());
   EXPECT_EQ(pool.pooled(), 1);
 
-  EXPECT_EQ(pool.Acquire(3, &ctx).code(), StatusCode::kInvalidArgument)
-      << "batch sizes without a compiled variant are refused";
+  EXPECT_EQ(pool.Acquire({3, 16, 16}, &ctx).code(),
+            StatusCode::kInvalidArgument)
+      << "batch sizes without a compiled specialization are refused";
 }
 
 // TSan target: concurrent clients against a batching server with random

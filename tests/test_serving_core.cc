@@ -218,7 +218,7 @@ TEST(ServingPool, ReuseIsBitIdenticalToFreshContext) {
   ContextPool pool(model, /*capacity=*/1);
 
   std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(&ctx).ok());
+  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
   FillInput(ctx->input(0), 7);
   Status s = ctx->Invoke(nullptr);
   ASSERT_TRUE(s.ok());
@@ -229,7 +229,7 @@ TEST(ServingPool, ReuseIsBitIdenticalToFreshContext) {
 
   // Second request reuses the pooled context; reset-on-return means the
   // input region starts zeroed and the output is bit-identical.
-  ASSERT_TRUE(pool.Acquire(&ctx).ok());
+  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
   EXPECT_EQ(pool.pooled(), 0);
   const float* in = ctx->input(0).data<float>();
   for (std::int64_t i = 0; i < ctx->input(0).num_elements(); ++i) {
@@ -248,13 +248,13 @@ TEST(ServingPool, CapacityIsAHardBound) {
   auto model = CompileServingModel();
   ContextPool pool(model, /*capacity=*/2);
   std::unique_ptr<ExecutionContext> a, b, c;
-  ASSERT_TRUE(pool.Acquire(&a).ok());
-  ASSERT_TRUE(pool.Acquire(&b).ok());
-  const Status s = pool.Acquire(&c);
+  ASSERT_TRUE(pool.Acquire(model->signature(), &a).ok());
+  ASSERT_TRUE(pool.Acquire(model->signature(), &b).ok());
+  const Status s = pool.Acquire(model->signature(), &c);
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(pool.outstanding(), 2);
   pool.Release(std::move(a), Status::Ok());
-  ASSERT_TRUE(pool.Acquire(&c).ok());
+  ASSERT_TRUE(pool.Acquire(model->signature(), &c).ok());
   pool.Release(std::move(b), Status::Ok());
   pool.Release(std::move(c), Status::Ok());
   EXPECT_EQ(pool.outstanding(), 0);
@@ -272,7 +272,7 @@ TEST(ServingPool, QuarantineAfterFailureThenBitIdenticalRecovery) {
   const std::int64_t quarantined_before = quarantined->value();
 
   std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(&ctx).ok());
+  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
   FillInput(ctx->input(0), 9);
   CancellationToken token;
   token.Cancel();
@@ -284,7 +284,7 @@ TEST(ServingPool, QuarantineAfterFailureThenBitIdenticalRecovery) {
 
   // Recovery: the next Acquire builds a replacement that reproduces the
   // reference bits.
-  ASSERT_TRUE(pool.Acquire(&ctx).ok());
+  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
   FillInput(ctx->input(0), 9);
   const Status s = ctx->Invoke(nullptr);
   ASSERT_TRUE(s.ok());
@@ -472,10 +472,16 @@ TEST(ServingServer, ShutdownDrainsPendingAsCancelled) {
       FillInput(ctx.input(0), 1);
     });
     started.get_future().wait();
-    pending = server.Submit([](ExecutionContext&) {
-      FAIL() << "drained requests must never execute";
-    });
-    gate_promise.set_value();
+    // The gate opens only once ~Server has drained `pending`: opening it
+    // earlier would race the lone executor, which could finish r0 and pick
+    // `pending` up before the destructor shuts the queue.
+    pending = server.Submit(
+        [](ExecutionContext&) {
+          FAIL() << "drained requests must never execute";
+        },
+        [&gate_promise](const Status&, ExecutionContext*) {
+          gate_promise.set_value();
+        });
     // ~Server: drains `pending` with kCancelled, finishes r0, joins.
   }
   ASSERT_TRUE(pending->done());

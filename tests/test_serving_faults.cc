@@ -82,7 +82,8 @@ class ServingFaults : public ::testing::Test {
                              const std::vector<float>& expected,
                              std::uint64_t seed) {
     std::unique_ptr<ExecutionContext> ctx;
-    ASSERT_TRUE(pool.Acquire(&ctx).ok());
+    // The default signature {1, 0, 0} is the root at its own resolution.
+    ASSERT_TRUE(pool.Acquire(InputSignature{}, &ctx).ok());
     FillInput(ctx->input(0), seed);
     const Status s = ctx->Invoke(nullptr);
     ASSERT_TRUE(s.ok()) << s.ToString();
@@ -109,7 +110,7 @@ TEST_F(ServingFaults, ArenaAllocFailureShedsInsteadOfAborting) {
 
   FaultInjector::Global().FailArenaAlloc(1);
   std::unique_ptr<ExecutionContext> ctx;
-  const Status s = pool.Acquire(&ctx);
+  const Status s = pool.Acquire(model->signature(), &ctx);
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
   EXPECT_EQ(ctx, nullptr);
   EXPECT_EQ(pool.outstanding(), 0) << "a failed Acquire must not leak a slot";
@@ -153,7 +154,7 @@ TEST_F(ServingFaults, ScratchAllocFailureReturnsResourceExhaustedMidModel) {
   ContextPool pool(model, /*capacity=*/1);
 
   std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(&ctx).ok());
+  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
   FillInput(ctx->input(0), 51);
   FaultInjector::Global().FailScratchAlloc(/*slot=*/-1, /*times=*/1);
   const Status s = ctx->Invoke(nullptr);
@@ -172,7 +173,7 @@ TEST_F(ServingFaults, InducedNodeErrorPropagatesVerbatim) {
   ContextPool pool(model, /*capacity=*/1);
 
   std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(&ctx).ok());
+  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
   FillInput(ctx->input(0), 52);
   FaultInjector::Global().FailNode(
       /*step=*/2, Status::Internal("induced kernel failure at step 2"));
@@ -195,7 +196,7 @@ TEST_F(ServingFaults, StalledShardMissesDeadlineMidModel) {
   ContextPool pool(model, /*capacity=*/1);
 
   std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(&ctx).ok());
+  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
   FillInput(ctx->input(0), 53);
   // Stall every shard-0 execution long past the deadline for the whole run.
   FaultInjector::Global().StallShard(/*shard=*/0, /*delay=*/30ms,

@@ -1,19 +1,21 @@
-// Shape-bucketed compilation tests (docs/SERVING.md, "Multi-resolution
-// serving"): the graph-level shape-variant clone, CompileShapeVariant
-// bit-exactness against fresh single-shape compiles (float, depthwise,
-// binary and int8 pipelines), the packed-weights-stay-flat guarantee, the
-// GetOrCompileShapeBucket registry (caching, cap enforcement, rejection
-// codes), batch variants of shape buckets, the (shape bucket, batch)
-// ContextPool key regression, shape-keyed batch formation in the
-// scheduler, and mixed-resolution serving end to end. Part of the CI
-// ThreadSanitizer job (name matches no serving regex, but the server tests
-// here run multi-threaded executors).
+// Specialization tests (docs/SERVING.md, "Batching semantics" and
+// "Multi-resolution serving"): the graph-level input-shape clone, one
+// bit-exactness helper over InputSignatures -- every lane of
+// Specialize(root, {batch, h, w}) against a fresh batch-1 compile at
+// (h, w), for float, depthwise, binary and int8 pipelines, square and not
+// -- the packed-weights-stay-flat guarantee over an (h, w) x batch grid,
+// the non-square-root routing regression, the registry (caching,
+// compile-once under concurrency, cap enforcement, rejection codes,
+// lifetime), the signature-keyed ContextPool, signature-keyed batch
+// formation in the scheduler, and mixed-resolution serving end to end.
+// Part of the CI ThreadSanitizer job (its regex names "shape_variant").
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "converter/convert.h"
@@ -48,14 +50,13 @@ using serving::ServerOptions;
 // re-derived geometry is non-trivial.
 // ---------------------------------------------------------------------------
 
-// Float conv + depthwise + binary conv + dense head at `input_hw` px,
+// Float conv + depthwise + binary conv + dense head at an h x w input,
 // converted to the inference dialect. Same builder seed at every
-// resolution, so two graphs differ ONLY in spatial dims -- a fresh compile
-// of MakeMixedGraph(hw) is the ground truth for the hw bucket.
-Graph MakeMixedGraph(int input_hw) {
+// resolution, so two graphs differ ONLY in spatial dims.
+Graph MakeMixedGraph(int h, int w) {
   Graph g;
   ModelBuilder b(g, 7);
-  int x = b.Input(input_hw, input_hw, 3);
+  int x = b.Input(h, w, 3);
   x = b.Conv(x, 8, 3, 2, Padding::kSameZero);
   x = b.BatchNorm(x);
   x = b.Relu(x);
@@ -68,9 +69,10 @@ Graph MakeMixedGraph(int input_hw) {
   LCE_CHECK(Convert(g).ok());
   return g;
 }
+Graph MakeMixedGraph(int input_hw) { return MakeMixedGraph(input_hw, input_hw); }
 
-// All-float model PTQ'd to int8: buckets must carry the requantization
-// pipeline bit-exactly too.
+// All-float model PTQ'd to int8: specializations must carry the
+// requantization pipeline bit-exactly too.
 Graph MakeInt8Graph(int input_hw) {
   Graph g;
   ModelBuilder b(g, 13);
@@ -169,145 +171,209 @@ TEST(ShapeVariantGraph, RejectsNonsenseAndNonImageInputs) {
       << "rank-2 inputs are not shape-bucketable";
 }
 
-// ---------------------------------------------------------------------------
-// CompileShapeVariant: bit-exactness and weight sharing.
-// ---------------------------------------------------------------------------
-
-// The contract: a bucket's outputs are bit-identical to a fresh
-// single-shape compile of the same architecture at that resolution.
-void ExpectBucketMatchesFreshCompile(Graph (*make)(int), int base_hw,
-                                     int bucket_hw, std::uint64_t seed) {
-  static std::vector<std::unique_ptr<Graph>>* keep =
-      new std::vector<std::unique_ptr<Graph>>();  // outlive the models
-  keep->push_back(std::make_unique<Graph>(make(base_hw)));
-  const Graph& base_graph = *keep->back();
-  keep->push_back(std::make_unique<Graph>(make(bucket_hw)));
-  const Graph& fresh_graph = *keep->back();
-
-  std::shared_ptr<const CompiledModel> root, fresh, bucket;
-  ASSERT_TRUE(CompiledModel::Compile(base_graph, {}, &root).ok());
-  ASSERT_TRUE(CompiledModel::Compile(fresh_graph, {}, &fresh).ok());
+TEST(ShapeVariantGraph, CloneMatchesAFreshBuildAtTheNewResolution) {
+  // The clone is the reference every specialization below is checked
+  // against, so it is pinned once to an independent build of the same
+  // architecture at the clone's resolution.
+  const Graph base = MakeMixedGraph(16);
+  const Graph built = MakeMixedGraph(24, 32);
+  std::unique_ptr<Graph> clone;
   ASSERT_TRUE(
-      CompiledModel::CompileShapeVariant(root, bucket_hw, &bucket).ok());
-  ASSERT_EQ(bucket->input_hw(), bucket_hw);
-  EXPECT_EQ(bucket->base_model(), root.get());
-
-  const std::vector<float> want = RunOnce(fresh, seed);
-  const std::vector<float> got = RunOnce(bucket, seed);
-  ASSERT_EQ(got.size(), want.size());
-  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
-                           want.size() * sizeof(float)))
-      << "bucket " << bucket_hw << " (root " << base_hw
-      << ") diverged from a fresh single-shape compile";
+      CloneGraphWithInputShapes(base, {Shape{1, 24, 32, 3}}, &clone).ok());
+  std::shared_ptr<const CompiledModel> from_clone, from_build;
+  ASSERT_TRUE(CompiledModel::Compile(*clone, {}, &from_clone).ok());
+  ASSERT_TRUE(CompiledModel::Compile(built, {}, &from_build).ok());
+  EXPECT_EQ(RunOnce(from_clone, 900), RunOnce(from_build, 900));
 }
 
-TEST(ShapeVariant, MixedPipelineBitExactUpAndDownsized) {
-  // Both directions: a bucket smaller and larger than the root.
-  ExpectBucketMatchesFreshCompile(MakeMixedGraph, 16, 24, 1000);
-  ExpectBucketMatchesFreshCompile(MakeMixedGraph, 16, 8, 1001);
-  ExpectBucketMatchesFreshCompile(MakeMixedGraph, 24, 32, 1002);
+// ---------------------------------------------------------------------------
+// Specialize: bit-exactness and weight sharing.
+// ---------------------------------------------------------------------------
+
+// Keeps the graphs compiled below alive for the models that borrow them.
+std::vector<std::unique_ptr<Graph>>& KeptGraphs() {
+  static auto* keep = new std::vector<std::unique_ptr<Graph>>();
+  return *keep;
 }
 
-TEST(ShapeVariant, Int8RequantizePipelineBitExact) {
-  // PTQ calibration is resolution-dependent (activation ranges shift with
-  // spatial extent), so re-running QuantizeModelInt8 at the bucket
-  // resolution would bake different quantization parameters -- not a
-  // comparable reference. The ground truth for an int8 bucket is a fresh
-  // independent compile of the SAME quantized graph cloned to the bucket
-  // resolution: identical quant params, no weight sharing.
-  static std::vector<std::unique_ptr<Graph>>* keep =
-      new std::vector<std::unique_ptr<Graph>>();
-  keep->push_back(std::make_unique<Graph>(MakeInt8Graph(16)));
-  const Graph& base_graph = *keep->back();
+std::shared_ptr<const CompiledModel> CompileRoot(Graph graph) {
+  KeptGraphs().push_back(std::make_unique<Graph>(std::move(graph)));
   std::shared_ptr<const CompiledModel> root;
-  ASSERT_TRUE(CompiledModel::Compile(base_graph, {}, &root).ok());
+  LCE_CHECK(CompiledModel::Compile(*KeptGraphs().back(), {}, &root).ok());
+  return root;
+}
 
-  for (const int hw : {24, 8}) {
-    std::unique_ptr<Graph> clone;
-    ASSERT_TRUE(CloneGraphWithInputSize(base_graph, hw, &clone).ok());
-    keep->push_back(std::move(clone));
-    std::shared_ptr<const CompiledModel> fresh, bucket;
-    ASSERT_TRUE(CompiledModel::Compile(*keep->back(), {}, &fresh).ok());
-    ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, hw, &bucket).ok());
-    const std::uint64_t seed = 2000 + static_cast<std::uint64_t>(hw);
-    const std::vector<float> want = RunOnce(fresh, seed);
-    const std::vector<float> got = RunOnce(bucket, seed);
-    ASSERT_EQ(got.size(), want.size());
-    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+// The one bit-exactness contract: every lane of Specialize(root, sig) is
+// bit-identical to a fresh batch-1 compile at (sig.h, sig.w) -- the root
+// graph cloned to [1, h, w, C] and compiled on its own, no weight sharing.
+// For int8 this is the only sound reference: PTQ calibration is
+// resolution-dependent, so re-quantizing at (h, w) would be another model.
+void ExpectSpecializationMatchesFresh(
+    const std::shared_ptr<const CompiledModel>& root, InputSignature sig,
+    std::uint64_t seed) {
+  const Graph& g = root->graph();
+  const std::int64_t channels = g.value(g.input_ids()[0]).shape.dim(3);
+  std::unique_ptr<Graph> clone;
+  ASSERT_TRUE(CloneGraphWithInputShapes(
+                  g, {Shape{1, sig.h, sig.w, channels}}, &clone)
+                  .ok());
+  KeptGraphs().push_back(std::move(clone));
+  std::shared_ptr<const CompiledModel> fresh, spec;
+  ASSERT_TRUE(CompiledModel::Compile(*KeptGraphs().back(), {}, &fresh).ok());
+  ASSERT_TRUE(CompiledModel::Specialize(root, sig, &spec).ok());
+  ASSERT_EQ(spec->signature(), sig);
+  EXPECT_EQ(spec->base_model(), root.get());
+  EXPECT_EQ(spec->packed_weight_bytes(), 0u)
+      << "a specialization must borrow, not own, the packed weights";
+
+  ExecutionContext ctx(spec);
+  for (int i = 0; i < sig.batch; ++i) {
+    ctx.set_io_lane(i);
+    FillInput(ctx.input(0), seed + static_cast<std::uint64_t>(i));
+  }
+  ctx.clear_io_lane();
+  CancellationToken none;
+  ASSERT_TRUE(ctx.Invoke(&none).ok());
+  for (int i = 0; i < sig.batch; ++i) {
+    const std::vector<float> want =
+        RunOnce(fresh, seed + static_cast<std::uint64_t>(i));
+    ctx.set_io_lane(i);
+    const Tensor out = ctx.output(0);
+    ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size());
+    EXPECT_EQ(0, std::memcmp(out.data<float>(), want.data(),
                              want.size() * sizeof(float)))
-        << "int8 bucket " << hw << " diverged from the fresh compile of "
-           "its own clone";
+        << "lane " << i << " of " << sig.ToString()
+        << " diverged from a fresh batch-1 compile";
   }
 }
 
-TEST(ShapeVariant, OwnResolutionReturnsTheRootItself) {
-  static const Graph* g = new Graph(MakeMixedGraph(16));
-  std::shared_ptr<const CompiledModel> root, same;
-  ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-  ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, 16, &same).ok());
-  EXPECT_EQ(same.get(), root.get());
+TEST(Specialize, MixedPipelineBitExactAcrossSignatures) {
+  const auto root16 = CompileRoot(MakeMixedGraph(16));
+  for (const InputSignature sig :
+       {InputSignature{1, 24, 24}, InputSignature{1, 8, 8},
+        InputSignature{2, 16, 16}, InputSignature{3, 16, 16},
+        InputSignature{8, 16, 16}, InputSignature{3, 24, 24},
+        InputSignature{1, 24, 32}, InputSignature{2, 32, 24}}) {
+    ExpectSpecializationMatchesFresh(root16, sig, 1000 + sig.batch * 64 +
+                                                      sig.h + sig.w);
+  }
+  const auto root24 = CompileRoot(MakeMixedGraph(24));
+  ExpectSpecializationMatchesFresh(root24, {1, 32, 32}, 1002);
 }
 
-TEST(ShapeVariant, PackedWeightsStayFlatAcrossBuckets) {
-  static const Graph* g = new Graph(MakeMixedGraph(16));
+TEST(Specialize, Int8RequantizePipelineBitExactAcrossSignatures) {
+  const auto root = CompileRoot(MakeInt8Graph(16));
+  for (const InputSignature sig :
+       {InputSignature{1, 24, 24}, InputSignature{1, 8, 8},
+        InputSignature{2, 16, 16}, InputSignature{3, 16, 16},
+        InputSignature{8, 16, 16}, InputSignature{1, 24, 32},
+        InputSignature{2, 32, 24}}) {
+    ExpectSpecializationMatchesFresh(root, sig, 2000 + sig.batch * 64 +
+                                                    sig.h + sig.w);
+  }
+}
+
+TEST(Specialize, RootSignatureReturnsTheRootItself) {
+  const auto root = CompileRoot(MakeMixedGraph(16));
+  ASSERT_EQ(root->signature(), (InputSignature{1, 16, 16}));
+  for (const InputSignature sig :
+       {InputSignature{1, 16, 16}, InputSignature{1, 0, 0}}) {
+    std::shared_ptr<const CompiledModel> same;
+    ASSERT_TRUE(CompiledModel::Specialize(root, sig, &same).ok());
+    EXPECT_EQ(same.get(), root.get()) << sig.ToString();
+  }
+  std::shared_ptr<const CompiledModel> same;
+  ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 16, &same).ok());
+  EXPECT_EQ(same.get(), root.get());
+  EXPECT_EQ(root->shape_bucket_count(), 1) << "nothing was registered";
+}
+
+TEST(Specialize, PackedWeightsStayFlatOverAShapeByBatchGrid) {
   auto* gauge = telemetry::MetricsRegistry::Global().Gauge(
       "weights.resident_packed_bytes");
-  std::shared_ptr<const CompiledModel> root;
-  ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-  ASSERT_GT(root->packed_weight_bytes(), 0u);
-  const std::int64_t resident_with_root = gauge->value();
+  const std::int64_t resident_before = gauge->value();
   {
-    std::vector<std::shared_ptr<const CompiledModel>> buckets;
-    for (const int hw : {8, 24, 32}) {
-      std::shared_ptr<const CompiledModel> v;
-      ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, hw, &v).ok());
-      EXPECT_EQ(v->packed_weight_bytes(), 0u)
-          << "a shape bucket must borrow, not own, the packed weights";
-      buckets.push_back(std::move(v));
+    const auto root = CompileRoot(MakeMixedGraph(16));
+    ASSERT_GT(root->packed_weight_bytes(), 0u);
+    const std::int64_t resident_with_root = gauge->value();
+    for (const int hw : {8, 16, 24, 32}) {
+      for (const int batch : {1, 2, 3, 8}) {
+        std::shared_ptr<const CompiledModel> spec;
+        ASSERT_TRUE(
+            CompiledModel::Specialize(root, {batch, hw, hw}, &spec).ok());
+        EXPECT_EQ(spec->packed_weight_bytes(),
+                  spec == root ? root->packed_weight_bytes() : 0u);
+      }
     }
     EXPECT_EQ(gauge->value(), resident_with_root)
-        << "compiling shape buckets must not move the resident gauge";
+        << "specializing must not move the resident gauge";
+    EXPECT_EQ(root->shape_bucket_count(), 4);
   }
-  EXPECT_EQ(gauge->value(), resident_with_root)
-      << "destroying shape buckets must not move the resident gauge";
+  EXPECT_EQ(gauge->value(), resident_before)
+      << "releasing the root must release its weights exactly once";
 }
 
-TEST(ShapeVariant, BatchVariantOfABucketIsBitExact) {
-  // The chained case the serving layer relies on: batch-N variant OF a
-  // shape bucket, weights aliased through two hops back to the root.
-  static const Graph* g = new Graph(MakeMixedGraph(16));
-  std::shared_ptr<const CompiledModel> root, bucket, batched;
-  ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-  ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, 24, &bucket).ok());
-  ASSERT_TRUE(CompiledModel::CompileBatchVariant(bucket, 3, &batched).ok());
-  EXPECT_EQ(batched->batch(), 3);
-  EXPECT_EQ(batched->shape_bucket_hw(), 24);
-  EXPECT_EQ(batched->packed_weight_bytes(), 0u);
-
-  std::vector<std::vector<float>> refs;
-  for (int i = 0; i < 3; ++i) {
-    refs.push_back(RunOnce(bucket, 3000 + static_cast<std::uint64_t>(i)));
-  }
-  ExecutionContext ctx(batched);
+TEST(Specialize, GraphWithoutAnImageInputStillBatches) {
+  // Signature {n, 0, 0}: nothing to resize, but the batch still widens.
+  Graph vec;
+  ModelBuilder b(vec, 5);
+  int x = vec.AddInput("x", DataType::kFloat32, Shape{1, 12});
+  x = b.Dense(x, 6, Activation::kRelu);
+  vec.MarkOutput(b.Dense(x, 4));
+  const auto root = CompileRoot(std::move(vec));
+  ASSERT_EQ(root->signature(), (InputSignature{1, 0, 0}));
+  std::shared_ptr<const CompiledModel> spec;
+  EXPECT_EQ(CompiledModel::Specialize(root, {1, 8, 8}, &spec).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(CompiledModel::Specialize(root, {3, 0, 0}, &spec).ok());
+  ExecutionContext ctx(spec);
   for (int i = 0; i < 3; ++i) {
     ctx.set_io_lane(i);
-    FillInput(ctx.input(0), 3000 + static_cast<std::uint64_t>(i));
+    FillInput(ctx.input(0), 960 + static_cast<std::uint64_t>(i));
   }
   ctx.clear_io_lane();
   ctx.Invoke();
   for (int i = 0; i < 3; ++i) {
     ctx.set_io_lane(i);
     const Tensor out = ctx.output(0);
-    EXPECT_EQ(0, std::memcmp(out.data<float>(),
-                             refs[static_cast<std::size_t>(i)].data(),
-                             refs[static_cast<std::size_t>(i)].size() *
-                                 sizeof(float)))
-        << "lane " << i << " diverged from its bucket batch-1 reference";
+    EXPECT_EQ(std::vector<float>(out.data<float>(),
+                                 out.data<float>() + out.num_elements()),
+              RunOnce(root, 960 + static_cast<std::uint64_t>(i)))
+        << "lane " << i;
   }
 }
 
+// A non-square root is never a square bucket: a 16 px request must get a
+// [1, 16, 16, 3] specialization, not the 16x24 root and its arena, while
+// unshaped requests keep the root's own 16x24 input.
+TEST(Specialize, NonSquareRootIsNeverServedAsASquareBucket) {
+  static const Graph* g = new Graph(MakeMixedGraph(16, 24));
+  std::shared_ptr<const CompiledModel> root, bucket, fresh;
+  ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
+  ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 16, &bucket).ok());
+  ASSERT_NE(bucket.get(), root.get());
+  const Shape in = bucket->graph().value(bucket->graph().input_ids()[0]).shape;
+  EXPECT_EQ(in, (Shape{1, 16, 16, 3}));
+
+  std::unique_ptr<Graph> clone;
+  ASSERT_TRUE(CloneGraphWithInputSize(*g, 16, &clone).ok());
+  ASSERT_TRUE(CompiledModel::Compile(*clone, {}, &fresh).ok());
+  EXPECT_EQ(RunOnce(bucket, 950), RunOnce(fresh, 950));
+
+  Server server(root, ServerOptions{});
+  std::vector<std::int64_t> seen;
+  auto fill = [&seen](ExecutionContext& ctx) {
+    seen.push_back(ctx.input(0).shape().dim(1));
+    seen.push_back(ctx.input(0).shape().dim(2));
+    FillInput(ctx.input(0), 951);
+  };
+  ASSERT_TRUE(server.Infer(16, fill).ok());
+  ASSERT_TRUE(server.Infer(fill).ok());
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{16, 16, 16, 24}));
+}
+
 // ---------------------------------------------------------------------------
-// The bucket registry: caching, the eager CompileOptions list, the cap.
+// The registry: caching, compile-once, the cap, rejection codes, lifetime.
 // ---------------------------------------------------------------------------
 
 TEST(ShapeBucketRegistry, CachesCompiledBucketsByResolution) {
@@ -328,31 +394,33 @@ TEST(ShapeBucketRegistry, CachesCompiledBucketsByResolution) {
   ASSERT_EQ(res.size(), 2u);
   EXPECT_EQ(res[0], 16);
   EXPECT_EQ(res[1], 24);
-  // A variant reports its root's registry.
+  // A specialization reports its root's registry.
   EXPECT_EQ(a->ShapeBucketResolutions(), res);
 }
 
-TEST(ShapeBucketRegistry, EagerCompileOptionsResolutionsArePrecompiled) {
+TEST(ShapeBucketRegistry, ConcurrentFirstRequestsCompileOnce) {
   static const Graph* g = new Graph(MakeMixedGraph(16));
-  CompileOptions opts;
-  opts.input_resolutions = {24, 32, 16};  // own resolution is a no-op entry
   std::shared_ptr<const CompiledModel> root;
-  ASSERT_TRUE(CompiledModel::Compile(*g, opts, &root).ok());
-  const std::vector<int> res = root->ShapeBucketResolutions();
-  ASSERT_EQ(res.size(), 3u);
-  EXPECT_EQ(res[0], 16);
-  EXPECT_EQ(res[1], 24);
-  EXPECT_EQ(res[2], 32);
-}
+  ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
+  auto* gauge = telemetry::MetricsRegistry::Global().Gauge(
+      "weights.resident_packed_bytes");
+  const std::int64_t resident = gauge->value();
+  const std::size_t buckets_before = root->ShapeBucketResolutions().size();
 
-TEST(ShapeBucketRegistry, MisconfiguredEagerListFailsCompile) {
-  static const Graph* g = new Graph(MakeMixedGraph(16));
-  CompileOptions opts;
-  opts.input_resolutions = {24, -3};
-  std::shared_ptr<const CompiledModel> root;
-  EXPECT_EQ(CompiledModel::Compile(*g, opts, &root).code(),
-            StatusCode::kInvalidArgument)
-      << "a bad bucket list must fail at startup, not on first request";
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const CompiledModel>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&root, &got, i] {
+      LCE_CHECK(CompiledModel::Specialize(root, {1, 24, 24},
+                                          &got[static_cast<std::size_t>(i)])
+                    .ok());
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& m : got) EXPECT_EQ(m.get(), got.front().get());
+  EXPECT_EQ(root->ShapeBucketResolutions().size(), buckets_before + 1);
+  EXPECT_EQ(gauge->value(), resident);
 }
 
 TEST(ShapeBucketRegistry, CapRejectsUnseenResolutionsResourceExhausted) {
@@ -368,9 +436,12 @@ TEST(ShapeBucketRegistry, CapRejectsUnseenResolutionsResourceExhausted) {
   EXPECT_EQ(CompiledModel::GetOrCompileShapeBucket(root, 40, &v).code(),
             StatusCode::kResourceExhausted)
       << "a client cycling resolutions must not compile unbounded variants";
-  // Registered buckets (and the root) stay servable at the cap.
+  // Registered buckets (and the root) stay servable at the cap, and batch
+  // sizes of a registered resolution do not count against it.
   ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 24, &v).ok());
   ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 16, &v).ok());
+  ASSERT_TRUE(CompiledModel::Specialize(root, {2, 24, 24}, &v).ok());
+  EXPECT_EQ(root->shape_bucket_count(), 3);
 }
 
 TEST(ShapeBucketRegistry, RejectionCodesMatchTheValidatorContract) {
@@ -386,33 +457,33 @@ TEST(ShapeBucketRegistry, RejectionCodesMatchTheValidatorContract) {
 }
 
 TEST(ShapeBucketRegistry, ReleasingTheRootFreesEveryBucket) {
-  // The root owns its registered buckets; a bucket only shares the root's
-  // ownership. So a held bucket, or a batch variant of one, keeps the root
-  // alive, and once the root, the server and the contexts are gone nothing
-  // of the model -- root, buckets, variants, packed weights -- is resident.
+  // The root owns every registered specialization; a specialization only
+  // shares the root's ownership. So a held bucket, or a batch entry, keeps
+  // the root alive, and once the root, the server and the contexts are
+  // gone nothing of the model -- root, buckets, batch entries, packed
+  // weights -- is resident.
   static const Graph* g = new Graph(MakeMixedGraph(16));
   auto* gauge = telemetry::MetricsRegistry::Global().Gauge(
       "weights.resident_packed_bytes");
   const std::int64_t resident_before = gauge->value();
   std::weak_ptr<const CompiledModel> weak_root;
   {
-    CompileOptions opts;
-    opts.input_resolutions = {24, 32};
     std::shared_ptr<const CompiledModel> root;
-    ASSERT_TRUE(CompiledModel::Compile(*g, opts, &root).ok());
+    ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
     weak_root = root;
     EXPECT_GT(gauge->value(), resident_before);
 
     ServerOptions server_opts;
     server_opts.max_inflight = 1;
     server_opts.max_batch_size = 2;
+    server_opts.input_resolutions = {24};
     auto server = std::make_unique<Server>(root, server_opts);
     auto fill = [](ExecutionContext& ctx) { FillInput(ctx.input(0), 1); };
     ASSERT_TRUE(server->Infer(32, fill).ok());
 
     std::shared_ptr<const CompiledModel> bucket, batched;
     ASSERT_TRUE(CompiledModel::GetOrCompileShapeBucket(root, 24, &bucket).ok());
-    ASSERT_TRUE(CompiledModel::CompileBatchVariant(bucket, 2, &batched).ok());
+    ASSERT_TRUE(CompiledModel::Specialize(root, {3, 32, 32}, &batched).ok());
     auto ctx = std::make_unique<ExecutionContext>(bucket);
     fill(*ctx);
     ctx->Invoke();
@@ -423,7 +494,7 @@ TEST(ShapeBucketRegistry, ReleasingTheRootFreesEveryBucket) {
     EXPECT_FALSE(weak_root.expired()) << "a live context must pin its root";
     ctx.reset();
     EXPECT_FALSE(weak_root.expired())
-        << "a live batch variant of a bucket must pin its root";
+        << "a live batch entry must pin its root";
     {
       ExecutionContext batched_ctx(batched);
       batched_ctx.Invoke();
@@ -431,61 +502,64 @@ TEST(ShapeBucketRegistry, ReleasingTheRootFreesEveryBucket) {
     batched.reset();
   }
   EXPECT_TRUE(weak_root.expired())
-      << "a root with registered buckets outlived every reference to it";
+      << "a root with registered specializations outlived every reference "
+         "to it";
   EXPECT_EQ(gauge->value(), resident_before);
 }
 
 // ---------------------------------------------------------------------------
-// ContextPool keyed by (shape bucket, batch) -- the regression that
-// motivated generalizing the free-list key: two buckets sharing a batch
-// size must never trade arenas.
+// ContextPool keyed by signature -- the regression that motivated keying
+// free lists on more than the batch size: two buckets sharing a batch size
+// must never trade arenas.
 // ---------------------------------------------------------------------------
 
 TEST(ShapeBucketPool, AcquireSelectsByShapeAndBatchNeverByBatchAlone) {
   static const Graph* g = new Graph(MakeMixedGraph(16));
-  std::shared_ptr<const CompiledModel> root, b24;
+  std::shared_ptr<const CompiledModel> root, root_x2, b24_x2, unused;
   ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-  ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, 24, &b24).ok());
-  std::shared_ptr<const CompiledModel> root_x2, b24_x2;
-  ASSERT_TRUE(CompiledModel::CompileBatchVariant(root, 2, &root_x2).ok());
-  ASSERT_TRUE(CompiledModel::CompileBatchVariant(b24, 2, &b24_x2).ok());
+  ASSERT_TRUE(CompiledModel::Specialize(root, {2, 16, 16}, &root_x2).ok());
+  ASSERT_TRUE(CompiledModel::Specialize(root, {1, 24, 24}, &unused).ok());
+  ASSERT_TRUE(CompiledModel::Specialize(root, {2, 24, 24}, &b24_x2).ok());
 
-  ContextPool pool({root, root_x2, b24, b24_x2}, /*capacity=*/4);
+  ContextPool pool(root, /*capacity=*/4);
 
   // Same batch size, different buckets: each Acquire must land on the
   // model whose arena matches the requested resolution.
   std::unique_ptr<ExecutionContext> c16, c24;
-  ASSERT_TRUE(pool.Acquire(16, 2, &c16).ok());
-  ASSERT_TRUE(pool.Acquire(24, 2, &c24).ok());
+  ASSERT_TRUE(pool.Acquire({2, 16, 16}, &c16).ok());
+  ASSERT_TRUE(pool.Acquire({2, 24, 24}, &c24).ok());
   EXPECT_EQ(&c16->model(), root_x2.get());
   EXPECT_EQ(&c24->model(), b24_x2.get());
   EXPECT_EQ(c16->input(0).shape().dim(1), 16);
   EXPECT_EQ(c24->input(0).shape().dim(1), 24);
 
-  // Release resolves by model identity: each context parks under its own
-  // variant and comes back for the matching key.
+  // Each context parks under its own signature and comes back for it.
   pool.Release(std::move(c16), Status::Ok());
   pool.Release(std::move(c24), Status::Ok());
-  ASSERT_TRUE(pool.Acquire(24, 2, &c24).ok());
+  ASSERT_TRUE(pool.Acquire({2, 24, 24}, &c24).ok());
   EXPECT_EQ(&c24->model(), b24_x2.get());
 
-  // A key that was never registered is an error, never a wrong arena.
+  // A signature that was never registered is an error, never a wrong arena.
   std::unique_ptr<ExecutionContext> miss;
-  EXPECT_EQ(pool.Acquire(32, 1, &miss).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(pool.Acquire(16, 3, &miss).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.Acquire({1, 32, 32}, &miss).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.Acquire({3, 16, 16}, &miss).code(),
+            StatusCode::kInvalidArgument);
+  pool.Release(std::move(c24), Status::Ok());
 }
 
-TEST(ShapeBucketPool, AddModelsRegistersLazyBucketsAndDedups) {
+TEST(ShapeBucketPool, SeesRegistryGrowthButNeverCompiles) {
   static const Graph* g = new Graph(MakeMixedGraph(16));
   std::shared_ptr<const CompiledModel> root, b24;
   ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-  ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, 24, &b24).ok());
 
   ContextPool pool(root, /*capacity=*/2);
   std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_EQ(pool.Acquire(24, 1, &ctx).code(), StatusCode::kInvalidArgument);
-  pool.AddModels({b24, b24, root});  // duplicates and re-registrations
-  ASSERT_TRUE(pool.Acquire(24, 1, &ctx).ok());
+  ASSERT_EQ(pool.Acquire({1, 24, 24}, &ctx).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(root->shape_bucket_count(), 1) << "Acquire must not compile";
+  ASSERT_TRUE(CompiledModel::Specialize(root, {1, 24, 24}, &b24).ok());
+  ASSERT_TRUE(pool.Acquire({1, 24, 24}, &ctx).ok());
   EXPECT_EQ(&ctx->model(), b24.get());
   pool.Release(std::move(ctx), Status::Ok());
 }
@@ -497,19 +571,19 @@ TEST(ShapeBucketPool, EvictionRealizesCrossBucketArenaHighWater) {
   static const Graph* g = new Graph(MakeMixedGraph(16));
   std::shared_ptr<const CompiledModel> root, b24;
   ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-  ASSERT_TRUE(CompiledModel::CompileShapeVariant(root, 24, &b24).ok());
+  ASSERT_TRUE(CompiledModel::Specialize(root, {1, 24, 24}, &b24).ok());
   auto* resident = telemetry::MetricsRegistry::Global().Gauge(
       "serving.resident_arena_bytes");
   const std::int64_t before = resident->value();
 
-  ContextPool pool({root, b24}, /*capacity=*/1);
+  ContextPool pool(root, /*capacity=*/1);
   const std::int64_t evicted_before = pool.evicted();
   std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(16, 1, &ctx).ok());
+  ASSERT_TRUE(pool.Acquire({1, 16, 16}, &ctx).ok());
   pool.Release(std::move(ctx), Status::Ok());
   // The parked 16px context occupies the only slot; a 24px request forces
   // the eviction instead of overshooting capacity.
-  ASSERT_TRUE(pool.Acquire(24, 1, &ctx).ok());
+  ASSERT_TRUE(pool.Acquire({1, 24, 24}, &ctx).ok());
   EXPECT_EQ(&ctx->model(), b24.get());
   EXPECT_EQ(pool.evicted() - evicted_before, 1);
   EXPECT_EQ(pool.outstanding(), 1);
@@ -522,14 +596,14 @@ TEST(ShapeBucketPool, EvictionRealizesCrossBucketArenaHighWater) {
 }
 
 // ---------------------------------------------------------------------------
-// Shape-keyed batch formation.
+// Signature-keyed batch formation.
 // ---------------------------------------------------------------------------
 
-BatchItem KeyedItem(int shape_key) {
+BatchItem KeyedItem(int hw) {
   BatchItem item;
   item.enqueue_ns = telemetry::NowNanos();
   item.deadline_ns = CancellationToken::kNoDeadline;
-  item.shape_key = shape_key;
+  item.signature = {1, hw, hw};
   return item;
 }
 
@@ -546,11 +620,11 @@ TEST(ShapeKeyedBatching, BatchesNeverMixKeysAndPreserveFifoWithinKeys) {
   // leapfrogging the queued 24s without reordering them.
   std::vector<BatchItem> batch = sched.NextBatch();
   ASSERT_EQ(batch.size(), 3u);
-  for (const BatchItem& item : batch) EXPECT_EQ(item.shape_key, 16);
+  for (const BatchItem& item : batch) EXPECT_EQ(item.signature.h, 16);
   // Second batch: the two 24s.
   batch = sched.NextBatch();
   ASSERT_EQ(batch.size(), 2u);
-  for (const BatchItem& item : batch) EXPECT_EQ(item.shape_key, 24);
+  for (const BatchItem& item : batch) EXPECT_EQ(item.signature.h, 24);
   EXPECT_EQ(sched.depth(), 0);
 }
 
@@ -566,8 +640,8 @@ TEST(ShapeKeyedBatching, SizeCloseCountsHeadKeyMembersOnly) {
   ASSERT_TRUE(sched.TryEnqueue(KeyedItem(16)).ok());
   const std::vector<BatchItem> batch = sched.NextBatch();
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].shape_key, 16);
-  EXPECT_EQ(batch[1].shape_key, 16);
+  EXPECT_EQ(batch[0].signature.h, 16);
+  EXPECT_EQ(batch[1].signature.h, 16);
   EXPECT_EQ(sched.closed_full(), 1);
   EXPECT_EQ(sched.depth(), 1) << "the 24 must still be queued";
 }

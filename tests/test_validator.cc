@@ -330,7 +330,7 @@ TEST(Validator, PrepareEnforcesArenaLimit) {
 TEST(Validator, ShapeBucketAcceptsLegitimateResolutions) {
   const Graph g = SmallModel();
   for (const int hw : {1, 8, 96, 224, 320, 4096}) {
-    const Status s = ValidateShapeBucketRequest(g, hw);
+    const Status s = ValidateShapeBucketRequest(g, {1, hw, hw});
     EXPECT_TRUE(s.ok()) << "hw=" << hw << ": " << s.message();
   }
 }
@@ -338,7 +338,7 @@ TEST(Validator, ShapeBucketAcceptsLegitimateResolutions) {
 TEST(Validator, ShapeBucketRejectsZeroAndNegativeResolutions) {
   const Graph g = SmallModel();
   for (const int hw : {0, -1, -224, std::numeric_limits<int>::min()}) {
-    EXPECT_EQ(ValidateShapeBucketRequest(g, hw).code(),
+    EXPECT_EQ(ValidateShapeBucketRequest(g, {1, hw, hw}).code(),
               StatusCode::kInvalidArgument)
         << "hw=" << hw;
   }
@@ -350,7 +350,7 @@ TEST(Validator, ShapeBucketRejectsOverLimitResolutions) {
   // overflow 32-bit math: both must be clean kResourceExhausted (the cap
   // fires before the overflow check can matter).
   for (const int hw : {4097, 1 << 20, std::numeric_limits<int>::max()}) {
-    EXPECT_EQ(ValidateShapeBucketRequest(g, hw).code(),
+    EXPECT_EQ(ValidateShapeBucketRequest(g, {1, hw, hw}).code(),
               StatusCode::kResourceExhausted)
         << "hw=" << hw;
   }
@@ -358,31 +358,51 @@ TEST(Validator, ShapeBucketRejectsOverLimitResolutions) {
   // bounds the resized input tensor.
   ResourceLimits generous = ResourceLimits::Unlimited();
   generous.max_tensor_elements = 1 << 20;
-  EXPECT_EQ(ValidateShapeBucketRequest(g, 1 << 15, generous).code(),
-            StatusCode::kResourceExhausted)
+  EXPECT_EQ(
+      ValidateShapeBucketRequest(g, {1, 1 << 15, 1 << 15}, generous).code(),
+      StatusCode::kResourceExhausted)
       << "3 * (32768^2) elements must trip the tensor cap";
-  // And a resolution whose square overflows int64 is rejected (not UB)
-  // even with every limit at int64 max.
-  EXPECT_FALSE(ValidateShapeBucketRequest(g, std::numeric_limits<int>::max(),
+  // And a signature whose element count overflows int64 is rejected (not
+  // UB) even with every limit at int64 max.
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  EXPECT_FALSE(ValidateShapeBucketRequest(g, {1, kIntMax, kIntMax},
                                           ResourceLimits::Unlimited())
                    .ok());
+}
+
+TEST(Validator, ShapeBucketScreensBatchAndEachSpatialExtent) {
+  const Graph g = SmallModel();
+  EXPECT_TRUE(ValidateShapeBucketRequest(g, {8, 24, 32}).ok())
+      << "non-square and batched signatures are admissible";
+  for (const int batch : {0, -3}) {
+    EXPECT_EQ(ValidateShapeBucketRequest(g, {batch, 32, 32}).code(),
+              StatusCode::kInvalidArgument)
+        << "batch=" << batch;
+  }
+  EXPECT_EQ(ValidateShapeBucketRequest(g, {1, 32, 0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateShapeBucketRequest(g, {1, 32, 4097}).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(ValidateShapeBucketRequest(g, {1 << 30, 4096, 4096}).code(),
+            StatusCode::kResourceExhausted)
+      << "the batch multiplies into the per-tensor element cap";
 }
 
 TEST(Validator, ShapeBucketRequiresImageShapedBatch1Inputs) {
   Graph vec;
   const int x = vec.AddInput("x", DataType::kFloat32, Shape{1, 10});
   vec.MarkOutput(x);
-  EXPECT_EQ(ValidateShapeBucketRequest(vec, 32).code(),
+  EXPECT_EQ(ValidateShapeBucketRequest(vec, {1, 32, 32}).code(),
             StatusCode::kInvalidArgument);
 
   Graph batched;
   const int y =
       batched.AddInput("y", DataType::kFloat32, Shape{2, 16, 16, 3});
   batched.MarkOutput(y);
-  EXPECT_EQ(ValidateShapeBucketRequest(batched, 32).code(),
+  EXPECT_EQ(ValidateShapeBucketRequest(batched, {1, 32, 32}).code(),
             StatusCode::kInvalidArgument)
-      << "buckets are batch-1 by construction; batch-N comes from "
-         "CompileBatchVariant on top";
+      << "specializations widen a batch-1 root; a batch-N root cannot be "
+         "specialized";
 }
 
 TEST(Validator, ShapeBucketAbsurdBucketCountIsCappedByTheRegistry) {
@@ -392,9 +412,9 @@ TEST(Validator, ShapeBucketAbsurdBucketCountIsCappedByTheRegistry) {
   const Graph g = SmallModel();
   ResourceLimits limits;
   limits.max_shape_buckets = std::numeric_limits<std::int64_t>::max();
-  EXPECT_TRUE(ValidateShapeBucketRequest(g, 64, limits).ok());
+  EXPECT_TRUE(ValidateShapeBucketRequest(g, {1, 64, 64}, limits).ok());
   limits.max_shape_buckets = 0;
-  EXPECT_TRUE(ValidateShapeBucketRequest(g, 64, limits).ok())
+  EXPECT_TRUE(ValidateShapeBucketRequest(g, {1, 64, 64}, limits).ok())
       << "the per-request check is count-independent by design";
 }
 
