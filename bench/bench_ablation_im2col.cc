@@ -1,12 +1,16 @@
-// BConv2D execution ablation on the QuickNet-S 3x3 shapes (paper section
-// 3.2):
+// BConv2D execution ablation on the QuickNet 3x3 stage shapes (paper
+// section 3.2):
 //
 //   im2col -- full-image bitpacked im2col + packed BGEMM + full-image
 //             accumulator + output transform (the paper's baseline,
 //             bench/im2col_baseline.h);
 //   fused  -- the production path: cached indirection offsets + row-tile
-//             pipeline (gather-pack -> SIMD BGEMM -> padding correction ->
-//             output transform per cache-resident tile).
+//             pipeline (row-pointer gather -> SIMD BGEMM reading the
+//             activations in place -> padding correction -> output
+//             transform per cache-resident tile).
+//
+// Both modes run the same BGEMM micro-kernel, so the ratio isolates the
+// patch materialization and the full-image accumulator round trip.
 //
 // `--json=<path>` writes a RunReport with per-shape milliseconds and the
 // fused-vs-im2col speedups; the committed BENCH_bconv_fusion.json at the
@@ -106,12 +110,15 @@ int main(int argc, char** argv) {
     int hw, ch, k;
   };
   // The four QuickNet-S binary 3x3 stages (sections at 56/28/14/7 spatial
-  // with 32/64/256/512 filters), plus two 1x1 shapes, where neither mode
-  // materializes patches.
+  // with 32/64/256/512 filters), QuickNet-L's two early stages (64 and 128
+  // filters, 14 of its 32 binary layers; its last two match QuickNet-S's),
+  // plus two 1x1 shapes, where neither mode materializes patches.
   double log_speedup_3x3 = 0.0;
   int n_3x3 = 0;
-  for (const Case& c : {Case{56, 32, 3}, Case{28, 64, 3}, Case{14, 256, 3},
-                        Case{7, 512, 3}, Case{28, 64, 1}, Case{14, 256, 1}}) {
+  for (const Case& c :
+       {Case{56, 32, 3}, Case{28, 64, 3}, Case{14, 256, 3}, Case{7, 512, 3},
+        Case{56, 64, 3}, Case{28, 128, 3}, Case{28, 64, 1},
+        Case{14, 256, 1}}) {
     const auto [im2col, fused] = BConvModeLatencies(c.hw, c.ch, c.k, ctx);
     const double speedup = fused > 0 ? im2col / fused : 0.0;
     std::printf("%dx%dx%dx%d k=%d %*s %10.3f %10.3f %15.2fx\n", c.hw, c.hw,
@@ -138,10 +145,10 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nim2col pays the patch copy and a full-image accumulator round trip;\n"
-      "the fused row-tile pipeline gathers through prepare-time offsets\n"
-      "into the same SIMD micro-kernels and never leaves the cache between\n"
-      "BGEMM and output transform. 1x1 shapes skip patch materialization\n"
-      "in both modes.\n");
+      "the fused row-tile pipeline points the same SIMD micro-kernel at the\n"
+      "feature map through prepare-time offsets and never leaves the cache\n"
+      "between BGEMM and output transform. 1x1 shapes skip patch\n"
+      "materialization in both modes.\n");
   if (!json_path.empty()) {
     const Status s = report.WriteJson(json_path);
     if (s.ok()) {

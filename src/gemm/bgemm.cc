@@ -1,9 +1,11 @@
 #include "gemm/bgemm.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
-#include <cstring>
+#include <utility>
 
-#ifdef __AVX2__
+#if defined(__AVX2__)
 #include <immintrin.h>
 #endif
 #if defined(__ARM_NEON) || defined(__ARM_NEON__)
@@ -15,326 +17,340 @@
 #include "telemetry/tracer.h"
 
 namespace lce::gemm {
-
-void BGemmPackLhsTile(const TBitpacked* src, int n, int kw, int row0,
-                      int tile_rows, int k_blocks, std::uint64_t* dst) {
-  for (int r = 0; r < tile_rows; ++r) {
-    const int row = row0 + r;
-    if (row >= n) {
-      BGemmZeroLhsRow(k_blocks, r, tile_rows, dst);
-      continue;
-    }
-    BGemmPackLhsRow(src + static_cast<std::int64_t>(row) * kw, kw, k_blocks, r,
-                    tile_rows, dst);
-  }
-}
-
 namespace {
 
-// Scalar micro-kernel: 4x4 tile of accumulators over [k_blocks] panel steps.
-// Each k-block contributes 4x4x8 = 128 popcounts of 64 bits = 8192 MACs.
-void KernelScalar4x4(const std::uint64_t* apanel, const std::uint64_t* bpanel,
-                     int k_blocks, std::int32_t acc[kBgemmMr][kBgemmNr]) {
-  std::memset(acc, 0, sizeof(std::int32_t) * kBgemmMr * kBgemmNr);
-  for (int kb = 0; kb < k_blocks; ++kb) {
-    const std::uint64_t* a = apanel + kb * kBgemmMr * kBgemmKWords64;
-    const std::uint64_t* b = bpanel + kb * kBgemmNr * kBgemmKWords64;
-    for (int i = 0; i < kBgemmMr; ++i) {
-      const std::uint64_t* ai = a + i * kBgemmKWords64;
-      for (int j = 0; j < kBgemmNr; ++j) {
-        const std::uint64_t* bj = b + j * kBgemmKWords64;
-        std::int32_t s = 0;
-        for (int w = 0; w < kBgemmKWords64; ++w) {
-          s += std::popcount(ai[w] ^ bj[w]);
+// One micro-kernel call: kRows (1..kBgemmMr) LHS rows against one channel
+// tile `b` ([kw][kBgemmNr]), storing k_bits - 2 * popcount for the first
+// `cols` channels of row r to out + r * ldc. Row r's words are read through
+// rows[r * taps + t] + word_begin, as in BGemmComputeBlock. Each tier is a
+// struct whose Run<kRows> has this signature.
+using TileFn = void (*)(const TBitpacked* const* rows, int taps,
+                        int word_begin, int words, const TBitpacked* b,
+                        int k_bits, int cols, std::int32_t* out, int ldc);
+
+// Portable kernel: the SIMD tiers' loop order, one std::popcount per
+// (row, channel, word).
+struct ScalarKernel {
+  template <int kRows>
+  static void Run(const TBitpacked* const* rows, int taps, int word_begin,
+                  int words, const TBitpacked* b, int k_bits, int cols,
+                  std::int32_t* out, int ldc) {
+    std::int32_t acc[kRows][kBgemmNr] = {};
+    for (int t = 0; t < taps; ++t) {
+      const TBitpacked* a[kRows];
+      for (int r = 0; r < kRows; ++r) a[r] = rows[r * taps + t] + word_begin;
+      for (int w = 0; w < words; ++w, b += kBgemmNr) {
+        for (int r = 0; r < kRows; ++r) {
+          const TBitpacked x = a[r][w];
+          for (int j = 0; j < kBgemmNr; ++j) {
+            acc[r][j] += std::popcount(x ^ b[j]);
+          }
         }
-        acc[i][j] += s;
+      }
+    }
+    for (int r = 0; r < kRows; ++r) {
+      std::int32_t* o = out + static_cast<std::int64_t>(r) * ldc;
+      for (int j = 0; j < cols; ++j) o[j] = k_bits - 2 * acc[r][j];
+    }
+  }
+};
+
+// Splits a kRows x kBgemmNr tile into sub-tiles of at most 4 rows x 16
+// channels, the register budget of the 16-register AVX2 and the NEON
+// kernels (Sub::Run<rows> computes one such sub-tile).
+template <class Sub>
+struct SubTiledKernel {
+  template <int kRows>
+  static void Run(const TBitpacked* const* rows, int taps, int word_begin,
+                  int words, const TBitpacked* b, int k_bits, int cols,
+                  std::int32_t* out, int ldc) {
+    constexpr int kTop = kRows < 4 ? kRows : 4;
+    for (int h = 0; h < kBgemmNr / 16 && 16 * h < cols; ++h) {
+      const int sub_cols = std::min(16, cols - 16 * h);
+      Sub::template Run<kTop>(rows, taps, word_begin, words, b + 16 * h,
+                              k_bits, sub_cols, out + 16 * h, ldc);
+      if constexpr (kRows > 4) {
+        Sub::template Run<kRows - 4>(rows + 4 * taps, taps, word_begin, words,
+                                     b + 16 * h, k_bits, sub_cols,
+                                     out + 4 * static_cast<std::int64_t>(ldc) +
+                                         16 * h,
+                                     ldc);
       }
     }
   }
-}
+};
+
+#if defined(__AVX512VPOPCNTDQ__) && defined(__AVX512F__)
+#define LCE_BGEMM_AVX512 1
+// AVX-512 kernel: per K word, two aligned zmm loads of the 32 channels,
+// then per row one broadcast and vpxord + vpopcntd + vpaddd into each of
+// its two accumulators (2 * kRows + 3 of the 32 zmm registers). Every lane
+// holds one output, so the epilogue is a doubling, a subtract and a store
+// (masked for a partial channel tile).
+struct Avx512Kernel {
+  template <int kRows>
+  static void Run(const TBitpacked* const* rows, int taps, int word_begin,
+                  int words, const TBitpacked* b, int k_bits, int cols,
+                  std::int32_t* out, int ldc) {
+    __m512i acc[kRows][2];
+    for (int r = 0; r < kRows; ++r) {
+      acc[r][0] = _mm512_setzero_si512();
+      acc[r][1] = _mm512_setzero_si512();
+    }
+    for (int t = 0; t < taps; ++t) {
+      const TBitpacked* a[kRows];
+      for (int r = 0; r < kRows; ++r) a[r] = rows[r * taps + t] + word_begin;
+      for (int w = 0; w < words; ++w, b += kBgemmNr) {
+        const __m512i b0 = _mm512_load_si512(b);
+        const __m512i b1 = _mm512_load_si512(b + 16);
+        for (int r = 0; r < kRows; ++r) {
+          const __m512i x = _mm512_set1_epi32(static_cast<int>(a[r][w]));
+          acc[r][0] = _mm512_add_epi32(
+              acc[r][0], _mm512_popcnt_epi32(_mm512_xor_si512(x, b0)));
+          acc[r][1] = _mm512_add_epi32(
+              acc[r][1], _mm512_popcnt_epi32(_mm512_xor_si512(x, b1)));
+        }
+      }
+    }
+    const __m512i kb = _mm512_set1_epi32(k_bits);
+    const auto dot = [&](__m512i pop) {  // k_bits - 2 * popcount
+      return _mm512_sub_epi32(kb, _mm512_add_epi32(pop, pop));
+    };
+    const auto mask = [](int n) {
+      return static_cast<__mmask16>(n >= 16 ? 0xffffu
+                                    : n <= 0 ? 0u
+                                             : (1u << n) - 1u);
+    };
+    const __mmask16 m0 = mask(cols);
+    const __mmask16 m1 = mask(cols - 16);
+    for (int r = 0; r < kRows; ++r) {
+      std::int32_t* o = out + static_cast<std::int64_t>(r) * ldc;
+      _mm512_mask_storeu_epi32(o, m0, dot(acc[r][0]));
+      if (cols > 16) _mm512_mask_storeu_epi32(o + 16, m1, dot(acc[r][1]));
+    }
+  }
+};
+#endif  // __AVX512VPOPCNTDQ__ && __AVX512F__
+
+#if defined(__AVX2__) && !defined(LCE_BGEMM_AVX512)
+#define LCE_BGEMM_AVX2 1
+// AVX2 sub-kernel, kRows (<= 4) rows x 16 channels in two ymm of 8 lanes.
+// Popcounts come from the nibble-LUT pshufb sequence as per-byte counts
+// (<= 8 per K word), which accumulate in bytes for up to 31 words
+// (31 * 8 = 248 fits) before widening into the int32 lanes: vpmaddubsw
+// against ones sums byte pairs, vpmaddwd sums the word pairs.
+struct Avx2SubTile {
+  static constexpr int kFlushWords = 31;
+
+  template <int kRows>
+  static void Run(const TBitpacked* const* rows, int taps, int word_begin,
+                  int words, const TBitpacked* b, int k_bits, int cols,
+                  std::int32_t* out, int ldc) {
+    const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
+                                         3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2,
+                                         2, 3, 2, 3, 3, 4);
+    const __m256i low_mask = _mm256_set1_epi8(0x0f);
+    const __m256i ones8 = _mm256_set1_epi8(1);
+    const __m256i ones16 = _mm256_set1_epi16(1);
+    const auto popcount_bytes = [&](__m256i x) {
+      const __m256i lo = _mm256_and_si256(x, low_mask);
+      const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(x, 4), low_mask);
+      return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
+                             _mm256_shuffle_epi8(lut, hi));
+    };
+    __m256i cnt[kRows][2], acc[kRows][2];
+    for (int r = 0; r < kRows; ++r) {
+      for (int h = 0; h < 2; ++h) {
+        cnt[r][h] = _mm256_setzero_si256();
+        acc[r][h] = _mm256_setzero_si256();
+      }
+    }
+    const auto flush = [&] {
+      for (int r = 0; r < kRows; ++r) {
+        for (int h = 0; h < 2; ++h) {
+          acc[r][h] = _mm256_add_epi32(
+              acc[r][h], _mm256_madd_epi16(
+                             _mm256_maddubs_epi16(cnt[r][h], ones8), ones16));
+          cnt[r][h] = _mm256_setzero_si256();
+        }
+      }
+    };
+    int pending = 0;
+    for (int t = 0; t < taps; ++t) {
+      const TBitpacked* a[kRows];
+      for (int r = 0; r < kRows; ++r) a[r] = rows[r * taps + t] + word_begin;
+      for (int w = 0; w < words; ++w, b += kBgemmNr) {
+        const __m256i b0 =
+            _mm256_load_si256(reinterpret_cast<const __m256i*>(b));
+        const __m256i b1 =
+            _mm256_load_si256(reinterpret_cast<const __m256i*>(b + 8));
+        for (int r = 0; r < kRows; ++r) {
+          const __m256i x = _mm256_set1_epi32(static_cast<int>(a[r][w]));
+          cnt[r][0] = _mm256_add_epi8(cnt[r][0],
+                                      popcount_bytes(_mm256_xor_si256(x, b0)));
+          cnt[r][1] = _mm256_add_epi8(cnt[r][1],
+                                      popcount_bytes(_mm256_xor_si256(x, b1)));
+        }
+        if (++pending == kFlushWords) {
+          flush();
+          pending = 0;
+        }
+      }
+    }
+    flush();
+    const __m256i kb = _mm256_set1_epi32(k_bits);
+    for (int r = 0; r < kRows; ++r) {
+      alignas(32) std::int32_t v[16];
+      for (int h = 0; h < 2; ++h) {  // k_bits - 2 * popcount
+        _mm256_store_si256(
+            reinterpret_cast<__m256i*>(v + 8 * h),
+            _mm256_sub_epi32(kb, _mm256_add_epi32(acc[r][h], acc[r][h])));
+      }
+      std::copy_n(v, cols, out + static_cast<std::int64_t>(r) * ldc);
+    }
+  }
+};
+using Avx2Kernel = SubTiledKernel<Avx2SubTile>;
+#endif  // __AVX2__ && !LCE_BGEMM_AVX512
 
 #if defined(__ARM_NEON) || defined(__ARM_NEON__)
 #define LCE_BGEMM_NEON 1
-// NEON micro-kernel implementing exactly the paper's Table 1 sequence:
-// eor (multiply), cnt (per-byte popcount), and pairwise-add-accumulate
-// (vpadal) to widen the counts. Processes the 4x4 tile four 128-bit
-// quarters per 512-bit k-block. Byte counters are widened every block, so
-// no overflow management is needed. (Compile-guarded: exercised on ARM
-// builds; x86 hosts use the AVX-512/AVX2 kernels below.)
-void KernelNeon4x4(const std::uint64_t* apanel, const std::uint64_t* bpanel,
-                   int k_blocks, std::int32_t acc_out[kBgemmMr][kBgemmNr]) {
-  uint32x4_t acc[kBgemmMr][kBgemmNr];
-  for (int i = 0; i < kBgemmMr; ++i)
-    for (int j = 0; j < kBgemmNr; ++j) acc[i][j] = vdupq_n_u32(0);
-
-  for (int kb = 0; kb < k_blocks; ++kb) {
-    const std::uint64_t* a =
-        apanel + static_cast<std::int64_t>(kb) * kBgemmMr * kBgemmKWords64;
-    const std::uint64_t* b =
-        bpanel + static_cast<std::int64_t>(kb) * kBgemmNr * kBgemmKWords64;
-    for (int i = 0; i < kBgemmMr; ++i) {
-      uint8x16_t av[4];
-      for (int h = 0; h < 4; ++h) {
-        av[h] = vreinterpretq_u8_u64(vld1q_u64(a + i * kBgemmKWords64 + 2 * h));
-      }
-      for (int j = 0; j < kBgemmNr; ++j) {
-        const std::uint64_t* bj = b + j * kBgemmKWords64;
-        // eor + cnt on all four quarters; byte counts <= 8 per lane.
-        const uint8x16_t c0 =
-            vcntq_u8(veorq_u8(av[0], vreinterpretq_u8_u64(vld1q_u64(bj))));
-        const uint8x16_t c1 =
-            vcntq_u8(veorq_u8(av[1], vreinterpretq_u8_u64(vld1q_u64(bj + 2))));
-        const uint8x16_t c2 =
-            vcntq_u8(veorq_u8(av[2], vreinterpretq_u8_u64(vld1q_u64(bj + 4))));
-        const uint8x16_t c3 =
-            vcntq_u8(veorq_u8(av[3], vreinterpretq_u8_u64(vld1q_u64(bj + 6))));
-        // 8-bit -> 16-bit pairwise adds, then accumulate into 32-bit lanes.
-        const uint16x8_t s =
-            vaddq_u16(vaddq_u16(vpaddlq_u8(c0), vpaddlq_u8(c1)),
-                      vaddq_u16(vpaddlq_u8(c2), vpaddlq_u8(c3)));
-        acc[i][j] = vpadalq_u16(acc[i][j], s);
+// NEON sub-kernel, kRows (<= 4) rows x 16 channels in four q-registers of
+// 4 lanes: per K word the paper's Table 1 sequence -- eor, cnt (byte
+// popcounts), then pairwise widening (vpaddl u8->u16, vpadal u16->u32)
+// into one uint32 lane per output channel. 16 accumulators + 4 weight
+// registers + 1 broadcast fit the 32 q-registers.
+struct NeonSubTile {
+  template <int kRows>
+  static void Run(const TBitpacked* const* rows, int taps, int word_begin,
+                  int words, const TBitpacked* b, int k_bits, int cols,
+                  std::int32_t* out, int ldc) {
+    uint32x4_t acc[kRows][4];
+    for (int r = 0; r < kRows; ++r) {
+      for (int j = 0; j < 4; ++j) acc[r][j] = vdupq_n_u32(0);
+    }
+    for (int t = 0; t < taps; ++t) {
+      const TBitpacked* a[kRows];
+      for (int r = 0; r < kRows; ++r) a[r] = rows[r * taps + t] + word_begin;
+      for (int w = 0; w < words; ++w, b += kBgemmNr) {
+        uint32x4_t bv[4];
+        for (int j = 0; j < 4; ++j) bv[j] = vld1q_u32(b + 4 * j);
+        for (int r = 0; r < kRows; ++r) {
+          const uint32x4_t x = vdupq_n_u32(a[r][w]);
+          for (int j = 0; j < 4; ++j) {
+            acc[r][j] = vpadalq_u16(
+                acc[r][j], vpaddlq_u8(vcntq_u8(
+                               vreinterpretq_u8_u32(veorq_u32(x, bv[j])))));
+          }
+        }
       }
     }
-  }
-  for (int i = 0; i < kBgemmMr; ++i) {
-    for (int j = 0; j < kBgemmNr; ++j) {
-      acc_out[i][j] = static_cast<std::int32_t>(
-          vgetq_lane_u32(acc[i][j], 0) + vgetq_lane_u32(acc[i][j], 1) +
-          vgetq_lane_u32(acc[i][j], 2) + vgetq_lane_u32(acc[i][j], 3));
+    const int32x4_t kb = vdupq_n_s32(k_bits);
+    for (int r = 0; r < kRows; ++r) {
+      std::int32_t v[16];
+      for (int j = 0; j < 4; ++j) {  // k_bits - 2 * popcount
+        const int32x4_t pop = vreinterpretq_s32_u32(acc[r][j]);
+        vst1q_s32(v + 4 * j, vsubq_s32(kb, vaddq_s32(pop, pop)));
+      }
+      std::copy_n(v, cols, out + static_cast<std::int64_t>(r) * ldc);
     }
   }
-}
+};
+using NeonKernel = SubTiledKernel<NeonSubTile>;
 #endif  // __ARM_NEON
 
-#if defined(__AVX512VPOPCNTDQ__) && defined(__AVX512VL__)
-#define LCE_BGEMM_AVX512 1
-// AVX-512 micro-kernel: full 4x4 register tile using the hardware vector
-// popcount (vpopcntq) on whole zmm registers, the closest x86 analogue of
-// the paper's NEON cnt path -- one xor + one popcount + one add per 512
-// binary MACs. 16 accumulators + 4 B operands + 1 A operand use 21 of the
-// 32 zmm registers.
-void KernelAvx512_4x4(const std::uint64_t* apanel, const std::uint64_t* bpanel,
-                      int k_blocks, std::int32_t acc_out[kBgemmMr][kBgemmNr]) {
-  __m512i acc[kBgemmMr][kBgemmNr];
-  for (int i = 0; i < kBgemmMr; ++i)
-    for (int j = 0; j < kBgemmNr; ++j) acc[i][j] = _mm512_setzero_si512();
-
-  for (int kb = 0; kb < k_blocks; ++kb) {
-    const std::uint64_t* a =
-        apanel + static_cast<std::int64_t>(kb) * kBgemmMr * kBgemmKWords64;
-    const std::uint64_t* b =
-        bpanel + static_cast<std::int64_t>(kb) * kBgemmNr * kBgemmKWords64;
-    __m512i bv[kBgemmNr];
-    for (int j = 0; j < kBgemmNr; ++j) {
-      bv[j] = _mm512_load_si512(b + j * kBgemmKWords64);
-    }
-    for (int i = 0; i < kBgemmMr; ++i) {
-      const __m512i av = _mm512_load_si512(a + i * kBgemmKWords64);
-      for (int j = 0; j < kBgemmNr; ++j) {
-        acc[i][j] = _mm512_add_epi64(
-            acc[i][j], _mm512_popcnt_epi64(_mm512_xor_si512(av, bv[j])));
-      }
-    }
-  }
-  // Vectorized horizontal reduction: collapse row i's four 8-lane
-  // accumulators into one xmm of four int32 sums with a tree of adds --
-  // roughly 3x fewer uops than 16 independent reduce_add calls, which
-  // matters for the small-k tiles of early conv layers where the epilogue
-  // rivals the popcount loop itself.
-  for (int i = 0; i < kBgemmMr; ++i) {
-    __m256i r[kBgemmNr];
-    for (int j = 0; j < kBgemmNr; ++j) {
-      r[j] = _mm256_add_epi64(_mm512_castsi512_si256(acc[i][j]),
-                              _mm512_extracti64x4_epi64(acc[i][j], 1));
-    }
-    const __m256i s01 = _mm256_add_epi64(_mm256_unpacklo_epi64(r[0], r[1]),
-                                         _mm256_unpackhi_epi64(r[0], r[1]));
-    const __m256i s23 = _mm256_add_epi64(_mm256_unpacklo_epi64(r[2], r[3]),
-                                         _mm256_unpackhi_epi64(r[2], r[3]));
-    const __m256i s =
-        _mm256_add_epi64(_mm256_permute2x128_si256(s01, s23, 0x20),
-                         _mm256_permute2x128_si256(s01, s23, 0x31));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc_out[i]),
-                     _mm256_cvtepi64_epi32(s));
-  }
+template <class Kernel, std::size_t... kRows>
+constexpr std::array<TileFn, kBgemmMr> MakeTiles(
+    std::index_sequence<kRows...>) {
+  return {&Kernel::template Run<static_cast<int>(kRows) + 1>...};
 }
-#endif  // AVX512VPOPCNTDQ && AVX512VL
 
-#ifdef __AVX2__
-// AVX2 micro-kernel processing two LHS rows against four RHS rows, each
-// 512-bit k-block as two 256-bit halves. Popcount of each XOR result is
-// computed with the classic nibble-LUT pshufb sequence and accumulated via
-// sad_epu8 into 64-bit lanes. This mirrors the role of the paper's NEON
-// eor/cnt/addp/uadalp sequence.
-void KernelAvx2_2x4(const std::uint64_t* apanel, const std::uint64_t* bpanel,
-                    int row_pair, int k_blocks,
-                    std::int32_t acc_out[2][kBgemmNr]) {
-  const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
-                                       3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2,
-                                       2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc[2][kBgemmNr];
-  for (int i = 0; i < 2; ++i)
-    for (int j = 0; j < kBgemmNr; ++j) acc[i][j] = zero;
+template <class Kernel>
+constexpr std::array<TileFn, kBgemmMr> kTiles =
+    MakeTiles<Kernel>(std::make_index_sequence<kBgemmMr>());
 
-  for (int kb = 0; kb < k_blocks; ++kb) {
-    for (int h = 0; h < 2; ++h) {  // 256-bit halves of the 512-bit block
-      const std::uint64_t* a =
-          apanel +
-          (static_cast<std::int64_t>(kb) * kBgemmMr + 2 * row_pair) *
-              kBgemmKWords64 +
-          4 * h;
-      const std::uint64_t* b =
-          bpanel + static_cast<std::int64_t>(kb) * kBgemmNr * kBgemmKWords64 +
-          4 * h;
-      const __m256i a0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(a));
-      const __m256i a1 = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(a + kBgemmKWords64));
-      for (int j = 0; j < kBgemmNr; ++j) {
-        const __m256i bj = _mm256_load_si256(
-            reinterpret_cast<const __m256i*>(b + j * kBgemmKWords64));
-        const __m256i x0 = _mm256_xor_si256(a0, bj);
-        const __m256i x1 = _mm256_xor_si256(a1, bj);
-        // popcount bytes of x0, x1.
-        const __m256i c0 = _mm256_add_epi8(
-            _mm256_shuffle_epi8(lut, _mm256_and_si256(x0, low_mask)),
-            _mm256_shuffle_epi8(
-                lut, _mm256_and_si256(_mm256_srli_epi32(x0, 4), low_mask)));
-        const __m256i c1 = _mm256_add_epi8(
-            _mm256_shuffle_epi8(lut, _mm256_and_si256(x1, low_mask)),
-            _mm256_shuffle_epi8(
-                lut, _mm256_and_si256(_mm256_srli_epi32(x1, 4), low_mask)));
-        acc[0][j] = _mm256_add_epi64(acc[0][j], _mm256_sad_epu8(c0, zero));
-        acc[1][j] = _mm256_add_epi64(acc[1][j], _mm256_sad_epu8(c1, zero));
-      }
-    }
-  }
-  for (int i = 0; i < 2; ++i) {
-    for (int j = 0; j < kBgemmNr; ++j) {
-      alignas(32) std::uint64_t lanes[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc[i][j]);
-      acc_out[i][j] =
-          static_cast<std::int32_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-    }
-  }
-}
-#endif  // __AVX2__
-
-}  // namespace
-
-void BGemmComputeTile(const std::uint64_t* apanel, const std::uint64_t* bpanel,
-                      int k_blocks, KernelProfile profile,
-                      std::int32_t acc[kBgemmMr][kBgemmNr]) {
-#ifdef LCE_BGEMM_AVX512
-  if (profile == KernelProfile::kSimd) {
-    KernelAvx512_4x4(apanel, bpanel, k_blocks, acc);
-    return;
-  }
-#endif
-#ifdef LCE_BGEMM_NEON
-  if (profile == KernelProfile::kSimd) {
-    KernelNeon4x4(apanel, bpanel, k_blocks, acc);
-    return;
-  }
-#endif
-#ifdef __AVX2__
-  if (profile == KernelProfile::kSimd) {
-    std::int32_t acc2[2][kBgemmNr];
-    KernelAvx2_2x4(apanel, bpanel, 0, k_blocks, acc2);
-    std::memcpy(acc[0], acc2, sizeof(acc2));
-    KernelAvx2_2x4(apanel, bpanel, 1, k_blocks, acc2);
-    std::memcpy(acc[2], acc2, sizeof(acc2));
-    return;
-  }
+// The tier a profile runs, as one kernel per tile row count 1..kBgemmMr.
+const std::array<TileFn, kBgemmMr>& TilesFor(KernelProfile profile) {
+#if defined(LCE_BGEMM_AVX512)
+  if (profile == KernelProfile::kSimd) return kTiles<Avx512Kernel>;
+#elif defined(LCE_BGEMM_NEON)
+  if (profile == KernelProfile::kSimd) return kTiles<NeonKernel>;
+#elif defined(LCE_BGEMM_AVX2)
+  if (profile == KernelProfile::kSimd) return kTiles<Avx2Kernel>;
 #else
   (void)profile;
 #endif
-  KernelScalar4x4(apanel, bpanel, k_blocks, acc);
+  return kTiles<ScalarKernel>;
 }
 
-void BGemmComputeBlock(const std::uint64_t* apanels, std::int64_t a_elems,
-                       const PackedBinaryMatrix& rhs, int k_bits,
-                       KernelProfile profile, int block_tiles, int block_rows,
-                       std::int32_t* out, int ldc) {
-  const int k_blocks = rhs.k_blocks();
-  const int n = rhs.n();
-  std::int32_t acc[kBgemmMr][kBgemmNr];
-  for (int nt = 0; nt < rhs.num_tiles(); ++nt) {
-    const int col0 = nt * kBgemmNr;
-    const int cols = std::min(kBgemmNr, n - col0);
-    const std::uint64_t* btile = rhs.tile(nt);
-    for (int t = 0; t < block_tiles; ++t) {
-      const int row0 = t * kBgemmMr;
-      const int rows = std::min(kBgemmMr, block_rows - row0);
-      BGemmComputeTile(apanels + t * a_elems, btile, k_blocks, profile, acc);
-      for (int i = 0; i < rows; ++i) {
-        std::int32_t* o = out + static_cast<std::int64_t>(row0 + i) * ldc + col0;
-        for (int j = 0; j < cols; ++j) o[j] = k_bits - 2 * acc[i][j];
+}  // namespace
+
+PackedBinaryMatrix::PackedBinaryMatrix(const TBitpacked* rows, int n, int kw)
+    : n_(n), kw_(kw), num_tiles_((n + kBgemmNr - 1) / kBgemmNr) {
+  LCE_TRACE_SCOPE_CAT("bgemm/pack_weights", "gemm");
+  buf_ = AlignedBuffer(static_cast<std::size_t>(num_tiles_) * kw * kBgemmNr *
+                       sizeof(TBitpacked));
+  auto* d = reinterpret_cast<TBitpacked*>(buf_.data());
+  for (int t = 0; t < num_tiles_; ++t) {
+    for (int w = 0; w < kw; ++w) {
+      for (int j = 0; j < kBgemmNr; ++j, ++d) {
+        const int ch = t * kBgemmNr + j;
+        *d = ch < n ? rows[static_cast<std::int64_t>(ch) * kw + w] : 0;
       }
     }
   }
 }
 
-PackedBinaryMatrix::PackedBinaryMatrix(const TBitpacked* rows, int n, int kw)
-    : n_(n), kw_(kw), k_blocks_(BGemmKBlocks(kw)) {
-  LCE_TRACE_SCOPE_CAT("bgemm/pack_weights", "gemm");
-  num_tiles_ = (n + kBgemmNr - 1) / kBgemmNr;
-  buf_ = AlignedBuffer(static_cast<std::size_t>(num_tiles_) * tile_elems() *
-                       sizeof(std::uint64_t));
-  auto* d = reinterpret_cast<std::uint64_t*>(buf_.data());
-  for (int t = 0; t < num_tiles_; ++t) {
-    BGemmPackLhsTile(rows, n, kw, t * kBgemmNr, kBgemmNr, k_blocks_,
-                     d + static_cast<std::int64_t>(t) * tile_elems());
+void BGemmComputeBlock(const TBitpacked* const* rows, int taps, int word_begin,
+                       int words, const PackedBinaryMatrix& rhs, int k_bits,
+                       KernelProfile profile, int block_rows, std::int32_t* out,
+                       int ldc) {
+  LCE_DCHECK(taps * words == rhs.kw());
+  const auto& tiles = TilesFor(profile);
+  const int full_rows = block_rows - block_rows % kBgemmMr;
+  const int tail = block_rows - full_rows;
+  for (int nt = 0; nt < rhs.num_tiles(); ++nt) {
+    const int col0 = nt * kBgemmNr;
+    const int cols = std::min(kBgemmNr, rhs.n() - col0);
+    const TBitpacked* b = rhs.tile(nt);
+    for (int r0 = 0; r0 < full_rows; r0 += kBgemmMr) {
+      tiles[kBgemmMr - 1](rows + static_cast<std::int64_t>(r0) * taps, taps,
+                          word_begin, words, b, k_bits, cols,
+                          out + static_cast<std::int64_t>(r0) * ldc + col0,
+                          ldc);
+    }
+    if (tail > 0) {
+      tiles[tail - 1](rows + static_cast<std::int64_t>(full_rows) * taps, taps,
+                      word_begin, words, b, k_bits, cols,
+                      out + static_cast<std::int64_t>(full_rows) * ldc + col0,
+                      ldc);
+    }
   }
 }
 
 void BGemm(const TBitpacked* lhs, int m, const PackedBinaryMatrix& rhs,
            int k_bits, std::int32_t* out, int ldc, Context& ctx) {
-  const int kw = rhs.kw();
-  const int k_blocks = rhs.k_blocks();
-  const int m_tiles = (m + kBgemmMr - 1) / kBgemmMr;
-  const std::int64_t a_tile_elems =
-      static_cast<std::int64_t>(k_blocks) * kBgemmMr * kBgemmKWords64;
-
   // One BGEMM computes m x n dot products of k_bits binary positions each.
   static telemetry::Metric* macs =
       telemetry::MetricsRegistry::Global().Counter("bgemm.binary_macs");
   macs->Add(static_cast<std::int64_t>(m) * rhs.n() * k_bits);
 
-  // Pack all LHS tiles into scratch (slot 0).
-  auto* apanels = reinterpret_cast<std::uint64_t*>(ctx.Scratch(
-      0, static_cast<std::size_t>(m_tiles) * a_tile_elems * sizeof(std::uint64_t)));
-  {
-    LCE_TRACE_SCOPE_CAT("bgemm/pack", "gemm");
-    ctx.pool().ParallelFor(m_tiles, [&](std::int64_t begin, std::int64_t end) {
-      for (std::int64_t t = begin; t < end; ++t) {
-        BGemmPackLhsTile(lhs, m, kw, static_cast<int>(t) * kBgemmMr, kBgemmMr,
-                         k_blocks, apanels + t * a_tile_elems);
-      }
-    });
-  }
-
-  const KernelProfile profile = ctx.profile();
-  const int n = rhs.n();
   LCE_TRACE_SCOPE_CAT("bgemm/compute", "gemm");
-  // B-tile-outer loop order: each packed weight tile stays cache-resident
-  // across all activation tiles of the shard (see float_gemm.cc).
+  const int kw = rhs.kw();
+  const KernelProfile profile = ctx.profile();
+  const int m_tiles = (m + kBgemmMr - 1) / kBgemmMr;
   ctx.pool().ParallelFor(m_tiles, [&](std::int64_t begin, std::int64_t end) {
-    std::int32_t acc[kBgemmMr][kBgemmNr];
-    for (int nt = 0; nt < rhs.num_tiles(); ++nt) {
-      const int col0 = nt * kBgemmNr;
-      const int cols = std::min(kBgemmNr, n - col0);
-      for (std::int64_t mt = begin; mt < end; ++mt) {
-        const int row0 = static_cast<int>(mt) * kBgemmMr;
-        const int rows = std::min(kBgemmMr, m - row0);
-        BGemmComputeTile(apanels + mt * a_tile_elems, rhs.tile(nt), k_blocks,
-                         profile, acc);
-        for (int i = 0; i < rows; ++i) {
-          std::int32_t* o = out + static_cast<std::int64_t>(row0 + i) * ldc + col0;
-          for (int j = 0; j < cols; ++j) o[j] = k_bits - 2 * acc[i][j];
-        }
-      }
+    // Blocks of up to kBlockTiles row tiles share each weight tile while
+    // it is cache-resident; every row is read in place (one tap per row).
+    constexpr int kBlockTiles = 16;
+    const TBitpacked* row_ptrs[kBlockTiles * kBgemmMr];
+    for (std::int64_t t = begin; t < end; t += kBlockTiles) {
+      const std::int64_t row0 = t * kBgemmMr;
+      const int block_rows = static_cast<int>(std::min<std::int64_t>(
+          std::min<std::int64_t>(end - t, kBlockTiles) * kBgemmMr, m - row0));
+      for (int i = 0; i < block_rows; ++i) row_ptrs[i] = lhs + (row0 + i) * kw;
+      BGemmComputeBlock(row_ptrs, /*taps=*/1, /*word_begin=*/0, kw, rhs, k_bits,
+                        profile, block_rows, out + row0 * ldc, ldc);
     }
   });
 }
@@ -343,14 +359,6 @@ void BGemm(const TBitpacked* lhs, int m, const TBitpacked* rhs, int n, int kw,
            int k_bits, std::int32_t* out, int ldc, Context& ctx) {
   PackedBinaryMatrix packed(rhs, n, kw);
   BGemm(lhs, m, packed, k_bits, out, ldc, ctx);
-}
-
-bool HasSimdBGemm() {
-#ifdef __AVX2__
-  return true;
-#else
-  return false;
-#endif
 }
 
 }  // namespace lce::gemm

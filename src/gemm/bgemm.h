@@ -9,12 +9,20 @@
 // the popcount, and using the logical k_bits cancels their +1 products
 // exactly; no separate correction is needed.
 //
-// The implementation follows the Ruy-style structure described in the paper:
-// both operands are packed into register-tile-friendly panels, the inner
-// micro-kernel keeps a 4x4 tile of int32 accumulators, and work is sharded
-// across threads over LHS row tiles. On x86 the `kSimd` profile uses an AVX2
-// nibble-LUT popcount kernel (standing in for the paper's hand-tuned NEON
-// eor/cnt/addp sequence); `kScalar` uses portable 64-bit hardware popcounts.
+// Layout is channel-in-lane: the weights are packed once into
+// [ceil(n/32)][kw][32] words, so one K word of 32 output channels is one
+// contiguous 128-byte row. The micro-kernel keeps an 8-row x 32-channel
+// tile of int32 accumulators, one output per SIMD lane: per K word it
+// broadcasts each row's activation word and XOR-popcounts it against the
+// 32 channels. There is no horizontal reduction, K is never padded beyond
+// the 32-bit words the tensors already use, and the activations are read
+// in place through a table of row pointers -- no LHS panel is packed.
+// Work is sharded across threads over LHS row tiles.
+//
+// The `kSimd` profile runs the best kernel compiled in: AVX-512 VPOPCNTDQ,
+// else NEON (vcnt + pairwise widening), else AVX2 (pshufb nibble-LUT byte
+// counts widened with vpmaddubsw/vpmaddwd); `kScalar` runs the same loop
+// order with std::popcount. Every tier is bit-identical.
 #ifndef LCE_GEMM_BGEMM_H_
 #define LCE_GEMM_BGEMM_H_
 
@@ -26,12 +34,10 @@
 
 namespace lce::gemm {
 
-// Micro-tile sizes of the BGEMM kernel. K is processed in 512-bit blocks:
-// one full zmm register on AVX-512, two ymm halves on AVX2, four NEON
-// q-registers on ARM.
-inline constexpr int kBgemmMr = 4;
-inline constexpr int kBgemmNr = 4;
-inline constexpr int kBgemmKWords64 = 8;  // 8 x uint64 = 512 bits per k-block
+// Micro-tile: kBgemmMr LHS rows x kBgemmNr output channels (two zmm
+// registers of 16 int32 lanes on AVX-512).
+inline constexpr int kBgemmMr = 8;
+inline constexpr int kBgemmNr = 32;
 
 // A weights-side matrix packed once at op-preparation time (the paper's
 // "weight packing to optimize memory access patterns").
@@ -44,117 +50,48 @@ class PackedBinaryMatrix {
 
   int n() const { return n_; }
   int kw() const { return kw_; }
-  int k_blocks() const { return k_blocks_; }
   int num_tiles() const { return num_tiles_; }
-  // Packed data for tile t: [k_blocks][NR][8] uint64.
-  const std::uint64_t* tile(int t) const {
-    return data() + static_cast<std::int64_t>(t) * tile_elems();
-  }
-  std::int64_t tile_elems() const {
-    return static_cast<std::int64_t>(k_blocks_) * kBgemmNr * kBgemmKWords64;
+  // Channel tile t: [kw][kBgemmNr] words, word w of channel t*kBgemmNr + j
+  // at [w][j]; channels past n are zero. 64-byte aligned.
+  const TBitpacked* tile(int t) const {
+    return reinterpret_cast<const TBitpacked*>(buf_.data()) +
+           static_cast<std::int64_t>(t) * kw_ * kBgemmNr;
   }
 
  private:
-  const std::uint64_t* data() const {
-    return reinterpret_cast<const std::uint64_t*>(buf_.data());
-  }
   int n_ = 0;
   int kw_ = 0;
-  int k_blocks_ = 0;
   int num_tiles_ = 0;
   AlignedBuffer buf_;
 };
 
-// Number of 512-bit k-blocks covering `kw` bitpacked 32-bit words.
-inline int BGemmKBlocks(int kw) {
-  const int words_per_block = kBgemmKWords64 * 2;  // 16 x uint32
-  return (kw + words_per_block - 1) / words_per_block;
-}
-
-// Elements (uint64) of an A-panel holding `tile_rows` rows over `k_blocks`.
-inline std::int64_t BGemmApanelElems(int k_blocks, int tile_rows) {
-  return static_cast<std::int64_t>(k_blocks) * tile_rows * kBgemmKWords64;
-}
-
-// Packs one contiguous bitpacked row of `kw` words into panel row `r` of a
-// [k_blocks][tile_rows][8]-uint64 panel. Destination-major: every u64 of the
-// row is written exactly once (including zeroed k-padding), so the panel
-// needs no prior clearing. This is the hot inner step of both LHS packing
-// and the fused gather-pack.
-inline void BGemmPackLhsRow(const TBitpacked* s, int kw, int k_blocks, int r,
-                            int tile_rows, std::uint64_t* dst) {
-  std::uint64_t* d = dst + static_cast<std::int64_t>(r) * kBgemmKWords64;
-  const std::int64_t kb_stride =
-      static_cast<std::int64_t>(tile_rows) * kBgemmKWords64;
-  constexpr int kBlockWords = kBgemmKWords64 * 2;  // 32-bit words per block
-  const int full = kw / kBlockWords;  // k-blocks fully covered by the row
-  int w = 0;
-  for (int kb = 0; kb < full; ++kb, d += kb_stride, w += kBlockWords) {
-    for (int i = 0; i < kBgemmKWords64; ++i) {
-      d[i] = static_cast<std::uint64_t>(s[w + 2 * i]) |
-             static_cast<std::uint64_t>(s[w + 2 * i + 1]) << 32;
-    }
-  }
-  for (int kb = full; kb < k_blocks; ++kb, d += kb_stride) {
-    std::uint64_t tmp[kBgemmKWords64] = {};
-    for (int i = 0; w < kw && i < kBlockWords; ++i, ++w) {
-      tmp[i / 2] |= static_cast<std::uint64_t>(s[w]) << ((i % 2) * 32);
-    }
-    for (int i = 0; i < kBgemmKWords64; ++i) d[i] = tmp[i];
-  }
-}
-
-// Zero-fills panel row `r` (for tile rows past the end of the matrix).
-inline void BGemmZeroLhsRow(int k_blocks, int r, int tile_rows,
-                            std::uint64_t* dst) {
-  std::uint64_t* d = dst + static_cast<std::int64_t>(r) * kBgemmKWords64;
-  const std::int64_t kb_stride =
-      static_cast<std::int64_t>(tile_rows) * kBgemmKWords64;
-  for (int kb = 0; kb < k_blocks; ++kb, d += kb_stride) {
-    for (int i = 0; i < kBgemmKWords64; ++i) d[i] = 0;
-  }
-}
-
-// Packs `tile_rows` rows (starting at `row0`, zero-padded beyond `n`) of a
-// [n][kw] bitpacked matrix into the [k_blocks][tile_rows][8]-uint64 panel
-// layout consumed by the micro-kernels. Zero padding encodes +1 values, but
-// padded k-words are 0 in both operands so they never affect the popcount.
-void BGemmPackLhsTile(const TBitpacked* src, int n, int kw, int row0,
-                      int tile_rows, int k_blocks, std::uint64_t* dst);
-
-// One micro-kernel invocation: a kBgemmMr x kBgemmNr tile of XOR-popcount
-// accumulators over `k_blocks` panel steps, dispatched to the best kernel
-// for `profile` (AVX-512 / AVX2 / NEON / scalar). Shared by the packed
-// BGEMM below and the fused indirect path (gemm/indirect_bgemm.h).
-void BGemmComputeTile(const std::uint64_t* apanel, const std::uint64_t* bpanel,
-                      int k_blocks, KernelProfile profile,
-                      std::int32_t acc[kBgemmMr][kBgemmNr]);
-
-// Computes `block_rows` x rhs.n() outputs from `block_tiles` consecutive
-// packed A-panels (each `a_elems` uint64 long, starting at `apanels`)
-// against every weight tile of `rhs`, writing k_bits - 2 * popcount into
-// `out` (row-major, leading dimension `ldc` >= rhs.n(); grouped
-// convolutions write each group's columns into a wider accumulator). Loop
-// order is nt-outer / tile-inner so each packed weight tile stays
-// cache-resident across the whole block -- the compute core of both the
-// unfused BGemm and the fused ConvPipeline. Defined in bgemm.cc so the
-// micro-kernels inline into the loop.
-void BGemmComputeBlock(const std::uint64_t* apanels, std::int64_t a_elems,
-                       const PackedBinaryMatrix& rhs, int k_bits,
-                       KernelProfile profile, int block_tiles, int block_rows,
-                       std::int32_t* out, int ldc);
+// Computes `block_rows` x rhs.n() outputs, writing k_bits - 2 * popcount
+// into `out` (row-major, leading dimension `ldc` >= rhs.n(); grouped
+// convolutions write each group's columns into a wider accumulator).
+//
+// LHS row i is read in place: it is the concatenation, over taps
+// t < `taps`, of the `words` words starting at rows[i * taps + t] +
+// `word_begin`; taps * words must equal rhs.kw(). A convolution points
+// each tap at a pixel's channel vector (or at a zero row for a padded
+// tap), a grouped one selects its group's words with `word_begin`, and a
+// plain matrix uses taps = 1 with one pointer per row.
+//
+// Loop order is channel-tile-outer / row-tile-inner so each packed weight
+// tile stays cache-resident across the whole block; the tail row tile runs
+// a kernel specialized for its row count.
+void BGemmComputeBlock(const TBitpacked* const* rows, int taps, int word_begin,
+                       int words, const PackedBinaryMatrix& rhs, int k_bits,
+                       KernelProfile profile, int block_rows, std::int32_t* out,
+                       int ldc);
 
 // out[i][j] = k_bits - 2*popcount(lhs_i ^ rhs_j); out is row-major MxN with
-// leading dimension ldc. LHS is packed into context scratch per call.
+// leading dimension ldc. lhs is [m][rhs.kw()], read in place.
 void BGemm(const TBitpacked* lhs, int m, const PackedBinaryMatrix& rhs,
            int k_bits, std::int32_t* out, int ldc, Context& ctx);
 
 // Convenience overload packing the RHS internally (tests, one-shot use).
 void BGemm(const TBitpacked* lhs, int m, const TBitpacked* rhs, int n, int kw,
            int k_bits, std::int32_t* out, int ldc, Context& ctx);
-
-// True when the binary was compiled with the AVX2 kernel available.
-bool HasSimdBGemm();
 
 }  // namespace lce::gemm
 

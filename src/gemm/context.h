@@ -30,7 +30,7 @@
 namespace lce::gemm {
 
 enum class KernelProfile {
-  kSimd = 0,    // best available vectorized kernels (AVX2 when compiled in)
+  kSimd = 0,    // best vectorized kernels compiled in (AVX-512/AVX2/NEON)
   kScalar = 1,  // portable scalar kernels
 };
 

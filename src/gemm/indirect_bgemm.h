@@ -8,10 +8,11 @@
 // it once at prepare time (CompiledModel::Compile) and every Invoke rebases
 // offsets to addresses on the fly while gathering.
 //
-// The consumers are the gather/pack strategies in
-// kernels/pipeline/gather_pack.h, which pack micro-kernel A-panels straight
-// from the feature map for the fused ConvPipeline used by BConv2D, grouped
-// BConv2D, BDepthwiseConv2D and Conv2DInt8.
+// The consumers are the fused ConvPipeline kernels: BConv2D (plain and
+// grouped) turns it into row pointers its BGEMM reads the feature map
+// through in place, Conv2DInt8 gathers int8 A-panels through it
+// (kernels/pipeline/gather_pack.h), and BDepthwiseConv2D resolves its taps
+// with it directly.
 #ifndef LCE_GEMM_INDIRECT_BGEMM_H_
 #define LCE_GEMM_INDIRECT_BGEMM_H_
 

@@ -90,7 +90,6 @@ void BConv2D::InitGeometry() {
     // Group boundaries must fall on bitpacked word boundaries.
     LCE_CHECK_EQ(in_c_pg % kBitpackWordSize, 0);
   }
-  const int words = BitpackedWords(in_c_pg);
   k_bits_ = g.filter_h * g.filter_w * in_c_pg;
 
   // Gather setup. Every convolution gathers its patch rows through the
@@ -100,7 +99,9 @@ void BConv2D::InitGeometry() {
   // indirection setup cost stays out of the inference hot path).
   if (!DirectPack()) {
     indirection_ = gemm::IndirectionOffsets(g);
-    zero_row_.assign(words, 0);  // 0 bits = +1.0 one-padding
+    // 0 bits = +1.0 one-padding; a whole pixel wide, so every group's
+    // word slice of it stays in bounds.
+    zero_row_.assign(BitpackedWords(g.in_c), 0);
   }
 
   // Interior/border row-tile classification for the fused engine.
@@ -197,89 +198,62 @@ void BConv2D::ApplyZeroPaddingCorrectionRows(std::int32_t* acc,
   }
 }
 
-// TileCompute policy of the binary convolution: pack BGEMM A-panels (from
-// the pointwise input rows, by gathering through the indirection cache, or
-// by per-group sliced gathering) and run the XOR-popcount block kernel.
+// TileCompute policy of the binary convolution: build the block's table of
+// per-tap row pointers into the input (the pointwise input rows, or the
+// taps of the indirection cache) and run the XOR-popcount block kernel
+// through it in place, once per group.
 class BConvTileCompute final : public pipeline::TileCompute {
  public:
-  enum class Mode {
-    kPatches,        // contiguous patch rows (the pointwise input)
-    kGather,         // indirect gather, groups == 1
-    kGatherGrouped,  // per-group sliced gather, one GEMM per group
-  };
-
-  BConvTileCompute(const BConv2D& op, Mode mode, const TBitpacked* input)
+  BConvTileCompute(const BConv2D& op, const TBitpacked* input)
       : op_(op),
-        mode_(mode),
         input_(input),
-        rows_(Im2ColRows(op.attrs_.geo)),
-        patch_words_(Im2ColDepthBitpacked(op.attrs_.geo)),
-        k_blocks_(op.weights_->groups[0].k_blocks()),
-        a_elems_(gemm::BGemmApanelElems(k_blocks_, gemm::kBgemmMr)) {}
+        taps_(op.DirectPack() ? 1 : op.indirection_.taps()),
+        group_words_(BitpackedWords(op.attrs_.geo.in_c /
+                                    std::max(1, op.attrs_.groups))) {}
 
   std::size_t ShardScratchBytes(int block_tiles) const override {
-    return static_cast<std::size_t>(a_elems_) * block_tiles *
-           sizeof(std::uint64_t);
+    return static_cast<std::size_t>(block_tiles) * gemm::kBgemmMr * taps_ *
+           sizeof(const TBitpacked*);
   }
 
   void ComputeBlock(std::int64_t tile0, int block_tiles, std::int64_t row0,
                     int block_rows, const pipeline::TilePlan& plan,
                     gemm::KernelProfile profile, std::uint8_t* scratch,
                     std::int32_t* acc) const override {
-    auto* apanels = reinterpret_cast<std::uint64_t*>(scratch);
+    auto* rows = reinterpret_cast<const TBitpacked**>(scratch);
+    if (op_.DirectPack()) {
+      // A 1x1 stride-1 convolution's patch rows are its input rows.
+      for (int r = 0; r < block_rows; ++r) {
+        rows[r] = input_ + (row0 + r) * group_words_;
+      }
+    } else {
+      const int tile_rows = plan.tile_rows();
+      for (int i = 0; i < block_tiles; ++i) {
+        const int r0 = i * tile_rows;
+        pipeline::GatherRowPointers(
+            input_, op_.indirection_, op_.zero_row_.data(), row0 + r0,
+            std::min(tile_rows, block_rows - r0), plan.interior(tile0 + i),
+            rows + static_cast<std::int64_t>(r0) * taps_);
+      }
+    }
+    // Each group reads its word slice of every pixel and writes its columns
+    // into its slice of the shared block accumulator (ldc = out_c), so the
+    // correction and transform downstream see one plain dense block.
     const int out_c = op_.attrs_.geo.out_c;
-
-    if (mode_ == Mode::kGatherGrouped) {
-      // One sliced gather + GEMM per group; each group's columns land in
-      // their slice of the shared block accumulator (ldc = out_c), so the
-      // correction and transform downstream see one plain dense block.
-      const int groups = op_.attrs_.groups;
-      const int out_c_pg = out_c / groups;
-      const int group_words = static_cast<int>(op_.zero_row_.size());
-      for (int grp = 0; grp < groups; ++grp) {
-        for (int i = 0; i < block_tiles; ++i) {
-          pipeline::GatherPackBitpackedGroup(
-              input_, op_.indirection_, op_.zero_row_.data(),
-              grp * group_words, group_words,
-              row0 + static_cast<std::int64_t>(i) * gemm::kBgemmMr,
-              gemm::kBgemmMr, k_blocks_, plan.interior(tile0 + i),
-              apanels + static_cast<std::int64_t>(i) * a_elems_);
-        }
-        gemm::BGemmComputeBlock(apanels, a_elems_, op_.weights_->groups[grp],
-                                op_.k_bits_, profile, block_tiles, block_rows,
-                                acc + grp * out_c_pg, out_c);
-      }
-      return;
+    const int groups = static_cast<int>(op_.weights_->groups.size());
+    const int out_c_pg = out_c / groups;
+    for (int grp = 0; grp < groups; ++grp) {
+      gemm::BGemmComputeBlock(rows, taps_, grp * group_words_, group_words_,
+                              op_.weights_->groups[grp], op_.k_bits_, profile,
+                              block_rows, acc + grp * out_c_pg, out_c);
     }
-
-    for (int i = 0; i < block_tiles; ++i) {
-      std::uint64_t* panel = apanels + static_cast<std::int64_t>(i) * a_elems_;
-      const std::int64_t tile_row0 =
-          row0 + static_cast<std::int64_t>(i) * gemm::kBgemmMr;
-      if (mode_ == Mode::kGather) {
-        pipeline::GatherPackBitpacked(input_, op_.indirection_,
-                                      op_.zero_row_.data(), tile_row0,
-                                      gemm::kBgemmMr, k_blocks_,
-                                      plan.interior(tile0 + i), panel);
-      } else {
-        gemm::BGemmPackLhsTile(input_, static_cast<int>(rows_), patch_words_,
-                               static_cast<int>(tile_row0), gemm::kBgemmMr,
-                               k_blocks_, panel);
-      }
-    }
-    gemm::BGemmComputeBlock(apanels, a_elems_, op_.weights_->groups[0],
-                            op_.k_bits_, profile, block_tiles, block_rows, acc,
-                            out_c);
   }
 
  private:
   const BConv2D& op_;
-  Mode mode_;
   const TBitpacked* input_;
-  std::int64_t rows_;
-  int patch_words_;
-  int k_blocks_;
-  std::int64_t a_elems_;
+  int taps_;
+  int group_words_;  // words per pixel of one group's channel slice
 };
 
 // RowCorrector policy: zero-padding fixup, invoked by the engine only for
@@ -313,24 +287,17 @@ void BConv2D::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
       break;
   }
 
-  // Fused row-tile pipeline for every configuration: pack (or gather),
+  // Fused row-tile pipeline for every configuration: row-pointer gather,
   // BGEMM, zero-padding correction and output transform all run per row
   // tile inside the shared engine, so neither patches nor a full-image
   // accumulator are ever materialized.
   const int groups = std::max(1, attrs_.groups);
-  BConvTileCompute::Mode mode = BConvTileCompute::Mode::kGather;
-  if (groups > 1) {
-    mode = BConvTileCompute::Mode::kGatherGrouped;
-  } else if (DirectPack()) {
-    // A 1x1 stride-1 convolution's patch rows are its input rows.
-    mode = BConvTileCompute::Mode::kPatches;
-  }
 
   static telemetry::Metric* macs =
       telemetry::MetricsRegistry::Global().Counter("bgemm.binary_macs");
   macs->Add(Im2ColRows(g) * (g.out_c / groups) * k_bits_ * groups);
 
-  const BConvTileCompute compute(*this, mode, input.data<TBitpacked>());
+  const BConvTileCompute compute(*this, input.data<TBitpacked>());
   const BConvZeroPadCorrector corrector(*this);
 
   pipeline::ConvPipelineArgs args;

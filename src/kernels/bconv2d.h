@@ -1,9 +1,10 @@
 // LceBConv2d: the primary binarized operator (paper section 3.2).
 //
 // Three-stage pipeline, as described in the paper:
-//   1. the bitpacked patch rows (one-padding falls out naturally), gathered
-//      through the prepare-time indirection cache instead of materialized
-//      by im2col (a pointwise convolution reads its input directly);
+//   1. the bitpacked patch rows (one-padding falls out naturally), read in
+//      place through per-tap row pointers from the prepare-time
+//      indirection cache instead of materialized by im2col (a pointwise
+//      convolution reads its input rows directly);
 //   2. BGEMM (XOR + POPCOUNT) accumulating into int32;
 //   3. an output-type-specific output transform that applies the fused
 //      channel-wise multiplier/bias (from batch-norm fusion), the fused
@@ -95,7 +96,7 @@ class BConv2D {
 
   // input: bitpacked NHWC [batch, in_h, in_w, in_c(packed)].
   // output: dtype matching attrs.output_type, shape [batch, oh, ow, out_c].
-  // scratch usage: context slot 2 (per-shard A-panels + row-tile
+  // scratch usage: context slot 2 (per-shard row-pointer tables + row-tile
   // accumulator).
   void Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
            BConvStageTimes* times = nullptr) const;
@@ -126,7 +127,7 @@ class BConv2D {
   };
 
   // True for an ungrouped 1x1 stride-1 convolution: its patch rows are its
-  // input rows, packed directly with no indirection table.
+  // input rows, read directly with no indirection table.
   bool DirectPack() const {
     const Conv2DGeometry& g = attrs_.geo;
     return attrs_.groups <= 1 && g.filter_h == 1 && g.filter_w == 1 &&
@@ -156,8 +157,8 @@ class BConv2D {
 
   // Gather state (every convolution except ungrouped pointwise): the
   // geometry-only indirection table, built once here rather than per Run,
-  // plus the all-zero row padded taps gather from (one-padding). zero_row_
-  // is sized words(in_c/groups) -- one group's slice.
+  // plus the all-zero row padded taps point at (one-padding). zero_row_
+  // is sized words(in_c), so each group's word slice of it is in bounds.
   gemm::IndirectionOffsets indirection_;
   std::vector<TBitpacked> zero_row_;
 

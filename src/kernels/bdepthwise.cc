@@ -5,7 +5,6 @@
 
 #include "core/bitpack.h"
 #include "core/macros.h"
-#include "gemm/bgemm.h"
 #include "kernels/im2col.h"
 #include "telemetry/metrics.h"
 
@@ -65,7 +64,7 @@ BDepthwiseConv2D::BDepthwiseConv2D(const float* weights,
   // only on the geometry, so both are built once here.
   indirection_ = gemm::IndirectionOffsets(g);
   zero_row_.assign(words, 0);  // 0 bits = +1.0 one-padding
-  tile_plan_ = pipeline::TilePlan(g, gemm::kBgemmMr);
+  tile_plan_ = pipeline::TilePlan(g, kTileRows);
   transform_ = std::make_unique<pipeline::FloatOutputTransform>(
       g.out_c, Activation::kNone, attrs_.multiplier, attrs_.bias);
 }

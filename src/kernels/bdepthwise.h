@@ -41,6 +41,11 @@ struct BDepthwiseConv2DAttrs {
 
 class BDepthwiseConv2D {
  public:
+  // Output positions per row tile of the fused pipeline: the granularity
+  // of sharding and of the interior/border classification (the counters
+  // themselves run one output row at a time).
+  static constexpr int kTileRows = 4;
+
   // weights: float [filter_h][filter_w][channels] with +/-1 values.
   BDepthwiseConv2D(const float* weights, BDepthwiseConv2DAttrs attrs);
 

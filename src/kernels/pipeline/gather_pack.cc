@@ -2,146 +2,23 @@
 
 #include <cstring>
 
-#include "gemm/bgemm.h"
 #include "gemm/int8_gemm.h"
 
 namespace lce::pipeline {
-namespace {
 
-// One implementation parameterized over the word slice (the plain gather is
-// the word_begin = 0, word_count = ind.words() case) and, at compile time,
-// over the interior fast path that drops the padded-tap sentinel check.
-template <bool kInterior>
-void GatherPackWords(const TBitpacked* input,
-                     const gemm::IndirectionOffsets& ind,
-                     const TBitpacked* zero_row, int word_begin, int word_count,
-                     std::int64_t row0, int tile_rows, int k_blocks,
-                     std::uint64_t* dst) {
-  using gemm::kBgemmKWords64;
+void GatherRowPointers(const TBitpacked* input,
+                       const gemm::IndirectionOffsets& ind,
+                       const TBitpacked* zero_row, std::int64_t row0,
+                       int nrows, bool interior, const TBitpacked** dst) {
   const int taps = ind.taps();
-  const int words = word_count;
-  const int kw = taps * words;
-  const std::int64_t kb_stride =
-      static_cast<std::int64_t>(tile_rows) * kBgemmKWords64;
-
-  const auto tap_src = [&](const std::int32_t* offs, int t) -> const TBitpacked* {
-    if constexpr (kInterior) {
-      return input + offs[t] + word_begin;
-    } else {
-      const std::int32_t off = offs[t];
-      return off < 0 ? zero_row : input + off + word_begin;
-    }
-  };
-
-  // Fast path (every realistic geometry: words is even whenever the sliced
-  // channel count is a multiple of 64, and always for the common
-  // power-of-two channel counts): merge each tap's word pairs straight into
-  // the panel's u64 lanes, walking k-blocks as the lane index wraps. Each
-  // destination word is written exactly once -- no staging buffer, no memset.
-  if (words % 2 == 0) {
-    for (int r = 0; r < tile_rows; ++r) {
-      const std::int64_t row = row0 + r;
-      if (row >= ind.rows()) {
-        gemm::BGemmZeroLhsRow(k_blocks, r, tile_rows, dst);
-        continue;
-      }
-      const std::int32_t* offs = ind.row(row);
-      std::uint64_t* drow = dst + static_cast<std::int64_t>(r) * kBgemmKWords64;
-      int lane = 0;  // u64 lane within the current k-block row [0, 8)
-      for (int t = 0; t < taps; ++t) {
-        const TBitpacked* src = tap_src(offs, t);
-        for (int wi = 0; wi < words; wi += 2) {
-          drow[lane] = static_cast<std::uint64_t>(src[wi]) |
-                       static_cast<std::uint64_t>(src[wi + 1]) << 32;
-          if (++lane == kBgemmKWords64) {
-            lane = 0;
-            drow += kb_stride;
-          }
-        }
-      }
-      if (lane != 0) {  // zero the k-padding lanes of the last block
-        for (; lane < kBgemmKWords64; ++lane) drow[lane] = 0;
-      }
-    }
-    return;
-  }
-
-  // Odd-words path: gather the taps of one logical patch row into a
-  // contiguous stack staging buffer (a tiny, cache-hot im2col of exactly
-  // one row), then pack it with the same destination-major row packer as
-  // the contiguous LHS path.
-  constexpr int kStageWords = 1024;
-  if (kw <= kStageWords) {
-    TBitpacked stage[kStageWords];
-    for (int r = 0; r < tile_rows; ++r) {
-      const std::int64_t row = row0 + r;
-      if (row >= ind.rows()) {
-        gemm::BGemmZeroLhsRow(k_blocks, r, tile_rows, dst);
-        continue;
-      }
-      const std::int32_t* offs = ind.row(row);
-      TBitpacked* sp = stage;
-      for (int t = 0; t < taps; ++t, sp += words) {
-        const TBitpacked* src = tap_src(offs, t);
-        for (int wi = 0; wi < words; ++wi) sp[wi] = src[wi];
-      }
-      gemm::BGemmPackLhsRow(stage, kw, k_blocks, r, tile_rows, dst);
-    }
-    return;
-  }
-
-  // Generic fallback for giant patch rows: scatter word-by-word.
-  std::memset(dst, 0,
-              static_cast<std::size_t>(k_blocks) * tile_rows * kBgemmKWords64 *
-                  sizeof(std::uint64_t));
-  for (int r = 0; r < tile_rows; ++r) {
-    const std::int64_t row = row0 + r;
-    if (row >= ind.rows()) break;
-    const std::int32_t* offs = ind.row(row);
-    // Each k-block spans kBgemmKWords64 u64 lanes = 2*kBgemmKWords64 of the
-    // 32-bit patch words.
-    constexpr int kBlockWords32 = 2 * kBgemmKWords64;
-    int w = 0;  // word index within the logical patch row
-    for (int t = 0; t < taps; ++t) {
-      const TBitpacked* src = tap_src(offs, t);
-      for (int wi = 0; wi < words; ++wi, ++w) {
-        const int kb = w / kBlockWords32;
-        const int w64 = (w % kBlockWords32) / 2;
-        const int half = w % 2;
-        dst[(static_cast<std::int64_t>(kb) * tile_rows + r) * kBgemmKWords64 +
-            w64] |= static_cast<std::uint64_t>(src[wi]) << (half * 32);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void GatherPackBitpacked(const TBitpacked* input,
-                         const gemm::IndirectionOffsets& ind,
-                         const TBitpacked* zero_row, std::int64_t row0,
-                         int tile_rows, int k_blocks, bool interior,
-                         std::uint64_t* dst) {
+  const std::int32_t* offs = ind.row(row0);
+  const std::int64_t n = static_cast<std::int64_t>(nrows) * taps;
   if (interior) {
-    GatherPackWords<true>(input, ind, zero_row, 0, ind.words(), row0,
-                          tile_rows, k_blocks, dst);
+    for (std::int64_t i = 0; i < n; ++i) dst[i] = input + offs[i];
   } else {
-    GatherPackWords<false>(input, ind, zero_row, 0, ind.words(), row0,
-                           tile_rows, k_blocks, dst);
-  }
-}
-
-void GatherPackBitpackedGroup(const TBitpacked* input,
-                              const gemm::IndirectionOffsets& ind,
-                              const TBitpacked* zero_row, int word_begin,
-                              int word_count, std::int64_t row0, int tile_rows,
-                              int k_blocks, bool interior, std::uint64_t* dst) {
-  if (interior) {
-    GatherPackWords<true>(input, ind, zero_row, word_begin, word_count, row0,
-                          tile_rows, k_blocks, dst);
-  } else {
-    GatherPackWords<false>(input, ind, zero_row, word_begin, word_count, row0,
-                           tile_rows, k_blocks, dst);
+    for (std::int64_t i = 0; i < n; ++i) {
+      dst[i] = offs[i] < 0 ? zero_row : input + offs[i];
+    }
   }
 }
 

@@ -1,21 +1,20 @@
-// Gather/pack strategies of the ConvPipeline (policy seam #1): pack a
-// micro-kernel A-panel straight from the feature map through the
-// prepare-time int32 indirection cache (gemm/indirect_bgemm.h), without
-// materializing im2col patches.
+// Gather strategies of the ConvPipeline (policy seam #1): read a patch row
+// straight from the feature map through the prepare-time int32
+// indirection cache (gemm/indirect_bgemm.h), without materializing im2col
+// patches.
 //
-// Three strategies, one per consumer family:
-//   * GatherPackBitpacked       — word gather into BGEMM A-panels (BConv2D).
-//   * GatherPackBitpackedGroup  — per-group sliced view of the same input:
-//     gathers `word_count` words starting at word slice `word_begin` of each
-//     pixel's channel vector (grouped BConv2D; group boundaries fall on
-//     word boundaries by construction).
-//   * GatherPackInt8            — byte gather into int8-GEMM A-panels with
-//     the maddubs +128 bias applied during packing (Conv2DInt8); padded
-//     taps read the input zero point, exactly like Im2ColInt8.
+// Two families, one per consumer:
+//   * GatherRowPointers  — the binary kernels read activations in place:
+//     a table of per-tap row pointers into the feature map (or the zero
+//     row for padded taps) that gemm::BGemmComputeBlock reads through
+//     (BConv2D, plain and grouped).
+//   * GatherPackInt8 / GatherStageInt8Dot — byte gathers into int8-GEMM
+//     A-panels or dot-tier staging rows (Conv2DInt8); padded taps read the
+//     input zero point, exactly like Im2ColInt8.
 //
-// All three take an `interior` flag from the shared TilePlan: interior
-// tiles have no padded taps, so the gather skips the kPaddedTap sentinel
-// check entirely.
+// All take an `interior` flag from the shared TilePlan: interior tiles have
+// no padded taps, so the gather skips the kPaddedTap sentinel check
+// entirely.
 #ifndef LCE_KERNELS_PIPELINE_GATHER_PACK_H_
 #define LCE_KERNELS_PIPELINE_GATHER_PACK_H_
 
@@ -26,29 +25,17 @@
 
 namespace lce::pipeline {
 
-// Packs `tile_rows` patch rows starting at output position `row0` into the
-// BGEMM A-panel layout ([k_blocks][tile_rows][8] uint64; gemm/bgemm.h).
-// Equivalent to bitpacked im2col of those rows followed by BGemmPackLhsTile,
-// without materializing the patches. Padded taps read from `zero_row`
-// (words(in_c) zero words = +1.0 one-padding); rows beyond ind.rows() are
-// left zero (never written back by the caller). With `interior` set the
+// Fills dst[r * ind.taps() + t], for r < `nrows`, with the address of the
+// channel vector that tap t of output position row0 + r reads: `input`
+// plus the tap's offset, or `zero_row` for a padded tap (all-zero words =
+// +1.0 one-padding). Row r's patch row (the bitpacked im2col row) is then
+// the concatenation of its taps' vectors. With `interior` set the
 // padded-tap sentinel check is skipped (caller guarantees no padded taps,
-// see pipeline/tile_plan.h).
-void GatherPackBitpacked(const TBitpacked* input,
-                         const gemm::IndirectionOffsets& ind,
-                         const TBitpacked* zero_row, std::int64_t row0,
-                         int tile_rows, int k_blocks, bool interior,
-                         std::uint64_t* dst);
-
-// Grouped variant: gathers only `word_count` words starting at `word_begin`
-// of each pixel's ind.words()-word channel vector. `zero_row` must hold at
-// least `word_count` zero words. The logical patch row is
-// taps * word_count words long (one group's K).
-void GatherPackBitpackedGroup(const TBitpacked* input,
-                              const gemm::IndirectionOffsets& ind,
-                              const TBitpacked* zero_row, int word_begin,
-                              int word_count, std::int64_t row0, int tile_rows,
-                              int k_blocks, bool interior, std::uint64_t* dst);
+// see pipeline/tile_plan.h). Requires row0 + nrows <= ind.rows().
+void GatherRowPointers(const TBitpacked* input,
+                       const gemm::IndirectionOffsets& ind,
+                       const TBitpacked* zero_row, std::int64_t row0,
+                       int nrows, bool interior, const TBitpacked** dst);
 
 // Int8 byte gather: `ind` must have been built with elems_per_pixel = in_c
 // (byte offsets). Gathers `tile_rows` patch rows of taps*in_c bytes into

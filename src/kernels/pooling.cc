@@ -31,8 +31,11 @@ void MaxPool2DFloat(const Tensor& input, const Pool2DGeometry& g,
                 in + ((static_cast<std::int64_t>(b) * g.in_h + iy) * g.in_w +
                       ix) *
                          g.channels;
+            // An unconditional select (not a conditional store) so the
+            // loop vectorizes; it keeps o[c] for NaN and equal inputs,
+            // exactly like the reference.
             for (int c = 0; c < g.channels; ++c) {
-              if (src[c] > o[c]) o[c] = src[c];
+              o[c] = src[c] > o[c] ? src[c] : o[c];
             }
           }
         }

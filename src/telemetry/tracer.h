@@ -21,8 +21,8 @@
 // dropped and counted in the `tracer.dropped_spans` metric.
 //
 // Usage:
-//   void Pack(...) {
-//     LCE_TRACE_SCOPE("bgemm/pack");   // span from here to end of scope
+//   void Compute(...) {
+//     LCE_TRACE_SCOPE("bgemm/compute");   // span from here to end of scope
 //     ...
 //   }
 #ifndef LCE_TELEMETRY_TRACER_H_

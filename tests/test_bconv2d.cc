@@ -354,23 +354,5 @@ TEST(BConv2D, GroupedZeroPaddingCorrection) {
   }
 }
 
-TEST(BConv2D, ScalarProfileMatchesSimd) {
-  const Problem p = MakeProblem(9, 9, 96, 32, 3, 2, Padding::kSameZero, 77);
-  BConv2DAttrs attrs;
-  attrs.geo = p.geo;
-  attrs.output_type = BConvOutputType::kFloat;
-  BConv2D op(p.weights.data(), attrs);
-  Tensor out_simd(DataType::kFloat32,
-                  Shape{1, p.geo.out_h(), p.geo.out_w(), 32});
-  Tensor out_scalar(DataType::kFloat32, out_simd.shape());
-  gemm::Context simd(1, gemm::KernelProfile::kSimd);
-  gemm::Context scalar(1, gemm::KernelProfile::kScalar);
-  op.Run(p.input_packed, out_simd, simd);
-  op.Run(p.input_packed, out_scalar, scalar);
-  for (std::int64_t i = 0; i < out_simd.num_elements(); ++i) {
-    ASSERT_EQ(out_simd.data<float>()[i], out_scalar.data<float>()[i]);
-  }
-}
-
 }  // namespace
 }  // namespace lce

@@ -8,7 +8,7 @@
 // slot 1, and the `bconv2d.fused_tiles` telemetry counter.
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <ostream>
 #include <vector>
 
 #include "core/bitpack.h"
@@ -39,9 +39,10 @@ struct Problem {
 };
 
 Problem MakeProblem(int hw, int in_c, int out_c, int k, int stride,
-                    Padding pad, int groups, std::uint64_t seed) {
+                    Padding pad, int groups, std::uint64_t seed,
+                    int batch = 1) {
   Problem p;
-  p.geo.batch = 1;
+  p.geo.batch = batch;
   p.geo.in_h = p.geo.in_w = hw;
   p.geo.in_c = in_c;
   p.geo.out_c = out_c;
@@ -51,7 +52,7 @@ Problem MakeProblem(int hw, int in_c, int out_c, int k, int stride,
   p.groups = groups;
 
   Rng rng(seed);
-  p.input_float = Tensor(DataType::kFloat32, Shape{1, hw, hw, in_c});
+  p.input_float = Tensor(DataType::kFloat32, Shape{batch, hw, hw, in_c});
   FillSigns(p.input_float, rng);
   p.input_packed = Tensor(DataType::kBitpacked, p.input_float.shape());
   BitpackTensor(p.input_float, p.input_packed);
@@ -70,26 +71,39 @@ std::vector<float> Reference(const Problem& p) {
   return out;
 }
 
-// (hw, in_c, out_c, filter, stride, padding, groups, threads)
-using FusedCase = std::tuple<int, int, int, int, int, Padding, int, int>;
+struct FusedCase {
+  int hw, in_c, out_c, k, stride;
+  Padding pad;
+  int groups, batch, threads;
+  gemm::KernelProfile profile;
+};
+
+void PrintTo(const FusedCase& c, std::ostream* os) {
+  *os << "hw=" << c.hw << " in_c=" << c.in_c << " out_c=" << c.out_c
+      << " k=" << c.k << " stride=" << c.stride
+      << " pad=" << static_cast<int>(c.pad) << " groups=" << c.groups
+      << " batch=" << c.batch << " threads=" << c.threads << " profile="
+      << (c.profile == gemm::KernelProfile::kSimd ? "simd" : "scalar");
+}
 
 class FusedParity : public ::testing::TestWithParam<FusedCase> {};
 
 TEST_P(FusedParity, BitExactVsReference) {
-  const auto [hw, in_c, out_c, k, stride, pad, groups, threads] = GetParam();
-  const Problem p = MakeProblem(hw, in_c, out_c, k, stride, pad, groups,
-                                hw * 131 + in_c * 7 + out_c + k + stride);
+  const FusedCase c = GetParam();
+  const Problem p =
+      MakeProblem(c.hw, c.in_c, c.out_c, c.k, c.stride, c.pad, c.groups,
+                  c.hw * 131 + c.in_c * 7 + c.out_c + c.k + c.stride, c.batch);
   const auto expected = Reference(p);
 
   BConv2DAttrs attrs;
   attrs.geo = p.geo;
-  attrs.groups = groups;
+  attrs.groups = c.groups;
   attrs.output_type = BConvOutputType::kFloat;
   BConv2D op(p.weights.data(), attrs);
 
   Tensor out(DataType::kFloat32,
-             Shape{1, p.geo.out_h(), p.geo.out_w(), out_c});
-  gemm::Context ctx(threads);
+             Shape{c.batch, p.geo.out_h(), p.geo.out_w(), c.out_c});
+  gemm::Context ctx(c.threads, c.profile);
   op.Run(p.input_packed, out, ctx);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(out.data<float>()[i], expected[i]) << "element " << i;
@@ -97,27 +111,39 @@ TEST_P(FusedParity, BitExactVsReference) {
 }
 
 // ::testing::Combine over independent axes would multiply out illegal
-// combinations (grouped pointwise etc.), so the sweep is an explicit list:
-// every geometry class the fused pipeline dispatches on, each at 1 and 4
-// threads.
+// combinations (grouped pointwise etc.), so the geometries are an explicit
+// list: every geometry class the fused pipeline dispatches on, each at 1
+// and 4 threads on both kernel profiles. Every case matches the float
+// reference exactly, so the scalar and SIMD kernels also agree bitwise.
 std::vector<FusedCase> FusedSweep() {
-  const std::vector<std::tuple<int, int, int, int, int, Padding, int>> geos = {
-      {8, 64, 32, 1, 1, Padding::kValid, 1},      // pointwise fast path
-      {8, 64, 64, 3, 1, Padding::kSameOne, 1},    // one-padding
-      {8, 64, 64, 3, 1, Padding::kSameZero, 1},   // zero-padding correction
-      {9, 96, 40, 3, 2, Padding::kSameZero, 1},   // strided + zero-padding
-      {9, 96, 40, 3, 2, Padding::kSameOne, 1},    // strided + one-padding
-      {7, 33, 17, 3, 1, Padding::kSameZero, 1},   // odd channels
-      {7, 33, 17, 5, 1, Padding::kSameOne, 1},    // 5x5, odd channels
-      {10, 100, 64, 3, 2, Padding::kValid, 1},    // VALID, strided
-      {12, 72, 40, 3, 2, Padding::kSameZero, 1},  // strided border tiles
-      {6, 128, 16, 3, 1, Padding::kSameOne, 2},   // grouped (fused gather)
-      {6, 128, 16, 3, 1, Padding::kSameZero, 4},  // grouped + zero-padding
+  struct Geo {
+    int hw, in_c, out_c, k, stride;
+    Padding pad;
+    int groups, batch;
+  };
+  const Geo geos[] = {
+      {8, 64, 32, 1, 1, Padding::kValid, 1, 1},      // pointwise fast path
+      {8, 64, 64, 3, 1, Padding::kSameOne, 1, 1},    // one-padding
+      {8, 64, 64, 3, 1, Padding::kSameZero, 1, 1},   // zero-padding correction
+      {9, 96, 40, 3, 2, Padding::kSameZero, 1, 1},   // strided + zero-padding
+      {9, 96, 40, 3, 2, Padding::kSameOne, 1, 1},    // strided + one-padding
+      {9, 96, 32, 3, 2, Padding::kSameZero, 1, 1},   // one full channel tile
+      {7, 33, 17, 3, 1, Padding::kSameZero, 1, 1},   // odd channels
+      {7, 33, 17, 5, 1, Padding::kSameOne, 1, 1},    // 5x5, odd channels
+      {10, 100, 64, 3, 2, Padding::kValid, 1, 1},    // VALID, strided
+      {12, 72, 40, 3, 2, Padding::kSameZero, 1, 1},  // strided border tiles
+      {6, 128, 16, 3, 1, Padding::kSameOne, 2, 1},   // grouped (fused gather)
+      {6, 128, 16, 3, 1, Padding::kSameZero, 4, 1},  // grouped + zero-padding
+      {7, 64, 40, 3, 1, Padding::kSameZero, 1, 3},   // row tiles span images
   };
   std::vector<FusedCase> cases;
-  for (const auto& [hw, in_c, out_c, k, s, pad, g] : geos) {
+  for (const Geo& g : geos) {
     for (int threads : {1, 4}) {
-      cases.emplace_back(hw, in_c, out_c, k, s, pad, g, threads);
+      for (const gemm::KernelProfile profile :
+           {gemm::KernelProfile::kSimd, gemm::KernelProfile::kScalar}) {
+        cases.push_back({g.hw, g.in_c, g.out_c, g.k, g.stride, g.pad,
+                         g.groups, g.batch, threads, profile});
+      }
     }
   }
   return cases;

@@ -1,10 +1,12 @@
 // Unit tests for the shared ConvPipeline building blocks: the
-// interior/border TilePlan and the gather-pack strategies
-// (kernels/pipeline/). Each gather strategy is checked against the
-// composition it replaces -- im2col (full, sliced, or int8) followed by the
-// corresponding LHS tile packer -- which must produce bit-identical panels.
+// interior/border TilePlan and the gather strategies (kernels/pipeline/).
+// Each gather is checked against the im2col it replaces: the binary
+// row-pointer table must address exactly the words of each im2col row
+// (full or group-sliced), and the int8 gather followed by its packer must
+// produce bit-identical panels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -57,7 +59,7 @@ TEST(TilePlan, MatchesBruteForce) {
   };
   for (const auto& c : cases) {
     const Conv2DGeometry g = MakeGeo(c.hw, 32, c.k, c.stride, c.pad, c.batch);
-    for (const int tile_rows : {1, 2, 4}) {
+    for (const int tile_rows : {1, 2, 4, 8}) {
       const pipeline::TilePlan plan(g, tile_rows);
       const std::int64_t rows = Im2ColRows(g);
       ASSERT_EQ(plan.rows(), rows);
@@ -100,132 +102,100 @@ TEST(TilePlan, ValidPaddingIsAllInterior) {
   EXPECT_TRUE(plan.AllInterior(0, plan.num_tiles()));
 }
 
-// Packs every tile of the geometry twice -- gather vs im2col+pack -- and
-// compares the panels word for word.
-void CheckGatherMatchesIm2Col(const Conv2DGeometry& g) {
-  Rng rng(g.in_h * 31 + g.filter_h * 7 + g.in_c);
+// Builds the row-pointer table of every tile of the geometry and checks,
+// for each group's word slice, that every row's taps concatenated
+// reproduce its bitpacked im2col row (Im2ColBitpackedGroup for grouped
+// slices): the checked gather on every tile, and the sentinel-free variant
+// on interior tiles.
+void CheckRowPointersMatchIm2Col(const Conv2DGeometry& g, int groups = 1) {
+  Rng rng(g.in_h * 31 + g.filter_h * 7 + g.in_c + groups);
   Tensor in_f(DataType::kFloat32, Shape{g.batch, g.in_h, g.in_w, g.in_c});
   FillSigns(in_f, rng);
   Tensor in_b(DataType::kBitpacked, in_f.shape());
   BitpackTensor(in_f, in_b);
+  const TBitpacked* in = in_b.data<TBitpacked>();
 
   const std::int64_t rows = Im2ColRows(g);
-  const int patch_words = Im2ColDepthBitpacked(g);
-  std::vector<TBitpacked> patches(static_cast<std::size_t>(rows) *
-                                  patch_words);
-  Im2ColBitpacked(in_b.data<TBitpacked>(), g, patches.data());
-
+  const int total_words = BitpackedWords(g.in_c);
+  const int group_words = total_words / groups;
+  const int taps = g.filter_h * g.filter_w;
+  const int group_kw = taps * group_words;
   const gemm::IndirectionOffsets ind(g);
-  std::vector<TBitpacked> zero_row(BitpackedWords(g.in_c), 0);
+  const std::vector<TBitpacked> zero_row(total_words, 0);
   const pipeline::TilePlan plan(g, gemm::kBgemmMr);
-  const int k_blocks = gemm::BGemmKBlocks(patch_words);
-  const std::int64_t a_elems =
-      gemm::BGemmApanelElems(k_blocks, gemm::kBgemmMr);
 
-  std::vector<std::uint64_t> expected(a_elems), got(a_elems);
-  for (std::int64_t t = 0; t < plan.num_tiles(); ++t) {
-    const std::int64_t row0 = t * gemm::kBgemmMr;
-    gemm::BGemmPackLhsTile(patches.data(), static_cast<int>(rows), patch_words,
-                           static_cast<int>(row0), gemm::kBgemmMr, k_blocks,
-                           expected.data());
-    // The checked (non-interior) gather must match everywhere...
-    pipeline::GatherPackBitpacked(in_b.data<TBitpacked>(), ind,
-                                  zero_row.data(), row0, gemm::kBgemmMr,
-                                  k_blocks, /*interior=*/false, got.data());
-    ASSERT_EQ(std::memcmp(got.data(), expected.data(),
-                          a_elems * sizeof(std::uint64_t)),
-              0)
-        << "checked gather, tile " << t;
-    // ...and the sentinel-free interior variant on interior tiles.
-    if (plan.interior(t)) {
-      pipeline::GatherPackBitpacked(in_b.data<TBitpacked>(), ind,
-                                    zero_row.data(), row0, gemm::kBgemmMr,
-                                    k_blocks, /*interior=*/true, got.data());
-      ASSERT_EQ(std::memcmp(got.data(), expected.data(),
-                            a_elems * sizeof(std::uint64_t)),
-                0)
-          << "interior gather, tile " << t;
+  std::vector<TBitpacked> patches(static_cast<std::size_t>(rows) * group_kw);
+  std::vector<const TBitpacked*> table(
+      static_cast<std::size_t>(gemm::kBgemmMr) * taps);
+  for (int grp = 0; grp < groups; ++grp) {
+    const int word_begin = grp * group_words;
+    if (groups == 1) {
+      Im2ColBitpacked(in, g, patches.data());
+    } else {
+      Im2ColBitpackedGroup(in, g, total_words, word_begin, group_words,
+                           patches.data());
+    }
+    for (std::int64_t t = 0; t < plan.num_tiles(); ++t) {
+      const std::int64_t row0 = t * gemm::kBgemmMr;
+      const int nrows = static_cast<int>(
+          std::min<std::int64_t>(gemm::kBgemmMr, rows - row0));
+      for (const bool interior : {false, true}) {
+        if (interior && !plan.interior(t)) continue;
+        pipeline::GatherRowPointers(in, ind, zero_row.data(), row0, nrows,
+                                    interior, table.data());
+        for (int r = 0; r < nrows; ++r) {
+          const TBitpacked* expected =
+              patches.data() + (row0 + r) * group_kw;
+          for (int tap = 0; tap < taps; ++tap) {
+            ASSERT_EQ(std::memcmp(table[r * taps + tap] + word_begin,
+                                  expected + tap * group_words,
+                                  group_words * sizeof(TBitpacked)),
+                      0)
+                << (interior ? "interior" : "checked") << " gather, group "
+                << grp << ", row " << row0 + r << ", tap " << tap;
+          }
+        }
+      }
     }
   }
 }
 
-TEST(GatherPack, EvenWordsMatchesIm2Col) {
-  // 64 channels = 2 words: the paired-word fast path.
-  CheckGatherMatchesIm2Col(MakeGeo(9, 64, 3, 1, Padding::kSameOne));
-  CheckGatherMatchesIm2Col(MakeGeo(8, 128, 3, 2, Padding::kSameOne));
+TEST(GatherRowPointers, EvenWordsMatchesIm2Col) {
+  CheckRowPointersMatchIm2Col(MakeGeo(9, 64, 3, 1, Padding::kSameOne));
+  CheckRowPointersMatchIm2Col(MakeGeo(8, 128, 3, 2, Padding::kSameOne));
 }
 
-TEST(GatherPack, OddWordsMatchesIm2Col) {
-  // The odd-words staging path needs an odd per-pixel word count:
-  // 32 channels = 1 word, 96 channels = 3 words.
-  CheckGatherMatchesIm2Col(MakeGeo(9, 32, 3, 1, Padding::kSameOne));
-  CheckGatherMatchesIm2Col(MakeGeo(7, 96, 5, 1, Padding::kSameOne));
+TEST(GatherRowPointers, OddWordsMatchesIm2Col) {
+  // 32 channels = 1 word, 96 channels = 3 words per pixel.
+  CheckRowPointersMatchIm2Col(MakeGeo(9, 32, 3, 1, Padding::kSameOne));
+  CheckRowPointersMatchIm2Col(MakeGeo(7, 96, 5, 1, Padding::kSameOne));
 }
 
-TEST(GatherPack, ScatterFallbackMatchesIm2Col) {
-  // The generic word-by-word scatter fallback runs only when the logical
-  // patch row exceeds the 1024-word staging buffer AND the word count is
-  // odd: 96 channels = 3 words with a 19x19 filter gives 361 taps * 3 =
-  // 1083 words. One-padding makes border tiles exercise the sentinel path
-  // through the fallback too.
-  CheckGatherMatchesIm2Col(MakeGeo(19, 96, 19, 1, Padding::kSameOne));
+TEST(GatherRowPointers, LargeFilterMatchesIm2Col) {
+  // A 19x19 filter over 96 channels: 361 taps * 3 words = 1083-word patch
+  // rows, with one-padded border taps on every tile.
+  CheckRowPointersMatchIm2Col(MakeGeo(19, 96, 19, 1, Padding::kSameOne));
 }
 
-TEST(GatherPack, BatchedMatchesIm2Col) {
-  CheckGatherMatchesIm2Col(MakeGeo(6, 64, 3, 1, Padding::kSameOne, /*batch=*/3));
+TEST(GatherRowPointers, BatchedMatchesIm2Col) {
+  CheckRowPointersMatchIm2Col(
+      MakeGeo(6, 64, 3, 1, Padding::kSameOne, /*batch=*/3));
+  // 25 output positions per image: nearly every row tile straddles an
+  // image boundary.
+  CheckRowPointersMatchIm2Col(
+      MakeGeo(5, 64, 3, 1, Padding::kSameOne, /*batch=*/8));
 }
 
-TEST(GatherPack, GroupSliceMatchesGroupIm2Col) {
-  // Grouped gather vs the sliced im2col the legacy grouped path uses. Group
-  // word counts of 1 (32 ch/group) and 2 (64 ch/group) cover the odd-words
-  // and even-words paths through the sliced gather.
+TEST(GatherRowPointers, GroupSliceMatchesGroupIm2Col) {
+  // Group word counts of 1 (32 ch/group) and 2 (64 ch/group).
   const struct {
     int in_c, groups;
   } cases[] = {{64, 2}, {128, 4}, {128, 2}, {96, 3}};
   for (const auto& c : cases) {
-    Conv2DGeometry g = MakeGeo(8, c.in_c, 3, 1, Padding::kSameOne);
-    Rng rng(c.in_c * 5 + c.groups);
-    Tensor in_f(DataType::kFloat32, Shape{1, g.in_h, g.in_w, g.in_c});
-    FillSigns(in_f, rng);
-    Tensor in_b(DataType::kBitpacked, in_f.shape());
-    BitpackTensor(in_f, in_b);
-
-    const std::int64_t rows = Im2ColRows(g);
-    const int total_words = BitpackedWords(g.in_c);
-    const int group_words = total_words / c.groups;
-    const int taps = g.filter_h * g.filter_w;
-    const int group_kw = taps * group_words;
-    const int k_blocks = gemm::BGemmKBlocks(group_kw);
-    const std::int64_t a_elems =
-        gemm::BGemmApanelElems(k_blocks, gemm::kBgemmMr);
-
-    const gemm::IndirectionOffsets ind(g);
-    std::vector<TBitpacked> zero_row(group_words, 0);
-    const pipeline::TilePlan plan(g, gemm::kBgemmMr);
-    std::vector<TBitpacked> group_patches(static_cast<std::size_t>(rows) *
-                                          group_kw);
-    std::vector<std::uint64_t> expected(a_elems), got(a_elems);
-
-    for (int grp = 0; grp < c.groups; ++grp) {
-      Im2ColBitpackedGroup(in_b.data<TBitpacked>(), g, total_words,
-                           grp * group_words, group_words,
-                           group_patches.data());
-      for (std::int64_t t = 0; t < plan.num_tiles(); ++t) {
-        const std::int64_t row0 = t * gemm::kBgemmMr;
-        gemm::BGemmPackLhsTile(group_patches.data(), static_cast<int>(rows),
-                               group_kw, static_cast<int>(row0),
-                               gemm::kBgemmMr, k_blocks, expected.data());
-        pipeline::GatherPackBitpackedGroup(
-            in_b.data<TBitpacked>(), ind, zero_row.data(), grp * group_words,
-            group_words, row0, gemm::kBgemmMr, k_blocks, plan.interior(t),
-            got.data());
-        ASSERT_EQ(std::memcmp(got.data(), expected.data(),
-                              a_elems * sizeof(std::uint64_t)),
-                  0)
-            << "in_c=" << c.in_c << " groups=" << c.groups << " grp=" << grp
-            << " tile " << t;
-      }
-    }
+    SCOPED_TRACE(::testing::Message() << "in_c=" << c.in_c
+                                      << " groups=" << c.groups);
+    CheckRowPointersMatchIm2Col(MakeGeo(8, c.in_c, 3, 1, Padding::kSameOne),
+                                c.groups);
   }
 }
 

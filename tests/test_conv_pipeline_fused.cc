@@ -11,7 +11,6 @@
 
 #include "core/bitpack.h"
 #include "core/random.h"
-#include "gemm/bgemm.h"
 #include "kernels/bconv2d.h"
 #include "kernels/bdepthwise.h"
 #include "kernels/conv2d_int8.h"
@@ -115,7 +114,8 @@ TEST(DepthwiseFused, TileCountersAdvance) {
   Tensor out(DataType::kFloat32, Shape{1, 12, 12, 32});
 
   const std::int64_t rows = Im2ColRows(geo);
-  const std::int64_t m_tiles = (rows + gemm::kBgemmMr - 1) / gemm::kBgemmMr;
+  constexpr int kTileRows = BDepthwiseConv2D::kTileRows;
+  const std::int64_t m_tiles = (rows + kTileRows - 1) / kTileRows;
   telemetry::MetricsRegistry::Global().Reset();
   gemm::Context ctx(2);
   op.Run(in_b, out, ctx);
