@@ -1,14 +1,10 @@
-// Int8 dot-product tier microbenchmark (the ISSUE "break the int8
-// plateau" acceptance artifact): QuickNet-stage int8 convolutions swept
-// over the selectable micro-kernel tiers (gemm/int8_isa.h) and, for the
-// best tier, over the weight-stationary blocking factor
-// (Conv2DInt8Attrs::block_tiles).
+// Int8 micro-kernel tier microbenchmark: QuickNet-stage int8
+// convolutions swept over the selectable tiers (gemm/int8_isa.h).
 //
 // All tiers run the same fused row-tile pipeline on the same prepared
-// kernels; the widened tier is the baseline the dot-product tiers must
-// retire (the pre-dot fused path measured ~1.01x over legacy -- the
-// plateau). Samples are interleaved round-robin across tiers so drift on
-// a shared host hits every tier equally; per-tier medians are reported.
+// kernels and weight panels. The scalar tier is the baseline because every
+// build has it. Samples are interleaved round-robin across tiers so drift
+// on a shared host hits every tier equally; per-tier medians are reported.
 //
 // The committed BENCH_int8_dotprod.json at the repo root is this report
 // (Release, --json=...); the perf-smoke CI job re-runs it and asserts the
@@ -28,9 +24,9 @@ namespace {
 using namespace lce;
 using namespace lce::bench;
 
-// Widened baseline first: speedups below are relative to tiers[0].
+// Scalar baseline first: speedups below are relative to tiers[0].
 std::vector<gemm::Int8Tier> SweptTiers() {
-  std::vector<gemm::Int8Tier> tiers = {gemm::Int8Tier::kWidened};
+  std::vector<gemm::Int8Tier> tiers = {gemm::Int8Tier::kScalar};
   for (gemm::Int8Tier t :
        {gemm::Int8Tier::kAvx2Dot, gemm::Int8Tier::kNeonDot,
         gemm::Int8Tier::kVnni}) {
@@ -47,7 +43,7 @@ struct Int8Stage {
 // ablation bench uses, so the numbers line up across reports).
 constexpr Int8Stage kStages[] = {{56, 32, 64}, {28, 64, 64}, {14, 128, 128}};
 
-Conv2DInt8Attrs StageAttrs(const Int8Stage& c, int block_tiles) {
+Conv2DInt8Attrs StageAttrs(const Int8Stage& c) {
   Conv2DGeometry g;
   g.in_h = g.in_w = c.hw;
   g.in_c = c.in_c;
@@ -59,7 +55,6 @@ Conv2DInt8Attrs StageAttrs(const Int8Stage& c, int block_tiles) {
   attrs.input_quant = {0.02f, 3};
   attrs.weight_quant = {0.005f, 0};
   attrs.output_quant = {0.05f, -4};
-  attrs.block_tiles = block_tiles;
   return attrs;
 }
 
@@ -104,7 +99,6 @@ int main(int argc, char** argv) {
   report.AddMeta("int8_tier_best", gemm::Int8TierName(gemm::BestInt8Tier()));
 
   const std::vector<gemm::Int8Tier> tiers = SweptTiers();
-  const gemm::Int8Tier best = gemm::BestInt8Tier();
 
   std::printf("=== Int8 micro-kernel tier sweep (QuickNet int8 stages) "
               "===\n\n");
@@ -123,7 +117,7 @@ int main(int argc, char** argv) {
     std::vector<std::int8_t> w(static_cast<std::size_t>(c.out_c) * 9 *
                                c.in_c);
     for (auto& v : w) v = rng.Int8(-127, 127);
-    const Conv2DInt8Attrs attrs = StageAttrs(c, /*block_tiles=*/64);
+    const Conv2DInt8Attrs attrs = StageAttrs(c);
     Conv2DInt8 op(w.data(), attrs);
     Tensor out(DataType::kInt8,
                Shape{1, attrs.geo.out_h(), attrs.geo.out_w(), c.out_c});
@@ -151,14 +145,14 @@ int main(int argc, char** argv) {
       if (i > 0) {
         report.AddResult(std::string("int8_dotprod.") +
                              gemm::Int8TierName(tiers[i]) +
-                             "_vs_widened." + shape,
+                             "_vs_scalar." + shape,
                          ms[i] > 0 ? ms[0] / ms[i] : 0.0);
       }
       if (ms[i] < best_ms) best_ms = ms[i];
     }
     const double best_speedup = best_ms > 0 ? ms[0] / best_ms : 0.0;
     std::printf(" %13.2fx\n", best_speedup);
-    report.AddResult(std::string("int8_dotprod.best_vs_widened.") + shape,
+    report.AddResult(std::string("int8_dotprod.best_vs_scalar.") + shape,
                      best_speedup);
     if (best_speedup > 0) {
       log_best_speedup += std::log(best_speedup);
@@ -167,52 +161,8 @@ int main(int argc, char** argv) {
   }
   const double geomean =
       n_shapes > 0 ? std::exp(log_best_speedup / n_shapes) : 0.0;
-  std::printf("\n  geomean best-tier vs widened: %.2fx\n\n", geomean);
-  report.AddResult("int8_dotprod.geomean_best_vs_widened", geomean);
-
-  // Weight-stationary blocking sweep for the best tier: how many row
-  // tiles share one residency of the packed RHS panels before it is
-  // streamed again.
-  std::printf("=== Weight-stationary blocking sweep (tier=%s) ===\n\n",
-              gemm::Int8TierName(best));
-  const int kBlockTiles[] = {16, 32, 64, 128};
-  std::printf("  %-18s", "shape");
-  for (int bt : kBlockTiles) std::printf("     bt=%-3d ", bt);
-  std::printf("\n");
-  for (const Int8Stage& c : kStages) {
-    Rng rng(c.hw + c.in_c);
-    Tensor in(DataType::kInt8, Shape{1, c.hw, c.hw, c.in_c});
-    FillInt8(in, rng);
-    std::vector<std::int8_t> w(static_cast<std::size_t>(c.out_c) * 9 *
-                               c.in_c);
-    for (auto& v : w) v = rng.Int8(-127, 127);
-
-    std::vector<std::unique_ptr<Conv2DInt8>> ops;
-    std::vector<std::function<void()>> runs;
-    Tensor out(DataType::kInt8,
-               Shape{1, c.hw, c.hw, c.out_c});
-    for (int bt : kBlockTiles) {
-      ops.push_back(
-          std::make_unique<Conv2DInt8>(w.data(), StageAttrs(c, bt)));
-      Conv2DInt8* op = ops.back().get();
-      runs.push_back([&, op] { op->Run(in, out, ctx); });
-    }
-    const std::vector<double> ms = InterleavedMedians(runs);
-
-    char shape[64];
-    std::snprintf(shape, sizeof(shape), "%dx%dx%d-%d", c.hw, c.hw, c.in_c,
-                  c.out_c);
-    std::printf("  %-18s", shape);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      std::printf(" %8.3fms ", ms[i] * 1e3);
-      char key[96];
-      std::snprintf(key, sizeof(key), "int8_dotprod.block_tiles_%d_ms.%s",
-                    kBlockTiles[i], shape);
-      report.AddResult(key, ms[i] * 1e3);
-    }
-    std::printf("\n");
-  }
-  std::printf("\n");
+  std::printf("\n  geomean best-tier vs scalar: %.2fx\n\n", geomean);
+  report.AddResult("int8_dotprod.geomean_best_vs_scalar", geomean);
 
   if (!json_path.empty()) {
     const Status s = report.WriteJson(json_path);

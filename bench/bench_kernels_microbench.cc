@@ -68,7 +68,7 @@ void BM_Int8Gemm(benchmark::State& state) {
   std::vector<std::int8_t> rhs(static_cast<std::size_t>(kN) * kK);
   for (auto& v : lhs) v = rng.Int8();
   for (auto& v : rhs) v = rng.Int8();
-  gemm::PackedInt8Matrix packed(rhs.data(), kN, kK);
+  gemm::PackedInt8DotPanels packed(rhs.data(), kN, kK);
   std::vector<std::int32_t> out(static_cast<std::size_t>(kM) * kN);
   gemm::Context ctx(1);
   for (auto _ : state) {

@@ -77,8 +77,8 @@ void Im2ColBConv2D::Run(const Tensor& input, Tensor& output,
 Im2ColConv2DInt8::Im2ColConv2DInt8(const std::int8_t* weights_ohwi,
                                    const Conv2DInt8Attrs& attrs)
     : attrs_(attrs),
-      matrix_(weights_ohwi, attrs.geo.out_c, Im2ColDepthFloat(attrs.geo)),
-      transform_(MakeInt8RequantTransform(attrs_, matrix_.row_sums().data())) {}
+      panels_(weights_ohwi, attrs.geo.out_c, Im2ColDepthFloat(attrs.geo)),
+      transform_(MakeInt8RequantTransform(attrs_, panels_.row_sums().data())) {}
 
 void Im2ColConv2DInt8::Run(const Tensor& input, Tensor& output,
                            gemm::Context& ctx) const {
@@ -92,7 +92,7 @@ void Im2ColConv2DInt8::Run(const Tensor& input, Tensor& output,
              patches);
   auto* acc = reinterpret_cast<std::int32_t*>(ctx.Scratch(
       2, static_cast<std::size_t>(rows) * g.out_c * sizeof(std::int32_t)));
-  gemm::Int8Gemm(patches, static_cast<int>(rows), matrix_, acc, g.out_c, ctx);
+  gemm::Int8Gemm(patches, static_cast<int>(rows), panels_, acc, g.out_c, ctx);
   transform_->Apply(acc, 0, rows, output.raw_data());
 }
 

@@ -54,7 +54,7 @@ class Im2ColConv2DInt8 {
 
  private:
   Conv2DInt8Attrs attrs_;
-  gemm::PackedInt8Matrix matrix_;
+  gemm::PackedInt8DotPanels panels_;
   std::unique_ptr<pipeline::OutputTransform> transform_;
 };
 

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "gemm/int8_gemm.h"
-
 namespace lce::pipeline {
 
 void GatherRowPointers(const TBitpacked* input,
@@ -20,39 +18,6 @@ void GatherRowPointers(const TBitpacked* input,
       dst[i] = offs[i] < 0 ? zero_row : input + offs[i];
     }
   }
-}
-
-void GatherPackInt8(const std::int8_t* input,
-                    const gemm::IndirectionOffsets& ind, std::int8_t pad_value,
-                    std::int64_t row0, int tile_rows, int k_blocks,
-                    bool interior, std::int8_t* stage, std::int8_t* dst) {
-  const int taps = ind.taps();
-  const int in_c = ind.words();  // elems_per_pixel: bytes for int8 inputs
-  const int k = taps * in_c;
-  int staged = 0;  // rows actually gathered; the packer biased-zeroes the rest
-  for (int r = 0; r < tile_rows; ++r) {
-    const std::int64_t row = row0 + r;
-    if (row >= ind.rows()) break;
-    const std::int32_t* offs = ind.row(row);
-    std::int8_t* sp = stage + static_cast<std::int64_t>(r) * k;
-    if (interior) {
-      for (int t = 0; t < taps; ++t, sp += in_c) {
-        std::memcpy(sp, input + offs[t], static_cast<std::size_t>(in_c));
-      }
-    } else {
-      for (int t = 0; t < taps; ++t, sp += in_c) {
-        const std::int32_t off = offs[t];
-        if (off < 0) {
-          std::memset(sp, pad_value, static_cast<std::size_t>(in_c));
-        } else {
-          std::memcpy(sp, input + off, static_cast<std::size_t>(in_c));
-        }
-      }
-    }
-    ++staged;
-  }
-  gemm::Int8GemmPackLhsTile(stage, staged, k, 0, tile_rows, k_blocks,
-                            /*bias=*/true, dst);
 }
 
 void GatherStageInt8Dot(const std::int8_t* input,

@@ -8,9 +8,9 @@
 //     a table of per-tap row pointers into the feature map (or the zero
 //     row for padded taps) that gemm::BGemmComputeBlock reads through
 //     (BConv2D, plain and grouped).
-//   * GatherPackInt8 / GatherStageInt8Dot — byte gathers into int8-GEMM
-//     A-panels or dot-tier staging rows (Conv2DInt8); padded taps read the
-//     input zero point, exactly like Im2ColInt8.
+//   * GatherStageInt8Dot — the int8 byte gather into the staged rows the
+//     dot-product kernels read (Conv2DInt8); padded taps read the input
+//     zero point, exactly like Im2ColInt8.
 //
 // All take an `interior` flag from the shared TilePlan: interior tiles have
 // no padded taps, so the gather skips the kPaddedTap sentinel check
@@ -38,24 +38,13 @@ void GatherRowPointers(const TBitpacked* input,
                        int nrows, bool interior, const TBitpacked** dst);
 
 // Int8 byte gather: `ind` must have been built with elems_per_pixel = in_c
-// (byte offsets). Gathers `tile_rows` patch rows of taps*in_c bytes into
-// `stage` (caller-provided, tile_rows * taps * in_c bytes), filling padded
-// taps with `pad_value` (the clamped input zero point), then packs them into
-// the [k_blocks][tile_rows][kInt8Kc] biased-uint8 panel layout of
-// gemm/int8_gemm.h. Rows beyond ind.rows() pack as biased zero (they never
-// reach the output).
-void GatherPackInt8(const std::int8_t* input,
-                    const gemm::IndirectionOffsets& ind, std::int8_t pad_value,
-                    std::int64_t row0, int tile_rows, int k_blocks,
-                    bool interior, std::int8_t* stage, std::int8_t* dst);
-
-// Int8 gather for the dot-product tiers (gemm/int8_isa.h): stages
-// `tile_rows` raw patch rows of taps*in_c bytes straight into `dst`,
-// row-major with leading dimension `lda` (>= taps*in_c; the tail is
-// zeroed so K-padding contributes nothing). The dot kernels
-// (gemm::Int8DotComputeBlock) read these rows directly — no biased panel
-// interleave pass, which is most of GatherPackInt8's non-memcpy work.
-// Rows beyond ind.rows() are zeroed (they never reach the output).
+// (byte offsets). Stages `tile_rows` raw patch rows of taps*in_c bytes
+// straight into `dst`, row-major with leading dimension `lda` (>= taps*in_c;
+// the tail is zeroed so K-padding contributes nothing), filling padded
+// taps with `pad_value` (the clamped input zero point). The dot kernels
+// (gemm::Int8DotComputeBlock) read these rows directly, with no panel
+// interleave pass. Rows beyond ind.rows() are zeroed (they never reach the
+// output).
 void GatherStageInt8Dot(const std::int8_t* input,
                         const gemm::IndirectionOffsets& ind,
                         std::int8_t pad_value, std::int64_t row0,

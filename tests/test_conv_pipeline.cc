@@ -2,8 +2,8 @@
 // interior/border TilePlan and the gather strategies (kernels/pipeline/).
 // Each gather is checked against the im2col it replaces: the binary
 // row-pointer table must address exactly the words of each im2col row
-// (full or group-sliced), and the int8 gather followed by its packer must
-// produce bit-identical panels.
+// (full or group-sliced), and each int8 staged row must equal its im2col
+// row, zero-padded to the dot kernels' K-groups.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "gemm/bgemm.h"
 #include "gemm/indirect_bgemm.h"
 #include "gemm/int8_gemm.h"
+#include "kernels/conv2d_int8.h"
 #include "kernels/im2col.h"
 #include "kernels/pipeline/gather_pack.h"
 #include "kernels/pipeline/tile_plan.h"
@@ -200,18 +201,29 @@ TEST(GatherRowPointers, GroupSliceMatchesGroupIm2Col) {
 }
 
 TEST(GatherPack, Int8MatchesIm2Col) {
+  constexpr int kTileRows = Conv2DInt8::kTileRows;
   const struct {
     int hw, in_c, k, stride;
     Padding pad;
+    int batch;
   } cases[] = {
-      {8, 16, 3, 1, Padding::kSameZero},
-      {9, 24, 3, 2, Padding::kSameZero},
-      {6, 8, 1, 1, Padding::kValid},
+      {8, 16, 3, 1, Padding::kSameZero, 1},
+      {9, 24, 3, 2, Padding::kSameZero, 1},  // 25 rows: last tile overhangs
+      {6, 8, 1, 1, Padding::kValid, 1},
+      // ResNet stem: k = 147 is not a multiple of 4, so lda = 148; 49 rows.
+      {13, 3, 7, 2, Padding::kSameZero, 1},
+      // 25 rows per image: tile 12 holds the last row of image 0 and the
+      // first of image 1.
+      {5, 12, 3, 1, Padding::kSameZero, 2},
   };
   for (const auto& c : cases) {
-    const Conv2DGeometry g = MakeGeo(c.hw, c.in_c, c.k, c.stride, c.pad);
+    const Conv2DGeometry g =
+        MakeGeo(c.hw, c.in_c, c.k, c.stride, c.pad, c.batch);
+    SCOPED_TRACE(::testing::Message()
+                 << "hw=" << c.hw << " in_c=" << c.in_c << " k=" << c.k
+                 << " batch=" << c.batch);
     Rng rng(c.hw + c.in_c);
-    Tensor in(DataType::kInt8, Shape{1, g.in_h, g.in_w, g.in_c});
+    Tensor in(DataType::kInt8, Shape{c.batch, g.in_h, g.in_w, g.in_c});
     FillInt8(in, rng);
     const std::int8_t pad_value = 3;  // a nonzero input zero point
 
@@ -221,24 +233,36 @@ TEST(GatherPack, Int8MatchesIm2Col) {
     Im2ColInt8(in.data<std::int8_t>(), g, pad_value, patches.data());
 
     const gemm::IndirectionOffsets ind(g, g.in_c);
-    const pipeline::TilePlan plan(g, gemm::kInt8Mr);
-    const int k_blocks = (depth + gemm::kInt8Kc - 1) / gemm::kInt8Kc;
-    const std::int64_t a_elems =
-        static_cast<std::int64_t>(k_blocks) * gemm::kInt8Mr * gemm::kInt8Kc;
-    std::vector<std::int8_t> expected(a_elems), got(a_elems);
-    std::vector<std::int8_t> stage(static_cast<std::size_t>(gemm::kInt8Mr) *
-                                   depth);
+    const pipeline::TilePlan plan(g, kTileRows);
+    const int lda = (depth + gemm::kInt8DotKg - 1) / gemm::kInt8DotKg *
+                    gemm::kInt8DotKg;
+    const std::vector<std::int8_t> zeros(lda, 0);
+    std::vector<std::int8_t> got(static_cast<std::size_t>(kTileRows) * lda);
 
     for (std::int64_t t = 0; t < plan.num_tiles(); ++t) {
-      const std::int64_t row0 = t * gemm::kInt8Mr;
-      gemm::Int8GemmPackLhsTile(patches.data(), static_cast<int>(rows), depth,
-                                static_cast<int>(row0), gemm::kInt8Mr,
-                                k_blocks, /*bias=*/true, expected.data());
-      pipeline::GatherPackInt8(in.data<std::int8_t>(), ind, pad_value, row0,
-                               gemm::kInt8Mr, k_blocks, plan.interior(t),
-                               stage.data(), got.data());
-      ASSERT_EQ(std::memcmp(got.data(), expected.data(), a_elems), 0)
-          << "hw=" << c.hw << " in_c=" << c.in_c << " tile " << t;
+      const std::int64_t row0 = t * kTileRows;
+      // A sentinel fill: every byte the gather owns must be written.
+      std::fill(got.begin(), got.end(), static_cast<std::int8_t>(0x5A));
+      pipeline::GatherStageInt8Dot(in.data<std::int8_t>(), ind, pad_value,
+                                   row0, kTileRows, lda, plan.interior(t),
+                                   got.data());
+      for (int r = 0; r < kTileRows; ++r) {
+        const std::int8_t* staged =
+            got.data() + static_cast<std::size_t>(r) * lda;
+        if (row0 + r >= rows) {
+          EXPECT_EQ(std::memcmp(staged, zeros.data(), lda), 0)
+              << "row " << row0 + r << " past the end is not zero";
+          continue;
+        }
+        EXPECT_EQ(std::memcmp(staged,
+                              patches.data() +
+                                  static_cast<std::size_t>(row0 + r) * depth,
+                              depth),
+                  0)
+            << "row " << row0 + r;
+        EXPECT_EQ(std::memcmp(staged + depth, zeros.data(), lda - depth), 0)
+            << "row " << row0 + r << " K padding is not zero";
+      }
     }
   }
 }

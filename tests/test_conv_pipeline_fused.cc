@@ -226,15 +226,15 @@ struct Int8Case {
   Activation act;
   bool per_channel;
   float out_scale;
+  int batch = 1;
 };
 
 // Every int8 tier selectable on this machine (gemm/int8_isa.h).
 std::vector<gemm::Int8Tier> AvailableInt8Tiers() {
   std::vector<gemm::Int8Tier> tiers;
   for (gemm::Int8Tier t :
-       {gemm::Int8Tier::kScalar, gemm::Int8Tier::kWidened,
-        gemm::Int8Tier::kAvx2Dot, gemm::Int8Tier::kNeonDot,
-        gemm::Int8Tier::kVnni}) {
+       {gemm::Int8Tier::kScalar, gemm::Int8Tier::kAvx2Dot,
+        gemm::Int8Tier::kNeonDot, gemm::Int8Tier::kVnni}) {
     if (gemm::Int8TierAvailable(t)) tiers.push_back(t);
   }
   return tiers;
@@ -248,8 +248,8 @@ std::vector<std::int8_t> Int8Reference(const Tensor& in,
   const Conv2DGeometry& g = attrs.geo;
   std::vector<float> scales = attrs.weight_scales;
   if (scales.empty()) scales.assign(g.out_c, attrs.weight_quant.scale);
-  std::vector<std::int8_t> out(static_cast<std::size_t>(g.out_h()) *
-                               g.out_w() * g.out_c);
+  std::vector<std::int8_t> out(static_cast<std::size_t>(g.batch) *
+                               g.out_h() * g.out_w() * g.out_c);
   RefConv2DInt8(in.data<std::int8_t>(), w.data(), g, attrs.input_quant,
                 scales.data(), attrs.output_quant,
                 attrs.bias.empty() ? nullptr : attrs.bias.data(),
@@ -265,7 +265,8 @@ void ExpectEveryTierMatches(const Conv2DInt8& op, const Tensor& in,
   for (const gemm::Int8Tier tier : AvailableInt8Tiers()) {
     gemm::SetInt8TierOverrideForTest(static_cast<int>(tier));
     for (const int threads : {1, 4}) {
-      Tensor out(DataType::kInt8, Shape{1, g.out_h(), g.out_w(), g.out_c});
+      Tensor out(DataType::kInt8,
+                 Shape{g.batch, g.out_h(), g.out_w(), g.out_c});
       gemm::Context ctx(threads);
       op.Run(in, out, ctx);
       EXPECT_EQ(std::memcmp(out.raw_data(), expected.data(), expected.size()),
@@ -281,6 +282,7 @@ class Int8FusedParity : public ::testing::TestWithParam<Int8Case> {};
 TEST_P(Int8FusedParity, FusedMatchesReference) {
   const Int8Case c = GetParam();
   Conv2DGeometry geo;
+  geo.batch = c.batch;
   geo.in_h = geo.in_w = c.hw;
   geo.in_c = c.in_c;
   geo.out_c = c.out_c;
@@ -289,7 +291,7 @@ TEST_P(Int8FusedParity, FusedMatchesReference) {
   geo.padding = Padding::kSameZero;
 
   Rng rng(c.hw + c.in_c * 3 + c.out_c);
-  Tensor in(DataType::kInt8, Shape{1, c.hw, c.hw, c.in_c});
+  Tensor in(DataType::kInt8, Shape{c.batch, c.hw, c.hw, c.in_c});
   FillInt8(in, rng);
   std::vector<std::int8_t> w(static_cast<std::size_t>(c.out_c) * c.k * c.k *
                              c.in_c);
@@ -325,7 +327,11 @@ INSTANTIATE_TEST_SUITE_P(
         Int8Case{9, 24, 17, 3, 2, Activation::kRelu, false, 0.02f},
         Int8Case{7, 8, 40, 5, 1, Activation::kRelu6, false, 0.01f},
         Int8Case{8, 16, 24, 3, 1, Activation::kNone, true, 0.002f},
-        Int8Case{6, 32, 8, 1, 1, Activation::kNone, true, 0.05f}));
+        Int8Case{6, 32, 8, 1, 1, Activation::kNone, true, 0.05f},
+        // ResNet stem: K = 7 * 7 * 3 = 147 is not a multiple of 4.
+        Int8Case{20, 3, 24, 7, 2, Activation::kRelu, false, 0.02f},
+        // 25 output rows per image, so 2-row tiles straddle images.
+        Int8Case{5, 16, 20, 3, 1, Activation::kNone, false, 0.02f, 3}));
 
 TEST(Int8Fused, TileCountersAdvance) {
   Conv2DGeometry geo;
@@ -348,7 +354,8 @@ TEST(Int8Fused, TileCountersAdvance) {
   Tensor out(DataType::kInt8, Shape{1, 8, 8, 8});
 
   const std::int64_t rows = Im2ColRows(geo);
-  const std::int64_t m_tiles = (rows + gemm::kInt8Mr - 1) / gemm::kInt8Mr;
+  constexpr int kTileRows = Conv2DInt8::kTileRows;
+  const std::int64_t m_tiles = (rows + kTileRows - 1) / kTileRows;
   telemetry::MetricsRegistry::Global().Reset();
   gemm::Context ctx(2);
   op.Run(in, out, ctx);

@@ -1,9 +1,7 @@
-// Cortex-A76 cost model tests (the Table 1 numbers) and the x86 int8 tier
-// model backing the dot-product kernel selection order.
+// Cortex-A76 cost model tests (the Table 1 numbers).
 #include <gtest/gtest.h>
 
 #include "costmodel/cortex_a76.h"
-#include "costmodel/x86_int8.h"
 
 namespace lce::costmodel {
 namespace {
@@ -78,74 +76,6 @@ TEST(InstrTable, ThroughputsMatchOptimizationGuide) {
   EXPECT_DOUBLE_EQ(Cnt().throughput, 1.0);
   EXPECT_DOUBLE_EQ(Addp().throughput, 2.0);
   EXPECT_DOUBLE_EQ(Uadalp().throughput, 1.0);
-}
-
-TEST(X86Int8Tiers, UnitSequenceThroughputs) {
-  // vnni: 4 port-5 broadcasts + 4 dpbusd on ports 0/1 -> 4 cycles + drain,
-  // 256 MACs in 5 cycles.
-  const auto vnni = AnalyzeInt8Tier(X86Int8Tier::kVnni);
-  EXPECT_EQ(vnni.instructions, 8);
-  EXPECT_DOUBLE_EQ(vnni.cycles, 5.0);
-  EXPECT_DOUBLE_EQ(vnni.macs_per_cycle, 51.2);
-
-  // widened-avx512: the converts and adds around 8 vpmaddwd stretch the
-  // same 256 MACs to 9 cycles.
-  const auto w512 = AnalyzeInt8Tier(X86Int8Tier::kWidenedAvx512);
-  EXPECT_EQ(w512.instructions, 22);
-  EXPECT_DOUBLE_EQ(w512.cycles, 9.0);
-  EXPECT_NEAR(w512.macs_per_cycle, 28.44, 0.01);
-
-  const auto dot2 = AnalyzeInt8Tier(X86Int8Tier::kDotAvx2);
-  EXPECT_EQ(dot2.instructions, 68);
-  EXPECT_DOUBLE_EQ(dot2.cycles, 24.0);
-  EXPECT_NEAR(dot2.macs_per_cycle, 10.67, 0.01);
-
-  const auto w2 = AnalyzeInt8Tier(X86Int8Tier::kWidenedAvx2);
-  EXPECT_EQ(w2.instructions, 44);
-  EXPECT_DOUBLE_EQ(w2.cycles, 16.0);
-  EXPECT_DOUBLE_EQ(w2.macs_per_cycle, 16.0);
-
-  EXPECT_DOUBLE_EQ(AnalyzeInt8Tier(X86Int8Tier::kScalar).macs_per_cycle, 1.0);
-}
-
-TEST(X86Int8Tiers, SchedulerPortConstraints) {
-  // 4 port-5-only broadcasts alone: one per cycle, +1 drain.
-  std::vector<const InstrSpec*> bcasts(4, &Vpbroadcastd());
-  EXPECT_DOUBLE_EQ(ScheduleCyclesX86(bcasts), 5.0);
-  // 4 dpbusd alone: dual-issued on ports 0/1, 2 cycles, +1 drain.
-  std::vector<const InstrSpec*> dots(4, &Vpdpbusd());
-  EXPECT_DOUBLE_EQ(ScheduleCyclesX86(dots), 3.0);
-  // 6 any-port adds: 3 per cycle, +1 drain.
-  std::vector<const InstrSpec*> adds(6, &Vpaddd());
-  EXPECT_DOUBLE_EQ(ScheduleCyclesX86(adds), 3.0);
-}
-
-TEST(X86Int8Tiers, QuickNetStageOrdering) {
-  // Representative QuickNet int8 stage: 56x56 output pixels, 64 output
-  // channels, 3x3x32 patch depth. The model must reproduce the selection
-  // order of gemm::BestInt8Tier(): vnni first, then the AVX-512 widened
-  // kernel, then the AVX2 dot kernel, then widened AVX2, then scalar.
-  const std::int64_t m = 56 * 56, n = 64, k = 3 * 3 * 32;
-  const double vnni = PredictInt8LayerCycles(X86Int8Tier::kVnni, m, n, k);
-  const double w512 =
-      PredictInt8LayerCycles(X86Int8Tier::kWidenedAvx512, m, n, k);
-  const double dot2 = PredictInt8LayerCycles(X86Int8Tier::kDotAvx2, m, n, k);
-  const double w2 = PredictInt8LayerCycles(X86Int8Tier::kWidenedAvx2, m, n, k);
-  const double scalar =
-      PredictInt8LayerCycles(X86Int8Tier::kScalar, m, n, k);
-  EXPECT_LT(vnni, w512);
-  EXPECT_LT(w512, dot2);
-  EXPECT_LT(dot2, w2);
-  EXPECT_LT(w2, scalar);
-
-  // The headline prediction behind the ISSUE target: retiring the widened
-  // path for VNNI should be worth several x on a QuickNet stage, well
-  // clear of the >= 1.3x acceptance bar.
-  const double speedup =
-      PredictedInt8Speedup(X86Int8Tier::kWidenedAvx512, X86Int8Tier::kVnni,
-                           m, n, k);
-  EXPECT_GT(speedup, 2.0);
-  EXPECT_LT(speedup, 6.0);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Int8 GEMM tests: exact signed dot products (the widened-multiply kernel
-// must be saturation-free), profile agreement, row sums, and the
-// dot-product tiers (gemm/int8_isa.h) against the same exact reference --
-// including the adversarial +-127/-128 patterns that would expose a
-// saturating vpmaddubsw implementation.
+// Int8 GEMM tests: every tier of gemm/int8_isa.h against one exact
+// reference, through Int8Gemm (1 and 4 threads) and Int8DotComputeBlock,
+// profile agreement, the panel layout and row sums -- including the
+// adversarial +-127/-128 patterns that would expose a saturating
+// vpmaddubsw implementation.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -33,6 +33,17 @@ void NaiveInt8Gemm(const std::vector<std::int8_t>& lhs,
   }
 }
 
+// All tiers selectable on this machine: the portable kernel plus every
+// compiled-in AND CPU-supported dot tier.
+std::vector<Int8Tier> DotBlockTiers() {
+  std::vector<Int8Tier> tiers = {Int8Tier::kScalar};
+  for (Int8Tier t :
+       {Int8Tier::kVnni, Int8Tier::kAvx2Dot, Int8Tier::kNeonDot}) {
+    if (Int8TierAvailable(t)) tiers.push_back(t);
+  }
+  return tiers;
+}
+
 class Int8GemmShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -46,19 +57,29 @@ TEST_P(Int8GemmShapes, ExactMatch) {
   std::vector<std::int32_t> expected;
   NaiveInt8Gemm(lhs, rhs, m, n, k, &expected);
 
-  Context ctx(1);
-  std::vector<std::int32_t> out(static_cast<std::size_t>(m) * n);
-  Int8Gemm(lhs.data(), m, rhs.data(), n, k, out.data(), n, ctx);
-  EXPECT_EQ(out, expected);
+  for (Int8Tier tier : DotBlockTiers()) {
+    SetInt8TierOverrideForTest(static_cast<int>(tier));
+    for (const int threads : {1, 4}) {
+      Context ctx(threads);
+      std::vector<std::int32_t> out(static_cast<std::size_t>(m) * n, -1);
+      Int8Gemm(lhs.data(), m, rhs.data(), n, k, out.data(), n, ctx);
+      EXPECT_EQ(out, expected)
+          << "tier=" << Int8TierName(tier) << " threads=" << threads;
+    }
+  }
+  SetInt8TierOverrideForTest(0);
 }
 
+// k % 4 != 0 stages the rows (k = 1, 7, 97, 147); the rest are read in
+// place. m = 300 spans three 128-row blocks, the last one partial.
 INSTANTIATE_TEST_SUITE_P(
     ShapeSweep, Int8GemmShapes,
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(2, 4, 32),
                       std::make_tuple(3, 5, 7), std::make_tuple(8, 8, 64),
                       std::make_tuple(17, 13, 100), std::make_tuple(33, 7, 97),
                       std::make_tuple(64, 64, 576),
-                      std::make_tuple(5, 40, 2304)));
+                      std::make_tuple(5, 40, 2304),
+                      std::make_tuple(300, 20, 147)));
 
 TEST(Int8Gemm, ExtremeValuesNoSaturation) {
   // Worst case for a saturating maddubs implementation: all -128 x all +127.
@@ -91,19 +112,8 @@ TEST(Int8Gemm, ProfilesAgree) {
   EXPECT_EQ(simd, scalar);
 }
 
-// All tiers Int8DotComputeBlock accepts on this machine: the portable
-// reference plus every compiled-in AND CPU-supported dot tier.
-std::vector<Int8Tier> DotBlockTiers() {
-  std::vector<Int8Tier> tiers = {Int8Tier::kScalar};
-  for (Int8Tier t :
-       {Int8Tier::kVnni, Int8Tier::kAvx2Dot, Int8Tier::kNeonDot}) {
-    if (Int8TierAvailable(t)) tiers.push_back(t);
-  }
-  return tiers;
-}
-
 // Runs Int8DotComputeBlock for `tier` on row-major lhs/rhs and compares
-// against the exact widened-dot reference.
+// against NaiveInt8Gemm.
 void CheckDotBlock(const std::vector<std::int8_t>& lhs,
                    const std::vector<std::int8_t>& rhs, int m, int n, int k,
                    Int8Tier tier) {
@@ -146,7 +156,7 @@ TEST(Int8DotBlock, ExtremeValuesNoSaturation) {
   std::vector<std::int8_t> rhs(static_cast<std::size_t>(n) * k, 127);
   for (Int8Tier tier : DotBlockTiers()) CheckDotBlock(lhs, rhs, m, n, k, tier);
 
-  // And the all -128 x +127 corner of the widened-path test above.
+  // And the all -128 x +127 corner of the Int8Gemm test above.
   lhs.assign(lhs.size(), -128);
   for (Int8Tier tier : DotBlockTiers()) CheckDotBlock(lhs, rhs, m, n, k, tier);
 }
@@ -209,12 +219,26 @@ TEST(Int8DotBlock, PanelLayoutAndRowSums) {
   for (std::size_t j = n; j < panels.row_sums().size(); ++j) {
     EXPECT_EQ(panels.row_sums()[j], 0);
   }
+
+  // One partial panel of constant rows: sums 10, 20, 30, then zeros.
+  std::vector<std::int8_t> small(3 * k);
+  for (int j = 0; j < 3; ++j) {
+    for (int kk = 0; kk < k; ++kk) {
+      small[static_cast<std::size_t>(j) * k + kk] =
+          static_cast<std::int8_t>(j + 1);
+    }
+  }
+  const PackedInt8DotPanels one(small.data(), 3, k);
+  ASSERT_EQ(one.row_sums().size(), static_cast<std::size_t>(kInt8DotNr));
+  EXPECT_EQ(one.row_sums()[0], 10);
+  EXPECT_EQ(one.row_sums()[1], 20);
+  EXPECT_EQ(one.row_sums()[2], 30);
+  EXPECT_EQ(one.row_sums()[3], 0);
 }
 
 TEST(Int8Isa, SelectionRespectsOverridesAndAvailability) {
-  // kScalar and kWidened are always available.
+  // kScalar is always available.
   EXPECT_TRUE(Int8TierAvailable(Int8Tier::kScalar));
-  EXPECT_TRUE(Int8TierAvailable(Int8Tier::kWidened));
   // The best tier is available by definition.
   EXPECT_TRUE(Int8TierAvailable(BestInt8Tier()));
   // The test hook wins over everything and ignores unsupported tiers.
@@ -224,6 +248,10 @@ TEST(Int8Isa, SelectionRespectsOverridesAndAvailability) {
   if (!Int8TierAvailable(Int8Tier::kNeonDot)) {
     EXPECT_NE(SelectInt8Tier(), Int8Tier::kNeonDot);
   }
+  // The retired tier value 2 is never available, so forcing it is ignored.
+  EXPECT_FALSE(Int8TierAvailable(static_cast<Int8Tier>(2)));
+  SetInt8TierOverrideForTest(2);
+  EXPECT_TRUE(Int8TierAvailable(SelectInt8Tier()));
   SetInt8TierOverrideForTest(0);
   if (std::getenv("LCE_FORCE_ISA") == nullptr) {
     EXPECT_EQ(SelectInt8Tier(), BestInt8Tier());
@@ -231,28 +259,6 @@ TEST(Int8Isa, SelectionRespectsOverridesAndAvailability) {
     // The forced-scalar ctest variants pin the env override.
     EXPECT_EQ(SelectInt8Tier(), Int8Tier::kScalar);
   }
-
-  EXPECT_TRUE(Int8TierIsDotProduct(Int8Tier::kVnni));
-  EXPECT_TRUE(Int8TierIsDotProduct(Int8Tier::kAvx2Dot));
-  EXPECT_TRUE(Int8TierIsDotProduct(Int8Tier::kNeonDot));
-  EXPECT_FALSE(Int8TierIsDotProduct(Int8Tier::kWidened));
-  EXPECT_FALSE(Int8TierIsDotProduct(Int8Tier::kScalar));
-}
-
-TEST(Int8Gemm, RowSumsAreCorrect) {
-  const int n = 3, k = 10;
-  std::vector<std::int8_t> rhs(static_cast<std::size_t>(n) * k);
-  for (int j = 0; j < n; ++j) {
-    for (int kk = 0; kk < k; ++kk) {
-      rhs[static_cast<std::size_t>(j) * k + kk] =
-          static_cast<std::int8_t>(j + 1);
-    }
-  }
-  PackedInt8Matrix packed(rhs.data(), n, k);
-  ASSERT_EQ(packed.row_sums().size(), 3u);
-  EXPECT_EQ(packed.row_sums()[0], 10);
-  EXPECT_EQ(packed.row_sums()[1], 20);
-  EXPECT_EQ(packed.row_sums()[2], 30);
 }
 
 }  // namespace
