@@ -9,7 +9,7 @@
 //   * CLOSED LOOP, per bucket: client threads blocking on the shaped
 //     Infer() of one resolution, measuring per-bucket QPS and latency
 //     through the full serving path (shape routing, shape-keyed batching,
-//     the (bucket, batch)-keyed context pool).
+//     each executor's context replaced when its bucket or batch changes).
 //   * OPEN LOOP, mixed: Poisson arrivals whose resolution is sampled per
 //     request, offered to one bounded server at `--overload=X` times the
 //     measured aggregate sustainable rate -- the traffic shape bucketed
@@ -358,7 +358,7 @@ int main(int argc, char** argv) {
       static_cast<std::int64_t>(inflight) *
       static_cast<std::int64_t>(max_bucket_arena) * max_batch;
   LCE_CHECK(arena_peak.load() <= arena_bound &&
-            "resident arenas exceeded the bucketed-pool bound");
+            "resident arenas exceeded the per-executor arena bound");
   std::printf("[check] arena peak %.2f MiB within bound %.2f MiB: OK\n",
               static_cast<double>(arena_peak.load()) / (1024.0 * 1024.0),
               static_cast<double>(arena_bound) / (1024.0 * 1024.0));

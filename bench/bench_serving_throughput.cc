@@ -302,7 +302,8 @@ OpenLoopResult RunOpenLoop(const std::shared_ptr<const CompiledModel>& model,
                          : 0.0;
 
   // The overload contract, asserted structurally on every run: the queue
-  // depth honors its bound and the resident arenas never exceed the pool.
+  // depth honors its bound and the resident arenas never exceed one per
+  // executor.
   const std::int64_t per_ctx =
       arena_bound_per_ctx > 0
           ? arena_bound_per_ctx
@@ -403,7 +404,7 @@ BatchLoopResult RunServerClosedLoop(
   std::vector<std::thread> clients;
   for (int t = 0; t < streams; ++t) {
     clients.emplace_back([&, t] {
-      // Warmup request (pool contexts + execute-estimate histogram).
+      // Warmup request (executor contexts + execute-estimate histogram).
       LCE_CHECK(server.Infer(fill).ok());
       ready.fetch_add(1);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();

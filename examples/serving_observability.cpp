@@ -75,11 +75,11 @@ int main(int argc, char** argv) {
   }
 
   const Graph graph = MakeDemoGraph();
+  telemetry::Tracer::Global().Enable();  // request-tagged spans
   CompileOptions copts;
   copts.num_threads = 2;
   copts.model_name = "demo";
   copts.enable_node_histograms = true;  // per-model per-node latency
-  copts.enable_tracing = true;          // request-tagged spans
   std::shared_ptr<const CompiledModel> model;
   LCE_CHECK(CompiledModel::Compile(graph, copts, &model).ok());
 

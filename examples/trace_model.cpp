@@ -145,9 +145,7 @@ int main(int argc, char** argv) {
     }
     resolved_name = model->name;
     g = model->build(224);
-    ConvertOptions copts;
-    copts.enable_tracing = true;
-    const Status converted = Convert(g, copts);
+    const Status converted = Convert(g);
     if (!converted.ok()) {
       std::fprintf(stderr, "conversion failed: %s\n",
                    converted.message().c_str());
@@ -160,7 +158,6 @@ int main(int argc, char** argv) {
   InterpreterOptions opts;
   opts.num_threads = threads;
   opts.enable_profiling = true;  // per-node spans share the profiler's clock
-  opts.enable_tracing = true;
   Interpreter interp(g, opts);
   const Status prepared = interp.Prepare();
   if (!prepared.ok()) {

@@ -49,7 +49,6 @@ Status Convert(Graph& g, const ConvertOptions& options, ConvertStats* stats) {
   ConvertStats local;
   ConvertStats& s = stats != nullptr ? *stats : local;
 
-  if (options.enable_tracing) telemetry::Tracer::Global().Enable();
   LCE_TRACE_SCOPE_CAT("converter/convert", "converter");
 
   const auto validate = [&](const char* pass) -> Status {

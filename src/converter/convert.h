@@ -28,10 +28,6 @@ struct ConvertOptions {
   bool fuse_bconv_output_transform = true;
   bool swap_maxpool_sign = true;
   bool elide_quantize = true;
-  // Turns on the process-wide telemetry tracer before the pass pipeline
-  // runs (same tracer as InterpreterOptions::enable_tracing / LCE_TRACE).
-  // Every pass then emits a span carrying its rewrite count.
-  bool enable_tracing = false;
 };
 
 struct ConvertStats {
@@ -50,7 +46,9 @@ struct ConvertStats {
 Graph CloneGraph(const Graph& g);
 
 // Converts `g` in place. The graph is validated after every pass; a failed
-// validation aborts the conversion with an error.
+// validation aborts the conversion with an error. While the process-wide
+// tracer is on (telemetry::Tracer::Global().Enable() or LCE_TRACE), every
+// pass emits a span carrying its rewrite count.
 Status Convert(Graph& g, const ConvertOptions& options = {},
                ConvertStats* stats = nullptr);
 

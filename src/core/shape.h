@@ -91,8 +91,8 @@ class Shape {
 // The input geometry one compiled model executes (docs/SERVING.md): the
 // leading (batch) dimension of its graph inputs and the spatial extent of
 // its rank-4 [N, H, W, C] image inputs -- (0, 0) for a graph without one.
-// Ordered, so it keys the specialization registry, the context pool and
-// the batch scheduler alike.
+// Ordered, so it keys the specialization registry and the batch scheduler
+// alike.
 struct InputSignature {
   int batch = 1;
   int h = 0;

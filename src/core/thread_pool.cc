@@ -78,28 +78,7 @@ void ThreadPool::ParallelFor(
 void ThreadPool::ParallelForShard(
     std::int64_t count,
     const std::function<void(int, std::int64_t, std::int64_t)>& fn) {
-  // The void form is the infallible adapter over the status-propagating
-  // core; the wrapper can never produce a non-Ok status.
-  TryParallelForShard(count,
-                      [&fn](int shard, std::int64_t begin, std::int64_t end) {
-                        fn(shard, begin, end);
-                        return Status::Ok();
-                      });
-}
-
-Status ThreadPool::TryParallelFor(
-    std::int64_t count,
-    const std::function<Status(std::int64_t, std::int64_t)>& fn) {
-  return TryParallelForShard(
-      count, [&fn](int /*shard*/, std::int64_t begin, std::int64_t end) {
-        return fn(begin, end);
-      });
-}
-
-Status ThreadPool::TryParallelForShard(
-    std::int64_t count,
-    const std::function<Status(int, std::int64_t, std::int64_t)>& fn) {
-  if (count <= 0) return Status::Ok();
+  if (count <= 0) return;
   const int shards = PlannedShards(count);
   static telemetry::Metric* pf_calls =
       telemetry::MetricsRegistry::Global().Counter(
@@ -116,22 +95,24 @@ Status ThreadPool::TryParallelForShard(
   // spans (emitted on each worker's own track) and the imbalance gauge.
   std::vector<std::uint64_t> shard_ns(tracing ? shards : 0, 0);
   // Runs one shard: fault point (stalled-worker injection), optional span,
-  // then the user fn. Every shard runs to completion even if a sibling has
-  // already failed -- a partial result is only ever reported through the
-  // returned status, never through shards silently skipping work.
-  const auto run_shard = [&](int s, std::int64_t begin,
-                             std::int64_t end) -> Status {
+  // then the user fn.
+  const auto run_shard = [&](int s, std::int64_t begin, std::int64_t end) {
     LCE_FAULT_ON_SHARD(s);
-    if (!tracing) return fn(s, begin, end);
+    if (!tracing) {
+      fn(s, begin, end);
+      return;
+    }
     const std::uint64_t s0 = telemetry::NowNanos();
-    Status st = fn(s, begin, end);
+    fn(s, begin, end);
     const std::uint64_t s1 = telemetry::NowNanos();
     telemetry::Tracer::Global().RecordCompleteWithArg(
         "threadpool/shard", "threadpool", s0, s1, "shard", s);
     shard_ns[s] = s1 - s0;
-    return st;
   };
-  if (shards == 1) return run_shard(0, 0, count);
+  if (shards == 1) {
+    run_shard(0, 0, count);
+    return;
+  }
   // Balanced split: base indices per shard, with the first `rem` shards
   // taking one extra. The previous ceil-based split could leave tail shards
   // empty (count=5, shards=4 gave loads 2,2,1,0).
@@ -144,21 +125,10 @@ Status ThreadPool::TryParallelForShard(
   // plain counter guarded by done_mu: workers decrement it (and notify)
   // under the lock, and the submitter's final wait re-checks it under the
   // same lock, so by the time ParallelFor returns no worker can still be
-  // touching this frame. done_mu also orders the shard_ns writes above and
-  // guards the first-error slot: the lowest-indexed failing shard wins, so
-  // the reported status is deterministic regardless of scheduling order.
+  // touching this frame. done_mu also orders the shard_ns writes above.
   std::mutex done_mu;
   std::condition_variable done_cv;
   int remaining = shards - 1;
-  Status first_error;
-  int first_error_shard = shards;  // sentinel: no error
-  const auto record_error = [&](int s, Status st) {
-    // Caller must hold done_mu.
-    if (!st.ok() && s < first_error_shard) {
-      first_error_shard = s;
-      first_error = std::move(st);
-    }
-  };
   // Enqueue shards 1..n-1; run shard 0 on the caller.
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -166,19 +136,14 @@ Status ThreadPool::TryParallelForShard(
       const std::int64_t begin = shard_begin(s);
       const std::int64_t end = shard_begin(s + 1);
       queue_.push(Task{[&, s, begin, end] {
-        Status st = run_shard(s, begin, end);
+        run_shard(s, begin, end);
         std::lock_guard<std::mutex> done_lock(done_mu);
-        record_error(s, std::move(st));
         if (--remaining == 0) done_cv.notify_one();
       }});
     }
   }
   cv_.notify_all();
-  {
-    Status st0 = run_shard(0, 0, shard_begin(1));
-    std::lock_guard<std::mutex> done_lock(done_mu);
-    record_error(0, std::move(st0));
-  }
+  run_shard(0, 0, shard_begin(1));
   // Help drain the queue while our shards are still pending. The popped
   // task may belong to another concurrent submitter -- tasks are
   // self-contained, so that only moves its work onto this thread instead
@@ -203,8 +168,6 @@ Status ThreadPool::TryParallelForShard(
       imbalance->SetMax(static_cast<std::int64_t>((*mx - *mn) * 100 / *mx));
     }
   }
-  // All shards have completed; first_error needs no further locking.
-  return first_error_shard < shards ? first_error : Status::Ok();
 }
 
 }  // namespace lce

@@ -28,8 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/status.h"
-
 namespace lce {
 
 class ThreadPool {
@@ -73,19 +71,6 @@ class ThreadPool {
   void ParallelForShard(
       std::int64_t count,
       const std::function<void(int, std::int64_t, std::int64_t)>& fn);
-
-  // Status-propagating variants for fallible shard work (the serving path's
-  // no-abort-on-runtime-data rule). Every shard always runs to completion --
-  // there is no mid-flight abort of sibling shards, so the data written by
-  // successful shards is well-defined -- and the status of the
-  // lowest-indexed failing shard is returned, deterministically, regardless
-  // of scheduling order. Returns Ok when every shard returned Ok.
-  Status TryParallelFor(
-      std::int64_t count,
-      const std::function<Status(std::int64_t, std::int64_t)>& fn);
-  Status TryParallelForShard(
-      std::int64_t count,
-      const std::function<Status(int, std::int64_t, std::int64_t)>& fn);
 
  private:
   void WorkerLoop();

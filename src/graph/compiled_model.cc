@@ -256,7 +256,6 @@ void CompiledModel::PublishRegistryGaugesLocked() const {
 Status CompiledModel::Build(CompileOptions options,
                             const CompiledModel* weight_source,
                             const std::vector<int>* node_map) {
-  if (options.enable_tracing) telemetry::Tracer::Global().Enable();
   LCE_TRACE_SCOPE_CAT("compiled_model/compile", "interpreter");
   signature_ = GraphSignature(graph_);
   kernel_profile_ = options.kernel_profile;
@@ -573,8 +572,8 @@ ExecutionContext::ExecutionContext(std::shared_ptr<const CompiledModel> model,
   // The arena is runtime load, not model structure: allocation failure
   // (memory pressure, or the LCE_FAULT_INJECTION arena fault point) leaves
   // an inert context whose Invoke reports Status::ResourceExhausted instead
-  // of aborting the process -- the serving pool sheds the request and
-  // retries context creation later (docs/SERVING.md).
+  // of aborting the process -- a serving executor sheds the batch and
+  // retries context creation on its next one (docs/SERVING.md).
   try {
     if (!LCE_FAULT_ARENA_ALLOC_SHOULD_FAIL()) {
       arena_ = AlignedBuffer(model_->arena_bytes());
@@ -839,7 +838,7 @@ Status ExecutionContext::Invoke(const CancellationToken* cancel) {
   nodes_executed_ = 0;
   // Publish the token to the gemm context so long-running kernels (the
   // ConvPipeline engine) can poll it at row-tile-block boundaries; cleared
-  // on every exit path so a pooled context never leaks a dead request's
+  // on every exit path so a reused context never leaks a dead request's
   // token into the next Invoke.
   ctx_.set_cancellation(cancel);
   struct TokenClearer {

@@ -10,9 +10,9 @@
 // An ExecutionContext is everything one in-flight inference *mutates*: its
 // own arena instance, its own GEMM scratch buffers, and its own profile
 // storage. Contexts are cheap (one arena allocation) compared to the model
-// (weight packing), so a server keeps one CompiledModel and a pool of
-// ExecutionContexts -- N concurrent Invoke()s against one set of packed
-// weights, on one process-shared ThreadPool.
+// (weight packing), so a server keeps one CompiledModel and one
+// ExecutionContext per executor thread -- N concurrent Invoke()s against
+// one set of packed weights, on one process-shared ThreadPool.
 //
 // The legacy single-stream `Interpreter` (graph/interpreter.h) is now a
 // thin wrapper owning one CompiledModel plus one ExecutionContext.
@@ -55,9 +55,6 @@ struct CompileOptions {
   int num_threads = 1;
   std::shared_ptr<ThreadPool> thread_pool;
   gemm::KernelProfile kernel_profile = gemm::KernelProfile::kSimd;
-  // Turns on the process-wide telemetry tracer at Compile() (equivalent to
-  // telemetry::Tracer::Global().Enable() or the LCE_TRACE env var).
-  bool enable_tracing = false;
   // Label used to namespace this model's metrics (per-node latency
   // histograms are registered as "node.<model_name>.<node_name>_ns").
   // Empty means "model".
@@ -125,7 +122,7 @@ class CompiledModel {
                            std::shared_ptr<const CompiledModel>* out);
 
   // Specialize without the compile: a signature missing from the registry
-  // is InvalidArgument. The serving context pool's lookup.
+  // is InvalidArgument. How serving executors find each batch's model.
   static Status Lookup(const std::shared_ptr<const CompiledModel>& root,
                        InputSignature sig,
                        std::shared_ptr<const CompiledModel>* out);
@@ -272,8 +269,8 @@ class ExecutionContext {
   // True when the arena allocation succeeded. A context whose arena failed
   // (memory pressure, or the LCE_FAULT_INJECTION arena fault point) is
   // inert: Invoke returns Status::ResourceExhausted and input()/output()
-  // must not be called. The serving pool discards such contexts and sheds
-  // the request instead of aborting the process.
+  // must not be called. A serving executor discards such a context and
+  // sheds the batch instead of aborting the process.
   bool allocation_ok() const { return arena_ok_; }
 
   // Tensor views into this context's arena; write inputs before Invoke,
@@ -310,7 +307,7 @@ class ExecutionContext {
   //   * kResourceExhausted -- arena or kernel-scratch allocation failed.
   //   * any other non-Ok -- an induced or real kernel failure.
   // After any non-Ok return the arena contents are unspecified; reuse the
-  // context only after Reset(), or discard it (the pool quarantines it).
+  // context only after Reset(), or discard it (the server quarantines it).
   Status Invoke(const CancellationToken* cancel);
 
   // Infallible convenience wrapper for trusted single-stream use (tests,
@@ -318,10 +315,10 @@ class ExecutionContext {
   // error.
   void Invoke();
 
-  // Returns the context to a deterministic post-construction state: the
-  // arena is zeroed and the last profile cleared. The pool calls this on
-  // every clean return so a reused context serves the next request
-  // bit-identically to a fresh one.
+  // Zeroes the arena and clears the last profile, so a reused context
+  // serves its next request bit-identically to a fresh one. A serving
+  // executor calls this before each batch it runs on the context it
+  // already holds; a context it is about to replace is never zeroed.
   void Reset();
 
   // Per-op profile of the last Invoke (empty unless profiling enabled).

@@ -11,13 +11,12 @@ Interpreter::Interpreter(const Graph& graph, InterpreterOptions options)
 
 Status Interpreter::Prepare() {
   // Idempotent on success: the compiled model is immutable, so a second
-  // Prepare has nothing to redo (and must not re-enable the tracer or
-  // re-count packed-weight/arena metrics).
+  // Prepare has nothing to redo (and must not re-count packed-weight/arena
+  // metrics).
   if (model_ != nullptr) return Status::Ok();
   CompileOptions copts;
   copts.num_threads = options_.num_threads;
   copts.kernel_profile = options_.kernel_profile;
-  copts.enable_tracing = options_.enable_tracing;
   copts.limits = options_.limits;
   // Compile builds into a private instance and only publishes on success,
   // so a failed Prepare leaves this interpreter exactly as constructed and

@@ -33,11 +33,6 @@ struct InterpreterOptions {
   int num_threads = 1;
   gemm::KernelProfile kernel_profile = gemm::KernelProfile::kSimd;
   bool enable_profiling = false;
-  // Turns on the process-wide telemetry tracer at Prepare() (equivalent to
-  // telemetry::Tracer::Global().Enable() or the LCE_TRACE env var). Spans
-  // are emitted for Prepare phases, every executed node, BConv2d stages,
-  // BGEMM stages and ParallelFor shards; see docs/OBSERVABILITY.md.
-  bool enable_tracing = false;
   // Enforced by Prepare() on the graph and its memory plan. The defaults are
   // generous but finite (see core/resource_limits.h); loaders of untrusted
   // models should tighten them to what the application expects.

@@ -61,15 +61,6 @@ int Graph::AddConstant(std::string name, Tensor data) {
   return id;
 }
 
-namespace {
-
-// Upper bound on strides and pool filters accepted from attrs. The output
-// size arithmetic in Conv2DGeometry/Pool2DGeometry works in `int`, so an
-// untrusted stride near INT_MAX would overflow it; anything beyond this
-// bound is far outside what any model uses.
-constexpr int kMaxStride = 1 << 24;
-
-// Exact operand count per op; -1 means variadic (kConcat, >= 2).
 int ExpectedArity(OpType t) {
   switch (t) {
     case OpType::kConv2D:
@@ -87,6 +78,14 @@ int ExpectedArity(OpType t) {
       return 1;
   }
 }
+
+namespace {
+
+// Upper bound on strides and pool filters accepted from attrs. The output
+// size arithmetic in Conv2DGeometry/Pool2DGeometry works in `int`, so an
+// untrusted stride near INT_MAX would overflow it; anything beyond this
+// bound is far outside what any model uses.
+constexpr int kMaxStride = 1 << 24;
 
 // Fills in the geometry fields that are derivable from the operand shapes
 // (batch, input dims, filter dims, channel counts); the builder only needs

@@ -69,6 +69,11 @@ constexpr bool IsValidOpType(std::uint8_t v) {
 
 std::string_view OpTypeName(OpType t);
 
+// Exact operand count per op; -1 means variadic (kConcat, >= 2). Graph
+// construction (Graph::InferOutput) and validation (ValidateNode) both
+// check operand counts against this one table.
+int ExpectedArity(OpType t);
+
 // One attrs struct shared by all ops; each op reads the fields it needs.
 struct OpAttrs {
   // Convolution / pooling geometry.

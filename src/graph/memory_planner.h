@@ -33,10 +33,10 @@ std::vector<BufferPlacement> PlanMemory(std::vector<BufferRequest> requests,
 // (docs/SERVING.md, "Multi-resolution serving"). Each resolution bucket
 // plans its own arena; a context that serves one bucket at a time only
 // ever needs the largest of them resident, so the high-water mark -- not
-// the per-bucket sum -- is the honest resident-memory figure. The serving
-// context pool realizes this reuse by bounding resident contexts and
-// evicting idle ones of other buckets; these numbers are what its bound
-// works out to, published as the planner.bucket_arena_* gauges.
+// the per-bucket sum -- is the honest resident-memory figure. A serving
+// executor realizes this reuse by holding one context and replacing it
+// when the bucket changes; these numbers are what that bound works out
+// to, published as the planner.bucket_arena_* gauges.
 struct CrossBucketArena {
   // max over buckets: resident bytes per context slot when contexts are
   // rebuilt/evicted across buckets instead of kept per bucket.

@@ -176,25 +176,6 @@ Status CheckFcGeometry(const Node& n, const Value& x, const Value& w) {
   return Status::Ok();
 }
 
-// Exact operand count per op; -1 means variadic (kConcat, >= 2).
-int ExpectedArity(OpType t) {
-  switch (t) {
-    case OpType::kConv2D:
-    case OpType::kDepthwiseConv2D:
-    case OpType::kConv2DInt8:
-    case OpType::kLceBConv2d:
-    case OpType::kFullyConnected:
-    case OpType::kLceBFullyConnected:
-    case OpType::kAdd:
-    case OpType::kMulChannel:
-      return 2;
-    case OpType::kConcat:
-      return -1;
-    default:
-      return 1;
-  }
-}
-
 // Bounds a convolution's im2col patch-matrix footprint (rows x depth
 // elements). That is the float kernel's Run-time patch scratch, and up to
 // a small constant factor the indirection table the binary and int8 kernels

@@ -64,6 +64,27 @@ telemetry::Metric* ShapeRejectedTotal() {
   static telemetry::Metric* m = Counter("serving.shape_rejected_total");
   return m;
 }
+// Executor context churn, under the serving.pool.* names dashboards and
+// bench/e2e read. Every batch that gets a context counts one reused (the
+// executor's context already ran its signature) or one created; evicted
+// counts idle contexts of another signature destroyed to make way for a
+// created one, quarantined the contexts destroyed after a failed run.
+telemetry::Metric* PoolReusedTotal() {
+  static telemetry::Metric* m = Counter("serving.pool.reused_total");
+  return m;
+}
+telemetry::Metric* PoolCreatedTotal() {
+  static telemetry::Metric* m = Counter("serving.pool.created_total");
+  return m;
+}
+telemetry::Metric* PoolEvictedTotal() {
+  static telemetry::Metric* m = Counter("serving.pool.evicted_total");
+  return m;
+}
+telemetry::Metric* PoolQuarantinedTotal() {
+  static telemetry::Metric* m = Counter("serving.pool.quarantined_total");
+  return m;
+}
 telemetry::Metric* QueueDepth() {
   static telemetry::Metric* m =
       telemetry::MetricsRegistry::Global().Gauge("serving.queue_depth");
@@ -193,7 +214,6 @@ Server::Server(std::shared_ptr<const CompiledModel> model,
                ServerOptions options)
     : options_(std::move(options)),
       root_(std::move(model)),
-      pool_(root_, std::max(1, options_.max_inflight), options_.execution),
       recorder_(options_.flight_recorder),
       scheduler_(SchedulerOptions(options_)) {
   LCE_CHECK_GT(options_.max_queue_depth, 0);
@@ -388,7 +408,7 @@ ServerStats Server::StatsSnapshot() const {
   s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
-  s.quarantined = pool_.quarantined();
+  s.quarantined = quarantined_.load(std::memory_order_relaxed);
   s.batches_executed = batches_executed_.load(std::memory_order_relaxed);
   s.shape_rejected = shape_rejected_.load(std::memory_order_relaxed);
   s.shape_buckets = root_->shape_bucket_count();
@@ -403,15 +423,48 @@ ServerStats Server::StatsSnapshot() const {
 }
 
 void Server::ExecutorLoop() {
+  // This executor's one context, kept while consecutive batches share a
+  // signature and destroyed when the thread exits.
+  std::unique_ptr<ExecutionContext> ctx;
   for (;;) {
     std::vector<BatchItem> batch = scheduler_.NextBatch();
     if (batch.empty()) return;  // shutdown with a drained queue
     QueueDepth()->Set(scheduler_.depth());
-    ExecuteBatch(std::move(batch));
+    ExecuteBatch(std::move(batch), &ctx);
   }
 }
 
-void Server::ExecuteBatch(std::vector<BatchItem> batch) {
+Status Server::PrepareContext(InputSignature sig,
+                              std::unique_ptr<ExecutionContext>* slot) {
+  // Executors never compile: Submit put every batch size of the bucket on
+  // the registry before enqueueing, and a miss is an error, never a
+  // context planned for another signature.
+  std::shared_ptr<const CompiledModel> model;
+  LCE_RETURN_IF_ERROR(CompiledModel::Lookup(root_, sig, &model));
+  if (*slot != nullptr && &(*slot)->model() == model.get()) {
+    // Zeroed arena + cleared profile: the reused context serves the batch
+    // bit-identically to a fresh one.
+    (*slot)->Reset();
+    PoolReusedTotal()->Add(1);
+    return Status::Ok();
+  }
+  if (*slot != nullptr) {
+    slot->reset();
+    PoolEvictedTotal()->Add(1);
+  }
+  auto ctx = std::make_unique<ExecutionContext>(std::move(model),
+                                                options_.execution);
+  if (!ctx->allocation_ok()) {
+    return Status::ResourceExhausted(
+        "execution context arena allocation failed");
+  }
+  PoolCreatedTotal()->Add(1);
+  *slot = std::move(ctx);
+  return Status::Ok();
+}
+
+void Server::ExecuteBatch(std::vector<BatchItem> batch,
+                          std::unique_ptr<ExecutionContext>* slot) {
   const std::uint64_t dequeue_ns = telemetry::NowNanos();
   // The scheduler only closes same-signature batches, so the head item's
   // lane signature is every lane's.
@@ -450,12 +503,11 @@ void Server::ExecuteBatch(std::vector<BatchItem> batch) {
   if (lanes.empty()) return;
   const int n = static_cast<int>(lanes.size());
 
-  std::unique_ptr<ExecutionContext> ctx;
-  Status st = pool_.Acquire({n, lane.h, lane.w}, &ctx);
+  Status st = PrepareContext({n, lane.h, lane.w}, slot);
   if (!st.ok()) {
-    // Pool capacity equals the executor count, so this only fires when a
-    // replacement context's arena allocation failed -- shed the batch and
-    // leave the slot for a later retry.
+    // Submit registered the signature, so this only fires when a new
+    // context's arena allocation failed: shed the batch; the executor's
+    // next batch retries the allocation.
     for (const auto& req : lanes) {
       shed_.fetch_add(1, std::memory_order_relaxed);
       ShedTotal()->Add(1);
@@ -464,12 +516,13 @@ void Server::ExecuteBatch(std::vector<BatchItem> batch) {
     }
     return;
   }
+  ExecutionContext* ctx = slot->get();
   admitted_.fetch_add(n, std::memory_order_relaxed);
   AdmittedTotal()->Add(n);
   // The context carries a request id for the duration of the run so
   // Invoke's spans (invoke + per-node) join the serving spans in the
   // trace; for a multi-lane batch the first lane's id stands for the
-  // batch. Cleared before the context returns to the pool.
+  // batch. Cleared once the run ends.
   ctx->set_request_id(lanes.front()->id_);
 
   // The batch Invoke runs under one token. A single-lane batch uses the
@@ -536,10 +589,10 @@ void Server::ExecuteBatch(std::vector<BatchItem> batch) {
     }
     Status lane_st = req->token_.Expired() ? req->token_.status() : st;
     if (lane_st.ok()) {
-      // done callback (output reads) runs before the context returns to
-      // the pool, against this lane's output slice.
+      // done callback (output reads) runs before the executor moves on,
+      // against this lane's output slice.
       ctx->set_io_lane(i);
-      Finish(req, std::move(lane_st), ctx.get(), /*admitted=*/true);
+      Finish(req, std::move(lane_st), ctx, /*admitted=*/true);
     } else {
       Finish(req, std::move(lane_st), nullptr, /*admitted=*/true);
     }
@@ -547,15 +600,17 @@ void Server::ExecuteBatch(std::vector<BatchItem> batch) {
   ctx->clear_io_lane();
   // Quarantine classifies the *context*, so it follows the batch Invoke
   // status: an Ok run with an individually-expired lane still produced a
-  // clean arena and the context is reused; a failed run poisons the arena
-  // for every lane and the context is destroyed.
-  const bool quarantines = !st.ok();
-  const std::int64_t batch_rep_id = lanes.front()->id_;
-  pool_.Release(std::move(ctx), st);
+  // clean arena and the context stays in the slot; a failed run poisons
+  // the arena (and possibly the gemm scratch) for every lane and the
+  // context is destroyed.
+  if (st.ok()) return;
+  slot->reset();
+  quarantined_.fetch_add(1, std::memory_order_relaxed);
+  PoolQuarantinedTotal()->Add(1);
   // Quarantine is the flight recorder's always-on trigger: an arena was
   // just poisoned and destroyed, and the evidence of how is still in the
   // ring and the trace buffers.
-  if (quarantines) recorder_.OnQuarantine(batch_rep_id);
+  recorder_.OnQuarantine(lanes.front()->id_);
 }
 
 void Server::ExporterLoop() {
@@ -617,7 +672,7 @@ void Server::Finish(const std::shared_ptr<Request>& req, Status status,
       CancelledTotal()->Add(1);
       break;
     case StatusCode::kResourceExhausted:
-      // ShedTotal is counted at the shed site (admission or pool) so the
+      // ShedTotal is counted at the shed site (admission or executor) so the
       // counter means "requests the server refused", not "requests that
       // failed with this code".
       break;

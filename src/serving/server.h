@@ -1,14 +1,14 @@
 // Overload-safe serving core: bounded admission, deadlines, cancellation
-// and an ExecutionContext pool on top of one shared CompiledModel
-// (docs/SERVING.md, "Overload & failure semantics").
+// and one ExecutionContext per executor thread on top of one shared
+// CompiledModel (docs/SERVING.md, "Overload & failure semantics").
 //
 // The contract under hostile traffic:
 //
 //   * BOUNDED QUEUE. At most `max_queue_depth` requests wait and at most
 //     `max_inflight` execute; everything beyond that is shed *at submit
 //     time* with Status::ResourceExhausted. Memory is therefore flat in
-//     offered load: arenas scale with max_inflight (the context pool), the
-//     queue holds only request descriptors, and
+//     offered load: arenas scale with max_inflight (each executor holds at
+//     most one context), the queue holds only request descriptors, and
 //     `serving.resident_arena_bytes` stays constant at 2x arrival overload
 //     (asserted by bench_serving_throughput --open-loop).
 //
@@ -20,10 +20,9 @@
 //     CPU within one block, not one model.
 //
 //   * FAILED RUNS QUARANTINE. Any non-Ok Invoke (deadline, cancel, induced
-//     kernel error, scratch exhaustion) sends the context to the pool's
-//     quarantine path -- its arena is never reused -- while the server
-//     itself keeps serving; recovery is a fresh context on the next
-//     request.
+//     kernel error, scratch exhaustion) destroys the executor's context --
+//     its arena is never reused -- while the server itself keeps serving;
+//     recovery is a fresh context on the executor's next batch.
 //
 //   * BATCHING IS DYNAMIC. With `max_batch_size > 1` the admission queue
 //     is owned by a BatchScheduler: executors pull *batches* (closed by
@@ -42,12 +41,13 @@
 //     request for an unseen admissible resolution. Every specialization
 //     lives on the root's one registry -- the server keeps no list of its
 //     own. Batches never mix buckets (the scheduler keys on the lane
-//     signature), contexts are pooled per signature so a request can never
-//     execute against an arena planned for another resolution, and packed
-//     weights stay flat however many buckets are live. A resolution the
-//     model cannot serve is rejected at submit time (InvalidArgument /
-//     ResourceExhausted, counted in `shed` and
-//     serving.shape_rejected_total), never executed wrong.
+//     signature), an executor runs each batch on a context of exactly that
+//     batch's specialization (replacing its context when the signature
+//     changes) so a request can never execute against an arena planned for
+//     another resolution, and packed weights stay flat however many
+//     buckets are live. A resolution the model cannot serve is rejected at
+//     submit time (InvalidArgument / ResourceExhausted, counted in `shed`
+//     and serving.shape_rejected_total), never executed wrong.
 //
 // One Server owns `max_inflight` executor threads. Submit() never blocks;
 // Infer() is the blocking convenience wrapper. Each executor drains the
@@ -69,7 +69,6 @@
 #include "core/status.h"
 #include "graph/compiled_model.h"
 #include "serving/batch_scheduler.h"
-#include "serving/context_pool.h"
 #include "serving/flight_recorder.h"
 #include "telemetry/metrics.h"
 
@@ -79,8 +78,9 @@ struct ServerOptions {
   // Requests waiting for an executor beyond this bound are shed with
   // ResourceExhausted at Submit() time.
   int max_queue_depth = 64;
-  // Concurrent executions; also the executor-thread count and the context
-  // pool capacity (arenas resident = max_inflight, independent of load).
+  // Concurrent executions; also the executor-thread count. Each executor
+  // holds at most one context, so arenas resident <= max_inflight,
+  // independent of load.
   int max_inflight = 2;
   // Deadline budget applied to requests submitted without one. Zero
   // disables the default (requests without an explicit deadline never
@@ -261,8 +261,8 @@ class Server {
   //              before Invoke; write the input tensors here.
   //   `done`     (optional) runs on the executor with the terminal status;
   //              the context pointer is non-null only on Ok -- read the
-  //              output tensors there, before the context returns to the
-  //              pool.
+  //              output tensors there, before the executor moves on to
+  //              its next batch.
   //   `deadline` latency budget measured from Submit; 0 (unset) applies
   //              ServerOptions::default_deadline, while a *negative*
   //              budget is already exhausted -- the request completes
@@ -296,7 +296,6 @@ class Server {
 
   // Requests currently waiting for an executor.
   int queue_depth() const;
-  const ContextPool& context_pool() const { return pool_; }
 
   // Point-in-time view of this server's counters plus the process-wide
   // serving latency histograms. Always callable, including while requests
@@ -319,9 +318,18 @@ class Server {
   Status ResolveShapeBucket(int input_hw, InputSignature* lane);
 
   void ExecutorLoop();
-  // One closed batch: queue-wait bookkeeping + expired-lane filtering,
-  // scatter / batch Invoke / gather, per-lane outcome classification.
-  void ExecuteBatch(std::vector<BatchItem> batch);
+  // One closed batch on the executor's context `slot`: queue-wait
+  // bookkeeping + expired-lane filtering, scatter / batch Invoke / gather,
+  // per-lane outcome classification. A failed Invoke empties the slot.
+  void ExecuteBatch(std::vector<BatchItem> batch,
+                    std::unique_ptr<ExecutionContext>* slot);
+  // Makes `slot` hold a context of `sig`'s model: the slot's own context,
+  // Reset(), when it already runs that model; otherwise a new one, built
+  // after the old one is destroyed so an executor never holds two arenas.
+  // ResourceExhausted (slot left empty) when the new arena allocation
+  // fails.
+  Status PrepareContext(InputSignature sig,
+                        std::unique_ptr<ExecutionContext>* slot);
   void ExporterLoop();
   // Terminal bookkeeping shared by every completion path. `dequeued` is
   // false for requests refused before entering the queue.
@@ -331,7 +339,6 @@ class Server {
   const ServerOptions options_;
   // The root model, whose registry holds every specialization served.
   const std::shared_ptr<const CompiledModel> root_;
-  ContextPool pool_;
   FlightRecorder recorder_;
   // Owns the admission queue; executors block in scheduler_.NextBatch().
   BatchScheduler scheduler_;
@@ -356,6 +363,7 @@ class Server {
   std::atomic<std::int64_t> deadline_exceeded_{0};
   std::atomic<std::int64_t> cancelled_{0};
   std::atomic<std::int64_t> failed_{0};
+  std::atomic<std::int64_t> quarantined_{0};
   std::atomic<std::int64_t> batches_executed_{0};
   std::atomic<std::int64_t> shape_rejected_{0};
   std::atomic<int> queue_depth_peak_{0};

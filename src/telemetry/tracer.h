@@ -7,8 +7,9 @@
 // up as distinct track (tid) rows in chrome://tracing / Perfetto.
 //
 // Enabling:
-//   * at runtime: Tracer::Global().Enable(), or InterpreterOptions /
-//     ConvertOptions .enable_tracing = true;
+//   * at runtime: Tracer::Global().Enable() -- before Convert to record
+//     the converter passes (each span carries its rewrite count), before
+//     Compile to record the compile phases;
 //   * from the environment: LCE_TRACE=<path> enables tracing at startup and
 //     writes the Chrome trace JSON to <path> at process exit (so any
 //     existing binary can be traced without code changes);

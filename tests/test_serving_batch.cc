@@ -3,10 +3,10 @@
 // sibling parity for batched geometries (grouped binary conv, row tiles
 // straddling samples), batch-N bit-exactness through the request API,
 // per-lane outcome isolation (one lane's cancellation or deadline evicts
-// only that lane), the negative-deadline Submit regression, and the pool's
-// capacity bound across batch sizes. Graph-level bit-exactness of every
-// signature, batched or not, lives in test_shape_variant.cc. Part of the
-// CI ThreadSanitizer job (name matches the "serving" regex).
+// only that lane) and the negative-deadline Submit regression. Graph-level
+// bit-exactness of every signature, batched or not, lives in
+// test_shape_variant.cc. Part of the CI ThreadSanitizer job (name matches
+// the "serving" regex).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,7 +27,6 @@
 #include "kernels/bconv2d.h"
 #include "models/builder.h"
 #include "serving/batch_scheduler.h"
-#include "serving/context_pool.h"
 #include "serving/server.h"
 #include "telemetry/clock.h"
 #include "telemetry/metrics.h"
@@ -38,7 +37,6 @@ namespace {
 using namespace std::chrono_literals;
 using serving::BatchItem;
 using serving::BatchScheduler;
-using serving::ContextPool;
 using serving::Request;
 using serving::Server;
 using serving::ServerOptions;
@@ -513,36 +511,6 @@ TEST(ServingBatch, NegativeDeadlineCompletesImmediatelyNotUpgraded) {
   EXPECT_EQ(stats.admitted, 1);
   EXPECT_EQ(stats.submitted, stats.shed + stats.expired_in_queue +
                                  stats.cancelled_in_queue + stats.admitted);
-}
-
-// The capacity bound covers all batch sizes together, and parked contexts
-// of one batch size are evicted -- not leaked, not overcounted -- when
-// another batch size needs the slot.
-TEST(ServingBatch, PoolBoundsResidentContextsAcrossBatchSizes) {
-  auto model = CompileServingModel();
-  std::shared_ptr<const CompiledModel> batch4;
-  ASSERT_TRUE(CompiledModel::Specialize(model, {4, 16, 16}, &batch4).ok());
-  ContextPool pool(model, /*capacity=*/1);
-
-  std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire({1, 16, 16}, &ctx).ok());
-  EXPECT_EQ(&ctx->model(), model.get());
-  pool.Release(std::move(ctx), Status::Ok());
-  EXPECT_EQ(pool.pooled(), 1);
-
-  // Acquiring the other batch size with the lone slot parked under batch-1
-  // must evict the idle batch-1 context, keeping resident <= capacity.
-  ASSERT_TRUE(pool.Acquire({4, 16, 16}, &ctx).ok());
-  EXPECT_EQ(&ctx->model(), batch4.get());
-  EXPECT_EQ(pool.pooled(), 0);
-  EXPECT_EQ(pool.outstanding(), 1);
-  EXPECT_EQ(pool.evicted(), 1);
-  pool.Release(std::move(ctx), Status::Ok());
-  EXPECT_EQ(pool.pooled(), 1);
-
-  EXPECT_EQ(pool.Acquire({3, 16, 16}, &ctx).code(),
-            StatusCode::kInvalidArgument)
-      << "batch sizes without a compiled specialization are refused";
 }
 
 // TSan target: concurrent clients against a batching server with random

@@ -1,7 +1,7 @@
 // Overload-safe serving core tests (docs/SERVING.md, "Overload & failure
 // semantics"): cooperative cancellation with the no-partial-writes output
 // guarantee, per-request deadlines, the bounded admission queue, and the
-// ExecutionContext pool's reuse/quarantine/recovery behavior. The
+// executor context's reuse/quarantine/recovery behavior. The
 // concurrent cancel-vs-invoke tests here are part of the CI
 // ThreadSanitizer job.
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "core/random.h"
 #include "graph/compiled_model.h"
 #include "models/builder.h"
-#include "serving/context_pool.h"
 #include "serving/server.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
@@ -32,7 +31,6 @@ namespace lce {
 namespace {
 
 using namespace std::chrono_literals;
-using serving::ContextPool;
 using serving::Request;
 using serving::Server;
 using serving::ServerOptions;
@@ -212,87 +210,105 @@ TEST(ServingCancel, ConcurrentCancelVersusInvoke) {
   }
 }
 
-TEST(ServingPool, ReuseIsBitIdenticalToFreshContext) {
+// ---------------------------------------------------------------------------
+// Executor contexts: each executor holds one ExecutionContext, Reset() and
+// reused while its batches share a signature, destroyed after a failed run.
+// The serving.pool.* counters are process-wide, so tests read deltas.
+// ---------------------------------------------------------------------------
+
+std::int64_t CounterValue(const char* name) {
+  return telemetry::MetricsRegistry::Global().Counter(name)->value();
+}
+
+// Consume callback copying the 10 logits into `out`.
+Server::FillFn ReadOutput(std::vector<float>* out) {
+  return [out](ExecutionContext& ctx) {
+    const float* o = ctx.output(0).data<float>();
+    out->assign(o, o + 10);
+  };
+}
+
+TEST(ServingContext, SameSignatureReusesTheExecutorContext) {
   auto model = CompileServingModel();
   const std::vector<float> expected = ReferenceOutput(model, 7);
-  ContextPool pool(model, /*capacity=*/1);
+  const std::int64_t created = CounterValue("serving.pool.created_total");
+  const std::int64_t reused = CounterValue("serving.pool.reused_total");
+  const std::int64_t evicted = CounterValue("serving.pool.evicted_total");
+  ServerOptions opts;
+  opts.max_inflight = 1;
+  Server server(model, opts);
 
-  std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
-  FillInput(ctx->input(0), 7);
-  Status s = ctx->Invoke(nullptr);
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(0, std::memcmp(ctx->output(0).data<float>(), expected.data(),
-                           10 * sizeof(float)));
-  pool.Release(std::move(ctx), s);
-  EXPECT_EQ(pool.pooled(), 1);
-
-  // Second request reuses the pooled context; reset-on-return means the
-  // input region starts zeroed and the output is bit-identical.
-  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
-  EXPECT_EQ(pool.pooled(), 0);
-  const float* in = ctx->input(0).data<float>();
-  for (std::int64_t i = 0; i < ctx->input(0).num_elements(); ++i) {
-    ASSERT_EQ(in[i], 0.0f) << "reused context must start from a zeroed arena";
-  }
-  FillInput(ctx->input(0), 7);
-  s = ctx->Invoke(nullptr);
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(0, std::memcmp(ctx->output(0).data<float>(), expected.data(),
-                           10 * sizeof(float)))
+  std::vector<float> first, second;
+  ASSERT_TRUE(server
+                  .Infer([](ExecutionContext& ctx) { FillInput(ctx.input(0), 7); },
+                         ReadOutput(&first))
+                  .ok());
+  // The second request runs on the same context, Reset() in between: its
+  // input region starts zeroed and its output is bit-identical.
+  bool zeroed = true;
+  ASSERT_TRUE(server
+                  .Infer(
+                      [&zeroed](ExecutionContext& ctx) {
+                        const Tensor in = ctx.input(0);
+                        for (std::int64_t i = 0; i < in.num_elements(); ++i) {
+                          zeroed = zeroed && in.data<float>()[i] == 0.0f;
+                        }
+                        FillInput(ctx.input(0), 7);
+                      },
+                      ReadOutput(&second))
+                  .ok());
+  EXPECT_TRUE(zeroed) << "a reused context must start from a zeroed arena";
+  EXPECT_EQ(CounterValue("serving.pool.created_total") - created, 1);
+  EXPECT_EQ(CounterValue("serving.pool.reused_total") - reused, 1);
+  EXPECT_EQ(CounterValue("serving.pool.evicted_total") - evicted, 0);
+  ASSERT_EQ(first.size(), 10u);
+  ASSERT_EQ(second.size(), 10u);
+  EXPECT_EQ(0, std::memcmp(first.data(), expected.data(), 10 * sizeof(float)));
+  EXPECT_EQ(0, std::memcmp(second.data(), expected.data(), 10 * sizeof(float)))
       << "reused context diverged from a fresh one";
-  pool.Release(std::move(ctx), s);
 }
 
-TEST(ServingPool, CapacityIsAHardBound) {
-  auto model = CompileServingModel();
-  ContextPool pool(model, /*capacity=*/2);
-  std::unique_ptr<ExecutionContext> a, b, c;
-  ASSERT_TRUE(pool.Acquire(model->signature(), &a).ok());
-  ASSERT_TRUE(pool.Acquire(model->signature(), &b).ok());
-  const Status s = pool.Acquire(model->signature(), &c);
-  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(pool.outstanding(), 2);
-  pool.Release(std::move(a), Status::Ok());
-  ASSERT_TRUE(pool.Acquire(model->signature(), &c).ok());
-  pool.Release(std::move(b), Status::Ok());
-  pool.Release(std::move(c), Status::Ok());
-  EXPECT_EQ(pool.outstanding(), 0);
-}
-
-// A failed Invoke quarantines its context (the arena holds the partial
-// state of an aborted run); the pool recovers with a fresh context whose
-// results are bit-identical to the pre-failure ones.
-TEST(ServingPool, QuarantineAfterFailureThenBitIdenticalRecovery) {
+// A cancelled run destroys its context (the arena holds the partial state
+// of an aborted run); the next request gets a fresh context whose results
+// are bit-identical to the pre-failure ones.
+TEST(ServingContext, CancelledBatchDestroysItsContextThenBitIdenticalRecovery) {
   auto model = CompileServingModel();
   const std::vector<float> expected = ReferenceOutput(model, 9);
-  ContextPool pool(model, /*capacity=*/1);
-  auto* quarantined = telemetry::MetricsRegistry::Global().Counter(
-      "serving.pool.quarantined_total");
-  const std::int64_t quarantined_before = quarantined->value();
+  const std::int64_t created = CounterValue("serving.pool.created_total");
+  const std::int64_t quarantined =
+      CounterValue("serving.pool.quarantined_total");
+  ServerOptions opts;
+  opts.max_inflight = 1;
+  Server server(model, opts);
 
-  std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
-  FillInput(ctx->input(0), 9);
-  CancellationToken token;
-  token.Cancel();
-  const Status failed = ctx->Invoke(&token);
-  ASSERT_FALSE(failed.ok());
-  pool.Release(std::move(ctx), failed);
-  EXPECT_EQ(pool.pooled(), 0) << "a poisoned context must not be pooled";
-  EXPECT_EQ(quarantined->value(), quarantined_before + 1);
+  // The fill blocks until the request is cancelled, so Invoke starts with a
+  // fired token.
+  std::promise<void> filled, cancelled;
+  std::shared_future<void> cancel_done = cancelled.get_future().share();
+  auto req = server.Submit([&filled, cancel_done](ExecutionContext& ctx) {
+    FillInput(ctx.input(0), 9);
+    filled.set_value();
+    cancel_done.wait();
+  });
+  filled.get_future().wait();
+  req->Cancel();
+  cancelled.set_value();
+  EXPECT_EQ(req->Wait().code(), StatusCode::kCancelled);
 
-  // Recovery: the next Acquire builds a replacement that reproduces the
-  // reference bits.
-  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
-  FillInput(ctx->input(0), 9);
-  const Status s = ctx->Invoke(nullptr);
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(0, std::memcmp(ctx->output(0).data<float>(), expected.data(),
-                           10 * sizeof(float)))
+  std::vector<float> got;
+  ASSERT_TRUE(server
+                  .Infer([](ExecutionContext& ctx) { FillInput(ctx.input(0), 9); },
+                         ReadOutput(&got))
+                  .ok());
+  ASSERT_EQ(got.size(), 10u);
+  EXPECT_EQ(0, std::memcmp(got.data(), expected.data(), 10 * sizeof(float)))
       << "post-quarantine context diverged from the pre-failure reference";
-  pool.Release(std::move(ctx), s);
-  EXPECT_EQ(pool.pooled(), 1);
+  // The lone executor finished the cancelled batch, quarantine included,
+  // before it took the recovery request.
+  EXPECT_EQ(server.StatsSnapshot().quarantined, 1);
+  EXPECT_EQ(CounterValue("serving.pool.quarantined_total") - quarantined, 1);
+  EXPECT_EQ(CounterValue("serving.pool.created_total") - created, 2)
+      << "the recovery request must run on a fresh context";
 }
 
 TEST(ServingServer, InferMatchesDirectExecutionBitExact) {
@@ -488,8 +504,8 @@ TEST(ServingServer, ShutdownDrainsPendingAsCancelled) {
   EXPECT_EQ(pending->status().code(), StatusCode::kCancelled);
 }
 
-// The memory bound behind admission control: arenas scale with the pool
-// (max_inflight), not with offered load.
+// The memory bound behind admission control: arenas scale with the
+// executors (max_inflight), not with offered load.
 TEST(ServingServer, ResidentArenaBytesBoundedByInflight) {
   auto model = CompileServingModel();
   auto* gauge = telemetry::MetricsRegistry::Global().Gauge(
@@ -514,7 +530,7 @@ TEST(ServingServer, ResidentArenaBytesBoundedByInflight) {
     }
   }
   EXPECT_EQ(gauge->value(), before)
-      << "server shutdown must release every pooled arena";
+      << "server shutdown must release every executor's arena";
 }
 
 // ---------------------------------------------------------------------------

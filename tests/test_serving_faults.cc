@@ -2,8 +2,7 @@
 // build sets LCE_FAULT_INJECTION (the sanitizer CI jobs do); each scenario
 // arms a deterministic fault, asserts the specified Status surfaces through
 // the serving API without aborting the process, and then proves recovery:
-// the next request on a fresh context reproduces the pre-fault output bit
-// for bit.
+// the server's next request reproduces the pre-fault output bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +23,6 @@
 #include "core/thread_pool.h"
 #include "graph/compiled_model.h"
 #include "models/builder.h"
-#include "serving/context_pool.h"
 #include "serving/fault_injection.h"
 #include "serving/server.h"
 #include "telemetry/json.h"
@@ -34,7 +32,6 @@ namespace lce {
 namespace {
 
 using namespace std::chrono_literals;
-using serving::ContextPool;
 using serving::Server;
 using serving::ServerOptions;
 using serving::fault::FaultInjector;
@@ -76,21 +73,28 @@ class ServingFaults : public ::testing::Test {
   void SetUp() override { FaultInjector::Global().Reset(); }
   void TearDown() override { FaultInjector::Global().Reset(); }
 
-  // Runs one clean request through `pool` and asserts its output matches
+  // Runs one clean request through `server` and asserts its output matches
   // `expected` bit for bit -- the recovery check every scenario ends with.
-  static void ExpectRecovery(ContextPool& pool,
-                             const std::vector<float>& expected,
+  static void ExpectRecovery(Server& server, const std::vector<float>& expected,
                              std::uint64_t seed) {
-    std::unique_ptr<ExecutionContext> ctx;
-    // The default signature {1, 0, 0} is the root at its own resolution.
-    ASSERT_TRUE(pool.Acquire(InputSignature{}, &ctx).ok());
-    FillInput(ctx->input(0), seed);
-    const Status s = ctx->Invoke(nullptr);
+    std::vector<float> got;
+    const Status s = server.Infer(
+        [seed](ExecutionContext& ctx) { FillInput(ctx.input(0), seed); },
+        [&got](ExecutionContext& ctx) {
+          const float* o = ctx.output(0).data<float>();
+          got.assign(o, o + 10);
+        });
     ASSERT_TRUE(s.ok()) << s.ToString();
-    EXPECT_EQ(0, std::memcmp(ctx->output(0).data<float>(), expected.data(),
-                             10 * sizeof(float)))
+    ASSERT_EQ(got.size(), 10u);
+    EXPECT_EQ(0, std::memcmp(got.data(), expected.data(), 10 * sizeof(float)))
         << "post-fault context diverged from the pre-fault reference";
-    pool.Release(std::move(ctx), s);
+  }
+
+  static std::unique_ptr<Server> OneExecutorServer(
+      const std::shared_ptr<const CompiledModel>& model) {
+    ServerOptions opts;
+    opts.max_inflight = 1;
+    return std::make_unique<Server>(model, opts);
   }
 
   static std::vector<float> Reference(
@@ -106,17 +110,24 @@ class ServingFaults : public ::testing::Test {
 TEST_F(ServingFaults, ArenaAllocFailureShedsInsteadOfAborting) {
   auto model = CompileServingModel();
   const std::vector<float> expected = Reference(model, 50);
-  ContextPool pool(model, /*capacity=*/1);
+  auto server = OneExecutorServer(model);
 
+  // The executor holds no context yet, so this batch builds one and its
+  // arena allocation fails: the batch is shed before any fill runs.
   FaultInjector::Global().FailArenaAlloc(1);
-  std::unique_ptr<ExecutionContext> ctx;
-  const Status s = pool.Acquire(model->signature(), &ctx);
+  bool filled = false;
+  const Status s = server->Infer([&filled](ExecutionContext&) { filled = true; });
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
-  EXPECT_EQ(ctx, nullptr);
-  EXPECT_EQ(pool.outstanding(), 0) << "a failed Acquire must not leak a slot";
+  EXPECT_FALSE(filled);
 
-  // The fault self-disarmed: the retry allocates and recovers bit-exactly.
-  ExpectRecovery(pool, expected, 50);
+  // The fault self-disarmed: the next batch retries the allocation and
+  // recovers bit-exactly.
+  ExpectRecovery(*server, expected, 50);
+  const serving::ServerStats stats = server->StatsSnapshot();
+  EXPECT_EQ(stats.shed, 1);
+  EXPECT_EQ(stats.admitted, 1);
+  EXPECT_EQ(stats.quarantined, 0) << "a context that never ran is not "
+                                     "quarantined";
 }
 
 TEST_F(ServingFaults, ArenaAllocFailureSurfacesThroughServer) {
@@ -124,7 +135,7 @@ TEST_F(ServingFaults, ArenaAllocFailureSurfacesThroughServer) {
   ServerOptions opts;
   opts.max_inflight = 1;
   Server server(model, opts);
-  // Warm the pool so the first context exists, then quarantine it via a
+  // Warm the executor so its context exists, then quarantine it via a
   // cancelled request and arm the replacement allocation to fail.
   ASSERT_TRUE(
       server.Infer([](ExecutionContext& ctx) { FillInput(ctx.input(0), 1); })
@@ -151,39 +162,38 @@ TEST_F(ServingFaults, ArenaAllocFailureSurfacesThroughServer) {
 TEST_F(ServingFaults, ScratchAllocFailureReturnsResourceExhaustedMidModel) {
   auto model = CompileServingModel();
   const std::vector<float> expected = Reference(model, 51);
-  ContextPool pool(model, /*capacity=*/1);
+  auto server = OneExecutorServer(model);
 
-  std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
-  FillInput(ctx->input(0), 51);
+  // The executor's first context allocates its gemm scratch during its
+  // first Invoke, which is where the fault fires.
   FaultInjector::Global().FailScratchAlloc(/*slot=*/-1, /*times=*/1);
-  const Status s = ctx->Invoke(nullptr);
+  const Status s = server->Infer(
+      [](ExecutionContext& ctx) { FillInput(ctx.input(0), 51); });
   ASSERT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
   EXPECT_NE(s.message().find("scratch"), std::string::npos)
       << "the error must identify the failing allocation: " << s.message();
-  pool.Release(std::move(ctx), s);
-  EXPECT_EQ(pool.pooled(), 0) << "the failed context must be quarantined";
 
-  ExpectRecovery(pool, expected, 51);
+  ExpectRecovery(*server, expected, 51);
+  const serving::ServerStats stats = server->StatsSnapshot();
+  EXPECT_EQ(stats.failed, 1);
+  EXPECT_EQ(stats.quarantined, 1) << "the failed context must be destroyed";
 }
 
 TEST_F(ServingFaults, InducedNodeErrorPropagatesVerbatim) {
   auto model = CompileServingModel();
   const std::vector<float> expected = Reference(model, 52);
-  ContextPool pool(model, /*capacity=*/1);
+  auto server = OneExecutorServer(model);
 
-  std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
-  FillInput(ctx->input(0), 52);
   FaultInjector::Global().FailNode(
       /*step=*/2, Status::Internal("induced kernel failure at step 2"));
-  const Status s = ctx->Invoke(nullptr);
+  const Status s = server->Infer(
+      [](ExecutionContext& ctx) { FillInput(ctx.input(0), 52); });
   ASSERT_EQ(s.code(), StatusCode::kInternal);
   EXPECT_EQ(s.message(), "induced kernel failure at step 2")
       << "the injected status must propagate verbatim";
-  pool.Release(std::move(ctx), s);
 
-  ExpectRecovery(pool, expected, 52);
+  ExpectRecovery(*server, expected, 52);
+  EXPECT_EQ(server->StatsSnapshot().quarantined, 1);
 }
 
 TEST_F(ServingFaults, StalledShardMissesDeadlineMidModel) {
@@ -193,22 +203,23 @@ TEST_F(ServingFaults, StalledShardMissesDeadlineMidModel) {
   // block.
   auto model = CompileServingModel(/*num_threads=*/2);
   const std::vector<float> expected = Reference(model, 53);
-  ContextPool pool(model, /*capacity=*/1);
+  auto server = OneExecutorServer(model);
 
-  std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire(model->signature(), &ctx).ok());
-  FillInput(ctx->input(0), 53);
   // Stall every shard-0 execution long past the deadline for the whole run.
   FaultInjector::Global().StallShard(/*shard=*/0, /*delay=*/30ms,
                                      /*times=*/64);
-  CancellationToken token;
-  token.set_deadline_after(10ms);
-  const Status s = ctx->Invoke(&token);
+  const Status s = server->Infer(
+      [](ExecutionContext& ctx) { FillInput(ctx.input(0), 53); }, nullptr,
+      /*deadline=*/100ms);
   ASSERT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s.ToString();
-  pool.Release(std::move(ctx), s);
 
   FaultInjector::Global().Reset();
-  ExpectRecovery(pool, expected, 53);
+  ExpectRecovery(*server, expected, 53);
+  // A deadline that fired mid-model poisons the context like any failed
+  // run (one that fired in the queue never touched it).
+  const serving::ServerStats stats = server->StatsSnapshot();
+  EXPECT_EQ(stats.deadline_exceeded + stats.expired_in_queue, 1);
+  EXPECT_EQ(stats.quarantined, stats.deadline_exceeded);
 }
 
 TEST_F(ServingFaults, InjectionCountersRecordEveryFiredFault) {
@@ -267,8 +278,8 @@ TEST_F(ServingFaults, QuarantineWritesFlightRecorderBundle) {
   ASSERT_EQ(failed.code(), StatusCode::kInternal);
 
   // Infer() returns when the request completes; the quarantine (and its
-  // dump) happens on the executor right after, once the context is back in
-  // the pool's hands -- give it a moment.
+  // dump) happens on the executor right after, once every lane is
+  // finished -- give it a moment.
   for (int i = 0; i < 2000 && server.flight_recorder().dumps_written() == 0;
        ++i) {
     std::this_thread::sleep_for(1ms);

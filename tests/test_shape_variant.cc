@@ -6,8 +6,9 @@
 // -- the packed-weights-stay-flat guarantee over an (h, w) x batch grid,
 // the non-square-root routing regression, the registry (caching,
 // compile-once under concurrency, cap enforcement, rejection codes,
-// lifetime), the signature-keyed ContextPool, signature-keyed batch
-// formation in the scheduler, and mixed-resolution serving end to end.
+// lifetime), executor contexts replaced across buckets, signature-keyed
+// batch formation in the scheduler, and mixed-resolution serving end to
+// end.
 // Part of the CI ThreadSanitizer job (its regex names "shape_variant").
 #include <gtest/gtest.h>
 
@@ -27,7 +28,6 @@
 #include "graph/validator.h"
 #include "models/builder.h"
 #include "serving/batch_scheduler.h"
-#include "serving/context_pool.h"
 #include "serving/server.h"
 #include "telemetry/clock.h"
 #include "telemetry/metrics.h"
@@ -38,7 +38,6 @@ namespace {
 using namespace std::chrono_literals;
 using serving::BatchItem;
 using serving::BatchScheduler;
-using serving::ContextPool;
 using serving::Request;
 using serving::Server;
 using serving::ServerOptions;
@@ -508,91 +507,69 @@ TEST(ShapeBucketRegistry, ReleasingTheRootFreesEveryBucket) {
 }
 
 // ---------------------------------------------------------------------------
-// ContextPool keyed by signature -- the regression that motivated keying
-// free lists on more than the batch size: two buckets sharing a batch size
-// must never trade arenas.
+// Executor contexts across buckets: an executor holds one context and
+// replaces it whenever its next batch has another signature, so two
+// buckets never trade arenas and resident arena bytes stay at the larger
+// bucket's arena, not the sum.
 // ---------------------------------------------------------------------------
 
-TEST(ShapeBucketPool, AcquireSelectsByShapeAndBatchNeverByBatchAlone) {
-  static const Graph* g = new Graph(MakeMixedGraph(16));
-  std::shared_ptr<const CompiledModel> root, root_x2, b24_x2, unused;
-  ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-  ASSERT_TRUE(CompiledModel::Specialize(root, {2, 16, 16}, &root_x2).ok());
-  ASSERT_TRUE(CompiledModel::Specialize(root, {1, 24, 24}, &unused).ok());
-  ASSERT_TRUE(CompiledModel::Specialize(root, {2, 24, 24}, &b24_x2).ok());
-
-  ContextPool pool(root, /*capacity=*/4);
-
-  // Same batch size, different buckets: each Acquire must land on the
-  // model whose arena matches the requested resolution.
-  std::unique_ptr<ExecutionContext> c16, c24;
-  ASSERT_TRUE(pool.Acquire({2, 16, 16}, &c16).ok());
-  ASSERT_TRUE(pool.Acquire({2, 24, 24}, &c24).ok());
-  EXPECT_EQ(&c16->model(), root_x2.get());
-  EXPECT_EQ(&c24->model(), b24_x2.get());
-  EXPECT_EQ(c16->input(0).shape().dim(1), 16);
-  EXPECT_EQ(c24->input(0).shape().dim(1), 24);
-
-  // Each context parks under its own signature and comes back for it.
-  pool.Release(std::move(c16), Status::Ok());
-  pool.Release(std::move(c24), Status::Ok());
-  ASSERT_TRUE(pool.Acquire({2, 24, 24}, &c24).ok());
-  EXPECT_EQ(&c24->model(), b24_x2.get());
-
-  // A signature that was never registered is an error, never a wrong arena.
-  std::unique_ptr<ExecutionContext> miss;
-  EXPECT_EQ(pool.Acquire({1, 32, 32}, &miss).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(pool.Acquire({3, 16, 16}, &miss).code(),
-            StatusCode::kInvalidArgument);
-  pool.Release(std::move(c24), Status::Ok());
-}
-
-TEST(ShapeBucketPool, SeesRegistryGrowthButNeverCompiles) {
-  static const Graph* g = new Graph(MakeMixedGraph(16));
-  std::shared_ptr<const CompiledModel> root, b24;
-  ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
-
-  ContextPool pool(root, /*capacity=*/2);
-  std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_EQ(pool.Acquire({1, 24, 24}, &ctx).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(root->shape_bucket_count(), 1) << "Acquire must not compile";
-  ASSERT_TRUE(CompiledModel::Specialize(root, {1, 24, 24}, &b24).ok());
-  ASSERT_TRUE(pool.Acquire({1, 24, 24}, &ctx).ok());
-  EXPECT_EQ(&ctx->model(), b24.get());
-  pool.Release(std::move(ctx), Status::Ok());
-}
-
-TEST(ShapeBucketPool, EvictionRealizesCrossBucketArenaHighWater) {
-  // capacity=1: serving bucket B after bucket A must evict A's idle
-  // context, keeping resident arena bytes at the high-water mark (one
-  // max-bucket arena), not the sum of all buckets' arenas.
+TEST(ShapeBucketContexts, AlternatingResolutionsReplaceTheExecutorContext) {
   static const Graph* g = new Graph(MakeMixedGraph(16));
   std::shared_ptr<const CompiledModel> root, b24;
   ASSERT_TRUE(CompiledModel::Compile(*g, {}, &root).ok());
   ASSERT_TRUE(CompiledModel::Specialize(root, {1, 24, 24}, &b24).ok());
-  auto* resident = telemetry::MetricsRegistry::Global().Gauge(
-      "serving.resident_arena_bytes");
-  const std::int64_t before = resident->value();
+  const std::vector<float> expected16 = RunOnce(root, 5);
+  const std::vector<float> expected24 = RunOnce(b24, 5);
+  auto& registry = telemetry::MetricsRegistry::Global();
+  auto* resident = registry.Gauge("serving.resident_arena_bytes");
+  auto* created = registry.Counter("serving.pool.created_total");
+  auto* reused = registry.Counter("serving.pool.reused_total");
+  auto* evicted = registry.Counter("serving.pool.evicted_total");
+  const std::int64_t resident_before = resident->value();
+  const std::int64_t created_before = created->value();
+  const std::int64_t reused_before = reused->value();
+  const std::int64_t evicted_before = evicted->value();
+  const auto high_water = static_cast<std::int64_t>(
+      std::max(root->arena_bytes(), b24->arena_bytes()));
 
-  ContextPool pool(root, /*capacity=*/1);
-  const std::int64_t evicted_before = pool.evicted();
-  std::unique_ptr<ExecutionContext> ctx;
-  ASSERT_TRUE(pool.Acquire({1, 16, 16}, &ctx).ok());
-  pool.Release(std::move(ctx), Status::Ok());
-  // The parked 16px context occupies the only slot; a 24px request forces
-  // the eviction instead of overshooting capacity.
-  ASSERT_TRUE(pool.Acquire({1, 24, 24}, &ctx).ok());
-  EXPECT_EQ(&ctx->model(), b24.get());
-  EXPECT_EQ(pool.evicted() - evicted_before, 1);
-  EXPECT_EQ(pool.outstanding(), 1);
-  EXPECT_EQ(pool.pooled(), 0);
-  const std::int64_t peak = resident->value() - before;
-  EXPECT_LE(peak, static_cast<std::int64_t>(
-                      std::max(root->arena_bytes(), b24->arena_bytes())))
+  ServerOptions opts;
+  opts.max_inflight = 1;
+  Server server(root, opts);
+  constexpr int kRequests = 6;
+  std::int64_t peak = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    const int hw = i % 2 == 0 ? 16 : 24;
+    const std::vector<float>& expected = hw == 16 ? expected16 : expected24;
+    std::vector<float> got;
+    ASSERT_TRUE(server
+                    .Infer(
+                        hw,
+                        [&](ExecutionContext& ctx) {
+                          EXPECT_EQ(ctx.input(0).shape().dim(1), hw);
+                          peak = std::max(peak,
+                                          resident->value() - resident_before);
+                          FillInput(ctx.input(0), 5);
+                        },
+                        [&got](ExecutionContext& ctx) {
+                          const Tensor out = ctx.output(0);
+                          got.assign(out.data<float>(),
+                                     out.data<float>() + out.num_elements());
+                        })
+                    .ok());
+    peak = std::max(peak, resident->value() - resident_before);
+    ASSERT_EQ(got.size(), expected.size());
+    EXPECT_EQ(0, std::memcmp(got.data(), expected.data(),
+                             got.size() * sizeof(float)))
+        << "request " << i << " at " << hw << " px";
+  }
+  // Every request switched signature: the first built the executor's
+  // context, each later one destroyed it and built its own.
+  EXPECT_EQ(created->value() - created_before, kRequests);
+  EXPECT_EQ(evicted->value() - evicted_before, kRequests - 1);
+  EXPECT_EQ(reused->value() - reused_before, 0);
+  EXPECT_GT(peak, 0);
+  EXPECT_LE(peak, high_water)
       << "resident arenas exceeded the cross-bucket high-water mark";
-  pool.Release(std::move(ctx), Status::Ok());
 }
 
 // ---------------------------------------------------------------------------

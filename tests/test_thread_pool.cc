@@ -120,77 +120,6 @@ TEST(ThreadPool, ConcurrentSubmittersShareOnePool) {
   for (std::int64_t s : sums) EXPECT_EQ(s, kCount * (kCount - 1) / 2);
 }
 
-TEST(ThreadPool, TryParallelForPropagatesMidShardFault) {
-  // Regression for the serving no-abort rule: a shard that fails mid-range
-  // must surface its Status through the call instead of being swallowed,
-  // and the sibling shards must still run their full ranges (no mid-flight
-  // abort -- their output stays well-defined).
-  ThreadPool pool(4);
-  constexpr std::int64_t kCount = 1000;
-  std::vector<std::atomic<int>> hits(kCount);
-  const Status s = pool.TryParallelFor(
-      kCount, [&](std::int64_t begin, std::int64_t end) -> Status {
-        for (std::int64_t i = begin; i < end; ++i) {
-          if (i == 777) {
-            return Status::Internal("induced fault at index 777");
-          }
-          hits[i].fetch_add(1);
-        }
-        return Status::Ok();
-      });
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInternal);
-  EXPECT_NE(s.message().find("777"), std::string::npos);
-  // Every index outside the failing shard's truncated tail was visited
-  // exactly once: the failing shard covers at most kCount/4 indices, and
-  // only its post-fault tail is skipped.
-  int visited = 0;
-  for (std::int64_t i = 0; i < kCount; ++i) visited += hits[i].load();
-  EXPECT_GE(visited, static_cast<int>(kCount - kCount / 4));
-  EXPECT_EQ(hits[0].load(), 1);
-  EXPECT_EQ(hits[777].load(), 0) << "the faulting index must not be counted";
-}
-
-TEST(ThreadPool, TryParallelForShardReportsLowestFailingShard) {
-  // Determinism contract: when several shards fail, the returned status is
-  // the lowest-indexed shard's, independent of scheduling order.
-  ThreadPool pool(8);
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<int> completed{0};
-    const Status s = pool.TryParallelForShard(
-        800, [&](int shard, std::int64_t, std::int64_t) -> Status {
-          completed.fetch_add(1);
-          if (shard >= 3) {
-            return Status::InvalidArgument("shard " + std::to_string(shard) +
-                                           " failed");
-          }
-          return Status::Ok();
-        });
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.message(), "shard 3 failed") << "round " << round;
-    EXPECT_EQ(completed.load(), 8)
-        << "every shard must run to completion even after a sibling failed";
-  }
-}
-
-TEST(ThreadPool, TryParallelForAllOkAndInlineShard) {
-  ThreadPool pool(1);  // inline path
-  std::atomic<std::int64_t> sum{0};
-  const Status s = pool.TryParallelFor(
-      100, [&](std::int64_t begin, std::int64_t end) -> Status {
-        for (std::int64_t i = begin; i < end; ++i) sum.fetch_add(i);
-        return Status::Ok();
-      });
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(sum.load(), 99 * 100 / 2);
-  // The inline shard (shard 0 runs on the submitter) also propagates.
-  const Status inline_fail = pool.TryParallelForShard(
-      4, [&](int, std::int64_t, std::int64_t) -> Status {
-        return Status::Internal("inline shard failed");
-      });
-  EXPECT_EQ(inline_fail.code(), StatusCode::kInternal);
-}
-
 TEST(ThreadPool, SingleThreadRunsInline) {
   // With one thread, the callback must run on the calling thread (no
   // synchronization noise for latency benchmarks).
