@@ -39,23 +39,16 @@ namespace {
 using namespace lce;
 using namespace lce::bench;
 
-std::unique_ptr<Interpreter> Prep(const std::function<Graph(int)>& build,
-                                  const ConvertOptions& opts,
-                                  gemm::KernelProfile profile,
-                                  std::unique_ptr<Graph>& storage) {
+std::unique_ptr<ExecutionContext> Prep(
+    const std::function<Graph(int)>& build, const ConvertOptions& opts,
+    gemm::KernelProfile profile, std::unique_ptr<Graph>& storage) {
   storage = std::make_unique<Graph>(build(224));
   LCE_CHECK(Convert(*storage, opts).ok());
-  InterpreterOptions iopts;
-  iopts.kernel_profile = profile;
-  auto interp = std::make_unique<Interpreter>(*storage, iopts);
-  LCE_CHECK(interp->Prepare().ok());
-  Rng rng(1);
-  Tensor in = interp->input(0);
-  for (std::int64_t i = 0; i < in.num_elements(); ++i) {
-    in.data<float>()[i] = rng.Uniform();
-  }
-  interp->Invoke();  // warmup
-  return interp;
+  CompileOptions copts;
+  copts.kernel_profile = profile;
+  auto exec = PrepareContext(*storage, copts);
+  exec->Invoke();  // warmup
+  return exec;
 }
 
 void Run(const char* name, const std::function<Graph(int)>& build,

@@ -7,7 +7,6 @@
 #include "bench_common.h"
 #include "core/bitpack.h"
 #include "converter/convert.h"
-#include "graph/interpreter.h"
 #include "kernels/bconv2d.h"
 #include "models/zoo.h"
 
@@ -63,17 +62,11 @@ int main(int argc, char** argv) {
   for (const Padding pad : {Padding::kSameOne, Padding::kSameZero}) {
     Graph g = BuildQuickNet(QuickNetMediumConfig(), 224, pad);
     LCE_CHECK(Convert(g).ok());
-    InterpreterOptions opts;
+    CompileOptions opts;
     opts.kernel_profile = profile;
-    Interpreter interp(g, opts);
-    LCE_CHECK(interp.Prepare().ok());
-    Rng rng(1);
-    Tensor in = interp.input(0);
-    for (std::int64_t i = 0; i < in.num_elements(); ++i) {
-      in.data<float>()[i] = rng.Uniform();
-    }
+    const auto exec = PrepareContext(g, opts);
     const double ms = 1e3 * profiling::MeasureMedianSeconds(
-                                [&] { interp.Invoke(); }, 1, 7, 15, 0.2);
+                                [&] { exec->Invoke(); }, 1, 7, 15, 0.2);
     std::printf("  %-10s %8.1f ms\n", PaddingName(pad).data(), ms);
   }
   std::printf(

@@ -44,18 +44,12 @@ int main(int argc, char** argv) {
     for (int threads : {1, 2, 4}) {
       Graph g = BuildQuickNet(QuickNetMediumConfig(), 224);
       LCE_CHECK(Convert(g).ok());
-      InterpreterOptions opts;
+      CompileOptions opts;
       opts.num_threads = threads;
       opts.kernel_profile = profile;
-      Interpreter interp(g, opts);
-      LCE_CHECK(interp.Prepare().ok());
-      Rng rng(1);
-      Tensor in = interp.input(0);
-      for (std::int64_t i = 0; i < in.num_elements(); ++i) {
-        in.data<float>()[i] = rng.Uniform();
-      }
+      const auto exec = PrepareContext(g, opts);
       ms[idx++] =
-          1e3 * profiling::MeasureMedianSeconds([&] { interp.Invoke(); }, 1,
+          1e3 * profiling::MeasureMedianSeconds([&] { exec->Invoke(); }, 1,
                                                 5, 10, 0.1);
     }
     std::printf("%-22s %10.1f %12.1f %12.1f\n", "QuickNet 224x224", ms[0],

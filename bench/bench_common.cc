@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <utility>
 
 #include "core/bitpack.h"
 #include "telemetry/json.h"
@@ -172,24 +173,36 @@ std::vector<SweepRow> RunConvSweep(gemm::Context& ctx, std::int64_t max_macs) {
   return rows;
 }
 
-std::unique_ptr<Interpreter> PrepareConverted(
+std::unique_ptr<ExecutionContext> PrepareContext(const Graph& graph,
+                                                 CompileOptions options,
+                                                 ExecutionOptions exec_options,
+                                                 std::uint64_t seed) {
+  std::shared_ptr<const CompiledModel> model;
+  const Status compiled =
+      CompiledModel::Compile(graph, std::move(options), &model);
+  LCE_CHECK(compiled.ok());
+  auto exec =
+      std::make_unique<ExecutionContext>(model, std::move(exec_options));
+  Rng rng(seed);
+  Tensor in = exec->input(0);
+  for (std::int64_t i = 0; i < in.num_elements(); ++i) {
+    in.data<float>()[i] = rng.Uniform();
+  }
+  return exec;
+}
+
+std::unique_ptr<ExecutionContext> PrepareConverted(
     Graph& graph_storage, const std::function<Graph(int)>& build, int hw,
     gemm::KernelProfile profile, bool profiling) {
   graph_storage = build(hw);
   const Status converted = Convert(graph_storage);
   LCE_CHECK(converted.ok());
-  InterpreterOptions opts;
-  opts.kernel_profile = profile;
-  opts.enable_profiling = profiling;
-  auto interp = std::make_unique<Interpreter>(graph_storage, opts);
-  const Status prepared = interp->Prepare();
-  LCE_CHECK(prepared.ok());
-  Rng rng(1);
-  Tensor in = interp->input(0);
-  for (std::int64_t i = 0; i < in.num_elements(); ++i) {
-    in.data<float>()[i] = rng.Uniform();
-  }
-  return interp;
+  CompileOptions options;
+  options.kernel_profile = profile;
+  ExecutionOptions exec_options;
+  exec_options.enable_profiling = profiling;
+  return PrepareContext(graph_storage, std::move(options),
+                        std::move(exec_options));
 }
 
 CsvWriter::CsvWriter(const std::string& name, const std::string& header)
@@ -239,8 +252,8 @@ void CsvWriter::Row(const std::string& row) {
   if (mirror_json_) rows_.push_back(SplitCsv(row));
 }
 
-double ModelLatency(Interpreter& interp, int reps) {
-  return profiling::MeasureMedianSeconds([&] { interp.Invoke(); },
+double ModelLatency(ExecutionContext& exec, int reps) {
+  return profiling::MeasureMedianSeconds([&] { exec.Invoke(); },
                                          /*warmup=*/1, /*min_reps=*/reps,
                                          /*max_reps=*/reps, /*min_seconds=*/0);
 }

@@ -17,7 +17,7 @@
 #include "core/random.h"
 #include "core/tensor.h"
 #include "gemm/context.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "kernels/bconv2d.h"
 #include "kernels/conv2d_float.h"
 #include "kernels/conv2d_int8.h"
@@ -111,14 +111,21 @@ struct SweepRow {
 // run the complete grid; the largest float cells take hundreds of ms each).
 std::vector<SweepRow> RunConvSweep(gemm::Context& ctx, std::int64_t max_macs);
 
-// Builds a zoo training graph, converts it, prepares an interpreter with
-// random input and returns it ready to Invoke().
-std::unique_ptr<Interpreter> PrepareConverted(
+// Compiles `graph` (which must outlive the context) and returns an
+// execution context on it, ready to Invoke(), whose input 0 holds Uniform()
+// draws from Rng(seed).
+std::unique_ptr<ExecutionContext> PrepareContext(
+    const Graph& graph, CompileOptions options,
+    ExecutionOptions exec_options = {}, std::uint64_t seed = 1);
+
+// Builds a zoo training graph into `graph_storage`, converts it and returns
+// PrepareContext on it.
+std::unique_ptr<ExecutionContext> PrepareConverted(
     Graph& graph_storage, const std::function<Graph(int)>& build, int hw,
     gemm::KernelProfile profile, bool profiling);
 
-// Median latency of interp.Invoke() in seconds.
-double ModelLatency(Interpreter& interp, int reps = 5);
+// Median latency of exec.Invoke() in seconds.
+double ModelLatency(ExecutionContext& exec, int reps = 5);
 
 // Writes rows to results/<name>.csv (creating results/ if needed) so the
 // figures can be re-plotted from machine-readable data. Prints the path.

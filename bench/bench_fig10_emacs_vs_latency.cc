@@ -39,10 +39,10 @@ int main(int argc, char** argv) {
   CsvWriter csv("fig10_emacs_vs_latency", "model,family,emacs,latency_ms");
   for (const auto& m : AllZooModels()) {
     Graph g;
-    auto interp = PrepareConverted(g, m.build, 224, profile, false);
+    auto exec = PrepareConverted(g, m.build, 224, profile, false);
     const ModelStats stats = ComputeModelStats(g);
     const double emacs = stats.emacs(discount);
-    const double ms = 1e3 * ModelLatency(*interp, 3);
+    const double ms = 1e3 * ModelLatency(*exec, 3);
     std::printf("%-18s %-10s %10.1f %12.1f %14.2f\n", m.name.c_str(),
                 m.family.c_str(), emacs / 1e6, ms, ms / (emacs / 1e9));
     char row[160];

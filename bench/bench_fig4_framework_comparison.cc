@@ -104,10 +104,10 @@ int main(int argc, char** argv) {
   std::printf("\nBiRealNet end-to-end latency with LCE (paper: 86.8 ms LCE vs"
               " 119.8 ms DaBNN on RPi 4B):\n");
   Graph g;
-  auto interp = PrepareConverted(
+  auto exec = PrepareConverted(
       g, [](int hw) { return BuildBiRealNet18(hw); }, 224, profile,
       /*profiling=*/false);
-  const double birealnet_ms = 1e3 * ModelLatency(*interp, 3);
+  const double birealnet_ms = 1e3 * ModelLatency(*exec, 3);
   std::printf("  BiRealNet (224x224): %.1f ms\n", birealnet_ms);
   report.AddResult("birealnet_224.latency_ms", birealnet_ms);
   if (!json_path.empty()) {

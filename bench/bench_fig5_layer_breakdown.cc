@@ -19,8 +19,8 @@ using namespace lce::bench;
 void BreakdownFor(const char* label, const std::function<Graph(int)>& build,
                   gemm::KernelProfile profile) {
   Graph g;
-  auto interp = PrepareConverted(g, build, 224, profile, /*profiling=*/true);
-  const auto prof = profiling::ProfileModel(*interp, 3);
+  auto exec = PrepareConverted(g, build, 224, profile, /*profiling=*/true);
+  const auto prof = profiling::ProfileModel(*exec, 3);
   const double total = profiling::TotalSeconds(prof);
 
   double binary = 0.0, first_layer = 0.0, other_fp = 0.0;

@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
   CsvWriter csv("fig7_pareto", "model,family,top1,latency_ms,size_mb");
   for (const auto& m : AllZooModels()) {
     Graph g;
-    auto interp = PrepareConverted(g, m.build, 224, profile, false);
-    const double latency = ModelLatency(*interp, 3);
+    auto exec = PrepareConverted(g, m.build, 224, profile, false);
+    const double latency = ModelLatency(*exec, 3);
     const ModelStats stats = ComputeModelStats(g);
     std::printf("%-18s %-10s %7.1f%% %12.1f %9.2f\n", m.name.c_str(),
                 m.family.c_str(), m.top1_accuracy, latency * 1e3,

@@ -15,8 +15,6 @@
 
 #include "bench_common.h"
 #include "converter/convert.h"
-#include "core/random.h"
-#include "graph/interpreter.h"
 #include "models/builder.h"
 #include "models/zoo.h"
 #include "profiling/bench_utils.h"
@@ -31,10 +29,10 @@ using namespace lce::bench;
 // plots: one binarized layer (a) without shortcut, (b) with a regular
 // shortcut, (c) as a downsampling block with the fp pointwise-conv shortcut
 // (the three diagrams of Figure 9).
-std::unique_ptr<Interpreter> MakeBlock(int hw, int channels, bool shortcut,
-                                       bool downsample,
-                                       gemm::KernelProfile profile,
-                                       std::unique_ptr<Graph>& storage) {
+std::unique_ptr<ExecutionContext> MakeBlock(int hw, int channels,
+                                            bool shortcut, bool downsample,
+                                            gemm::KernelProfile profile,
+                                            std::unique_ptr<Graph>& storage) {
   storage = std::make_unique<Graph>();
   Graph& g = *storage;
   ModelBuilder b(g, 97 + channels + (shortcut ? 1 : 0) + (downsample ? 2 : 0));
@@ -58,17 +56,11 @@ std::unique_ptr<Interpreter> MakeBlock(int hw, int channels, bool shortcut,
   y = b.BatchNorm(y);
   g.MarkOutput(y);
   LCE_CHECK(Convert(g).ok());
-  InterpreterOptions opts;
+  CompileOptions opts;
   opts.kernel_profile = profile;
-  auto interp = std::make_unique<Interpreter>(g, opts);
-  LCE_CHECK(interp->Prepare().ok());
-  Rng rng(5);
-  Tensor in = interp->input(0);
-  for (std::int64_t i = 0; i < in.num_elements(); ++i) {
-    in.data<float>()[i] = rng.Uniform();
-  }
-  interp->Invoke();  // warmup
-  return interp;
+  auto exec = PrepareContext(g, opts, {}, /*seed=*/5);
+  exec->Invoke();  // warmup
+  return exec;
 }
 
 // Measures the four block variants interleaved round-robin so host drift
@@ -76,18 +68,18 @@ std::unique_ptr<Interpreter> MakeBlock(int hw, int channels, bool shortcut,
 std::array<double, 4> BlockLatencies(int hw, int channels,
                                      gemm::KernelProfile profile) {
   std::unique_ptr<Graph> g[4];
-  std::unique_ptr<Interpreter> interp[4];
+  std::unique_ptr<ExecutionContext> exec[4];
   const bool config[4][2] = {
       {false, false}, {true, false}, {false, true}, {true, true}};
   for (int v = 0; v < 4; ++v) {
-    interp[v] = MakeBlock(hw, channels, config[v][0], config[v][1], profile,
-                          g[v]);
+    exec[v] = MakeBlock(hw, channels, config[v][0], config[v][1], profile,
+                        g[v]);
   }
   std::vector<double> samples[4];
   for (int round = 0; round < 25; ++round) {
     for (int v = 0; v < 4; ++v) {
       const double t0 = profiling::NowSeconds();
-      interp[v]->Invoke();
+      exec[v]->Invoke();
       samples[v].push_back(profiling::NowSeconds() - t0);
     }
   }
@@ -137,30 +129,25 @@ int main(int argc, char** argv) {
 
   // Interleave the three variants round-robin (host drift cancels).
   std::unique_ptr<Graph> graphs[3];
-  std::unique_ptr<Interpreter> interps[3];
+  std::unique_ptr<ExecutionContext> execs[3];
   std::vector<std::vector<lce::OpProfile>> profiles(3);
   for (int v = 0; v < 3; ++v) {
     auto& g = graphs[v];
     g = std::make_unique<Graph>(BuildBinarizedResNet18(variants[v].mode, 224));
     LCE_CHECK(Convert(*g).ok());
-    InterpreterOptions opts;
+    CompileOptions opts;
     opts.kernel_profile = profile;
-    opts.enable_profiling = true;
-    interps[v] = std::make_unique<Interpreter>(*g, opts);
-    LCE_CHECK(interps[v]->Prepare().ok());
-    Rng rng(1);
-    Tensor in = interps[v]->input(0);
-    for (std::int64_t i = 0; i < in.num_elements(); ++i) {
-      in.data<float>()[i] = rng.Uniform();
-    }
-    interps[v]->Invoke();  // warmup
+    ExecutionOptions exec_opts;
+    exec_opts.enable_profiling = true;
+    execs[v] = PrepareContext(*g, opts, exec_opts);
+    execs[v]->Invoke();  // warmup
   }
   std::vector<double> totals[3];
   for (int round = 0; round < 11; ++round) {
     for (int v = 0; v < 3; ++v) {
-      interps[v]->Invoke();
-      totals[v].push_back(profiling::TotalSeconds(interps[v]->profile()));
-      if (round == 5) profiles[v] = interps[v]->profile();  // sample breakdown
+      execs[v]->Invoke();
+      totals[v].push_back(profiling::TotalSeconds(execs[v]->profile()));
+      if (round == 5) profiles[v] = execs[v]->profile();  // sample breakdown
     }
   }
   double latency_a = 0.0, latency_b = 0.0, latency_c = 0.0;

@@ -25,17 +25,11 @@ struct Row {
 };
 
 Row Measure(const char* name, Graph& g, gemm::KernelProfile profile) {
-  InterpreterOptions opts;
+  CompileOptions opts;
   opts.kernel_profile = profile;
-  Interpreter interp(g, opts);
-  LCE_CHECK(interp.Prepare().ok());
-  Rng rng(1);
-  Tensor in = interp.input(0);
-  for (std::int64_t i = 0; i < in.num_elements(); ++i) {
-    in.data<float>()[i] = rng.Uniform();
-  }
+  const auto exec = PrepareContext(g, opts);
   const double ms =
-      1e3 * profiling::MeasureMedianSeconds([&] { interp.Invoke(); }, 1, 7,
+      1e3 * profiling::MeasureMedianSeconds([&] { exec->Invoke(); }, 1, 7,
                                             15, 0.2);
   return {name, ms, g.ConstantBytes()};
 }

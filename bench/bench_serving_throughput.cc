@@ -6,8 +6,8 @@
 // one process-shared thread pool. Reported per stream count: aggregate QPS
 // and p50/p99 request latency, plus the resident packed-weight gauge --
 // which must stay flat as streams scale, proving the 32x-compressed weights
-// are shared rather than duplicated per stream (the pre-split
-// one-Interpreter-per-request workaround duplicated them).
+// are shared rather than duplicated per stream (compiling one model per
+// request would duplicate them).
 //
 // Default: QuickNet-S, streams 1/2/4/8, intra-op pool of 1 (parallelism
 // across requests, the classic serving configuration). `--full` adds

@@ -29,11 +29,11 @@ int main(int argc, char** argv) {
     const ModelStats stats = ComputeModelStats(training);
 
     Graph g;
-    auto interp = PrepareConverted(
+    auto exec = PrepareConverted(
         g, [&cfg](int hw) { return BuildQuickNet(cfg, hw); }, 224, profile,
         /*profiling=*/false);
     const ModelStats converted_stats = ComputeModelStats(g);
-    const double latency = ModelLatency(*interp, 3);
+    const double latency = ModelLatency(*exec, 3);
     report.AddResult(cfg.name + ".latency_ms", latency * 1e3);
     report.AddResult(cfg.name + ".binary_mmacs", stats.binary_macs / 1e6);
     report.AddResult(cfg.name + ".float_mmacs", stats.float_macs / 1e6);

@@ -19,10 +19,10 @@ int main(int argc, char** argv) {
   const auto profile = ParseProfile(argc, argv);
 
   Graph g;
-  auto interp = PrepareConverted(
+  auto exec = PrepareConverted(
       g, [](int hw) { return BuildQuickNet(QuickNetMediumConfig(), hw); },
       224, profile, /*profiling=*/true);
-  const auto prof = profiling::ProfileModel(*interp, 5);
+  const auto prof = profiling::ProfileModel(*exec, 5);
   const auto rows = profiling::OperatorBreakdown(prof);
 
   std::printf(

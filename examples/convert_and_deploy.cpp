@@ -14,7 +14,7 @@
 #include "converter/convert.h"
 #include "converter/serializer.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "models/zoo.h"
 
 using namespace lce;
@@ -32,15 +32,16 @@ void PrintOpMix(const char* label, const Graph& g) {
 }
 
 std::vector<float> Run(const Graph& g) {
-  Interpreter interp(g);
-  LCE_CHECK(interp.Prepare().ok());
+  std::shared_ptr<const CompiledModel> model;
+  LCE_CHECK(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionContext exec(model);
   Rng rng(3);
-  Tensor in = interp.input(0);
+  Tensor in = exec.input(0);
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
     in.data<float>()[i] = rng.Uniform();
   }
-  interp.Invoke();
-  const Tensor out = interp.output(0);
+  exec.Invoke();
+  const Tensor out = exec.output(0);
   return std::vector<float>(out.data<float>(),
                             out.data<float>() + out.num_elements());
 }

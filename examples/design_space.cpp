@@ -14,7 +14,7 @@
 
 #include "converter/convert.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "models/builder.h"
 #include "models/macs.h"
 #include "profiling/bench_utils.h"
@@ -70,15 +70,16 @@ int main() {
     Graph g = BuildCandidate(c);
     const ModelStats stats = ComputeModelStats(g);
     LCE_CHECK(Convert(g).ok());
-    Interpreter interp(g);
-    LCE_CHECK(interp.Prepare().ok());
+    std::shared_ptr<const CompiledModel> model;
+    LCE_CHECK(CompiledModel::Compile(g, {}, &model).ok());
+    ExecutionContext exec(model);
     Rng rng(1);
-    Tensor in = interp.input(0);
+    Tensor in = exec.input(0);
     for (std::int64_t i = 0; i < in.num_elements(); ++i) {
       in.data<float>()[i] = rng.Uniform();
     }
     const double ms = 1e3 * profiling::MeasureMedianSeconds(
-                                [&] { interp.Invoke(); }, 1, 7, 15, 0.1);
+                                [&] { exec.Invoke(); }, 1, 7, 15, 0.1);
     const double emacs = stats.emacs(15.0);
     std::printf("%-30s %10.1f %10.1f %12.2f %14.2f\n", c.name.c_str(),
                 emacs / 1e6, stats.params / 1e3, ms, ms / (emacs / 1e9));

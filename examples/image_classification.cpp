@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "converter/convert.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "models/zoo.h"
 #include "profiling/bench_utils.h"
 
@@ -56,22 +56,23 @@ int main(int argc, char** argv) {
   const Status status = Convert(g);
   LCE_CHECK(status.ok());
 
-  Interpreter interp(g);
-  LCE_CHECK(interp.Prepare().ok());
+  std::shared_ptr<const CompiledModel> model;
+  LCE_CHECK(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionContext exec(model);
   std::printf("Arena: %.1f MiB, model constants: %.1f MiB\n",
-              interp.arena_bytes() / (1024.0 * 1024.0),
+              exec.arena_bytes() / (1024.0 * 1024.0),
               g.ConstantBytes() / (1024.0 * 1024.0));
 
-  Tensor input = interp.input(0);
+  Tensor input = exec.input(0);
   FillSyntheticImage(input);
 
   // Warmup + timed runs.
   const double latency =
-      profiling::MeasureMedianSeconds([&] { interp.Invoke(); }, 1, 5, 10, 0.2);
+      profiling::MeasureMedianSeconds([&] { exec.Invoke(); }, 1, 5, 10, 0.2);
   std::printf("Inference latency: %.1f ms (single thread)\n", latency * 1e3);
 
   // Top-5 report.
-  const Tensor out = interp.output(0);
+  const Tensor out = exec.output(0);
   std::vector<int> idx(1000);
   std::iota(idx.begin(), idx.end(), 0);
   std::partial_sort(idx.begin(), idx.begin() + 5, idx.end(),

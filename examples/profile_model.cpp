@@ -12,7 +12,7 @@
 #include "converter/convert.h"
 #include "converter/serializer.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "models/macs.h"
 #include "models/zoo.h"
 #include "profiling/model_profiler.h"
@@ -62,25 +62,27 @@ int main(int argc, char** argv) {
   }
   const ModelStats stats = ComputeModelStats(g);
 
-  InterpreterOptions opts;
+  CompileOptions opts;
   opts.num_threads = threads;
-  opts.enable_profiling = true;
-  Interpreter interp(g, opts);
-  LCE_CHECK(interp.Prepare().ok());
+  std::shared_ptr<const CompiledModel> model;
+  LCE_CHECK(CompiledModel::Compile(g, opts, &model).ok());
+  ExecutionOptions exec_opts;
+  exec_opts.enable_profiling = true;
+  ExecutionContext exec(model, exec_opts);
   Rng rng(1);
-  Tensor in = interp.input(0);
+  Tensor in = exec.input(0);
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
     in.data<float>()[i] = rng.Uniform();
   }
 
-  const auto prof = profiling::ProfileModel(interp, 5);
+  const auto prof = profiling::ProfileModel(exec, 5);
   const double total = profiling::TotalSeconds(prof);
 
   std::printf("\nTotal: %.1f ms | %.1f M binary MACs, %.1f M float MACs | "
               "model %.2f MiB | arena %.2f MiB\n",
               total * 1e3, stats.binary_macs / 1e6, stats.float_macs / 1e6,
               stats.model_bytes / (1024.0 * 1024.0),
-              interp.arena_bytes() / (1024.0 * 1024.0));
+              exec.arena_bytes() / (1024.0 * 1024.0));
 
   std::printf("\n--- Operator breakdown (Table 4 style) ---\n");
   for (const auto& row : profiling::OperatorBreakdown(prof)) {

@@ -4,15 +4,15 @@
 //      would construct: float-emulated binarization).
 //   2. Convert it to the *inference dialect* (true bitpacked operators,
 //      fused batch norm, bitpacked layer chaining, 32x weight compression).
-//   3. Run inference with the interpreter and compare against the training
-//      graph -- the converted model computes the same function.
+//   3. Compile both graphs and run inference on an ExecutionContext; the
+//      converted model computes the same function as the training graph.
 //
 // Build: cmake --build build && ./build/examples/quickstart
 #include <cstdio>
 
 #include "converter/convert.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "models/builder.h"
 #include "models/macs.h"
 
@@ -59,16 +59,17 @@ int main() {
 
   // --- 3. Run both graphs on the same input.
   const auto run = [](const Graph& g, const char* label) {
-    Interpreter interp(g);
-    const Status prep = interp.Prepare();
-    LCE_CHECK(prep.ok());
+    std::shared_ptr<const CompiledModel> model;
+    const Status compiled = CompiledModel::Compile(g, {}, &model);
+    LCE_CHECK(compiled.ok());
+    ExecutionContext exec(model);
     Rng rng(7);
-    Tensor in = interp.input(0);
+    Tensor in = exec.input(0);
     for (std::int64_t i = 0; i < in.num_elements(); ++i) {
       in.data<float>()[i] = rng.Uniform();
     }
-    interp.Invoke();
-    const Tensor out = interp.output(0);
+    exec.Invoke();
+    const Tensor out = exec.output(0);
     std::printf("%s class probabilities: ", label);
     for (int i = 0; i < 10; ++i) std::printf("%.3f ", out.data<float>()[i]);
     std::printf("\n");

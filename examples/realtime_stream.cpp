@@ -51,16 +51,17 @@ int main(int argc, char** argv) {
 
   Graph g = BuildQuickNet(cfg, 224);
   LCE_CHECK(Convert(g).ok());
-  Interpreter interp(g);
-  LCE_CHECK(interp.Prepare().ok());
+  std::shared_ptr<const CompiledModel> model;
+  LCE_CHECK(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionContext exec(model);
   std::printf("Streaming %d frames through %s (224x224, single thread)...\n",
               frames, cfg.name.c_str());
 
   // Warmup (first-frame latency includes cache warm-up; report separately).
-  Tensor input = interp.input(0);
+  Tensor input = exec.input(0);
   FillFrame(input, 0);
   const double w0 = profiling::NowSeconds();
-  interp.Invoke();
+  exec.Invoke();
   const double first_frame = profiling::NowSeconds() - w0;
 
   std::vector<double> latencies;
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
   for (int t = 1; t <= frames; ++t) {
     FillFrame(input, t);
     const double t0 = profiling::NowSeconds();
-    interp.Invoke();
+    exec.Invoke();
     latencies.push_back(profiling::NowSeconds() - t0);
   }
   const double wall = profiling::NowSeconds() - stream_start;

@@ -5,7 +5,7 @@
 //
 //   * a Chrome trace-event JSON (open in chrome://tracing or
 //     https://ui.perfetto.dev) with nested spans for converter passes,
-//     Prepare phases, every executed node, BConv2d/BGEMM stages and
+//     compile phases, every executed node, BConv2d/BGEMM stages and
 //     ParallelFor shards on their worker-thread tracks;
 //   * optionally a metrics-registry snapshot (--metrics=) and a
 //     machine-readable run report (--json=).
@@ -34,7 +34,7 @@
 #include "converter/convert.h"
 #include "converter/serializer.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "models/macs.h"
 #include "models/zoo.h"
 #include "telemetry/json.h"
@@ -155,17 +155,20 @@ int main(int argc, char** argv) {
   std::printf("Tracing %s, %d thread(s), %d rep(s)...\n",
               resolved_name.c_str(), threads, reps);
 
-  InterpreterOptions opts;
+  CompileOptions opts;
   opts.num_threads = threads;
-  opts.enable_profiling = true;  // per-node spans share the profiler's clock
-  Interpreter interp(g, opts);
-  const Status prepared = interp.Prepare();
-  if (!prepared.ok()) {
-    std::fprintf(stderr, "Prepare failed: %s\n", prepared.message().c_str());
+  std::shared_ptr<const CompiledModel> model;
+  const Status compiled = CompiledModel::Compile(g, opts, &model);
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "Compile failed: %s\n", compiled.message().c_str());
     return 1;
   }
+  ExecutionOptions exec_opts;
+  // Per-node spans share the profiler's clock.
+  exec_opts.enable_profiling = true;
+  ExecutionContext exec(model, exec_opts);
   Rng rng(1);
-  Tensor in = interp.input(0);
+  Tensor in = exec.input(0);
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
     in.data<float>()[i] = rng.Uniform();
   }
@@ -176,7 +179,7 @@ int main(int argc, char** argv) {
   report.AddMetaInt("reps", reps);
   for (int r = 0; r < reps; ++r) {
     const std::uint64_t t0 = telemetry::NowNanos();
-    interp.Invoke();
+    exec.Invoke();
     report.AddLatencySeconds(
         static_cast<double>(telemetry::NowNanos() - t0) * 1e-9);
   }
@@ -244,7 +247,7 @@ int main(int argc, char** argv) {
     }
   }
   int missing = 0;
-  for (const auto& op : interp.profile()) {
+  for (const auto& op : exec.profile()) {
     if (node_spans.count(op.name) == 0) {
       std::fprintf(stderr, "[check] no span for executed node '%s'\n",
                    op.name.c_str());
@@ -253,7 +256,7 @@ int main(int argc, char** argv) {
   }
   if (missing > 0) ++failures;
   std::printf("[check] %zu node spans cover %zu executed nodes\n",
-              node_spans.size(), interp.profile().size());
+              node_spans.size(), exec.profile().size());
   if (threads >= 2 && shard_tids.size() < 2) {
     std::fprintf(stderr,
                  "[check] ParallelFor shards ran on %zu thread track(s), "

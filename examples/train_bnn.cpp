@@ -90,15 +90,16 @@ int main() {
 
   Graph loaded;
   LCE_CHECK(LoadModel(path, &loaded).ok());
-  Interpreter interp(loaded);
-  LCE_CHECK(interp.Prepare().ok());
+  std::shared_ptr<const CompiledModel> model;
+  LCE_CHECK(CompiledModel::Compile(loaded, {}, &model).ok());
+  ExecutionContext exec(model);
   int correct = 0;
   for (int i = 0; i < 64; ++i) {
-    Tensor in = interp.input(0);
+    Tensor in = exec.input(0);
     std::copy(test_x.begin() + i * 64, test_x.begin() + (i + 1) * 64,
               in.data<float>());
-    interp.Invoke();
-    const float* probs = interp.output(0).data<float>();
+    exec.Invoke();
+    const float* probs = exec.output(0).data<float>();
     correct += (probs[1] > probs[0] ? 1 : 0) == test_y[i] ? 1 : 0;
   }
   std::printf("deployed model (from %s): held-out acc %.2f\n", path.c_str(),

@@ -4,10 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
+#include <utility>
 
 #include "core/macros.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 
 namespace lce {
 namespace {
@@ -28,24 +30,25 @@ struct ValueRange {
 // (including graph inputs).
 Status Calibrate(const Graph& g, const PtqOptions& options,
                  std::map<int, ValueRange>* ranges) {
-  InterpreterOptions iopts;
-  iopts.observer = [&](const Node& n, const Tensor& out) {
+  std::shared_ptr<const CompiledModel> model;
+  LCE_RETURN_IF_ERROR(CompiledModel::Compile(g, {}, &model));
+  ExecutionOptions eopts;
+  eopts.observer = [&](const Node& n, const Tensor& out) {
     if (out.dtype() != DataType::kFloat32) return;
     (*ranges)[n.outputs[0]].Update(out.data<float>(), out.num_elements());
   };
-  Interpreter interp(g, iopts);
-  LCE_RETURN_IF_ERROR(interp.Prepare());
+  ExecutionContext exec(model, std::move(eopts));
   Rng rng(options.calibration_seed);
   for (int run = 0; run < options.calibration_runs; ++run) {
-    for (int i = 0; i < interp.num_inputs(); ++i) {
-      Tensor in = interp.input(i);
+    for (int i = 0; i < exec.num_inputs(); ++i) {
+      Tensor in = exec.input(i);
       if (in.dtype() != DataType::kFloat32) continue;
       for (std::int64_t j = 0; j < in.num_elements(); ++j) {
         in.data<float>()[j] = rng.Uniform(-1.0f, 1.0f);
       }
       (*ranges)[g.input_ids()[i]].Update(in.data<float>(), in.num_elements());
     }
-    interp.Invoke();
+    exec.Invoke();
   }
   return Status::Ok();
 }

@@ -4,8 +4,8 @@
 //
 // Pipeline (standard TFLite-style PTQ):
 //   1. Calibrate: run the float graph on calibration inputs, recording the
-//      min/max range of every Conv2D input and output via the interpreter's
-//      observer hook.
+//      min/max range of every Conv2D input and output via the execution
+//      context's observer hook (ExecutionOptions::observer).
 //   2. Rewrite each float Conv2D (not the emulated binarized ones) into
 //        QuantizeInt8 -> Conv2DInt8 -> DequantizeInt8
 //      with per-tensor affine activations, symmetric int8 weights, and the

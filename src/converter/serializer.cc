@@ -393,7 +393,7 @@ Status DeserializeGraph(const std::uint8_t* data, std::size_t size, Graph* g,
     return Status::DataLoss("trailing bytes after model");
   }
   // Full semantic + resource validation: a graph that parses is not yet a
-  // graph that is safe to Prepare/Invoke.
+  // graph that is safe to Compile/Invoke.
   return ValidateGraph(*g, limits);
 }
 

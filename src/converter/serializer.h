@@ -34,7 +34,7 @@ std::vector<std::uint8_t> SerializeGraph(const Graph& g);
 // defect returns kDataLoss, every semantic defect kInvalidArgument and every
 // limit violation kResourceExhausted -- never a crash, abort or unbounded
 // allocation. On success the graph has passed full ValidateGraph, so
-// Interpreter::Prepare/Invoke on it is safe.
+// CompiledModel::Compile and ExecutionContext::Invoke on it are safe.
 Status DeserializeGraph(const std::uint8_t* data, std::size_t size, Graph* g,
                         const ResourceLimits& limits = {});
 

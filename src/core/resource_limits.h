@@ -3,9 +3,9 @@
 // Model files are untrusted input (docs/ROBUSTNESS.md): a corrupt or hostile
 // .lcem file must never make the engine crash, abort, or allocate without
 // bound. These limits are threaded through the deserializer, the semantic
-// validator, the memory planner and the interpreter; every size computation
-// on model-derived data is overflow-checked against them before any
-// allocation happens.
+// validator, the memory planner and CompiledModel::Compile; every size
+// computation on model-derived data is overflow-checked against them before
+// any allocation happens.
 //
 // The defaults are deliberately generous -- far above anything a real zoo
 // model needs at 224x224 input -- so that legitimate models never hit them,

@@ -42,9 +42,8 @@ class ThreadPool {
 
   // Process-shared pool of the given size: repeated calls with the same
   // `num_threads` return the same instance while anyone still holds it.
-  // This is what lets N concurrent ExecutionContexts (and the Interpreter
-  // compatibility wrapper) share one set of worker threads instead of
-  // spawning a pool per request.
+  // This is what lets N concurrent ExecutionContexts share one set of
+  // worker threads instead of spawning a pool per request.
   static std::shared_ptr<ThreadPool> Shared(int num_threads);
 
   int num_threads() const { return num_threads_; }

@@ -186,11 +186,11 @@ Status CompiledModel::BuildSpecialization(
           "' does not carry the batch dimension; model cannot be batched");
     }
   }
-  // Same pool, profile, name, limits and histogram setting as the root: a
-  // specialization is the same model at another signature, and its
-  // per-node histograms intentionally merge with the root's.
+  // Same profile, name, limits and histogram setting as the root (Build
+  // takes the root's pool from the weight source): a specialization is the
+  // same model at another signature, and its per-node histograms
+  // intentionally merge with the root's.
   CompileOptions options;
-  options.thread_pool = pool_;
   options.kernel_profile = kernel_profile_;
   options.model_name = model_name_;
   options.enable_node_histograms = node_histograms_enabled_;
@@ -262,9 +262,8 @@ Status CompiledModel::Build(CompileOptions options,
   model_name_ = options.model_name.empty() ? "model" : options.model_name;
   limits_ = options.limits;
   node_histograms_enabled_ = options.enable_node_histograms;
-  pool_ = options.thread_pool != nullptr
-              ? std::move(options.thread_pool)
-              : ThreadPool::Shared(options.num_threads);
+  pool_ = weight_source != nullptr ? weight_source->pool_
+                                   : ThreadPool::Shared(options.num_threads);
   // Full semantic + resource validation up front. Everything after this --
   // memory planning, kernel construction, Invoke -- relies on the graph
   // being legal and within limits, so no further checks on model-derived
@@ -368,7 +367,7 @@ Status CompiledModel::Build(CompileOptions options,
       ->SetMax(static_cast<std::int64_t>(total_bytes));
   }  // prepare/plan
 
-  // Prepare kernels. On a specialization build (weight_source != null) the
+  // Build kernels. On a specialization build (weight_source != null) the
   // weight-bearing kernels are constructed as siblings of the mapped source
   // kernel: the expensive geometry-invariant state (packed/bitpacked
   // weights, correction tables, output transforms) is shared by reference

@@ -14,8 +14,13 @@
 // ExecutionContext per executor thread -- N concurrent Invoke()s against
 // one set of packed weights, on one process-shared ThreadPool.
 //
-// The legacy single-stream `Interpreter` (graph/interpreter.h) is now a
-// thin wrapper owning one CompiledModel plus one ExecutionContext.
+// This pair is the only way to run a graph. A single-stream caller compiles
+// once and keeps one context:
+//
+//   std::shared_ptr<const CompiledModel> model;
+//   LCE_RETURN_IF_ERROR(CompiledModel::Compile(graph, {}, &model));
+//   ExecutionContext exec(model);
+//   // fill exec.input(i), exec.Invoke(), read exec.output(j)
 #ifndef LCE_GRAPH_COMPILED_MODEL_H_
 #define LCE_GRAPH_COMPILED_MODEL_H_
 
@@ -49,11 +54,11 @@ class Histogram;
 namespace lce {
 
 struct CompileOptions {
-  // Size of the thread pool used by this model's execution contexts. When
-  // `thread_pool` is null, Compile() installs ThreadPool::Shared(num_threads)
-  // so every model compiled with the same size shares one set of workers.
+  // Size of the thread pool used by this model's execution contexts:
+  // Compile() installs ThreadPool::Shared(num_threads), so every model
+  // compiled with the same size shares one set of workers, and its
+  // specializations run on their root's pool.
   int num_threads = 1;
-  std::shared_ptr<ThreadPool> thread_pool;
   gemm::KernelProfile kernel_profile = gemm::KernelProfile::kSimd;
   // Label used to namespace this model's metrics (per-node latency
   // histograms are registered as "node.<model_name>.<node_name>_ns").
@@ -182,9 +187,10 @@ class CompiledModel {
   Status BuildSpecialization(InputSignature sig,
                              std::unique_ptr<CompiledModel>* out) const;
   // When `weight_source` is non-null this is a specialization build:
-  // `node_map` maps this graph's node ids to the source model's, and every
+  // `node_map` maps this graph's node ids to the source model's, every
   // weight-bearing kernel is constructed as a sibling sharing the mapped
-  // source kernel's packed weights.
+  // source kernel's packed weights, and the model runs on the source's
+  // pool (options.num_threads is ignored).
   Status Build(CompileOptions options, const CompiledModel* weight_source,
                const std::vector<int>* node_map);
 
@@ -311,8 +317,8 @@ class ExecutionContext {
   Status Invoke(const CancellationToken* cancel);
 
   // Infallible convenience wrapper for trusted single-stream use (tests,
-  // benchmarks, the Interpreter): aborts if the status path reports an
-  // error.
+  // benchmarks, examples, PTQ calibration): aborts if the status path
+  // reports an error.
   void Invoke();
 
   // Zeroes the arena and clears the last profile, so a reused context
@@ -342,8 +348,6 @@ class ExecutionContext {
   gemm::Context& gemm_context() { return ctx_; }
 
  private:
-  friend class Interpreter;
-
   Tensor ValueTensor(int value_id);
   void RunNode(const Node& node, OpProfile* prof);
 

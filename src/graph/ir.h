@@ -1,5 +1,5 @@
 // Graph IR shared by the training-graph builders, the converter and the
-// inference interpreter.
+// inference runtime (graph/compiled_model.h).
 //
 // Two graph dialects live in the same IR, mirroring the paper's Figure 1
 // pipeline:

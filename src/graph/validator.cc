@@ -69,7 +69,7 @@ Status CheckMinRank(const Node& n, const Value& v, int rank) {
   return Status::Ok();
 }
 
-// Weight operands must be constants with backing storage: Prepare hands the
+// Weight operands must be constants with backing storage: Compile hands the
 // raw weight pointer to kernel constructors, so a non-constant (or
 // storage-less) weight would dereference null before Invoke even runs.
 Status CheckConstWeight(const Node& n, const Value& w) {
@@ -457,7 +457,7 @@ Status ValidateGraphImpl(const Graph& g, const ResourceLimits& limits) {
       }
     }
     // Alive-producer invariant: an alive value's producer must be alive too
-    // (Prepare relies on this when assigning lifetimes).
+    // (Compile relies on this when assigning lifetimes).
     if (v->producer >= 0) {
       if (v->producer >= static_cast<int>(g.nodes().size()) ||
           !g.node(v->producer).alive) {
@@ -467,8 +467,8 @@ Status ValidateGraphImpl(const Graph& g, const ResourceLimits& limits) {
     }
   }
 
-  // Graph inputs must be live, non-constant values (the interpreter hands
-  // out writable arena views for them).
+  // Graph inputs must be live, non-constant values (an ExecutionContext
+  // hands out writable arena views for them).
   for (int id : g.input_ids()) {
     if (id < 0 || id >= static_cast<int>(g.values().size()) ||
         !g.value(id).alive || g.value(id).is_constant) {

@@ -2,9 +2,10 @@
 // runtime (docs/ROBUSTNESS.md).
 //
 // DeserializeGraph bounds-checks the *byte stream*; this layer checks that
-// the resulting graph is *semantically* legal, so that Interpreter::Prepare
-// and Invoke can execute it without any further checks on model-derived
-// data. Concretely, for every live node it verifies:
+// the resulting graph is *semantically* legal, so that
+// CompiledModel::Compile and ExecutionContext::Invoke can execute it without
+// any further checks on model-derived data. Concretely, for every live node
+// it verifies:
 //
 //   * operand arity, ranks, and dtypes for all op types;
 //   * weight operands are constants of the expected dtype and rank;
@@ -46,7 +47,7 @@ Status ValidateNode(const Graph& g, const Node& n);
 // Full-graph validation: structural consistency (Graph::Validate), per-node
 // semantics (ValidateNode), topological sanity, graph-input/output
 // liveness, and resource limits. Called by DeserializeGraph on every loaded
-// model and by Interpreter::Prepare before planning memory.
+// model and by CompiledModel::Compile before planning memory.
 Status ValidateGraph(const Graph& g, const ResourceLimits& limits = {});
 
 // Admissibility predicate for the specialization surface (docs/SERVING.md,

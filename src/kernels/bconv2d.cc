@@ -19,37 +19,22 @@ BConv2D::BConv2D(const float* weights_ohwi, BConv2DAttrs attrs)
   const Conv2DGeometry& g = attrs_.geo;
   const int in_c_pg = g.in_c / std::max(1, attrs_.groups);
   const int words = BitpackedWords(in_c_pg);
-  auto weights = std::make_shared<SharedWeights>();
   // Bitpack the weights: per (output channel, filter position), pack the
-  // input-channel vector. This is the 32x weight compression.
-  weights->rows.assign(
-      static_cast<std::size_t>(g.out_c) * g.filter_h * g.filter_w * words, 0);
-  for (int n = 0; n < g.out_c; ++n) {
-    for (int p = 0; p < g.filter_h * g.filter_w; ++p) {
-      const float* src =
-          weights_ohwi +
-          (static_cast<std::int64_t>(n) * g.filter_h * g.filter_w + p) * in_c_pg;
-      BitpackRow(src, in_c_pg,
-                 weights->rows.data() +
-                     (static_cast<std::int64_t>(n) * g.filter_h * g.filter_w + p) * words);
-    }
+  // input-channel vector. This is the 32x weight compression; the rows
+  // live only until InitWeights has packed them.
+  const std::int64_t positions =
+      static_cast<std::int64_t>(g.out_c) * g.filter_h * g.filter_w;
+  std::vector<TBitpacked> rows(static_cast<std::size_t>(positions) * words, 0);
+  for (std::int64_t p = 0; p < positions; ++p) {
+    BitpackRow(weights_ohwi + p * in_c_pg, in_c_pg, rows.data() + p * words);
   }
-  InitWeights(weights.get());
-  weights_ = std::move(weights);
+  InitWeights(rows.data());
 }
 
 BConv2D::BConv2D(const TBitpacked* packed_weights_ohwi, BConv2DAttrs attrs)
     : attrs_(std::move(attrs)) {
   InitGeometry();
-  const Conv2DGeometry& g = attrs_.geo;
-  const int in_c_pg = g.in_c / std::max(1, attrs_.groups);
-  const int words = BitpackedWords(in_c_pg);
-  const std::size_t total =
-      static_cast<std::size_t>(g.out_c) * g.filter_h * g.filter_w * words;
-  auto weights = std::make_shared<SharedWeights>();
-  weights->rows.assign(packed_weights_ohwi, packed_weights_ohwi + total);
-  InitWeights(weights.get());
-  weights_ = std::move(weights);
+  InitWeights(packed_weights_ohwi);
 }
 
 BConv2D::BConv2D(const BConv2D& base, BConv2DAttrs attrs)
@@ -108,20 +93,27 @@ void BConv2D::InitGeometry() {
   tile_plan_ = pipeline::TilePlan(g, gemm::kBgemmMr);
 }
 
-void BConv2D::InitWeights(SharedWeights* weights) const {
+std::size_t BConv2D::packed_weights_bytes() const {
+  const Conv2DGeometry& g = attrs_.geo;
+  const int words = BitpackedWords(g.in_c / std::max(1, attrs_.groups));
+  return static_cast<std::size_t>(g.out_c) * g.filter_h * g.filter_w * words *
+         sizeof(TBitpacked);
+}
+
+void BConv2D::InitWeights(const TBitpacked* rows) {
   const Conv2DGeometry& g = attrs_.geo;
   const int groups = std::max(1, attrs_.groups);
   const int in_c_pg = g.in_c / groups;
   const int words = BitpackedWords(in_c_pg);
-  const int patch_words = g.filter_h * g.filter_w * words;
+  const int taps = g.filter_h * g.filter_w;
+  const int patch_words = taps * words;
 
+  auto weights = std::make_shared<SharedWeights>();
   const int out_c_pg = g.out_c / groups;
-  weights->groups.clear();
   weights->groups.reserve(groups);
   for (int grp = 0; grp < groups; ++grp) {
     weights->groups.emplace_back(
-        weights->rows.data() +
-            static_cast<std::int64_t>(grp) * out_c_pg * patch_words,
+        rows + static_cast<std::int64_t>(grp) * out_c_pg * patch_words,
         out_c_pg, patch_words);
   }
 
@@ -130,12 +122,11 @@ void BConv2D::InitWeights(SharedWeights* weights) const {
   // bit encodes -1 and padding bits are 0 but excluded via in_c).
   if (g.padding == Padding::kSameZero) {
     weights->filter_pos_weight_sums.assign(
-        static_cast<std::size_t>(g.filter_h) * g.filter_w * g.out_c, 0);
+        static_cast<std::size_t>(taps) * g.out_c, 0);
     for (int n = 0; n < g.out_c; ++n) {
-      for (int p = 0; p < g.filter_h * g.filter_w; ++p) {
+      for (int p = 0; p < taps; ++p) {
         const TBitpacked* row =
-            weights->rows.data() +
-            (static_cast<std::int64_t>(n) * g.filter_h * g.filter_w + p) * words;
+            rows + (static_cast<std::int64_t>(n) * taps + p) * words;
         std::int32_t neg = 0;
         for (int w = 0; w < words; ++w) neg += std::popcount(row[w]);
         weights->filter_pos_weight_sums[static_cast<std::size_t>(p) * g.out_c +
@@ -161,6 +152,7 @@ void BConv2D::InitWeights(SharedWeights* weights) const {
           std::make_unique<pipeline::Int32OutputTransform>(g.out_c);
       break;
   }
+  weights_ = std::move(weights);
 }
 
 void BConv2D::ApplyZeroPaddingCorrectionRows(std::int32_t* acc,
@@ -300,8 +292,9 @@ void BConv2D::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
   const BConvTileCompute compute(*this, input.data<TBitpacked>());
   const BConvZeroPadCorrector corrector(*this);
 
+  static const pipeline::ConvPipelineMetrics metrics("bconv2d");
   pipeline::ConvPipelineArgs args;
-  args.variant = "bconv2d";
+  args.metrics = &metrics;
   args.out_c = g.out_c;
   args.plan = &tile_plan_;
   args.compute = &compute;

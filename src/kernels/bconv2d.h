@@ -84,14 +84,16 @@ class BConv2D {
 
   // weights already bitpacked (the converter's compressed form): layout
   // [out_c][filter_h*filter_w][words(in_c)], i.e. an OHWI tensor packed
-  // along the innermost dimension.
+  // along the innermost dimension. Read only during construction: the
+  // kernel keeps its own packed copy, so the caller may free the buffer
+  // once this returns.
   BConv2D(const TBitpacked* packed_weights_ohwi, BConv2DAttrs attrs);
 
-  // Batch-variant sibling (docs/SERVING.md): shares `base`'s packed weight
-  // rows, per-group packed matrices, zero-padding correction table and
-  // output transform -- all batch-invariant -- and rebuilds only the
-  // geometry-dependent state (indirection cache, tile plan). `attrs` must
-  // match base.attrs() in everything except geo.batch.
+  // Batch-variant sibling (docs/SERVING.md): shares `base`'s per-group
+  // packed matrices, zero-padding correction table and output transform --
+  // all batch-invariant -- and rebuilds only the geometry-dependent state
+  // (indirection cache, tile plan). `attrs` must match base.attrs() in
+  // everything except geo.batch.
   BConv2D(const BConv2D& base, BConv2DAttrs attrs);
 
   // input: bitpacked NHWC [batch, in_h, in_w, in_c(packed)].
@@ -103,20 +105,18 @@ class BConv2D {
 
   const BConv2DAttrs& attrs() const { return attrs_; }
 
-  // Size in bytes of the bitpacked weights (32x smaller than float).
-  std::size_t packed_weights_bytes() const {
-    return weights_->rows.size() * sizeof(TBitpacked);
-  }
+  // Size in bytes of the bitpacked weights (32x smaller than float): the
+  // logical [out_c][fh*fw*words(in_c/groups)] OHWI rows, computed from the
+  // geometry (only the channel-tiled packed matrices stay resident).
+  std::size_t packed_weights_bytes() const;
 
  private:
   // Batch-invariant prepared weight state, shared (read-only) between a
-  // kernel and its batch-variant siblings: the bitpacked weight rows, the
-  // per-group Ruy-packed matrices, the zero-padding correction table and
-  // the output transform policy. Immutable once the owning constructor
-  // finishes, so any number of siblings may Run() concurrently against it.
+  // kernel and its batch-variant siblings: the per-group packed matrices,
+  // the zero-padding correction table and the output transform policy.
+  // Immutable once the owning constructor finishes, so any number of
+  // siblings may Run() concurrently against it.
   struct SharedWeights {
-    // [out_c][fh*fw*words(in_c/groups)]
-    std::vector<TBitpacked> rows;
     // One packed weight matrix per group (a single entry when groups == 1).
     std::vector<gemm::PackedBinaryMatrix> groups;
     // Zero-padding correction: weight sums per (filter position, channel),
@@ -137,10 +137,11 @@ class BConv2D {
   // the indirection cache and the interior/border tile plan. The only
   // setup a batch-variant sibling repeats.
   void InitGeometry();
-  // Builds the shared batch-invariant weight state from w->rows (packed
-  // matrices, correction table, transform). Requires InitGeometry() first
-  // (the bitpacked transform needs k_bits_).
-  void InitWeights(SharedWeights* w) const;
+  // Builds the shared batch-invariant state (packed matrices, correction
+  // table, transform) into weights_ from the bitpacked OHWI `rows`
+  // ([out_c][fh*fw*words(in_c/groups)]), which are read only here.
+  // Requires InitGeometry() first (the bitpacked transform needs k_bits_).
+  void InitWeights(const TBitpacked* rows);
   // Corrects `nrows` output positions starting at flattened position `row0`;
   // `acc` points at the first of those rows (tile-local, stride out_c).
   void ApplyZeroPaddingCorrectionRows(std::int32_t* acc, std::int64_t row0,

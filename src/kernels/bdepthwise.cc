@@ -141,8 +141,9 @@ void BDepthwiseConv2D::Run(const Tensor& input, Tensor& output,
   macs->Add(Im2ColRows(g) * g.in_c * g.filter_h * g.filter_w);
 
   const BDepthwiseTileCompute compute(*this, input.data<TBitpacked>());
+  static const pipeline::ConvPipelineMetrics metrics("bdepthwise");
   pipeline::ConvPipelineArgs args;
-  args.variant = "bdepthwise";
+  args.metrics = &metrics;
   args.out_c = g.out_c;
   args.plan = &tile_plan_;
   args.compute = &compute;

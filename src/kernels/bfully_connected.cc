@@ -1,5 +1,8 @@
 #include "kernels/bfully_connected.h"
 
+#include <utility>
+#include <vector>
+
 #include "core/bitpack.h"
 #include "core/macros.h"
 #include "kernels/conv_params.h"
@@ -9,25 +12,22 @@ namespace lce {
 BFullyConnected::BFullyConnected(const float* weights,
                                  BFullyConnectedAttrs attrs)
     : attrs_(std::move(attrs)) {
-  const int words = BitpackedWords(attrs_.in_features);
-  packed_rows_.assign(
-      static_cast<std::size_t>(attrs_.out_features) * words, 0);
+  std::vector<TBitpacked> rows(
+      static_cast<std::size_t>(attrs_.out_features) *
+          BitpackedWords(attrs_.in_features),
+      0);
   BitpackMatrix(weights, attrs_.out_features, attrs_.in_features,
-                packed_rows_.data());
-  Init();
+                rows.data());
+  Init(rows.data());
 }
 
 BFullyConnected::BFullyConnected(const TBitpacked* packed_weights,
                                  BFullyConnectedAttrs attrs)
     : attrs_(std::move(attrs)) {
-  const int words = BitpackedWords(attrs_.in_features);
-  packed_rows_.assign(
-      packed_weights,
-      packed_weights + static_cast<std::size_t>(attrs_.out_features) * words);
-  Init();
+  Init(packed_weights);
 }
 
-void BFullyConnected::Init() {
+void BFullyConnected::Init(const TBitpacked* rows) {
   LCE_CHECK_GT(attrs_.in_features, 0);
   LCE_CHECK_GT(attrs_.out_features, 0);
   if (!attrs_.multiplier.empty()) {
@@ -38,8 +38,7 @@ void BFullyConnected::Init() {
     LCE_CHECK_EQ(static_cast<int>(attrs_.bias.size()), attrs_.out_features);
   }
   packed_weights_ = gemm::PackedBinaryMatrix(
-      packed_rows_.data(), attrs_.out_features,
-      BitpackedWords(attrs_.in_features));
+      rows, attrs_.out_features, BitpackedWords(attrs_.in_features));
 }
 
 void BFullyConnected::Run(const Tensor& input, Tensor& output,

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/tensor.h"
+#include "core/types.h"
 #include "gemm/bgemm.h"
 #include "gemm/context.h"
 
@@ -28,7 +29,8 @@ class BFullyConnected {
  public:
   // weights: float [out_features][in_features] with +/-1 values.
   BFullyConnected(const float* weights, BFullyConnectedAttrs attrs);
-  // weights already bitpacked: [out_features][words(in_features)].
+  // weights already bitpacked: [out_features][words(in_features)]. Read
+  // only during construction (the kernel keeps its own packed copy).
   BFullyConnected(const TBitpacked* packed_weights, BFullyConnectedAttrs attrs);
 
   // input: bitpacked [batch, in_features]; output: float [batch, out].
@@ -36,16 +38,19 @@ class BFullyConnected {
 
   const BFullyConnectedAttrs& attrs() const { return attrs_; }
 
-  // Size in bytes of the bitpacked weights (32x smaller than float).
+  // Size in bytes of the bitpacked weights (32x smaller than float): the
+  // logical [out_features][words(in_features)] rows, computed from the
+  // shape (only the channel-tiled packed matrix stays resident).
   std::size_t packed_weights_bytes() const {
-    return packed_rows_.size() * sizeof(TBitpacked);
+    return static_cast<std::size_t>(attrs_.out_features) *
+           BitpackedWords(attrs_.in_features) * sizeof(TBitpacked);
   }
 
  private:
-  void Init();
+  // Validates the attrs and packs the bitpacked `rows`, read only here.
+  void Init(const TBitpacked* rows);
 
   BFullyConnectedAttrs attrs_;
-  std::vector<TBitpacked> packed_rows_;
   gemm::PackedBinaryMatrix packed_weights_;
 };
 

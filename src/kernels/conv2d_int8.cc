@@ -195,8 +195,9 @@ void Conv2DInt8::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
 
   const Conv2DInt8DotTileCompute compute(*this, input.data<std::int8_t>(),
                                          tier);
+  static const pipeline::ConvPipelineMetrics metrics("conv2d_int8");
   pipeline::ConvPipelineArgs args;
-  args.variant = "conv2d_int8";
+  args.metrics = &metrics;
   // 64 two-row tiles (128 rows) per block amortize the B-panel loads like
   // a full-image GEMM while the staged rows + accumulator still fit in L2.
   args.block_tiles = 64;

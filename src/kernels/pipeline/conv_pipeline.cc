@@ -1,7 +1,6 @@
 #include "kernels/pipeline/conv_pipeline.h"
 
 #include <algorithm>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -11,52 +10,21 @@
 #include "telemetry/tracer.h"
 
 namespace lce::pipeline {
-namespace {
 
 using telemetry::NowNanos;
 
-// Per-variant metric triplet, resolved once per variant string (the
-// registry returns stable pointers; variants are string literals so a tiny
-// linear cache avoids the map lookup on the hot path).
-struct VariantMetrics {
-  telemetry::Metric* fused_tiles;
-  telemetry::Metric* interior_tiles;
-  telemetry::Metric* imbalance;
-};
-
-VariantMetrics LookupMetrics(const char* variant) {
-  constexpr int kMaxVariants = 8;
-  struct Entry {
-    const char* variant = nullptr;
-    VariantMetrics m{};
-  };
-  static Entry cache[kMaxVariants];
-  static std::mutex mu;
-  std::lock_guard<std::mutex> lock(mu);
-  for (auto& e : cache) {
-    if (e.variant == variant) return e.m;
-    if (e.variant == nullptr) {
-      auto& reg = telemetry::MetricsRegistry::Global();
-      const std::string prefix(variant);
-      e.m.fused_tiles = reg.Counter(prefix + ".fused_tiles");
-      e.m.interior_tiles = reg.Counter(prefix + ".interior_tiles");
-      e.m.imbalance = reg.Gauge(prefix + ".fused_shard_imbalance_pct");
-      e.variant = variant;
-      return e.m;
-    }
-  }
-  // Cache full (unexpected variant churn): fall back to direct lookup.
+ConvPipelineMetrics::ConvPipelineMetrics(const char* variant)
+    : variant(variant) {
   auto& reg = telemetry::MetricsRegistry::Global();
   const std::string prefix(variant);
-  return {reg.Counter(prefix + ".fused_tiles"),
-          reg.Counter(prefix + ".interior_tiles"),
-          reg.Gauge(prefix + ".fused_shard_imbalance_pct")};
+  fused_tiles = reg.Counter(prefix + ".fused_tiles");
+  interior_tiles = reg.Counter(prefix + ".interior_tiles");
+  imbalance = reg.Gauge(prefix + ".fused_shard_imbalance_pct");
 }
-
-}  // namespace
 
 void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
                      ConvStageTimes* times) {
+  LCE_CHECK(args.metrics != nullptr);
   LCE_CHECK(args.plan != nullptr);
   LCE_CHECK(args.compute != nullptr);
   LCE_CHECK(args.transform != nullptr);
@@ -71,7 +39,7 @@ void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
   const int block_tiles_max = args.block_tiles;
   const int shards = ctx.pool().PlannedShards(m_tiles);
 
-  const VariantMetrics metrics = LookupMetrics(args.variant);
+  const ConvPipelineMetrics& metrics = *args.metrics;
   metrics.fused_tiles->Add(m_tiles);
   metrics.interior_tiles->Add(plan.interior_tiles());
 
@@ -184,7 +152,7 @@ void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
     telemetry::Tracer& tracer = telemetry::Tracer::Global();
     // Span names are copied into the trace buffer, so the temporaries are
     // fine; the category must be a literal.
-    const std::string prefix(args.variant);
+    const std::string prefix(metrics.variant);
     tracer.RecordComplete((prefix + "/gemm").c_str(), "kernel", tp0,
                           tp0 + gemm_wall);
     tracer.RecordComplete((prefix + "/output_transform").c_str(), "kernel",

@@ -28,6 +28,10 @@
 #include "kernels/pipeline/output_transform.h"
 #include "kernels/pipeline/tile_plan.h"
 
+namespace lce::telemetry {
+class Metric;
+}  // namespace lce::telemetry
+
 namespace lce::pipeline {
 
 // Wall-clock seconds spent in each stage of the last run; used by the
@@ -71,10 +75,24 @@ class RowCorrector {
                      std::int64_t nrows) const = 0;
 };
 
+// One convolution variant's telemetry: the `<variant>.fused_tiles` and
+// `<variant>.interior_tiles` counters, the
+// `<variant>.fused_shard_imbalance_pct` gauge, and the prefix of its
+// `<variant>/gemm` and `<variant>/output_transform` trace spans. The
+// constructor registers the metrics (a registry lookup under its lock), so
+// each kernel type builds its set once, as a function-local static in its
+// Run, and the engine's hot path only dereferences the pointers.
+struct ConvPipelineMetrics {
+  explicit ConvPipelineMetrics(const char* variant);  // a string literal
+
+  const char* variant;
+  telemetry::Metric* fused_tiles;
+  telemetry::Metric* interior_tiles;
+  telemetry::Metric* imbalance;
+};
+
 struct ConvPipelineArgs {
-  // Telemetry prefix: counters are `<variant>.fused_tiles` etc. Must point
-  // at a string literal (cached by the registry on first use).
-  const char* variant = "conv";
+  const ConvPipelineMetrics* metrics = nullptr;  // required
   int out_c = 0;
   int block_tiles = 16;
   const TilePlan* plan = nullptr;          // required; also provides rows()

@@ -8,9 +8,9 @@
 //   * building graphs            (lce::Graph, lce::ModelBuilder, models/zoo.h)
 //   * converting to inference    (lce::Convert, lce::QuantizeModelInt8)
 //   * serializing models         (lce::SaveModel / lce::LoadModel)
-//   * running inference          (lce::Interpreter; lce::CompiledModel +
-//                                 lce::ExecutionContext for concurrent
-//                                 serving, see docs/SERVING.md)
+//   * running inference          (lce::CompiledModel::Compile once, then
+//                                 one lce::ExecutionContext per stream
+//                                 of requests, see docs/SERVING.md)
 //   * profiling and accounting   (lce::profiling::*, lce::ComputeModelStats)
 //
 // The lower-level kernel and GEMM headers (kernels/, gemm/) are public too
@@ -25,7 +25,6 @@
 #include "core/random.h"
 #include "core/tensor.h"
 #include "graph/compiled_model.h"
-#include "graph/interpreter.h"
 #include "graph/printer.h"
 #include "models/builder.h"
 #include "models/macs.h"

@@ -74,14 +74,15 @@ std::vector<LayerLatency> PerLayerLatency(
   return out;
 }
 
-std::vector<lce::OpProfile> ProfileModel(lce::Interpreter& interp, int iters) {
+std::vector<lce::OpProfile> ProfileModel(lce::ExecutionContext& exec,
+                                         int iters) {
   LCE_CHECK_GT(iters, 0);
-  interp.Invoke();  // warmup, discarded
+  exec.Invoke();  // warmup, discarded
   std::vector<std::vector<double>> samples;
   std::vector<lce::OpProfile> base;
   for (int it = 0; it < iters; ++it) {
-    interp.Invoke();
-    const auto& prof = interp.profile();
+    exec.Invoke();
+    const auto& prof = exec.profile();
     if (it == 0) {
       base = prof;
       samples.resize(prof.size());

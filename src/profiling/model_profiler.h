@@ -1,13 +1,13 @@
-// Aggregations over interpreter per-op profiles for the paper's model-level
-// analyses: the Table 4 operator breakdown and the Figure 5 per-layer
-// latency series.
+// Aggregations over ExecutionContext per-op profiles for the paper's
+// model-level analyses: the Table 4 operator breakdown and the Figure 5
+// per-layer latency series.
 #ifndef LCE_PROFILING_MODEL_PROFILER_H_
 #define LCE_PROFILING_MODEL_PROFILER_H_
 
 #include <string>
 #include <vector>
 
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 
 namespace lce::profiling {
 
@@ -36,9 +36,11 @@ struct LayerLatency {
 std::vector<LayerLatency> PerLayerLatency(
     const std::vector<lce::OpProfile>& profile);
 
-// Runs `iters` profiled inferences and returns the per-op profile with
-// median-of-iterations latencies (robust against scheduler noise).
-std::vector<lce::OpProfile> ProfileModel(lce::Interpreter& interp, int iters);
+// Runs `iters` profiled inferences on `exec` (which must have been built
+// with ExecutionOptions::enable_profiling) and returns the per-op profile
+// with median-of-iterations latencies (robust against scheduler noise).
+std::vector<lce::OpProfile> ProfileModel(lce::ExecutionContext& exec,
+                                         int iters);
 
 }  // namespace lce::profiling
 

@@ -1,8 +1,7 @@
 // The single monotonic clock behind every LCE timestamp: tracer spans,
-// interpreter per-op profiles, BConv2d stage times and benchmark timing all
-// read this clock, so latencies from different layers are directly
-// comparable (previously three copies of NowSeconds() existed in
-// interpreter.cc, bconv2d.cc and bench_utils.h).
+// ExecutionContext per-op profiles, BConv2d stage times and benchmark
+// timing all read this clock, so latencies from different layers are
+// directly comparable.
 #ifndef LCE_TELEMETRY_CLOCK_H_
 #define LCE_TELEMETRY_CLOCK_H_
 

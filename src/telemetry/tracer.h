@@ -2,7 +2,7 @@
 //
 // Each thread records completed spans into its own fixed-capacity buffer
 // (one release-store per span, no locks, no allocation on the hot path), so
-// converter passes, interpreter Prepare/Invoke, BGEMM stages and ParallelFor
+// converter passes, model compile and Invoke, BGEMM stages and ParallelFor
 // shards can all be traced -- including from pool worker threads, which show
 // up as distinct track (tid) rows in chrome://tracing / Perfetto.
 //

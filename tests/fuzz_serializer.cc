@@ -5,8 +5,8 @@
 // graph, serialized to LCEM bytes. Each iteration picks a corpus entry and a
 // mutation -- truncation, single/multi bit flips, byte overwrites, splicing
 // two models together, header-targeted edits, appended garbage -- then runs
-// the full untrusted pipeline: DeserializeGraph -> Interpreter::Prepare ->
-// (periodically) Invoke, under strict ResourceLimits.
+// the full untrusted pipeline: DeserializeGraph -> CompiledModel::Compile
+// -> (periodically) ExecutionContext::Invoke, under strict ResourceLimits.
 //
 // Success criterion: the process exits 0. Any crash, abort, sanitizer
 // report, or unbounded allocation is a bug in the trust boundary. This is
@@ -20,13 +20,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "converter/convert.h"
 #include "converter/ptq.h"
 #include "converter/serializer.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "models/builder.h"
 #include "models/zoo.h"
 
@@ -171,23 +172,24 @@ int Run(std::uint64_t iterations, std::uint64_t seed, int hw,
   limits.max_node_inputs = 256;
 
   FuzzRng rng{seed};
-  std::uint64_t loaded_ok = 0, prepared_ok = 0, invoked = 0;
+  std::uint64_t loaded_ok = 0, compiled_ok = 0, invoked = 0;
   for (std::uint64_t i = 0; i < iterations; ++i) {
     const std::vector<std::uint8_t> bytes = Mutate(corpus, rng);
     Graph g;
     const Status s = DeserializeGraph(bytes.data(), bytes.size(), &g, limits);
     if (!s.ok()) continue;
     ++loaded_ok;
-    InterpreterOptions opts;
+    CompileOptions opts;
     opts.limits = limits;
-    Interpreter interp(g, opts);
-    if (!interp.Prepare().ok()) continue;
-    ++prepared_ok;
+    std::shared_ptr<const CompiledModel> model;
+    if (!CompiledModel::Compile(g, opts, &model).ok()) continue;
+    ++compiled_ok;
+    ExecutionContext exec(model);
     // Invoke is the expensive stage; run it on a subsample. After an OK
-    // Prepare it must be crash-free by contract.
-    if (invoke_every != 0 && prepared_ok % invoke_every == 0) {
-      for (int t = 0; t < interp.num_inputs(); ++t) {
-        Tensor in = interp.input(t);
+    // Compile it must be crash-free by contract.
+    if (invoke_every != 0 && compiled_ok % invoke_every == 0) {
+      for (int t = 0; t < exec.num_inputs(); ++t) {
+        Tensor in = exec.input(t);
         if (in.dtype() != DataType::kFloat32) continue;
         float* p = in.data<float>();
         for (std::int64_t j = 0; j < in.num_elements(); ++j) {
@@ -195,20 +197,20 @@ int Run(std::uint64_t iterations, std::uint64_t seed, int hw,
                  1e-9f;
         }
       }
-      interp.Invoke();
+      exec.Invoke();
       ++invoked;
     }
     if ((i + 1) % 10000 == 0) {
       std::fprintf(stderr,
                    "iter %" PRIu64 ": %" PRIu64 " loaded, %" PRIu64
-                   " prepared, %" PRIu64 " invoked\n",
-                   i + 1, loaded_ok, prepared_ok, invoked);
+                   " compiled, %" PRIu64 " invoked\n",
+                   i + 1, loaded_ok, compiled_ok, invoked);
     }
   }
   std::fprintf(stderr,
                "done: %" PRIu64 " iterations, %" PRIu64 " loaded, %" PRIu64
-               " prepared, %" PRIu64 " invoked, 0 crashes\n",
-               iterations, loaded_ok, prepared_ok, invoked);
+               " compiled, %" PRIu64 " invoked, 0 crashes\n",
+               iterations, loaded_ok, compiled_ok, invoked);
   return 0;
 }
 

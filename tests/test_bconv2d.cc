@@ -6,7 +6,9 @@
 // bitpacked, raw int32).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -224,6 +226,67 @@ TEST(BConv2D, BitpackedWeightsConstructorMatchesFloat) {
   for (std::int64_t i = 0; i < out_a.num_elements(); ++i) {
     ASSERT_EQ(out_a.data<float>()[i], out_b.data<float>()[i]);
   }
+}
+
+// The bitpacked-weights constructor reads the caller's buffer only while it
+// runs. Builds the kernel from a heap buffer, scribbles over the buffer and
+// frees it, then checks Run against the float reference bit for bit: a
+// kernel that kept pointing into the buffer would read flipped signs (or,
+// under ASan, a freed allocation).
+void CheckOutlivesWeightBuffer(int in_c, int out_c, int groups, Padding pad) {
+  const int hw = 6;
+  Conv2DGeometry geo;
+  geo.in_h = geo.in_w = hw;
+  geo.in_c = in_c;
+  geo.out_c = out_c;
+  geo.filter_h = geo.filter_w = 3;
+  geo.padding = pad;
+
+  Rng rng(in_c * 131 + out_c * 7 + groups);
+  Tensor in_f(DataType::kFloat32, Shape{1, hw, hw, in_c});
+  FillSigns(in_f, rng);
+  Tensor in_b(DataType::kBitpacked, in_f.shape());
+  BitpackTensor(in_f, in_b);
+  const int in_c_pg = in_c / groups;
+  std::vector<float> w(static_cast<std::size_t>(out_c) * 9 * in_c_pg);
+  for (auto& v : w) v = rng.Sign();
+
+  const std::size_t words =
+      static_cast<std::size_t>(out_c) * 9 * BitpackedWords(in_c_pg);
+  auto packed = std::make_unique<TBitpacked[]>(words);
+  BitpackMatrix(w.data(), static_cast<std::int64_t>(out_c) * 9, in_c_pg,
+                packed.get());
+  BConv2DAttrs attrs;
+  attrs.geo = geo;
+  attrs.groups = groups;
+  const BConv2D op(packed.get(), attrs);
+  std::fill_n(packed.get(), words, ~TBitpacked{0});
+  packed.reset();
+
+  Tensor out(DataType::kFloat32, Shape{1, hw, hw, out_c});
+  gemm::Context ctx(1);
+  op.Run(in_b, out, ctx);
+  std::vector<float> expected(static_cast<std::size_t>(hw) * hw * out_c);
+  RefConv2DFloat(in_f.data<float>(), w.data(), geo,
+                 pad == Padding::kSameOne ? 1.0f : 0.0f, nullptr, nullptr,
+                 Activation::kNone, expected.data(), groups);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(out.data<float>()[i], expected[i]) << i;
+  }
+}
+
+TEST(BConv2D, PlainKernelOutlivesItsWeightBuffer) {
+  CheckOutlivesWeightBuffer(50, 24, 1, Padding::kSameOne);
+}
+
+TEST(BConv2D, GroupedKernelOutlivesItsWeightBuffer) {
+  CheckOutlivesWeightBuffer(64, 16, 2, Padding::kSameOne);
+}
+
+TEST(BConv2D, ZeroPaddedKernelOutlivesItsWeightBuffer) {
+  // The correction table's weight sums come from the buffer too.
+  CheckOutlivesWeightBuffer(50, 24, 1, Padding::kSameZero);
+  CheckOutlivesWeightBuffer(64, 16, 2, Padding::kSameZero);
 }
 
 TEST(BConv2D, WeightCompressionIs32x) {

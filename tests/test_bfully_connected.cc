@@ -2,6 +2,8 @@
 // reference, converter lowering, and end-to-end binary-MLP equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -9,8 +11,9 @@
 #include "converter/serializer.h"
 #include "core/bitpack.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "kernels/bfully_connected.h"
+#include "kernels/reference.h"
 #include "models/builder.h"
 
 namespace lce {
@@ -55,6 +58,48 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3, 4096, 64),
                       std::make_tuple(5, 33, 129),
                       std::make_tuple(1, 9216, 4096)));
+
+TEST(BFullyConnected, OutlivesItsWeightBuffer) {
+  // The bitpacked-weights constructor reads the caller's buffer only while
+  // it runs: scribble over the buffer and free it before Run, then match the
+  // float reference (a 1x1 convolution over a 1x1 image) bit for bit.
+  const int batch = 3, in = 100, out = 40;
+  Rng rng(31);
+  Tensor x_f(DataType::kFloat32, Shape{batch, in});
+  FillSigns(x_f, rng);
+  Tensor x_b(DataType::kBitpacked, x_f.shape());
+  BitpackTensor(x_f, x_b);
+  std::vector<float> w(static_cast<std::size_t>(out) * in);
+  for (auto& v : w) v = rng.Sign();
+
+  const std::size_t words =
+      static_cast<std::size_t>(out) * BitpackedWords(in);
+  auto packed = std::make_unique<TBitpacked[]>(words);
+  BitpackMatrix(w.data(), out, in, packed.get());
+  BFullyConnectedAttrs attrs;
+  attrs.in_features = in;
+  attrs.out_features = out;
+  const BFullyConnected op(packed.get(), attrs);
+  std::fill_n(packed.get(), words, ~TBitpacked{0});
+  packed.reset();
+
+  Tensor y(DataType::kFloat32, Shape{batch, out});
+  gemm::Context ctx(1);
+  op.Run(x_b, y, ctx);
+  Conv2DGeometry geo;
+  geo.batch = batch;
+  geo.in_h = geo.in_w = 1;
+  geo.in_c = in;
+  geo.out_c = out;
+  geo.filter_h = geo.filter_w = 1;
+  geo.padding = Padding::kValid;
+  std::vector<float> expected(static_cast<std::size_t>(batch) * out);
+  RefConv2DFloat(x_f.data<float>(), w.data(), geo, /*pad_value=*/0.0f,
+                 nullptr, nullptr, Activation::kNone, expected.data());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(y.data<float>()[i], expected[i]) << i;
+  }
+}
 
 TEST(BFullyConnected, FusedTransform) {
   const int in = 64, out = 16;
@@ -111,20 +156,24 @@ TEST(BFullyConnected, ConverterLowersAndFusesBn) {
 
   // Semantic equivalence (binarized FC arithmetic is exact).
   auto run = [](const Graph& graph) {
-    Interpreter interp(graph);
-    EXPECT_TRUE(interp.Prepare().ok());
+    std::shared_ptr<const CompiledModel> model;
+    const Status s = CompiledModel::Compile(graph, {}, &model);
+    EXPECT_TRUE(s.ok()) << s.message();
+    if (!s.ok()) return std::vector<float>{};
+    ExecutionContext exec(model);
     Rng rng(7);
-    Tensor in = interp.input(0);
+    Tensor in = exec.input(0);
     for (std::int64_t i = 0; i < in.num_elements(); ++i) {
       in.data<float>()[i] = rng.Uniform();
     }
-    interp.Invoke();
-    const Tensor out = interp.output(0);
+    exec.Invoke();
+    const Tensor out = exec.output(0);
     return std::vector<float>(out.data<float>(),
                               out.data<float>() + out.num_elements());
   };
   const auto a = run(g);
   const auto c = run(converted);
+  ASSERT_EQ(a.size(), c.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_NEAR(a[i], c[i], 1e-4f) << i;
   }

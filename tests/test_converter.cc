@@ -5,26 +5,29 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "converter/convert.h"
 #include "converter/passes.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "models/builder.h"
 
 namespace lce {
 namespace {
 
 std::vector<float> RunGraph(const Graph& g, const std::vector<float>& input) {
-  Interpreter interp(g);
-  Status s = interp.Prepare();
+  std::shared_ptr<const CompiledModel> model;
+  const Status s = CompiledModel::Compile(g, {}, &model);
   EXPECT_TRUE(s.ok()) << s.message();
-  Tensor in = interp.input(0);
+  if (!s.ok()) return {};
+  ExecutionContext exec(model);
+  Tensor in = exec.input(0);
   EXPECT_EQ(static_cast<std::size_t>(in.num_elements()), input.size());
   std::copy(input.begin(), input.end(), in.data<float>());
-  interp.Invoke();
-  const Tensor out = interp.output(0);
+  exec.Invoke();
+  const Tensor out = exec.output(0);
   return std::vector<float>(out.data<float>(),
                             out.data<float>() + out.num_elements());
 }

@@ -1,42 +1,44 @@
-// Interpreter tests: end-to-end execution of small graphs against
-// hand-computed results, arena reuse safety, repeated invocation and
-// profiling output.
+// Runtime tests: end-to-end execution of small graphs through
+// CompiledModel::Compile + ExecutionContext against hand-computed results,
+// arena reuse safety, repeated invocation and profiling output.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "core/bitpack.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "models/builder.h"
 
 namespace lce {
 namespace {
 
-TEST(Interpreter, SingleReluGraph) {
+TEST(ExecutionContext, SingleReluGraph) {
   Graph g;
   ModelBuilder b(g);
   int x = b.Input(2, 2, 1);
   x = b.Relu(x);
   g.MarkOutput(x);
 
-  Interpreter interp(g);
-  ASSERT_TRUE(interp.Prepare().ok());
-  Tensor in = interp.input(0);
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionContext exec(model);
+  Tensor in = exec.input(0);
   in.data<float>()[0] = -1.0f;
   in.data<float>()[1] = 2.0f;
   in.data<float>()[2] = -3.0f;
   in.data<float>()[3] = 4.0f;
-  interp.Invoke();
-  Tensor out = interp.output(0);
+  exec.Invoke();
+  Tensor out = exec.output(0);
   EXPECT_EQ(out.data<float>()[0], 0.0f);
   EXPECT_EQ(out.data<float>()[1], 2.0f);
   EXPECT_EQ(out.data<float>()[2], 0.0f);
   EXPECT_EQ(out.data<float>()[3], 4.0f);
 }
 
-TEST(Interpreter, RepeatedInvocationsAreDeterministic) {
+TEST(ExecutionContext, RepeatedInvocationsAreDeterministic) {
   Graph g;
   ModelBuilder b(g, 3);
   int x = b.Input(16, 16, 3);
@@ -49,24 +51,25 @@ TEST(Interpreter, RepeatedInvocationsAreDeterministic) {
   x = b.Dense(x, 10);
   g.MarkOutput(x);
 
-  Interpreter interp(g);
-  ASSERT_TRUE(interp.Prepare().ok());
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionContext exec(model);
   Rng rng(1);
-  Tensor in = interp.input(0);
+  Tensor in = exec.input(0);
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
     in.data<float>()[i] = rng.Uniform();
   }
-  interp.Invoke();
-  std::vector<float> first(interp.output(0).data<float>(),
-                           interp.output(0).data<float>() + 10);
-  interp.Invoke();
+  exec.Invoke();
+  std::vector<float> first(exec.output(0).data<float>(),
+                           exec.output(0).data<float>() + 10);
+  exec.Invoke();
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(interp.output(0).data<float>()[i], first[i])
+    EXPECT_EQ(exec.output(0).data<float>()[i], first[i])
         << "arena reuse must not corrupt repeated runs";
   }
 }
 
-TEST(Interpreter, ShortcutGraphComputesAddCorrectly) {
+TEST(ExecutionContext, ShortcutGraphComputesAddCorrectly) {
   // y = relu(x); out = y + x -- exercises a value with two consumers and
   // overlapping lifetimes in the planner.
   Graph g;
@@ -76,22 +79,23 @@ TEST(Interpreter, ShortcutGraphComputesAddCorrectly) {
   const int out = b.Add(y, x);
   g.MarkOutput(out);
 
-  Interpreter interp(g);
-  ASSERT_TRUE(interp.Prepare().ok());
-  float* in = interp.input(0).data<float>();
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionContext exec(model);
+  float* in = exec.input(0).data<float>();
   in[0] = -2.0f;
   in[1] = -0.5f;
   in[2] = 1.0f;
   in[3] = 3.0f;
-  interp.Invoke();
-  const float* o = interp.output(0).data<float>();
+  exec.Invoke();
+  const float* o = exec.output(0).data<float>();
   EXPECT_FLOAT_EQ(o[0], -2.0f);  // relu(-2) + -2
   EXPECT_FLOAT_EQ(o[1], -0.5f);
   EXPECT_FLOAT_EQ(o[2], 2.0f);
   EXPECT_FLOAT_EQ(o[3], 6.0f);
 }
 
-TEST(Interpreter, ProfilingRecordsEveryNode) {
+TEST(ExecutionContext, ProfilingRecordsEveryNode) {
   Graph g;
   ModelBuilder b(g, 5);
   int x = b.Input(16, 16, 3);
@@ -100,19 +104,20 @@ TEST(Interpreter, ProfilingRecordsEveryNode) {
   x = b.GlobalAvgPool(x);
   g.MarkOutput(x);
 
-  InterpreterOptions opts;
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionOptions opts;
   opts.enable_profiling = true;
-  Interpreter interp(g, opts);
-  ASSERT_TRUE(interp.Prepare().ok());
-  interp.Invoke();
-  ASSERT_EQ(interp.profile().size(), 3u);
-  for (const auto& op : interp.profile()) {
+  ExecutionContext exec(model, opts);
+  exec.Invoke();
+  ASSERT_EQ(exec.profile().size(), 3u);
+  for (const auto& op : exec.profile()) {
     EXPECT_GE(op.seconds, 0.0);
     EXPECT_FALSE(op.name.empty());
   }
 }
 
-TEST(Interpreter, ArenaIsSharedAcrossDisjointValues) {
+TEST(ExecutionContext, ArenaIsSharedAcrossDisjointValues) {
   // A deep chain should need far less arena memory than the sum of all
   // intermediate tensors.
   Graph g;
@@ -124,26 +129,27 @@ TEST(Interpreter, ArenaIsSharedAcrossDisjointValues) {
     total_bytes += Tensor::ByteSize(DataType::kFloat32, g.value(x).shape);
   }
   g.MarkOutput(x);
-  Interpreter interp(g);
-  ASSERT_TRUE(interp.Prepare().ok());
-  EXPECT_LT(interp.arena_bytes(), total_bytes / 2)
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  EXPECT_LT(model->arena_bytes(), total_bytes / 2)
       << "planner should reuse buffers along the chain";
 }
 
-TEST(Interpreter, MulChannelBroadcasts) {
+TEST(ExecutionContext, MulChannelBroadcasts) {
   Graph g;
   ModelBuilder b(g, 8);
   int x = b.Input(2, 2, 2);
   const int gated = b.ChannelGate(x, /*reduction=*/1);
   g.MarkOutput(gated);
-  Interpreter interp(g);
-  ASSERT_TRUE(interp.Prepare().ok());
-  float* in = interp.input(0).data<float>();
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionContext exec(model);
+  float* in = exec.input(0).data<float>();
   for (int i = 0; i < 8; ++i) in[i] = 1.0f;
-  interp.Invoke();
+  exec.Invoke();
   // Gate values are sigmoids in (0, 1): output strictly between 0 and 1, and
   // identical across spatial positions per channel.
-  const float* o = interp.output(0).data<float>();
+  const float* o = exec.output(0).data<float>();
   for (int c = 0; c < 2; ++c) {
     EXPECT_GT(o[c], 0.0f);
     EXPECT_LT(o[c], 1.0f);
@@ -151,7 +157,7 @@ TEST(Interpreter, MulChannelBroadcasts) {
   }
 }
 
-TEST(Interpreter, MultipleGraphOutputs) {
+TEST(ExecutionContext, MultipleGraphOutputs) {
   // A graph exposing both an intermediate and the final value as outputs.
   Graph g;
   ModelBuilder b(g, 12);
@@ -161,17 +167,18 @@ TEST(Interpreter, MultipleGraphOutputs) {
   g.MarkOutput(mid);
   g.MarkOutput(end);
 
-  Interpreter interp(g);
-  ASSERT_TRUE(interp.Prepare().ok());
-  ASSERT_EQ(interp.num_outputs(), 2);
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionContext exec(model);
+  ASSERT_EQ(exec.num_outputs(), 2);
   Rng rng(2);
-  Tensor in = interp.input(0);
+  Tensor in = exec.input(0);
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
     in.data<float>()[i] = rng.Uniform();
   }
-  interp.Invoke();
-  const Tensor mid_out = interp.output(0);
-  const Tensor end_out = interp.output(1);
+  exec.Invoke();
+  const Tensor mid_out = exec.output(0);
+  const Tensor end_out = exec.output(1);
   EXPECT_EQ(mid_out.shape(), (Shape{1, 4, 4, 8}));
   EXPECT_EQ(end_out.shape(), (Shape{1, 8}));
   // The GAP output must be the mean of the (still-live) relu output.
@@ -182,7 +189,7 @@ TEST(Interpreter, MultipleGraphOutputs) {
   }
 }
 
-TEST(Interpreter, BitpackedGraphOutput) {
+TEST(ExecutionContext, BitpackedGraphOutput) {
   // A graph whose declared output is a bitpacked tensor.
   Graph g;
   ModelBuilder b(g, 13);
@@ -191,15 +198,16 @@ TEST(Interpreter, BitpackedGraphOutput) {
   const int q = g.AddNode(OpType::kLceQuantize, "q", {x}, q_attrs);
   g.MarkOutput(q);
 
-  Interpreter interp(g);
-  ASSERT_TRUE(interp.Prepare().ok());
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionContext exec(model);
   Rng rng(3);
-  Tensor in = interp.input(0);
+  Tensor in = exec.input(0);
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
     in.data<float>()[i] = rng.Uniform();
   }
-  interp.Invoke();
-  const Tensor out = interp.output(0);
+  exec.Invoke();
+  const Tensor out = exec.output(0);
   EXPECT_EQ(out.dtype(), DataType::kBitpacked);
   EXPECT_EQ(out.storage_elements(), 16 * 2);
   // Spot-check sign agreement.
@@ -210,7 +218,7 @@ TEST(Interpreter, BitpackedGraphOutput) {
   }
 }
 
-TEST(Interpreter, GraphWithBitpackedChain) {
+TEST(ExecutionContext, GraphWithBitpackedChain) {
   // Manually-built inference-dialect graph: quantize -> bconv(bitpacked out)
   // -> bmaxpool -> dequantize.
   Graph g;
@@ -239,44 +247,22 @@ TEST(Interpreter, GraphWithBitpackedChain) {
   const int dq = g.AddNode(OpType::kLceDequantize, "dq", {mp}, dq_attrs);
   g.MarkOutput(dq);
 
-  Interpreter interp(g);
-  ASSERT_TRUE(interp.Prepare().ok()) << interp.Prepare().message();
+  std::shared_ptr<const CompiledModel> model;
+  const Status compiled = CompiledModel::Compile(g, {}, &model);
+  ASSERT_TRUE(compiled.ok()) << compiled.message();
+  ExecutionContext exec(model);
   Rng rng2(11);
-  Tensor in = interp.input(0);
+  Tensor in = exec.input(0);
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
     in.data<float>()[i] = rng2.Uniform();
   }
-  interp.Invoke();
-  const Tensor out = interp.output(0);
+  exec.Invoke();
+  const Tensor out = exec.output(0);
   EXPECT_EQ(out.shape(), (Shape{1, 4, 4, 32}));
   for (std::int64_t i = 0; i < out.num_elements(); ++i) {
     const float v = out.data<float>()[i];
     EXPECT_TRUE(v == 1.0f || v == -1.0f);
   }
-}
-
-// Using an interpreter before a successful Prepare() is a programmer error:
-// there is no memory plan or kernel state, so these must abort loudly
-// instead of reading uninitialized state.
-TEST(InterpreterDeathTest, InvokeWithoutPrepareAborts) {
-  Graph g;
-  ModelBuilder b(g);
-  int x = b.Input(2, 2, 1);
-  x = b.Relu(x);
-  g.MarkOutput(x);
-  Interpreter interp(g);
-  EXPECT_DEATH(interp.Invoke(), "Invoke requires a successful Prepare");
-}
-
-TEST(InterpreterDeathTest, InputAccessWithoutPrepareAborts) {
-  Graph g;
-  ModelBuilder b(g);
-  int x = b.Input(2, 2, 1);
-  x = b.Relu(x);
-  g.MarkOutput(x);
-  Interpreter interp(g);
-  EXPECT_DEATH(interp.input(0), "input requires a successful Prepare");
-  EXPECT_DEATH(interp.output(0), "output requires a successful Prepare");
 }
 
 }  // namespace

@@ -3,13 +3,14 @@
 // at realistic resolution.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "converter/convert.h"
 #include "converter/serializer.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "models/macs.h"
 #include "models/zoo.h"
 #include "profiling/bench_utils.h"
@@ -18,16 +19,16 @@
 namespace lce {
 namespace {
 
-void FillInput(Interpreter& interp, std::uint64_t seed) {
+void FillInput(ExecutionContext& exec, std::uint64_t seed) {
   Rng rng(seed);
-  Tensor in = interp.input(0);
+  Tensor in = exec.input(0);
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
     in.data<float>()[i] = rng.Uniform();
   }
 }
 
-std::vector<float> Output(Interpreter& interp) {
-  const Tensor out = interp.output(0);
+std::vector<float> Output(ExecutionContext& exec) {
+  const Tensor out = exec.output(0);
   return std::vector<float>(out.data<float>(),
                             out.data<float>() + out.num_elements());
 }
@@ -35,17 +36,18 @@ std::vector<float> Output(Interpreter& interp) {
 TEST(Integration, ProfiledOpTimesSumToTotalWallTime) {
   Graph g = BuildQuickNet(QuickNetSmallConfig(), 96);
   ASSERT_TRUE(Convert(g).ok());
-  InterpreterOptions opts;
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionOptions opts;
   opts.enable_profiling = true;
-  Interpreter interp(g, opts);
-  ASSERT_TRUE(interp.Prepare().ok());
-  FillInput(interp, 1);
-  interp.Invoke();  // warmup
+  ExecutionContext exec(model, opts);
+  FillInput(exec, 1);
+  exec.Invoke();  // warmup
 
   const double t0 = profiling::NowSeconds();
-  interp.Invoke();
+  exec.Invoke();
   const double wall = profiling::NowSeconds() - t0;
-  const double summed = profiling::TotalSeconds(interp.profile());
+  const double summed = profiling::TotalSeconds(exec.profile());
   // Per-op times must account for nearly all of the wall time.
   EXPECT_GT(summed, 0.8 * wall);
   EXPECT_LE(summed, wall * 1.02);
@@ -61,14 +63,15 @@ TEST(Integration, ScalarProfileMatchesSimdExactlyOnBinaryPath) {
   std::vector<float> out_simd, out_scalar;
   for (auto profile :
        {gemm::KernelProfile::kSimd, gemm::KernelProfile::kScalar}) {
-    InterpreterOptions opts;
+    CompileOptions opts;
     opts.kernel_profile = profile;
-    Interpreter interp(g, opts);
-    ASSERT_TRUE(interp.Prepare().ok());
-    FillInput(interp, 5);
-    interp.Invoke();
+    std::shared_ptr<const CompiledModel> model;
+    ASSERT_TRUE(CompiledModel::Compile(g, opts, &model).ok());
+    ExecutionContext exec(model);
+    FillInput(exec, 5);
+    exec.Invoke();
     (profile == gemm::KernelProfile::kSimd ? out_simd : out_scalar) =
-        Output(interp);
+        Output(exec);
   }
   ASSERT_EQ(out_simd.size(), out_scalar.size());
   for (std::size_t i = 0; i < out_simd.size(); ++i) {
@@ -85,20 +88,22 @@ TEST_P(ThreadInvariance, MultithreadedInferenceMatchesSingleThreaded) {
 
   std::vector<float> single, multi;
   {
-    Interpreter interp(g, {});
-    ASSERT_TRUE(interp.Prepare().ok());
-    FillInput(interp, 9);
-    interp.Invoke();
-    single = Output(interp);
+    std::shared_ptr<const CompiledModel> model;
+    ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+    ExecutionContext exec(model);
+    FillInput(exec, 9);
+    exec.Invoke();
+    single = Output(exec);
   }
   {
-    InterpreterOptions opts;
+    CompileOptions opts;
     opts.num_threads = threads;
-    Interpreter interp(g, opts);
-    ASSERT_TRUE(interp.Prepare().ok());
-    FillInput(interp, 9);
-    interp.Invoke();
-    multi = Output(interp);
+    std::shared_ptr<const CompiledModel> model;
+    ASSERT_TRUE(CompiledModel::Compile(g, opts, &model).ok());
+    ExecutionContext exec(model);
+    FillInput(exec, 9);
+    exec.Invoke();
+    multi = Output(exec);
   }
   ASSERT_EQ(single.size(), multi.size());
   for (std::size_t i = 0; i < single.size(); ++i) {
@@ -119,9 +124,10 @@ TEST(Integration, DeploymentRoundTripAtFullResolution) {
   Graph loaded;
   ASSERT_TRUE(DeserializeGraph(bytes.data(), bytes.size(), &loaded).ok());
 
-  Interpreter a(g), b(loaded);
-  ASSERT_TRUE(a.Prepare().ok());
-  ASSERT_TRUE(b.Prepare().ok());
+  std::shared_ptr<const CompiledModel> model_a, model_b;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model_a).ok());
+  ASSERT_TRUE(CompiledModel::Compile(loaded, {}, &model_b).ok());
+  ExecutionContext a(model_a), b(model_b);
   FillInput(a, 2);
   FillInput(b, 2);
   a.Invoke();
@@ -133,12 +139,13 @@ TEST(Integration, QuickNetBinaryFractionDominatesProfile) {
   // The QuickNet design goal (Figure 5): most runtime in binary ops.
   Graph g = BuildQuickNet(QuickNetLargeConfig(), 224);
   ASSERT_TRUE(Convert(g).ok());
-  InterpreterOptions opts;
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionOptions opts;
   opts.enable_profiling = true;
-  Interpreter interp(g, opts);
-  ASSERT_TRUE(interp.Prepare().ok());
-  FillInput(interp, 3);
-  const auto prof = profiling::ProfileModel(interp, 3);
+  ExecutionContext exec(model, opts);
+  FillInput(exec, 3);
+  const auto prof = profiling::ProfileModel(exec, 3);
   double binary = 0.0, total = 0.0;
   for (const auto& op : prof) {
     total += op.seconds;
@@ -151,15 +158,15 @@ TEST(Integration, QuickNetBinaryFractionDominatesProfile) {
 TEST(Integration, ArenaMuchSmallerThanSumOfActivations) {
   Graph g = BuildBinaryDenseNet28(224);
   ASSERT_TRUE(Convert(g).ok());
-  Interpreter interp(g);
-  ASSERT_TRUE(interp.Prepare().ok());
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
   std::size_t sum = 0;
   for (const auto& v : g.values()) {
     if (v->alive && !v->is_constant) {
       sum += Tensor::ByteSize(v->dtype, v->shape);
     }
   }
-  EXPECT_LT(interp.arena_bytes(), sum / 3)
+  EXPECT_LT(model->arena_bytes(), sum / 3)
       << "lifetime-based planning must reuse activation memory";
 }
 
@@ -173,14 +180,15 @@ TEST(Integration, AllZooModelsAgreeAcrossKernelProfiles) {
     std::vector<float> out_simd, out_scalar;
     for (auto profile :
          {gemm::KernelProfile::kSimd, gemm::KernelProfile::kScalar}) {
-      InterpreterOptions opts;
+      CompileOptions opts;
       opts.kernel_profile = profile;
-      Interpreter interp(g, opts);
-      ASSERT_TRUE(interp.Prepare().ok()) << m.name;
-      FillInput(interp, 21);
-      interp.Invoke();
+      std::shared_ptr<const CompiledModel> model;
+      ASSERT_TRUE(CompiledModel::Compile(g, opts, &model).ok()) << m.name;
+      ExecutionContext exec(model);
+      FillInput(exec, 21);
+      exec.Invoke();
       (profile == gemm::KernelProfile::kSimd ? out_simd : out_scalar) =
-          Output(interp);
+          Output(exec);
     }
     ASSERT_EQ(out_simd.size(), out_scalar.size()) << m.name;
     for (std::size_t i = 0; i < out_simd.size(); ++i) {
@@ -190,10 +198,11 @@ TEST(Integration, AllZooModelsAgreeAcrossKernelProfiles) {
   }
 }
 
-TEST(Integration, ConcurrentInterpretersShareOneGraph) {
-  // A converted Graph is read-only at inference time, so multiple
-  // interpreters (each with its own arena and packed weights) must be able
-  // to run concurrently against the same graph and agree exactly.
+TEST(Integration, ConcurrentModelsShareOneGraph) {
+  // A converted Graph is read-only at inference time, so multiple models
+  // compiled from it (each with its own packed weights, run on its own
+  // context and arena) must be able to run concurrently against the same
+  // graph and agree exactly.
   Graph g = BuildQuickNet(QuickNetSmallConfig(), 64);
   ASSERT_TRUE(Convert(g).ok());
 
@@ -203,11 +212,12 @@ TEST(Integration, ConcurrentInterpretersShareOneGraph) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&g, &outputs, t] {
-      Interpreter interp(g);
-      ASSERT_TRUE(interp.Prepare().ok());
-      FillInput(interp, 99);  // same seed: identical inputs
-      for (int round = 0; round < 3; ++round) interp.Invoke();
-      outputs[t] = Output(interp);
+      std::shared_ptr<const CompiledModel> model;
+      ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+      ExecutionContext exec(model);
+      FillInput(exec, 99);  // same seed: identical inputs
+      for (int round = 0; round < 3; ++round) exec.Invoke();
+      outputs[t] = Output(exec);
     });
   }
   for (auto& w : workers) w.join();

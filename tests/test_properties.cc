@@ -3,13 +3,14 @@
 // tests with the algebraic identities the whole design rests on.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "converter/convert.h"
 #include "converter/serializer.h"
 #include "core/bitpack.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "kernels/bconv2d.h"
 #include "kernels/bmaxpool.h"
 #include "kernels/pooling.h"
@@ -20,16 +21,18 @@ namespace lce {
 namespace {
 
 std::vector<float> RunGraph(const Graph& g, std::uint64_t seed) {
-  Interpreter interp(g);
-  Status s = interp.Prepare();
+  std::shared_ptr<const CompiledModel> model;
+  const Status s = CompiledModel::Compile(g, {}, &model);
   EXPECT_TRUE(s.ok()) << s.message();
+  if (!s.ok()) return {};
+  ExecutionContext exec(model);
   Rng rng(seed);
-  Tensor in = interp.input(0);
+  Tensor in = exec.input(0);
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
     in.data<float>()[i] = rng.Uniform();
   }
-  interp.Invoke();
-  const Tensor out = interp.output(0);
+  exec.Invoke();
+  const Tensor out = exec.output(0);
   return std::vector<float>(out.data<float>(),
                             out.data<float>() + out.num_elements());
 }

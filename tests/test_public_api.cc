@@ -39,15 +39,16 @@ TEST(PublicApi, TutorialWorkflowEndToEnd) {
   ASSERT_TRUE(DeserializeGraph(bytes.data(), bytes.size(), &loaded).ok());
 
   // 4. Run.
-  Interpreter interp(loaded);
-  ASSERT_TRUE(interp.Prepare().ok());
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(loaded, {}, &model).ok());
+  ExecutionContext exec(model);
   Rng rng(1);
-  Tensor in = interp.input(0);
+  Tensor in = exec.input(0);
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
     in.data<float>()[i] = rng.Uniform();
   }
-  interp.Invoke();
-  const Tensor out = interp.output(0);
+  exec.Invoke();
+  const Tensor out = exec.output(0);
   float sum = 0.0f;
   for (int i = 0; i < 10; ++i) sum += out.data<float>()[i];
   EXPECT_NEAR(sum, 1.0f, 1e-5f) << "softmax output must normalize";

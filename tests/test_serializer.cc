@@ -5,12 +5,13 @@
 
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "converter/convert.h"
 #include "converter/serializer.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "models/builder.h"
 
 namespace lce {
@@ -35,16 +36,18 @@ Graph SmallModel() {
 }
 
 std::vector<float> RunGraph(const Graph& g, std::uint64_t seed) {
-  Interpreter interp(g);
-  Status s = interp.Prepare();
+  std::shared_ptr<const CompiledModel> model;
+  const Status s = CompiledModel::Compile(g, {}, &model);
   EXPECT_TRUE(s.ok()) << s.message();
+  if (!s.ok()) return {};
+  ExecutionContext exec(model);
   Rng rng(seed);
-  Tensor in = interp.input(0);
+  Tensor in = exec.input(0);
   for (std::int64_t i = 0; i < in.num_elements(); ++i) {
     in.data<float>()[i] = rng.Uniform();
   }
-  interp.Invoke();
-  const Tensor out = interp.output(0);
+  exec.Invoke();
+  const Tensor out = exec.output(0);
   return std::vector<float>(out.data<float>(),
                             out.data<float>() + out.num_elements());
 }
@@ -249,7 +252,7 @@ TEST(Serializer, RejectsTrailingGarbage) {
 }
 
 // Deterministic single-bit-flip sweep: every mutation must either load
-// cleanly (and then survive Prepare + Invoke) or return a typed error --
+// cleanly (and then survive Compile + Invoke) or return a typed error --
 // never crash. A miniature in-process version of tests/fuzz_serializer.cc.
 TEST(Serializer, BitFlipsNeverCrash) {
   Graph g = SmallModel();
@@ -263,9 +266,10 @@ TEST(Serializer, BitFlipsNeverCrash) {
     Graph loaded;
     const Status s = DeserializeGraph(mutated.data(), mutated.size(), &loaded);
     if (!s.ok()) continue;
-    Interpreter interp(loaded);
-    if (!interp.Prepare().ok()) continue;
-    interp.Invoke();
+    std::shared_ptr<const CompiledModel> model;
+    if (!CompiledModel::Compile(loaded, {}, &model).ok()) continue;
+    ExecutionContext exec(model);
+    exec.Invoke();
   }
 }
 

@@ -1,7 +1,7 @@
 // Serving-path tests: one shared CompiledModel driven by concurrent
 // ExecutionContexts (bit-identical to serial execution), packed-weight
-// sharing, the re-Prepare contract, and the unplanned-value hazard fixture
-// (docs/SERVING.md). The concurrency tests here are the ones the CI
+// sharing, clean-slate retries after a failed compile, and the
+// unplanned-value hazard fixture (docs/SERVING.md). The concurrency tests here are the ones the CI
 // ThreadSanitizer job runs.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "core/macros.h"
 #include "core/random.h"
 #include "graph/compiled_model.h"
-#include "graph/interpreter.h"
 #include "models/builder.h"
 #include "telemetry/metrics.h"
 
@@ -131,51 +130,32 @@ TEST(Serving, PackedWeightsSharedAcrossContexts) {
       << "destroying the model must release its packed-weight accounting";
 }
 
-TEST(Serving, PrepareIsIdempotentAfterSuccess) {
+TEST(Serving, FailedCompileRetriesFromCleanSlate) {
   const Graph g = MakeServingGraph();
-  Interpreter interp(g);
-  ASSERT_TRUE(interp.Prepare().ok());
-  const CompiledModel* model_before = interp.compiled_model().get();
-  FillInput(interp.input(0), 7);
-  const void* input_ptr = interp.input(0).raw_data();
-  const std::int64_t resident = GaugeValue("weights.resident_packed_bytes");
-
-  ASSERT_TRUE(interp.Prepare().ok());
-  EXPECT_EQ(interp.compiled_model().get(), model_before)
-      << "re-Prepare must not recompile";
-  EXPECT_EQ(interp.input(0).raw_data(), input_ptr)
-      << "re-Prepare must not reallocate the arena";
-  EXPECT_EQ(GaugeValue("weights.resident_packed_bytes"), resident)
-      << "re-Prepare must not re-count packed weights";
-  interp.Invoke();  // still functional
-}
-
-TEST(Serving, FailedPrepareRetriesFromCleanSlate) {
-  const Graph g = MakeServingGraph();
-  InterpreterOptions opts;
-  opts.limits.max_arena_bytes = 16;  // guaranteed planner failure
-  Interpreter interp(g, opts);
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  const CompiledModel* held = model.get();
   const std::int64_t resident = GaugeValue("weights.resident_packed_bytes");
   const std::int64_t arenas = GaugeValue("serving.resident_arena_bytes");
 
-  const Status first = interp.Prepare();
+  CompileOptions opts;
+  opts.limits.max_arena_bytes = 16;  // guaranteed planner failure
+  const Status first = CompiledModel::Compile(g, opts, &model);
   ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.code(), StatusCode::kResourceExhausted);
   // Retry hits the same failure -- but deterministically, from scratch, and
-  // without leaking partially-built kernel or arena accounting.
-  const Status second = interp.Prepare();
+  // without leaking partially-built kernel or arena accounting, and neither
+  // attempt touches the caller's model.
+  const Status second = CompiledModel::Compile(g, opts, &model);
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(first.code(), second.code());
-  EXPECT_EQ(interp.compiled_model(), nullptr);
+  EXPECT_EQ(model.get(), held);
   EXPECT_EQ(GaugeValue("weights.resident_packed_bytes"), resident);
   EXPECT_EQ(GaugeValue("serving.resident_arena_bytes"), arenas);
-
-  // The same graph compiles fine once the limits allow it.
-  Interpreter ok_interp(g);
-  EXPECT_TRUE(ok_interp.Prepare().ok());
 }
 
 // Hostile fixture for the unplanned-value hazard: a live value whose
-// producer has been marked dead never enters the memory plan. Prepare must
+// producer has been marked dead never enters the memory plan. Compile must
 // reject the graph as a Status (validator or the planner's own
 // dead-producer guard) -- never plan around it and hand out an arena view
 // at offset 0 in release builds.
@@ -190,21 +170,10 @@ TEST(Serving, LiveValueWithDeadProducerIsRejected) {
   // buggy rewrite would.
   g.node(g.value(y).producer).alive = false;
 
-  Interpreter interp(g);
-  const Status s = interp.Prepare();
+  std::shared_ptr<const CompiledModel> model;
+  const Status s = CompiledModel::Compile(g, {}, &model);
   ASSERT_FALSE(s.ok());
-  EXPECT_DEATH(
-      { interp.Invoke(); }, "Invoke requires a successful Prepare");
-}
-
-TEST(ServingDeathTest, UnpreparedExecutionContextsImpossible) {
-  // ExecutionContext can only be built from a compiled model, so there is
-  // no unprepared-Invoke hazard on the serving path by construction; the
-  // compatibility wrapper still aborts loudly.
-  const Graph g = MakeServingGraph();
-  Interpreter interp(g);
-  EXPECT_DEATH(interp.Invoke(), "Invoke requires a successful Prepare");
-  EXPECT_DEATH(interp.context(), "context requires a successful Prepare");
+  EXPECT_EQ(model, nullptr);
 }
 
 }  // namespace

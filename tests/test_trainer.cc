@@ -4,11 +4,12 @@
 // (not random) weights.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "converter/convert.h"
 #include "core/random.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "models/builder.h"
 #include "train/trainer.h"
 
@@ -126,14 +127,15 @@ TEST(Trainer, TrainedModelSurvivesConversion) {
   // Convert the trained graph and run it sample by sample.
   Graph converted = CloneGraph(g);
   ASSERT_TRUE(Convert(converted).ok());
-  Interpreter interp(converted);
-  ASSERT_TRUE(interp.Prepare().ok());
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(converted, {}, &model).ok());
+  ExecutionContext exec(model);
   int correct = 0;
   for (int i = 0; i < 64; ++i) {
-    Tensor in = interp.input(0);
+    Tensor in = exec.input(0);
     std::copy(x.begin() + i * 64, x.begin() + (i + 1) * 64, in.data<float>());
-    interp.Invoke();
-    const float* probs = interp.output(0).data<float>();
+    exec.Invoke();
+    const float* probs = exec.output(0).data<float>();
     correct += (probs[1] > probs[0] ? 1 : 0) == y[i] ? 1 : 0;
   }
   const float deployed_acc = static_cast<float>(correct) / 64.0f;
@@ -195,15 +197,16 @@ TEST(Trainer, ResidualMiniQuickNetTrains) {
   const float trained_acc = trainer.Evaluate(xb, yb);
   Graph converted = CloneGraph(g);
   ASSERT_TRUE(Convert(converted).ok());
-  Interpreter interp(converted);
-  ASSERT_TRUE(interp.Prepare().ok());
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(converted, {}, &model).ok());
+  ExecutionContext exec(model);
   int correct = 0;
   for (int i = 0; i < 64; ++i) {
-    Tensor in = interp.input(0);
+    Tensor in = exec.input(0);
     std::copy(xb.begin() + i * 64, xb.begin() + (i + 1) * 64,
               in.data<float>());
-    interp.Invoke();
-    const float* probs = interp.output(0).data<float>();
+    exec.Invoke();
+    const float* probs = exec.output(0).data<float>();
     correct += (probs[1] > probs[0] ? 1 : 0) == yb[i] ? 1 : 0;
   }
   EXPECT_FLOAT_EQ(correct / 64.0f, trained_acc);

@@ -8,13 +8,15 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "converter/convert.h"
 #include "converter/ptq.h"
-#include "graph/interpreter.h"
+#include "graph/compiled_model.h"
 #include "graph/validator.h"
 #include "models/builder.h"
 #include "models/zoo.h"
+#include "telemetry/metrics.h"
 
 namespace lce {
 namespace {
@@ -300,25 +302,39 @@ TEST(Validator, UnlimitedAcceptsLargeGraphs) {
   EXPECT_TRUE(s.ok()) << s.message();
 }
 
-// ---- Interpreter integration ------------------------------------------------
+// ---- CompiledModel::Compile integration -------------------------------------
+// A rejected graph fails Compile with a Status, leaves `*out` untouched and
+// leaves nothing on the resident packed-weight gauge.
 
-TEST(Validator, PrepareReturnsStatusOnCorruptGraph) {
-  Graph g = SmallModel();
-  NonConstantConvWeights(g);
-  Interpreter interp(g);
-  const Status s = interp.Prepare();
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+std::int64_t ResidentPackedBytes() {
+  return telemetry::MetricsRegistry::Global()
+      .Gauge("weights.resident_packed_bytes")
+      ->value();
 }
 
-TEST(Validator, PrepareEnforcesArenaLimit) {
+TEST(Validator, CompileReturnsStatusOnCorruptGraph) {
   Graph g = SmallModel();
-  InterpreterOptions opts;
+  NonConstantConvWeights(g);
+  const std::int64_t resident = ResidentPackedBytes();
+  std::shared_ptr<const CompiledModel> model;
+  const Status s = CompiledModel::Compile(g, {}, &model);
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(model, nullptr);
+  EXPECT_EQ(ResidentPackedBytes(), resident);
+}
+
+TEST(Validator, CompileEnforcesArenaLimit) {
+  Graph g = SmallModel();
+  const std::int64_t resident = ResidentPackedBytes();
+  CompileOptions opts;
   opts.limits.max_arena_bytes = 1;
-  Interpreter interp(g, opts);
-  const Status s = interp.Prepare();
+  std::shared_ptr<const CompiledModel> model;
+  const Status s = CompiledModel::Compile(g, opts, &model);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(model, nullptr);
+  EXPECT_EQ(ResidentPackedBytes(), resident);
 }
 
 // ---- Shape-bucket request validation ---------------------------------------

@@ -6,7 +6,6 @@
 
 #include "converter/convert.h"
 #include "converter/passes.h"
-#include "graph/interpreter.h"
 #include "models/builder.h"
 #include "models/macs.h"
 #include "models/zoo.h"
