@@ -11,8 +11,8 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "bgemm_baselines.h"
 #include "core/bitpack.h"
-#include "gemm/baselines.h"
 #include "gemm/bgemm.h"
 #include "kernels/im2col.h"
 #include "models/zoo.h"
@@ -81,16 +81,16 @@ int main(int argc, char** argv) {
                   ctx);
     });
     const double dabnn = profiling::MeasureMedianSeconds([&] {
-      gemm::DaBnnStyleBGemm(w.patches.data(), w.m, w.weights.data(), w.n,
-                            w.kw, w.k_bits, w.out.data(), w.n);
+      DaBnnStyleBGemm(w.patches.data(), w.m, w.weights.data(), w.n, w.kw,
+                      w.k_bits, w.out.data(), w.n);
     });
     const double tvm = profiling::MeasureMedianSeconds([&] {
-      gemm::TvmStyleBGemm(w.patches.data(), w.m, w.weights.data(), w.n, w.kw,
-                          w.k_bits, w.out.data(), w.n);
+      TvmStyleBGemm(w.patches.data(), w.m, w.weights.data(), w.n, w.kw,
+                    w.k_bits, w.out.data(), w.n);
     });
     const double bmxnet = profiling::MeasureMedianSeconds([&] {
-      gemm::BmxnetStyleBGemm(w.patches.data(), w.m, w.weights.data(), w.n,
-                             w.kw, w.k_bits, w.out.data(), w.n);
+      BmxnetStyleBGemm(w.patches.data(), w.m, w.weights.data(), w.n, w.kw,
+                       w.k_bits, w.out.data(), w.n);
     });
     std::printf("%-18s %12.3f %14.3f %14.3f %14.3f\n", name.c_str(),
                 lce * 1e3, dabnn * 1e3, tvm * 1e3, bmxnet * 1e3);

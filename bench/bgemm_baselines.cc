@@ -1,10 +1,10 @@
-#include "gemm/baselines.h"
+#include "bgemm_baselines.h"
 
 #include <algorithm>
 #include <bit>
 #include <cstring>
 
-namespace lce::gemm {
+namespace lce::bench {
 namespace {
 
 // Unaligned-safe 64-bit load of two consecutive 32-bit words (the trailing
@@ -89,4 +89,4 @@ void BmxnetStyleBGemm(const TBitpacked* lhs, int m, const TBitpacked* rhs,
   }
 }
 
-}  // namespace lce::gemm
+}  // namespace lce::bench

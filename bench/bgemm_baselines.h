@@ -18,14 +18,16 @@
 //    machine code significantly slower than optimised assembly kernels").
 //
 // All share the BGEMM contract: out[i][j] = k_bits - 2*popcount(l_i ^ r_j).
-#ifndef LCE_GEMM_BASELINES_H_
-#define LCE_GEMM_BASELINES_H_
+// They are bench code, not engine code: only bench_fig4_framework_comparison
+// runs them (and test_bgemm checks them).
+#ifndef LCE_BENCH_BGEMM_BASELINES_H_
+#define LCE_BENCH_BGEMM_BASELINES_H_
 
 #include <cstdint>
 
 #include "core/types.h"
 
-namespace lce::gemm {
+namespace lce::bench {
 
 void DaBnnStyleBGemm(const TBitpacked* lhs, int m, const TBitpacked* rhs,
                      int n, int kw, int k_bits, std::int32_t* out, int ldc);
@@ -36,6 +38,6 @@ void TvmStyleBGemm(const TBitpacked* lhs, int m, const TBitpacked* rhs, int n,
 void BmxnetStyleBGemm(const TBitpacked* lhs, int m, const TBitpacked* rhs,
                       int n, int kw, int k_bits, std::int32_t* out, int ldc);
 
-}  // namespace lce::gemm
+}  // namespace lce::bench
 
-#endif  // LCE_GEMM_BASELINES_H_
+#endif  // LCE_BENCH_BGEMM_BASELINES_H_

@@ -33,14 +33,6 @@ void BitpackRow(const float* src, int channels, TBitpacked* dst) {
   }
 }
 
-void BitpackRowInt8(const std::int8_t* src, int channels, TBitpacked* dst) {
-  const int words = BitpackedWords(channels);
-  std::memset(dst, 0, static_cast<std::size_t>(words) * sizeof(TBitpacked));
-  for (int c = 0; c < channels; ++c) {
-    if (src[c] < 0) dst[c / kBitpackWordSize] |= TBitpacked{1} << (c % kBitpackWordSize);
-  }
-}
-
 void UnpackRow(const TBitpacked* src, int channels, float* dst) {
   for (int c = 0; c < channels; ++c) {
     const bool neg = (src[c / kBitpackWordSize] >> (c % kBitpackWordSize)) & 1;

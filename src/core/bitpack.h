@@ -21,11 +21,6 @@ inline float SignValue(float x) { return x < 0.0f ? -1.0f : 1.0f; }
 // Padding bits (channels..32*words) are set to 0 (+1.0).
 void BitpackRow(const float* src, int channels, TBitpacked* dst);
 
-// As above but from int8 data (used when binarizing a quantized tensor; the
-// zero point must already have been subtracted, so the sign of the int8
-// value is the sign of the real value).
-void BitpackRowInt8(const std::int8_t* src, int channels, TBitpacked* dst);
-
 // Unpacks `channels` values from bitpacked words into +/-1.0 floats.
 void UnpackRow(const TBitpacked* src, int channels, float* dst);
 

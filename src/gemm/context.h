@@ -51,11 +51,9 @@ class Context {
   }
 
   ThreadPool& pool() { return *pool_; }
-  const std::shared_ptr<ThreadPool>& shared_pool() const { return pool_; }
   int num_threads() const { return pool_->num_threads(); }
 
   KernelProfile profile() const { return profile_; }
-  void set_profile(KernelProfile p) { profile_ = p; }
 
   // Returns scratch memory of at least `bytes` bytes, reused across calls.
   // Slot 0 and 1 are independent (LHS / RHS packing buffers). Slots are a

@@ -623,6 +623,7 @@ Tensor LaneSlice(Tensor full, int lane) {
 
 Tensor ExecutionContext::input(int i) {
   LCE_CHECK(arena_ok_ && "input() on a context whose arena allocation failed");
+  LCE_CHECK(i >= 0 && i < num_inputs() && "input() index out of range");
   Tensor full = ValueTensor(model_->graph_.input_ids()[i]);
   return io_lane_ < 0 ? full : LaneSlice(std::move(full), io_lane_);
 }
@@ -630,6 +631,7 @@ Tensor ExecutionContext::input(int i) {
 Tensor ExecutionContext::output(int i) {
   LCE_CHECK(arena_ok_ &&
             "output() on a context whose arena allocation failed");
+  LCE_CHECK(i >= 0 && i < num_outputs() && "output() index out of range");
   Tensor full = ValueTensor(model_->graph_.output_ids()[i]);
   return io_lane_ < 0 ? full : LaneSlice(std::move(full), io_lane_);
 }

@@ -256,7 +256,8 @@ struct ExecutionOptions {
   bool enable_profiling = false;
   // Called after each node executes with its output tensor (still valid at
   // that point; the arena may reuse it later). Used by the post-training
-  // quantizer's range calibration.
+  // quantizer's range calibration and by the STE trainer, which keeps every
+  // activation for its backward pass.
   std::function<void(const Node&, const Tensor&)> observer;
 };
 

@@ -130,8 +130,7 @@ class BDepthwiseTileCompute final : public pipeline::TileCompute {
 };
 
 void BDepthwiseConv2D::Run(const Tensor& input, Tensor& output,
-                           gemm::Context& ctx,
-                           pipeline::ConvStageTimes* times) const {
+                           gemm::Context& ctx) const {
   const Conv2DGeometry& g = attrs_.geo;
   LCE_CHECK(input.dtype() == DataType::kBitpacked);
   LCE_CHECK(output.dtype() == DataType::kFloat32);
@@ -149,7 +148,7 @@ void BDepthwiseConv2D::Run(const Tensor& input, Tensor& output,
   args.compute = &compute;
   args.transform = transform_.get();
   args.out = output.raw_data();
-  pipeline::RunConvPipeline(args, ctx, times);
+  pipeline::RunConvPipeline(args, ctx, nullptr);
 }
 
 }  // namespace lce

@@ -51,8 +51,7 @@ class BDepthwiseConv2D {
 
   // input: bitpacked NHWC; output: float NHWC.
   // scratch usage: context slot 2 (per-shard row-tile accumulator).
-  void Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
-           pipeline::ConvStageTimes* times = nullptr) const;
+  void Run(const Tensor& input, Tensor& output, gemm::Context& ctx) const;
 
   const BDepthwiseConv2DAttrs& attrs() const { return attrs_; }
 

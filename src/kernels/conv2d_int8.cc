@@ -179,8 +179,8 @@ class Conv2DInt8DotTileCompute final : public pipeline::TileCompute {
   int lda_;
 };
 
-void Conv2DInt8::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
-                     pipeline::ConvStageTimes* times) const {
+void Conv2DInt8::Run(const Tensor& input, Tensor& output,
+                     gemm::Context& ctx) const {
   const Conv2DGeometry& g = attrs_.geo;
   LCE_CHECK(input.dtype() == DataType::kInt8);
   LCE_CHECK(output.dtype() == DataType::kInt8);
@@ -206,7 +206,7 @@ void Conv2DInt8::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
   args.compute = &compute;
   args.transform = weights_->transform.get();
   args.out = output.raw_data();
-  pipeline::RunConvPipeline(args, ctx, times);
+  pipeline::RunConvPipeline(args, ctx, nullptr);
 }
 
 }  // namespace lce

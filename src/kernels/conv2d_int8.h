@@ -63,8 +63,7 @@ class Conv2DInt8 {
   // input: int8 NHWC; output: int8 NHWC.
   // scratch usage: context slot 2 (per-shard staged rows + row-tile
   // accumulator).
-  void Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
-           pipeline::ConvStageTimes* times = nullptr) const;
+  void Run(const Tensor& input, Tensor& output, gemm::Context& ctx) const;
 
   const Conv2DInt8Attrs& attrs() const { return attrs_; }
 

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <memory>
+#include <utility>
 
+#include "core/bitpack.h"
 #include "core/macros.h"
+#include "graph/compiled_model.h"
+#include "graph/shape_variant.h"
 
 namespace lce::train {
 namespace {
@@ -14,8 +18,6 @@ namespace {
 int BiasKey(int node_id) { return -(node_id * 4 + 1); }
 int BnScaleKey(int node_id) { return -(node_id * 4 + 2); }
 int BnOffsetKey(int node_id) { return -(node_id * 4 + 3); }
-
-float SignOf(float v) { return v < 0.0f ? -1.0f : 1.0f; }
 
 }  // namespace
 
@@ -110,12 +112,16 @@ Trainer::Trainer(Graph& g, TrainOptions options)
         return;
     }
   }
+  // The forward pass runs on the engine: a graph it rejects fails here
+  // instead of aborting inside Step.
+  std::shared_ptr<const CompiledModel> model;
+  status_ = CompiledModel::Compile(graph_, {}, &model);
+  if (!status_.ok()) return;
   for (auto& [key, p] : params_) {
     p.grad.assign(p.size, 0.0f);
     p.m.assign(p.size, 0.0f);
     p.v.assign(p.size, 0.0f);
   }
-  status_ = Status::Ok();
 }
 
 void Trainer::Forward(const std::vector<float>& x, int batch) {
@@ -124,270 +130,36 @@ void Trainer::Forward(const std::vector<float>& x, int batch) {
   value_grad_.clear();
 
   const int input_id = graph_.input_ids()[0];
-  const std::int64_t in_elems = graph_.value(input_id).shape.num_elements();
-  LCE_CHECK_EQ(static_cast<std::int64_t>(x.size()), in_elems * batch);
+  Shape input_shape = graph_.value(input_id).shape;
+  LCE_CHECK_EQ(static_cast<std::int64_t>(x.size()),
+               input_shape.num_elements() * batch);
   value_data_[input_id] = x;
 
-  const auto elems_of = [&](int vid) {
-    return graph_.value(vid).shape.num_elements();
-  };
-  const auto alloc = [&](int vid) -> std::vector<float>& {
-    auto& v = value_data_[vid];
-    v.assign(elems_of(vid) * batch_, 0.0f);
-    return v;
-  };
+  // A batch-N clone of the current parameters: its constants share the
+  // latent weight buffers ApplyUpdates writes, and each replayed node
+  // copies its bias / BN / PReLU attr vectors, so Compile packs this
+  // step's values.
+  input_shape.dim(0) *= batch;
+  std::unique_ptr<Graph> clone;
+  std::vector<int> node_map;
+  Status s = CloneGraphWithInputShapes(graph_, {input_shape}, &clone,
+                                       &node_map);
+  LCE_CHECK(s.ok() && "trainer graph does not replay at this batch");
+  std::shared_ptr<const CompiledModel> model;
+  s = CompiledModel::Compile(*clone, {}, &model);
+  LCE_CHECK(s.ok() && "trainer graph clone failed to compile");
 
-  for (int id : order_) {
-    const Node& n = graph_.node(id);
-    const int out_id = n.outputs[0];
-    switch (n.type) {
-      case OpType::kConv2D: {
-        const auto& in = value_data_.at(n.inputs[0]);
-        const float* w = graph_.value(n.inputs[1]).constant_data.data<float>();
-        auto& out = alloc(out_id);
-        const Conv2DGeometry& g = n.attrs.conv;
-        const float pad =
-            g.padding == Padding::kSameOne ? 1.0f : 0.0f;
-        const int oh = g.out_h(), ow = g.out_w();
-        const int ph = g.pad_h_begin(), pw = g.pad_w_begin();
-        const std::int64_t in_per = elems_of(n.inputs[0]);
-        const std::int64_t out_per = elems_of(out_id);
-        for (int b = 0; b < batch_; ++b) {
-          const float* xi = in.data() + b * in_per;
-          float* yo = out.data() + b * out_per;
-          for (int oy = 0; oy < oh; ++oy) {
-            for (int ox = 0; ox < ow; ++ox) {
-              for (int oc = 0; oc < g.out_c; ++oc) {
-                float acc = n.attrs.bias.empty() ? 0.0f : n.attrs.bias[oc];
-                for (int ky = 0; ky < g.filter_h; ++ky) {
-                  const int iy = oy * g.stride_h - ph + ky;
-                  for (int kx = 0; kx < g.filter_w; ++kx) {
-                    const int ix = ox * g.stride_w - pw + kx;
-                    for (int c = 0; c < g.in_c; ++c) {
-                      float wv = w[((static_cast<std::int64_t>(oc) * g.filter_h +
-                                     ky) * g.filter_w + kx) * g.in_c + c];
-                      if (n.attrs.binarize_weights) wv = SignOf(wv);
-                      const float xv =
-                          (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w)
-                              ? pad
-                              : xi[(static_cast<std::int64_t>(iy) * g.in_w + ix) *
-                                       g.in_c + c];
-                      acc += xv * wv;
-                    }
-                  }
-                }
-                yo[(static_cast<std::int64_t>(oy) * ow + ox) * g.out_c + oc] = acc;
-              }
-            }
-          }
-        }
-        break;
-      }
-      case OpType::kFullyConnected: {
-        const auto& in = value_data_.at(n.inputs[0]);
-        const float* w = graph_.value(n.inputs[1]).constant_data.data<float>();
-        auto& out = alloc(out_id);
-        const int fin = n.attrs.fc_in_features;
-        const int fout = n.attrs.fc_out_features;
-        for (int b = 0; b < batch_; ++b) {
-          for (int o = 0; o < fout; ++o) {
-            float acc = n.attrs.bias.empty() ? 0.0f : n.attrs.bias[o];
-            for (int i = 0; i < fin; ++i) {
-              float wv = w[static_cast<std::int64_t>(o) * fin + i];
-              if (n.attrs.binarize_weights) wv = SignOf(wv);
-              acc += in[static_cast<std::int64_t>(b) * fin + i] * wv;
-            }
-            out[static_cast<std::int64_t>(b) * fout + o] = acc;
-          }
-        }
-        break;
-      }
-      case OpType::kFakeSign: {
-        const auto& in = value_data_.at(n.inputs[0]);
-        auto& out = alloc(out_id);
-        for (std::size_t i = 0; i < in.size(); ++i) out[i] = SignOf(in[i]);
-        break;
-      }
-      case OpType::kBatchNorm: {
-        const auto& in = value_data_.at(n.inputs[0]);
-        auto& out = alloc(out_id);
-        const int c = static_cast<int>(n.attrs.bn_scale.size());
-        for (std::size_t i = 0; i < in.size(); ++i) {
-          const int ch = static_cast<int>(i % c);
-          out[i] = in[i] * n.attrs.bn_scale[ch] + n.attrs.bn_offset[ch];
-        }
-        break;
-      }
-      case OpType::kRelu: {
-        const auto& in = value_data_.at(n.inputs[0]);
-        auto& out = alloc(out_id);
-        for (std::size_t i = 0; i < in.size(); ++i) {
-          out[i] = in[i] > 0.0f ? in[i] : 0.0f;
-        }
-        break;
-      }
-      case OpType::kPRelu: {
-        const auto& in = value_data_.at(n.inputs[0]);
-        auto& out = alloc(out_id);
-        const int c = static_cast<int>(n.attrs.prelu_slope.size());
-        for (std::size_t i = 0; i < in.size(); ++i) {
-          const float slope = n.attrs.prelu_slope[i % c];
-          out[i] = in[i] > 0.0f ? in[i] : in[i] * slope;
-        }
-        break;
-      }
-      case OpType::kDepthwiseConv2D: {
-        const auto& in = value_data_.at(n.inputs[0]);
-        const float* w = graph_.value(n.inputs[1]).constant_data.data<float>();
-        auto& out = alloc(out_id);
-        const Conv2DGeometry& g = n.attrs.conv;
-        const int oh = g.out_h(), ow = g.out_w();
-        const int ph = g.pad_h_begin(), pw = g.pad_w_begin();
-        const std::int64_t in_per = elems_of(n.inputs[0]);
-        const std::int64_t out_per = elems_of(out_id);
-        for (int b = 0; b < batch_; ++b) {
-          for (int oy = 0; oy < oh; ++oy) {
-            for (int ox = 0; ox < ow; ++ox) {
-              for (int c = 0; c < g.in_c; ++c) {
-                float acc = 0.0f;
-                for (int ky = 0; ky < g.filter_h; ++ky) {
-                  const int iy = oy * g.stride_h - ph + ky;
-                  if (iy < 0 || iy >= g.in_h) continue;
-                  for (int kx = 0; kx < g.filter_w; ++kx) {
-                    const int ix = ox * g.stride_w - pw + kx;
-                    if (ix < 0 || ix >= g.in_w) continue;
-                    acc += in[b * in_per +
-                              (static_cast<std::int64_t>(iy) * g.in_w + ix) *
-                                  g.in_c + c] *
-                           w[(static_cast<std::int64_t>(ky) * g.filter_w + kx) *
-                                 g.in_c + c];
-                  }
-                }
-                out[b * out_per +
-                    (static_cast<std::int64_t>(oy) * ow + ox) * g.in_c + c] =
-                    acc;
-              }
-            }
-          }
-        }
-        break;
-      }
-      case OpType::kAvgPool2D: {
-        const auto& in = value_data_.at(n.inputs[0]);
-        auto& out = alloc(out_id);
-        const Pool2DGeometry& g = n.attrs.pool;
-        const int oh = g.out_h(), ow = g.out_w();
-        const int ph = g.pad_h_begin(), pw = g.pad_w_begin();
-        const std::int64_t in_per = elems_of(n.inputs[0]);
-        const std::int64_t out_per = elems_of(out_id);
-        for (int b = 0; b < batch_; ++b) {
-          for (int oy = 0; oy < oh; ++oy) {
-            for (int ox = 0; ox < ow; ++ox) {
-              for (int c = 0; c < g.channels; ++c) {
-                float sum = 0.0f;
-                int count = 0;
-                for (int ky = 0; ky < g.filter_h; ++ky) {
-                  const int iy = oy * g.stride_h - ph + ky;
-                  if (iy < 0 || iy >= g.in_h) continue;
-                  for (int kx = 0; kx < g.filter_w; ++kx) {
-                    const int ix = ox * g.stride_w - pw + kx;
-                    if (ix < 0 || ix >= g.in_w) continue;
-                    sum += in[b * in_per +
-                              (static_cast<std::int64_t>(iy) * g.in_w + ix) *
-                                  g.channels + c];
-                    ++count;
-                  }
-                }
-                out[b * out_per +
-                    (static_cast<std::int64_t>(oy) * ow + ox) * g.channels +
-                    c] = count > 0 ? sum / count : 0.0f;
-              }
-            }
-          }
-        }
-        break;
-      }
-      case OpType::kAdd: {
-        const auto& a = value_data_.at(n.inputs[0]);
-        const auto& b = value_data_.at(n.inputs[1]);
-        auto& out = alloc(out_id);
-        for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-        break;
-      }
-      case OpType::kMaxPool2D: {
-        const auto& in = value_data_.at(n.inputs[0]);
-        auto& out = alloc(out_id);
-        const Pool2DGeometry& g = n.attrs.pool;
-        const int oh = g.out_h(), ow = g.out_w();
-        const int ph = g.pad_h_begin(), pw = g.pad_w_begin();
-        const std::int64_t in_per = elems_of(n.inputs[0]);
-        const std::int64_t out_per = elems_of(out_id);
-        for (int b = 0; b < batch_; ++b) {
-          for (int oy = 0; oy < oh; ++oy) {
-            for (int ox = 0; ox < ow; ++ox) {
-              for (int c = 0; c < g.channels; ++c) {
-                float best = -1e30f;
-                for (int ky = 0; ky < g.filter_h; ++ky) {
-                  const int iy = oy * g.stride_h - ph + ky;
-                  if (iy < 0 || iy >= g.in_h) continue;
-                  for (int kx = 0; kx < g.filter_w; ++kx) {
-                    const int ix = ox * g.stride_w - pw + kx;
-                    if (ix < 0 || ix >= g.in_w) continue;
-                    best = std::max(
-                        best,
-                        in[b * in_per +
-                           (static_cast<std::int64_t>(iy) * g.in_w + ix) *
-                               g.channels + c]);
-                  }
-                }
-                out[b * out_per +
-                    (static_cast<std::int64_t>(oy) * ow + ox) * g.channels + c] =
-                    best;
-              }
-            }
-          }
-        }
-        break;
-      }
-      case OpType::kGlobalAvgPool: {
-        const auto& in = value_data_.at(n.inputs[0]);
-        auto& out = alloc(out_id);
-        const Shape& s = graph_.value(n.inputs[0]).shape;
-        const int hw = static_cast<int>(s.dim(1) * s.dim(2));
-        const int c = static_cast<int>(s.dim(3));
-        for (int b = 0; b < batch_; ++b) {
-          for (int ch = 0; ch < c; ++ch) {
-            float sum = 0.0f;
-            for (int p = 0; p < hw; ++p) {
-              sum += in[static_cast<std::int64_t>(b) * hw * c + p * c + ch];
-            }
-            out[static_cast<std::int64_t>(b) * c + ch] = sum / hw;
-          }
-        }
-        break;
-      }
-      case OpType::kSoftmax: {
-        const auto& in = value_data_.at(n.inputs[0]);
-        auto& out = alloc(out_id);
-        const int c = static_cast<int>(elems_of(out_id));
-        for (int b = 0; b < batch_; ++b) {
-          const float* row = in.data() + static_cast<std::int64_t>(b) * c;
-          float* o = out.data() + static_cast<std::int64_t>(b) * c;
-          float mx = row[0];
-          for (int i = 1; i < c; ++i) mx = std::max(mx, row[i]);
-          float sum = 0.0f;
-          for (int i = 0; i < c; ++i) {
-            o[i] = std::exp(row[i] - mx);
-            sum += o[i];
-          }
-          for (int i = 0; i < c; ++i) o[i] /= sum;
-        }
-        break;
-      }
-      default:
-        LCE_CHECK(false);
-    }
-  }
+  // Backward needs every activation, but the arena reuses buffers, so the
+  // observer copies each node's output out as it is produced.
+  ExecutionOptions eopts;
+  eopts.observer = [&](const Node& n, const Tensor& out) {
+    const float* p = out.data<float>();
+    const int vid = graph_.node(node_map[n.id]).outputs[0];
+    value_data_[vid].assign(p, p + out.num_elements());
+  };
+  ExecutionContext exec(model, std::move(eopts));
+  std::copy(x.begin(), x.end(), exec.input(0).data<float>());
+  exec.Invoke();
 }
 
 float Trainer::LossAndGrad(const std::vector<int>& labels) {
@@ -472,7 +244,7 @@ void Trainer::Backward() {
                           ((static_cast<std::int64_t>(oc) * g.filter_h + ky) *
                                g.filter_w + kx) * g.in_c + c;
                       float weff = w[widx];
-                      if (n.attrs.binarize_weights) weff = SignOf(weff);
+                      if (n.attrs.binarize_weights) weff = SignValue(weff);
                       const float xv =
                           padded ? pad
                                  : xi[(static_cast<std::int64_t>(iy) * g.in_w +
@@ -508,7 +280,7 @@ void Trainer::Backward() {
             if (db != nullptr) db[o] += gy;
             for (int i = 0; i < fin; ++i) {
               float weff = w[static_cast<std::int64_t>(o) * fin + i];
-              if (n.attrs.binarize_weights) weff = SignOf(weff);
+              if (n.attrs.binarize_weights) weff = SignValue(weff);
               dw[static_cast<std::int64_t>(o) * fin + i] +=
                   gy * xin[static_cast<std::int64_t>(b) * fin + i];
               dx[static_cast<std::int64_t>(b) * fin + i] += gy * weff;

@@ -10,8 +10,15 @@
 // zoo builders emit on small inputs:
 //   Conv2D (float and binarize_weights), FullyConnected (float and
 //   binarized), FakeSign, BatchNorm (trainable per-channel affine), Relu,
-//   Add, GlobalAvgPool, MaxPool2D, Softmax (as the head of a
-//   cross-entropy loss).
+//   PRelu, DepthwiseConv2D, AvgPool2D, Add, GlobalAvgPool, MaxPool2D,
+//   Softmax (as the head of a cross-entropy loss).
+//
+// The forward pass is the engine's: each Step / Evaluate clones the graph
+// at the batch size (CloneGraphWithInputShapes; the clone shares the
+// latent weight buffers and copies the attr vectors), compiles the clone
+// and runs one ExecutionContext::Invoke whose ExecutionOptions::observer
+// copies every node's output out for the backward pass. Only the backward
+// pass and the optimizer updates are the trainer's own code.
 //
 // Gradients follow standard BNN practice:
 //  * FakeSign activations: STE with the |x| <= 1 clip (Hubara et al.).
@@ -48,7 +55,8 @@ struct TrainOptions {
 // have exactly one input and one Softmax output (the classifier head).
 class Trainer {
  public:
-  // Validates the op subset; check status() before training.
+  // Validates the op subset and compiles the graph once; check status()
+  // before training.
   Trainer(Graph& g, TrainOptions options = {});
 
   Status status() const { return status_; }

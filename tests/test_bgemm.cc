@@ -7,9 +7,9 @@
 #include <tuple>
 #include <vector>
 
+#include "bgemm_baselines.h"
 #include "core/bitpack.h"
 #include "core/random.h"
-#include "gemm/baselines.h"
 #include "gemm/bgemm.h"
 
 namespace lce::gemm {
@@ -201,8 +201,9 @@ TEST_P(BaselineBGemm, MatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBaselines, BaselineBGemm,
-                         ::testing::Values(&DaBnnStyleBGemm, &TvmStyleBGemm,
-                                           &BmxnetStyleBGemm));
+                         ::testing::Values(&bench::DaBnnStyleBGemm,
+                                           &bench::TvmStyleBGemm,
+                                           &bench::BmxnetStyleBGemm));
 
 }  // namespace
 }  // namespace lce::gemm

@@ -122,21 +122,5 @@ TEST(Bitpack, MatrixPackingIsRowIndependent) {
   }
 }
 
-TEST(Bitpack, Int8RowMatchesFloatRow) {
-  const int channels = 37;
-  Rng rng(21);
-  std::vector<std::int8_t> int8_vals(channels);
-  std::vector<float> float_vals(channels);
-  for (int i = 0; i < channels; ++i) {
-    int8_vals[i] = rng.Int8();
-    float_vals[i] = static_cast<float>(int8_vals[i]) + 0.25f * (int8_vals[i] >= 0 ? 1 : -1);
-  }
-  std::vector<TBitpacked> from_int8(BitpackedWords(channels));
-  std::vector<TBitpacked> from_float(BitpackedWords(channels));
-  BitpackRowInt8(int8_vals.data(), channels, from_int8.data());
-  BitpackRow(float_vals.data(), channels, from_float.data());
-  EXPECT_EQ(from_int8, from_float);
-}
-
 }  // namespace
 }  // namespace lce

@@ -265,5 +265,22 @@ TEST(ExecutionContext, GraphWithBitpackedChain) {
   }
 }
 
+TEST(ExecutionContextDeathTest, IoIndexOutOfRangeAborts) {
+  // input(i) / output(i) index the graph's I/O lists; an index past either
+  // end must abort instead of reading off the end of the id vector.
+  Graph g;
+  ModelBuilder b(g);
+  int x = b.Input(2, 2, 1);
+  x = b.Relu(x);
+  g.MarkOutput(x);
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionContext exec(model);
+  EXPECT_DEATH(exec.input(1), "input\\(\\) index out of range");
+  EXPECT_DEATH(exec.input(-1), "input\\(\\) index out of range");
+  EXPECT_DEATH(exec.output(1), "output\\(\\) index out of range");
+  EXPECT_DEATH(exec.output(-1), "output\\(\\) index out of range");
+}
+
 }  // namespace
 }  // namespace lce

@@ -4,6 +4,8 @@
 // (not random) weights.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -161,6 +163,40 @@ TEST(Trainer, BinaryWeightsStayClipped) {
       ASSERT_LE(std::abs(p[i]), 1.0f) << "latent weight escaped the clip";
     }
   }
+}
+
+TEST(Trainer, ForwardTracksUpdatedParametersAtAnyBatch) {
+  // Step's pre-update loss must be the loss of the *current* parameters at
+  // the step's own batch size: after 50 updates at batch 64, a batch-7 step
+  // must report the mean cross-entropy that a fresh batch-1 compile of the
+  // trained graph gives on the same seven samples. A forward that reused
+  // packed weights or attr vectors from an earlier step, or that mishandled
+  // a batch other than the training batch, would disagree.
+  Graph g = TinyBnn(11);
+  train::Trainer trainer(g);
+  ASSERT_TRUE(trainer.status().ok());
+  Rng rng(3);
+  std::vector<float> x;
+  std::vector<int> y;
+  MakeBatch(rng, 64, &x, &y);
+  for (int step = 0; step < 50; ++step) trainer.Step(x, y);
+
+  std::vector<float> x7;
+  std::vector<int> y7;
+  MakeBatch(rng, 7, &x7, &y7);
+  std::shared_ptr<const CompiledModel> model;
+  ASSERT_TRUE(CompiledModel::Compile(g, {}, &model).ok());
+  ExecutionContext exec(model);
+  double expected = 0.0;
+  for (int i = 0; i < 7; ++i) {
+    std::copy(x7.begin() + i * 64, x7.begin() + (i + 1) * 64,
+              exec.input(0).data<float>());
+    exec.Invoke();
+    const float p = exec.output(0).data<float>()[y7[i]];
+    expected -= std::log(std::max(p, 1e-12f));  // the trainer's floor
+  }
+  expected /= 7.0;
+  EXPECT_NEAR(trainer.Step(x7, y7), expected, 1e-5);
 }
 
 TEST(Trainer, ResidualMiniQuickNetTrains) {
