@@ -2,6 +2,7 @@
 
 #include "converter/passes.h"
 #include "core/macros.h"
+#include "graph/validator.h"
 #include "telemetry/tracer.h"
 
 namespace lce {
@@ -53,7 +54,7 @@ Status Convert(Graph& g, const ConvertOptions& options, ConvertStats* stats) {
 
   const auto validate = [&](const char* pass) -> Status {
     LCE_TRACE_SCOPE_CAT("converter/validate", "converter");
-    Status st = g.Validate();
+    Status st = ValidateGraph(g, ResourceLimits::Unlimited());
     if (!st.ok()) {
       return Status::Internal(std::string("validation failed after pass ") +
                               pass + ": " + st.message());

@@ -32,28 +32,60 @@ int SingleConsumer(const Graph& g, int value_id) {
   return found;
 }
 
-// Creates a bitpacked weights constant from a rank-2 [out][in] float
-// matrix (binarized fully-connected weights).
-int PackWeightsConstant2D(Graph& g, const Value& w_float,
-                          const std::string& name) {
-  const Shape& s = w_float.shape;  // [out, in]
-  const int in = static_cast<int>(s.dim(1));
+// Creates a bitpacked weights constant from float weights, packing the last
+// (input-channel) dimension: OHWI conv weights become [O][fh][fw][words(I)]
+// and [out][in] fully connected weights [out][words(in)], the converter's
+// 32x binary weight compression.
+int PackWeightsConstant(Graph& g, const Value& w_float) {
+  const Shape& s = w_float.shape;
+  const std::int64_t in = s.dim(s.rank() - 1);
   Tensor packed(DataType::kBitpacked, s);
-  BitpackMatrix(w_float.constant_data.data<float>(), s.dim(0), in,
-                packed.data<TBitpacked>());
-  return g.AddConstant(name, std::move(packed));
+  BitpackMatrix(w_float.constant_data.data<float>(), s.num_elements() / in,
+                static_cast<int>(in), packed.data<TBitpacked>());
+  return g.AddConstant(w_float.name + ".bitpacked", std::move(packed));
 }
 
-// Creates a bitpacked weights constant from float OHWI weights: layout
-// [O][fh][fw][words(I)], the converter's 32x binary weight compression.
-int PackWeightsConstant(Graph& g, const Value& w_float, const std::string& name) {
-  const Shape& s = w_float.shape;  // [O, fh, fw, I]
-  const int in_c = static_cast<int>(s.dim(3));
-  const std::int64_t outer = s.num_elements() / in_c;
-  Tensor packed(DataType::kBitpacked, s);
-  BitpackMatrix(w_float.constant_data.data<float>(), outer, in_c,
-                packed.data<TBitpacked>());
-  return g.AddConstant(name, std::move(packed));
+// The lowering both binarized-weight passes share. Each live `from` node
+// with binarize_weights whose input is a live FakeSign and whose weights are
+// a float constant of `weight_rank` becomes a `to` node with attrs
+// `make_attrs(node)`, reading LceQuantize(sign input) -- one per FakeSign
+// (bitpacking extracts exactly the sign bits, so quantize(x) ==
+// bitpack(sign(x))) -- and the bitpacked weights. Any other candidate keeps
+// its float op, and nothing is added for it. Returns the lowered count.
+template <typename MakeAttrs>
+int LowerBinarized(Graph& g, OpType from, int weight_rank, OpType to,
+                   MakeAttrs make_attrs) {
+  int lowered = 0;
+  // FakeSign node id -> LceQuantize output value, so nodes sharing a
+  // binarized input share one quantize op.
+  std::map<int, int> quantize_cache;
+  const auto node_count = g.nodes().size();
+  for (std::size_t i = 0; i < node_count; ++i) {
+    const Node& n = g.node(static_cast<int>(i));
+    if (!n.alive || n.type != from || !n.attrs.binarize_weights) continue;
+    const Value& x = g.value(n.inputs[0]);
+    if (x.producer < 0) continue;
+    const Node& sign = g.node(x.producer);
+    if (!sign.alive || sign.type != OpType::kFakeSign) continue;
+    const Value& w = g.value(n.inputs[1]);
+    if (!w.is_constant || w.dtype != DataType::kFloat32 ||
+        w.shape.rank() != weight_rank) {
+      continue;
+    }
+
+    auto [q, inserted] = quantize_cache.try_emplace(sign.id, -1);
+    if (inserted) {
+      q->second = g.AddNode(OpType::kLceQuantize, sign.name + ".quantize",
+                            {sign.inputs[0]}, OpAttrs{});
+    }
+    const int packed_w = PackWeightsConstant(g, w);
+    const int out = g.AddNode(to, n.name + ".lce", {q->second, packed_w},
+                              make_attrs(n));
+    g.ReplaceAllUses(n.outputs[0], out);
+    g.RemoveNode(n.id);
+    ++lowered;
+  }
+  return lowered;
 }
 
 }  // namespace
@@ -154,102 +186,26 @@ int FuseActivationIntoFloatOps(Graph& g) {
 }
 
 int LowerBinarizedConvs(Graph& g) {
-  int lowered = 0;
-  // FakeSign node id -> LceQuantize output value, so convolutions sharing a
-  // binarized input share one quantize op.
-  std::map<int, int> quantize_cache;
-
-  const auto node_count = g.nodes().size();
-  for (std::size_t i = 0; i < node_count; ++i) {
-    const Node& conv = g.node(static_cast<int>(i));
-    if (!conv.alive || conv.type != OpType::kConv2D ||
-        !conv.attrs.binarize_weights) {
-      continue;
-    }
-    const Value& x = g.value(conv.inputs[0]);
-    if (x.producer < 0) continue;
-    const Node& sign = g.node(x.producer);
-    if (!sign.alive || sign.type != OpType::kFakeSign) continue;
-
-    // LceQuantize on the sign's input (bitpacking extracts exactly the sign
-    // bits, so quantize(x) == bitpack(sign(x))).
-    int q_out;
-    auto it = quantize_cache.find(sign.id);
-    if (it != quantize_cache.end()) {
-      q_out = it->second;
-    } else {
-      OpAttrs q_attrs;
-      q_out = g.AddNode(OpType::kLceQuantize, sign.name + ".quantize",
-                        {sign.inputs[0]}, q_attrs);
-      quantize_cache[sign.id] = q_out;
-    }
-
-    // Bitpacked weights constant (32x compression).
-    const Value& w = g.value(conv.inputs[1]);
-    if (!w.is_constant || w.dtype != DataType::kFloat32 ||
-        w.shape.rank() != 4) {
-      continue;  // not a lowerable candidate; leave the float conv in place
-    }
-    const int packed_w = PackWeightsConstant(g, w, w.name + ".bitpacked");
-
-    OpAttrs attrs;
-    attrs.conv.stride_h = conv.attrs.conv.stride_h;
-    attrs.conv.stride_w = conv.attrs.conv.stride_w;
-    attrs.conv.padding = conv.attrs.conv.padding;
-    attrs.bconv_output = BConvOutputType::kFloat;
-    attrs.pre_activation = conv.attrs.activation;  // usually kNone
-    const int bconv_out = g.AddNode(OpType::kLceBConv2d, conv.name + ".lce",
-                                    {q_out, packed_w}, attrs);
-
-    g.ReplaceAllUses(conv.outputs[0], bconv_out);
-    g.RemoveNode(conv.id);
-    ++lowered;
-  }
-  return lowered;
+  return LowerBinarized(
+      g, OpType::kConv2D, /*weight_rank=*/4, OpType::kLceBConv2d,
+      [](const Node& conv) {
+        OpAttrs attrs;
+        attrs.conv.stride_h = conv.attrs.conv.stride_h;
+        attrs.conv.stride_w = conv.attrs.conv.stride_w;
+        attrs.conv.padding = conv.attrs.conv.padding;
+        attrs.bconv_output = BConvOutputType::kFloat;
+        attrs.pre_activation = conv.attrs.activation;  // usually kNone
+        return attrs;
+      });
 }
 
 int LowerBinarizedFullyConnected(Graph& g) {
-  int lowered = 0;
-  std::map<int, int> quantize_cache;
-  const auto node_count = g.nodes().size();
-  for (std::size_t i = 0; i < node_count; ++i) {
-    const Node& fc = g.node(static_cast<int>(i));
-    if (!fc.alive || fc.type != OpType::kFullyConnected ||
-        !fc.attrs.binarize_weights) {
-      continue;
-    }
-    const Value& x = g.value(fc.inputs[0]);
-    if (x.producer < 0) continue;
-    const Node& sign = g.node(x.producer);
-    if (!sign.alive || sign.type != OpType::kFakeSign) continue;
-
-    int q_out;
-    auto it = quantize_cache.find(sign.id);
-    if (it != quantize_cache.end()) {
-      q_out = it->second;
-    } else {
-      OpAttrs q_attrs;
-      q_out = g.AddNode(OpType::kLceQuantize, sign.name + ".quantize",
-                        {sign.inputs[0]}, q_attrs);
-      quantize_cache[sign.id] = q_out;
-    }
-
-    const Value& w = g.value(fc.inputs[1]);
-    if (!w.is_constant || w.dtype != DataType::kFloat32 ||
-        w.shape.rank() != 2) {
-      continue;  // not a lowerable candidate; leave the float FC in place
-    }
-    const int packed_w = PackWeightsConstant2D(g, w, w.name + ".bitpacked");
-
-    OpAttrs attrs;
-    attrs.pre_activation = fc.attrs.activation;
-    const int out = g.AddNode(OpType::kLceBFullyConnected, fc.name + ".lce",
-                              {q_out, packed_w}, attrs);
-    g.ReplaceAllUses(fc.outputs[0], out);
-    g.RemoveNode(fc.id);
-    ++lowered;
-  }
-  return lowered;
+  return LowerBinarized(g, OpType::kFullyConnected, /*weight_rank=*/2,
+                        OpType::kLceBFullyConnected, [](const Node& fc) {
+                          OpAttrs attrs;
+                          attrs.pre_activation = fc.attrs.activation;
+                          return attrs;
+                        });
 }
 
 int FuseBConvOutputTransform(Graph& g) {

@@ -10,6 +10,7 @@
 #include "core/macros.h"
 #include "core/random.h"
 #include "graph/compiled_model.h"
+#include "graph/validator.h"
 
 namespace lce {
 namespace {
@@ -198,7 +199,7 @@ Status QuantizeModelInt8(Graph& g, const PtqOptions& options,
   }
 
   s.quantize_pairs_cancelled = CancelDequantizeQuantizePairs(g);
-  return g.Validate();
+  return ValidateGraph(g, ResourceLimits::Unlimited());
 }
 
 }  // namespace lce

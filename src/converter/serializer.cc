@@ -369,7 +369,9 @@ Status DeserializeGraph(const std::uint8_t* data, std::size_t size, Graph* g,
         g->TryAddNode(static_cast<OpType>(type_u8), name, std::move(inputs),
                       std::move(attrs), &out);
     if (!added.ok()) {
-      return Status::DataLoss("invalid node in model: " + added.message());
+      // The record decoded; the node breaks its op's contract.
+      return Status::InvalidArgument("invalid node in model: " +
+                                     added.message());
     }
     ids.push_back(out);
   }

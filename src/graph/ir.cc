@@ -1,8 +1,9 @@
 #include "graph/ir.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <queue>
-#include <set>
+#include <string>
 
 #include "core/macros.h"
 #include "kernels/bconv2d.h"
@@ -81,283 +82,234 @@ int ExpectedArity(OpType t) {
 
 namespace {
 
-// Upper bound on strides and pool filters accepted from attrs. The output
-// size arithmetic in Conv2DGeometry/Pool2DGeometry works in `int`, so an
-// untrusted stride near INT_MAX would overflow it; anything beyond this
-// bound is far outside what any model uses.
-constexpr int kMaxStride = 1 << 24;
+// One bound on every convolution, pooling and fully connected extent,
+// stride and filter. The output-size arithmetic of Conv2DGeometry and
+// Pool2DGeometry works in `int`, so an untrusted value near INT_MAX would
+// overflow it; anything beyond this bound is far outside what any model
+// uses. It matches the bound the deserializer places on tensor dimensions.
+constexpr std::int64_t kMaxGeometryDim = std::int64_t{1} << 24;
 
-// Fills in the geometry fields that are derivable from the operand shapes
-// (batch, input dims, filter dims, channel counts); the builder only needs
-// to provide strides and padding.
-Status ResolveAttrs(OpType type, OpAttrs& attrs,
-                    const std::vector<const Value*>& inputs) {
-  // Geometry sanity for conv/pool ops; prevents division by zero and
-  // overflow when attrs come from an untrusted model file.
+bool AllInRange(std::initializer_list<std::int64_t> dims) {
+  return std::all_of(dims.begin(), dims.end(), [](std::int64_t d) {
+    return d >= 1 && d <= kMaxGeometryDim;
+  });
+}
+
+// Whether operand `i` of a `type` node may hold `dtype`. The int8 and
+// bitpacked ops are listed; every other operand is float32.
+bool OperandDTypeOk(OpType type, std::size_t i, DataType dtype) {
   switch (type) {
-    case OpType::kConv2D:
-    case OpType::kLceBConv2d:
     case OpType::kConv2DInt8:
-    case OpType::kDepthwiseConv2D:
-      if (attrs.conv.stride_h <= 0 || attrs.conv.stride_w <= 0 ||
-          attrs.conv.stride_h > kMaxStride || attrs.conv.stride_w > kMaxStride) {
-        return Status::InvalidArgument("conv stride out of range");
-      }
-      break;
-    case OpType::kMaxPool2D:
-    case OpType::kAvgPool2D:
+    case OpType::kDequantizeInt8:
+      return dtype == DataType::kInt8;
+    case OpType::kLceDequantize:
     case OpType::kLceBMaxPool2d:
-      if (attrs.pool.stride_h <= 0 || attrs.pool.stride_w <= 0 ||
-          attrs.pool.filter_h <= 0 || attrs.pool.filter_w <= 0 ||
-          attrs.pool.stride_h > kMaxStride || attrs.pool.stride_w > kMaxStride ||
-          attrs.pool.filter_h > kMaxStride || attrs.pool.filter_w > kMaxStride) {
-        return Status::InvalidArgument("pool geometry out of range");
-      }
-      break;
+      return dtype == DataType::kBitpacked;
+    case OpType::kLceBConv2d:
+    case OpType::kLceBFullyConnected:
+      // Bitpacked activations; the weights may also still be float32.
+      return dtype == DataType::kBitpacked ||
+             (i == 1 && dtype == DataType::kFloat32);
     default:
-      break;
+      return dtype == DataType::kFloat32;
   }
+}
+
+// The output dtype of a `type` node; every op not listed outputs float32.
+DataType OutputDType(OpType type, const OpAttrs& attrs) {
   switch (type) {
-    case OpType::kConv2D:
+    case OpType::kQuantizeInt8:
     case OpType::kConv2DInt8:
-    case OpType::kLceBConv2d: {
-      if (inputs.size() < 2) return Status::InvalidArgument("conv needs x, w");
-      const Shape& x = inputs[0]->shape;
-      const Shape& w = inputs[1]->shape;  // OHWI
-      if (x.rank() != 4 || w.rank() != 4) {
-        return Status::InvalidArgument("conv operands must be rank 4");
-      }
-      attrs.conv.batch = static_cast<int>(x.dim(0));
-      attrs.conv.in_h = static_cast<int>(x.dim(1));
-      attrs.conv.in_w = static_cast<int>(x.dim(2));
-      attrs.conv.in_c = static_cast<int>(x.dim(3));
-      attrs.conv.out_c = static_cast<int>(w.dim(0));
-      attrs.conv.filter_h = static_cast<int>(w.dim(1));
-      attrs.conv.filter_w = static_cast<int>(w.dim(2));
-      if (w.dim(3) != x.dim(3)) {
-        return Status::InvalidArgument("conv channel mismatch");
-      }
-      if (attrs.conv.out_h() < 1 || attrs.conv.out_w() < 1) {
-        return Status::InvalidArgument(
-            "conv output would be empty (filter larger than input?)");
-      }
-      return Status::Ok();
-    }
-    case OpType::kDepthwiseConv2D: {
-      if (inputs.size() < 2) return Status::InvalidArgument("dwconv needs x, w");
-      const Shape& x = inputs[0]->shape;
-      const Shape& w = inputs[1]->shape;  // [fh, fw, c]
-      if (x.rank() != 4 || w.rank() != 3) {
-        return Status::InvalidArgument("dwconv operand ranks");
-      }
-      if (w.dim(2) != x.dim(3)) {
-        return Status::InvalidArgument("dwconv channel mismatch");
-      }
-      attrs.conv.batch = static_cast<int>(x.dim(0));
-      attrs.conv.in_h = static_cast<int>(x.dim(1));
-      attrs.conv.in_w = static_cast<int>(x.dim(2));
-      attrs.conv.in_c = static_cast<int>(x.dim(3));
-      attrs.conv.out_c = attrs.conv.in_c;
-      attrs.conv.filter_h = static_cast<int>(w.dim(0));
-      attrs.conv.filter_w = static_cast<int>(w.dim(1));
-      return Status::Ok();
-    }
-    case OpType::kMaxPool2D:
-    case OpType::kAvgPool2D:
-    case OpType::kLceBMaxPool2d: {
-      if (inputs.empty()) return Status::InvalidArgument("pool needs input");
-      const Shape& x = inputs[0]->shape;
-      if (x.rank() != 4) return Status::InvalidArgument("pool rank");
-      attrs.pool.batch = static_cast<int>(x.dim(0));
-      attrs.pool.in_h = static_cast<int>(x.dim(1));
-      attrs.pool.in_w = static_cast<int>(x.dim(2));
-      attrs.pool.channels = static_cast<int>(x.dim(3));
-      if (attrs.pool.out_h() < 1 || attrs.pool.out_w() < 1) {
-        return Status::InvalidArgument("pool output would be empty");
-      }
-      return Status::Ok();
-    }
-    case OpType::kFullyConnected:
-    case OpType::kLceBFullyConnected: {
-      if (inputs.size() < 2) return Status::InvalidArgument("fc needs x, w");
-      if (inputs[0]->shape.rank() != 2 || inputs[1]->shape.rank() != 2) {
-        return Status::InvalidArgument("fc operands must be rank 2");
-      }
-      attrs.fc_out_features = static_cast<int>(inputs[1]->shape.dim(0));
-      attrs.fc_in_features = static_cast<int>(inputs[1]->shape.dim(1));
-      if (inputs[0]->shape.dim(1) != attrs.fc_in_features) {
-        return Status::InvalidArgument("fc feature mismatch");
-      }
-      return Status::Ok();
-    }
+      return DataType::kInt8;
+    case OpType::kLceQuantize:
+    case OpType::kLceBMaxPool2d:
+      return DataType::kBitpacked;
+    case OpType::kLceBConv2d:
+      return attrs.bconv_output == BConvOutputType::kBitpacked
+                 ? DataType::kBitpacked
+                 : DataType::kFloat32;
     default:
-      return Status::Ok();
+      return DataType::kFloat32;
   }
+}
+
+Status RankError(const Value& v, const char* want) {
+  return Status::InvalidArgument("operand '" + v.name + "' must have rank " +
+                                 want + ", got " +
+                                 std::to_string(v.shape.rank()));
+}
+
+// Derives a convolution's geometry from x [N, H, W, C] and its weights
+// (OHWI, or [fh, fw, C] for depthwise); strides and padding come from `g`.
+Status ResolveConv(const Value& x, const Value& w, bool depthwise,
+                   Conv2DGeometry* g) {
+  if (x.shape.rank() != 4) return RankError(x, "4");
+  if (w.shape.rank() != (depthwise ? 3 : 4)) {
+    return RankError(w, depthwise ? "3" : "4");
+  }
+  const Shape& xs = x.shape;
+  const Shape& ws = w.shape;
+  const int f = depthwise ? 0 : 1;  // w's filter-height axis
+  const std::int64_t out_c = depthwise ? xs.dim(3) : ws.dim(0);
+  if (ws.dim(f + 2) != xs.dim(3)) {
+    return Status::InvalidArgument("conv weight/input channel mismatch");
+  }
+  if (!AllInRange({xs.dim(0), xs.dim(1), xs.dim(2), xs.dim(3), out_c,
+                   ws.dim(f), ws.dim(f + 1), g->stride_h, g->stride_w})) {
+    return Status::InvalidArgument("conv geometry out of supported range");
+  }
+  g->batch = static_cast<int>(xs.dim(0));
+  g->in_h = static_cast<int>(xs.dim(1));
+  g->in_w = static_cast<int>(xs.dim(2));
+  g->in_c = static_cast<int>(xs.dim(3));
+  g->out_c = static_cast<int>(out_c);
+  g->filter_h = static_cast<int>(ws.dim(f));
+  g->filter_w = static_cast<int>(ws.dim(f + 1));
+  if (g->out_h() < 1 || g->out_w() < 1) {
+    return Status::InvalidArgument(
+        "conv output would be empty (filter larger than input?)");
+  }
+  return Status::Ok();
+}
+
+// Derives a pooling window's geometry from x [N, H, W, C]; the filter,
+// strides and padding come from `g`.
+Status ResolvePool(const Value& x, Pool2DGeometry* g) {
+  const Shape& xs = x.shape;
+  if (xs.rank() != 4) return RankError(x, "4");
+  if (!AllInRange({xs.dim(0), xs.dim(1), xs.dim(2), xs.dim(3), g->filter_h,
+                   g->filter_w, g->stride_h, g->stride_w})) {
+    return Status::InvalidArgument("pool geometry out of supported range");
+  }
+  g->batch = static_cast<int>(xs.dim(0));
+  g->in_h = static_cast<int>(xs.dim(1));
+  g->in_w = static_cast<int>(xs.dim(2));
+  g->channels = static_cast<int>(xs.dim(3));
+  if (g->out_h() < 1 || g->out_w() < 1) {
+    return Status::InvalidArgument("pool output would be empty");
+  }
+  return Status::Ok();
+}
+
+// Derives a fully connected layer's features from x [N, in] and its
+// weights [out, in].
+Status ResolveFc(const Value& x, const Value& w, OpAttrs* attrs) {
+  if (x.shape.rank() != 2) return RankError(x, "2");
+  if (w.shape.rank() != 2) return RankError(w, "2");
+  if (x.shape.dim(1) != w.shape.dim(1)) {
+    return Status::InvalidArgument("fc input feature mismatch");
+  }
+  if (!AllInRange({w.shape.dim(0), w.shape.dim(1)})) {
+    return Status::InvalidArgument("fc features out of supported range");
+  }
+  attrs->fc_out_features = static_cast<int>(w.shape.dim(0));
+  attrs->fc_in_features = static_cast<int>(w.shape.dim(1));
+  return Status::Ok();
 }
 
 }  // namespace
 
-Status Graph::InferOutput(OpType type, const OpAttrs& attrs,
-                          const std::vector<const Value*>& inputs,
-                          DataType* dtype, Shape* shape) {
-  // Arity must be checked before any case dereferences inputs[0]/inputs[1]:
-  // node records in a model file can claim any operand count.
+Status Graph::InferOutput(OpType type, const std::vector<const Value*>& in,
+                          OpAttrs* attrs, DataType* dtype, Shape* shape) {
+  // The operand count comes first: node records in a model file can claim
+  // any count, and the cases below read in[0] (and in[1] for binary ops).
   const int arity = ExpectedArity(type);
-  if (arity >= 0 ? static_cast<int>(inputs.size()) != arity
-                 : inputs.size() < 2) {
-    return Status::InvalidArgument("wrong operand count for " +
-                                   std::string(OpTypeName(type)));
+  if (arity >= 0 ? static_cast<int>(in.size()) != arity : in.size() < 2) {
+    return Status::InvalidArgument("wrong operand count (" +
+                                   std::to_string(in.size()) + ")");
   }
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (!OperandDTypeOk(type, i, in[i]->dtype)) {
+      return Status::InvalidArgument(
+          "operand '" + in[i]->name + "' may not be " +
+          std::string(DataTypeName(in[i]->dtype)));
+    }
+  }
+  *dtype = OutputDType(type, *attrs);
+  const Value& x = *in[0];
+  const Shape& xs = x.shape;
   switch (type) {
-    case OpType::kConv2D: {
-      const Conv2DGeometry& g = attrs.conv;
-      *dtype = DataType::kFloat32;
-      *shape = Shape{g.batch, g.out_h(), g.out_w(), g.out_c};
-      return Status::Ok();
-    }
+    case OpType::kConv2D:
+    case OpType::kDepthwiseConv2D:
+    case OpType::kConv2DInt8:
     case OpType::kLceBConv2d: {
-      const Conv2DGeometry& g = attrs.conv;
-      if (inputs[0]->dtype != DataType::kBitpacked) {
-        return Status::InvalidArgument("LceBConv2d input must be bitpacked");
-      }
-      *dtype = attrs.bconv_output == BConvOutputType::kBitpacked
-                   ? DataType::kBitpacked
-                   : DataType::kFloat32;
+      const Conv2DGeometry& g = attrs->conv;
+      LCE_RETURN_IF_ERROR(ResolveConv(
+          x, *in[1], type == OpType::kDepthwiseConv2D, &attrs->conv));
       *shape = Shape{g.batch, g.out_h(), g.out_w(), g.out_c};
       return Status::Ok();
     }
-    case OpType::kDepthwiseConv2D: {
-      const Conv2DGeometry& g = attrs.conv;
-      *dtype = DataType::kFloat32;
-      *shape = Shape{g.batch, g.out_h(), g.out_w(), g.in_c};
+    case OpType::kMaxPool2D:
+    case OpType::kAvgPool2D:
+    case OpType::kLceBMaxPool2d: {
+      const Pool2DGeometry& g = attrs->pool;
+      LCE_RETURN_IF_ERROR(ResolvePool(x, &attrs->pool));
+      *shape = Shape{g.batch, g.out_h(), g.out_w(), g.channels};
       return Status::Ok();
     }
-    case OpType::kFakeSign:
+    case OpType::kFullyConnected:
+    case OpType::kLceBFullyConnected:
+      LCE_RETURN_IF_ERROR(ResolveFc(x, *in[1], attrs));
+      *shape = Shape{xs.dim(0), attrs->fc_out_features};
+      return Status::Ok();
     case OpType::kBatchNorm:
-    case OpType::kRelu:
     case OpType::kPRelu:
     case OpType::kSoftmax:
-      *dtype = DataType::kFloat32;
-      *shape = inputs[0]->shape;
+    case OpType::kLceQuantize:
+      // Per-channel and bitpacking ops work along the last axis.
+      if (xs.rank() < 1) return RankError(x, ">= 1");
+      *shape = xs;
       return Status::Ok();
-    case OpType::kMaxPool2D:
-    case OpType::kAvgPool2D: {
-      const Pool2DGeometry& g = attrs.pool;
-      *dtype = DataType::kFloat32;
-      *shape = Shape{g.batch, g.out_h(), g.out_w(), g.channels};
+    case OpType::kFakeSign:
+    case OpType::kRelu:
+    case OpType::kQuantizeInt8:
+    case OpType::kDequantizeInt8:
+    case OpType::kLceDequantize:
+      *shape = xs;
       return Status::Ok();
-    }
-    case OpType::kLceBMaxPool2d: {
-      const Pool2DGeometry& g = attrs.pool;
-      if (inputs[0]->dtype != DataType::kBitpacked) {
-        return Status::InvalidArgument("LceBMaxPool2d input must be bitpacked");
+    case OpType::kGlobalAvgPool:
+      if (xs.rank() != 4) return RankError(x, "4");
+      *shape = Shape{xs.dim(0), xs.dim(3)};
+      return Status::Ok();
+    case OpType::kAdd:
+      if (xs != in[1]->shape) {
+        return Status::InvalidArgument("add operand shapes must match");
       }
-      *dtype = DataType::kBitpacked;
-      *shape = Shape{g.batch, g.out_h(), g.out_w(), g.channels};
+      *shape = xs;
       return Status::Ok();
-    }
-    case OpType::kGlobalAvgPool: {
-      const Shape& x = inputs[0]->shape;
-      if (x.rank() != 4) return Status::InvalidArgument("gap rank");
-      *dtype = DataType::kFloat32;
-      *shape = Shape{x.dim(0), x.dim(3)};
-      return Status::Ok();
-    }
-    case OpType::kAdd: {
-      if (inputs.size() != 2 || inputs[0]->shape != inputs[1]->shape) {
-        return Status::InvalidArgument("add operands must match");
-      }
-      *dtype = DataType::kFloat32;
-      *shape = inputs[0]->shape;
-      return Status::Ok();
-    }
     case OpType::kConcat: {
-      if (inputs.size() < 2) return Status::InvalidArgument("concat arity");
-      const Shape& first = inputs[0]->shape;
-      if (first.rank() != 4) return Status::InvalidArgument("concat rank");
       std::int64_t channels = 0;
-      for (const Value* v : inputs) {
-        if (v->shape.rank() != 4 || v->shape.dim(0) != first.dim(0) ||
-            v->shape.dim(1) != first.dim(1) || v->shape.dim(2) != first.dim(2)) {
+      for (const Value* v : in) {
+        if (v->shape.rank() != 4) return RankError(*v, "4");
+        if (v->shape.dim(0) != xs.dim(0) || v->shape.dim(1) != xs.dim(1) ||
+            v->shape.dim(2) != xs.dim(2)) {
           return Status::InvalidArgument("concat spatial mismatch");
         }
         channels += v->shape.dim(3);
       }
-      *dtype = DataType::kFloat32;
-      *shape = Shape{first.dim(0), first.dim(1), first.dim(2), channels};
+      *shape = Shape{xs.dim(0), xs.dim(1), xs.dim(2), channels};
       return Status::Ok();
     }
-    case OpType::kSlice: {
-      const Shape& x = inputs[0]->shape;
-      if (x.rank() != 4) return Status::InvalidArgument("slice rank");
-      if (attrs.slice_begin < 0 || attrs.slice_count <= 0 ||
-          attrs.slice_begin + attrs.slice_count > x.dim(3)) {
+    case OpType::kSlice:
+      if (xs.rank() != 4) return RankError(x, "4");
+      if (attrs->slice_begin < 0 || attrs->slice_count <= 0 ||
+          std::int64_t{attrs->slice_begin} + attrs->slice_count > xs.dim(3)) {
         return Status::InvalidArgument("slice range out of bounds");
       }
-      *dtype = DataType::kFloat32;
-      *shape = Shape{x.dim(0), x.dim(1), x.dim(2), attrs.slice_count};
+      *shape = Shape{xs.dim(0), xs.dim(1), xs.dim(2), attrs->slice_count};
       return Status::Ok();
-    }
     case OpType::kMulChannel: {
-      if (inputs.size() != 2) return Status::InvalidArgument("mulch arity");
-      const Shape& x = inputs[0]->shape;
-      const Shape& gate = inputs[1]->shape;
-      if (x.rank() != 4 || gate.rank() != 2 || gate.dim(0) != x.dim(0) ||
-          gate.dim(1) != x.dim(3)) {
-        return Status::InvalidArgument("mulch shape mismatch");
+      const Shape& gate = in[1]->shape;
+      if (xs.rank() != 4) return RankError(x, "4");
+      if (gate.rank() != 2) return RankError(*in[1], "2");
+      if (gate.dim(0) != xs.dim(0) || gate.dim(1) != xs.dim(3)) {
+        return Status::InvalidArgument("gate shape does not match input");
       }
-      *dtype = DataType::kFloat32;
-      *shape = x;
+      *shape = xs;
       return Status::Ok();
     }
-    case OpType::kFullyConnected: {
-      *dtype = DataType::kFloat32;
-      *shape = Shape{inputs[0]->shape.dim(0), attrs.fc_out_features};
-      return Status::Ok();
-    }
-    case OpType::kLceBFullyConnected: {
-      if (inputs[0]->dtype != DataType::kBitpacked) {
-        return Status::InvalidArgument(
-            "LceBFullyConnected input must be bitpacked");
-      }
-      *dtype = DataType::kFloat32;
-      *shape = Shape{inputs[0]->shape.dim(0), attrs.fc_out_features};
-      return Status::Ok();
-    }
-    case OpType::kQuantizeInt8:
-      if (inputs[0]->dtype != DataType::kFloat32) {
-        return Status::InvalidArgument("QuantizeInt8 input must be float");
-      }
-      *dtype = DataType::kInt8;
-      *shape = inputs[0]->shape;
-      return Status::Ok();
-    case OpType::kDequantizeInt8:
-      if (inputs[0]->dtype != DataType::kInt8) {
-        return Status::InvalidArgument("DequantizeInt8 input must be int8");
-      }
-      *dtype = DataType::kFloat32;
-      *shape = inputs[0]->shape;
-      return Status::Ok();
-    case OpType::kConv2DInt8: {
-      const Conv2DGeometry& cg = attrs.conv;
-      if (inputs[0]->dtype != DataType::kInt8 ||
-          inputs[1]->dtype != DataType::kInt8) {
-        return Status::InvalidArgument("Conv2DInt8 operands must be int8");
-      }
-      *dtype = DataType::kInt8;
-      *shape = Shape{cg.batch, cg.out_h(), cg.out_w(), cg.out_c};
-      return Status::Ok();
-    }
-    case OpType::kLceQuantize:
-      *dtype = DataType::kBitpacked;
-      *shape = inputs[0]->shape;
-      return Status::Ok();
-    case OpType::kLceDequantize:
-      *dtype = DataType::kFloat32;
-      *shape = inputs[0]->shape;
-      return Status::Ok();
   }
-  return Status::Internal("unhandled op type");
+  return Status::InvalidArgument("invalid op type");
 }
 
 int Graph::AddNode(OpType type, std::string name, std::vector<int> inputs,
@@ -382,11 +334,13 @@ Status Graph::TryAddNode(OpType type, std::string name,
     in_vals.push_back(values_[id].get());
   }
 
-  LCE_RETURN_IF_ERROR(ResolveAttrs(type, attrs, in_vals));
-
   DataType dtype;
   Shape shape;
-  LCE_RETURN_IF_ERROR(InferOutput(type, attrs, in_vals, &dtype, &shape));
+  const Status s = InferOutput(type, in_vals, &attrs, &dtype, &shape);
+  if (!s.ok()) {
+    return Status::InvalidArgument(std::string(OpTypeName(type)) + " node '" +
+                                   name + "': " + s.message());
+  }
 
   auto n = std::make_unique<Node>();
   n->id = static_cast<int>(nodes_.size());
@@ -494,39 +448,6 @@ void Graph::ReplaceInput(int node_id, int old_v, int new_v) {
 
 void Graph::SetValueType(int value_id, DataType dtype) {
   values_[value_id]->dtype = dtype;
-}
-
-Status Graph::Validate() const {
-  for (const auto& n : nodes_) {
-    if (!n->alive) continue;
-    std::vector<const Value*> in_vals;
-    for (int id : n->inputs) {
-      const Value& v = *values_[id];
-      if (!v.alive) {
-        return Status::Internal("node " + n->name + " uses dead value " +
-                                v.name);
-      }
-      in_vals.push_back(&v);
-    }
-    DataType dtype;
-    Shape shape;
-    LCE_RETURN_IF_ERROR(Graph::InferOutput(n->type, n->attrs, in_vals, &dtype,
-                                           &shape));
-    const Value& out = *values_[n->outputs[0]];
-    if (out.dtype != dtype || out.shape != shape) {
-      return Status::Internal("node " + n->name +
-                              " output mismatch: stored " + out.shape.ToString() +
-                              " inferred " + shape.ToString());
-    }
-    if (out.producer != n->id) {
-      return Status::Internal("producer back-link broken at " + n->name);
-    }
-  }
-  // All graph outputs must be alive.
-  for (int out : output_ids_) {
-    if (!values_[out]->alive) return Status::Internal("dead graph output");
-  }
-  return Status::Ok();
 }
 
 std::size_t Graph::ConstantBytes() const {

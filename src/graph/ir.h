@@ -69,9 +69,8 @@ constexpr bool IsValidOpType(std::uint8_t v) {
 
 std::string_view OpTypeName(OpType t);
 
-// Exact operand count per op; -1 means variadic (kConcat, >= 2). Graph
-// construction (Graph::InferOutput) and validation (ValidateNode) both
-// check operand counts against this one table.
+// Exact operand count per op; -1 means variadic (kConcat, >= 2). The
+// operand contract (Graph::InferOutput) checks every node against it.
 int ExpectedArity(OpType t);
 
 // One attrs struct shared by all ops; each op reads the fields it needs.
@@ -133,8 +132,10 @@ class Graph {
   // --- construction ------------------------------------------------------
   int AddInput(std::string name, DataType dtype, Shape shape);
   int AddConstant(std::string name, Tensor data);
-  // Adds a node; output value shape/dtype are inferred. Returns the output
-  // value id. Invalid operands are a programmer error (LCE_CHECK).
+  // Adds a node after checking it against the op's contract (InferOutput),
+  // which also fills in the derived geometry and the output value's dtype
+  // and shape. Returns the output value id. Invalid operands are a
+  // programmer error (LCE_CHECK).
   int AddNode(OpType type, std::string name, std::vector<int> inputs,
               OpAttrs attrs);
 
@@ -172,15 +173,16 @@ class Graph {
   // Changes the dtype of a value (e.g. float -> bitpacked during lowering).
   void SetValueType(int value_id, DataType dtype);
 
-  // Re-checks that every live node's input/output shapes and dtypes are
-  // consistent; used to verify converter rewrites.
-  Status Validate() const;
-
-  // Infers (dtype, shape) of the output of a prospective node. Exposed for
-  // the converter, which needs it when building replacement ops.
-  static Status InferOutput(OpType type, const OpAttrs& attrs,
+  // The operand contract of every op, stated once. Checks the operand
+  // count, each operand's dtype and rank, and the conv, pool and fully
+  // connected geometry against the operand shapes (every extent, stride and
+  // filter within 2^24); writes the geometry it derives into `attrs` (the
+  // caller supplies only strides, filters and padding) and returns the
+  // output dtype and shape. TryAddNode runs it to build each node, and the
+  // validator (graph/validator.h) re-runs it on every stored node.
+  static Status InferOutput(OpType type,
                             const std::vector<const Value*>& inputs,
-                            DataType* dtype, Shape* shape);
+                            OpAttrs* attrs, DataType* dtype, Shape* shape);
 
   // Total byte size of all live constants (for model-size reporting).
   std::size_t ConstantBytes() const;

@@ -13,13 +13,6 @@
 namespace lce {
 namespace {
 
-// Spatial / filter / stride bound for convolution and pooling geometry.
-// Keeps all downstream `int` arithmetic (output sizes, padding amounts,
-// im2col indexing) far from overflow while being orders of magnitude above
-// any real model. Matches the bound the deserializer places on tensor
-// dimensions.
-constexpr std::int64_t kMaxConvDim = std::int64_t{1} << 24;
-
 std::string Desc(const Node& n) {
   return std::string(OpTypeName(n.type)) + " node '" + n.name + "'";
 }
@@ -39,32 +32,6 @@ Status CheckQuant(const Node& n, const char* which, const QuantParams& q) {
   }
   if (q.zero_point < -128 || q.zero_point > 127) {
     return Bad(n, std::string(which) + " quant zero point out of int8 range");
-  }
-  return Status::Ok();
-}
-
-Status CheckDType(const Node& n, const Value& v, DataType want) {
-  if (v.dtype != want) {
-    return Bad(n, "operand '" + v.name + "' must be " +
-                      std::string(DataTypeName(want)) + ", got " +
-                      std::string(DataTypeName(v.dtype)));
-  }
-  return Status::Ok();
-}
-
-Status CheckRank(const Node& n, const Value& v, int rank) {
-  if (v.shape.rank() != rank) {
-    return Bad(n, "operand '" + v.name + "' must have rank " +
-                      std::to_string(rank) + ", got " +
-                      std::to_string(v.shape.rank()));
-  }
-  return Status::Ok();
-}
-
-Status CheckMinRank(const Node& n, const Value& v, int rank) {
-  if (v.shape.rank() < rank) {
-    return Bad(n, "operand '" + v.name + "' must have rank >= " +
-                      std::to_string(rank));
   }
   return Status::Ok();
 }
@@ -112,67 +79,31 @@ Status CheckEnums(const Node& n) {
   return Status::Ok();
 }
 
-// Re-derives convolution geometry from the operand shapes (the same rules
-// graph construction uses) and cross-checks the stored attrs, so kernels can
-// trust attrs.conv at Run time even if a rewrite desynchronized it.
-Status CheckConvGeometry(const Node& n, const Value& x, const Value& w,
-                         bool depthwise) {
-  const Conv2DGeometry& g = n.attrs.conv;
-  LCE_RETURN_IF_ERROR(CheckRank(n, x, 4));
-  LCE_RETURN_IF_ERROR(CheckRank(n, w, depthwise ? 3 : 4));
-  const std::int64_t in_c = x.shape.dim(3);
-  const std::int64_t out_c = depthwise ? in_c : w.shape.dim(0);
-  const std::int64_t fh = depthwise ? w.shape.dim(0) : w.shape.dim(1);
-  const std::int64_t fw = depthwise ? w.shape.dim(1) : w.shape.dim(2);
-  const std::int64_t w_in_c = depthwise ? w.shape.dim(2) : w.shape.dim(3);
-  if (w_in_c != in_c) return Bad(n, "weight/input channel mismatch");
-  if (g.batch != x.shape.dim(0) || g.in_h != x.shape.dim(1) ||
-      g.in_w != x.shape.dim(2) || g.in_c != in_c || g.out_c != out_c ||
-      g.filter_h != fh || g.filter_w != fw) {
-    return Bad(n, "conv geometry does not match operand shapes");
+// Re-runs the operand contract (Graph::InferOutput) on a copy of the node's
+// attrs and requires the stored geometry and output value to equal what it
+// derives, so kernels can trust attrs and output shapes at Run time even if
+// a rewrite desynchronized them.
+Status CheckContract(const Graph& g, const Node& n) {
+  std::vector<const Value*> inputs;
+  inputs.reserve(n.inputs.size());
+  for (int id : n.inputs) inputs.push_back(&g.value(id));
+  OpAttrs derived = n.attrs;
+  DataType dtype;
+  Shape shape;
+  const Status s = Graph::InferOutput(n.type, inputs, &derived, &dtype, &shape);
+  if (!s.ok()) return Bad(n, s.message());
+  if (derived.conv != n.attrs.conv || derived.pool != n.attrs.pool ||
+      derived.fc_in_features != n.attrs.fc_in_features ||
+      derived.fc_out_features != n.attrs.fc_out_features) {
+    return Bad(n, "stored geometry does not match operand shapes");
   }
-  if (g.in_h > kMaxConvDim || g.in_w > kMaxConvDim ||
-      g.filter_h > kMaxConvDim || g.filter_w > kMaxConvDim ||
-      g.stride_h < 1 || g.stride_w < 1 || g.stride_h > kMaxConvDim ||
-      g.stride_w > kMaxConvDim) {
-    return Bad(n, "conv geometry out of supported range");
+  const Value& out = g.value(n.outputs[0]);
+  if (out.dtype != dtype || out.shape != shape) {
+    return Bad(n, "stored output " + std::string(DataTypeName(out.dtype)) +
+                      out.shape.ToString() + " does not match inferred " +
+                      std::string(DataTypeName(dtype)) + shape.ToString());
   }
-  // Safe to evaluate only after the range checks above.
-  if (g.out_h() < 1 || g.out_w() < 1) {
-    return Bad(n, "conv output would be empty");
-  }
-  return Status::Ok();
-}
-
-Status CheckPoolGeometry(const Node& n, const Value& x) {
-  const Pool2DGeometry& g = n.attrs.pool;
-  LCE_RETURN_IF_ERROR(CheckRank(n, x, 4));
-  if (g.batch != x.shape.dim(0) || g.in_h != x.shape.dim(1) ||
-      g.in_w != x.shape.dim(2) || g.channels != x.shape.dim(3)) {
-    return Bad(n, "pool geometry does not match input shape");
-  }
-  if (g.filter_h < 1 || g.filter_w < 1 || g.stride_h < 1 || g.stride_w < 1 ||
-      g.filter_h > kMaxConvDim || g.filter_w > kMaxConvDim ||
-      g.stride_h > kMaxConvDim || g.stride_w > kMaxConvDim ||
-      g.in_h > kMaxConvDim || g.in_w > kMaxConvDim) {
-    return Bad(n, "pool geometry out of supported range");
-  }
-  if (g.out_h() < 1 || g.out_w() < 1) {
-    return Bad(n, "pool output would be empty");
-  }
-  return Status::Ok();
-}
-
-Status CheckFcGeometry(const Node& n, const Value& x, const Value& w) {
-  LCE_RETURN_IF_ERROR(CheckRank(n, x, 2));
-  LCE_RETURN_IF_ERROR(CheckRank(n, w, 2));
-  if (n.attrs.fc_out_features != w.shape.dim(0) ||
-      n.attrs.fc_in_features != w.shape.dim(1)) {
-    return Bad(n, "fc features do not match weight shape");
-  }
-  if (x.shape.dim(1) != n.attrs.fc_in_features) {
-    return Bad(n, "fc input feature mismatch");
-  }
+  if (out.producer != n.id) return Bad(n, "output's producer link is broken");
   return Status::Ok();
 }
 
@@ -198,8 +129,7 @@ Status CheckIm2ColBytes(const Node& n, std::int64_t depth,
   return Status::Ok();
 }
 
-// Per-node resource checks (separate from semantics so ValidateNode stays
-// limit-free for callers that only care about legality).
+// Per-node resource checks.
 Status ValidateNodeResources(const Node& n, const ResourceLimits& limits) {
   if (static_cast<std::int64_t>(n.inputs.size()) > limits.max_node_inputs) {
     return Status::ResourceExhausted(Desc(n) + ": too many operands");
@@ -230,51 +160,33 @@ Status ValidateNodeResources(const Node& n, const ResourceLimits& limits) {
   }
 }
 
-}  // namespace
-
+// One live node: its operand contract, plus the rules the contract cannot
+// state -- enums, constant weights, per-channel attribute vectors,
+// quantization parameters and the ops' padding restrictions. The node's
+// operand and output ids must be in range for `g`.
 Status ValidateNode(const Graph& g, const Node& n) {
   if (!IsValidOpType(static_cast<std::uint8_t>(n.type))) {
     return Status::InvalidArgument("node '" + n.name + "' has invalid op type");
-  }
-  const int arity = ExpectedArity(n.type);
-  if (arity >= 0 ? static_cast<int>(n.inputs.size()) != arity
-                 : n.inputs.size() < 2) {
-    return Bad(n, "wrong operand count (" + std::to_string(n.inputs.size()) +
-                      ")");
   }
   if (n.outputs.size() != 1) {
     return Bad(n, "must have exactly one output");
   }
   LCE_RETURN_IF_ERROR(CheckEnums(n));
+  LCE_RETURN_IF_ERROR(CheckContract(g, n));
 
   const OpAttrs& a = n.attrs;
-  const Value& x = g.value(n.inputs[0]);
   switch (n.type) {
-    case OpType::kConv2D: {
-      const Value& w = g.value(n.inputs[1]);
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
-      LCE_RETURN_IF_ERROR(CheckConstWeight(n, w));
-      LCE_RETURN_IF_ERROR(CheckDType(n, w, DataType::kFloat32));
-      LCE_RETURN_IF_ERROR(CheckConvGeometry(n, x, w, /*depthwise=*/false));
+    case OpType::kConv2D:
+      LCE_RETURN_IF_ERROR(CheckConstWeight(n, g.value(n.inputs[1])));
       return CheckPerChannel(n, "bias", a.bias.size(), a.conv.out_c);
-    }
-    case OpType::kDepthwiseConv2D: {
-      const Value& w = g.value(n.inputs[1]);
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
-      LCE_RETURN_IF_ERROR(CheckConstWeight(n, w));
-      LCE_RETURN_IF_ERROR(CheckDType(n, w, DataType::kFloat32));
-      LCE_RETURN_IF_ERROR(CheckConvGeometry(n, x, w, /*depthwise=*/true));
+    case OpType::kDepthwiseConv2D:
+      LCE_RETURN_IF_ERROR(CheckConstWeight(n, g.value(n.inputs[1])));
       if (a.conv.padding == Padding::kSameOne) {
         return Bad(n, "one-padding is not supported for depthwise conv");
       }
       return CheckPerChannel(n, "bias", a.bias.size(), a.conv.in_c);
-    }
-    case OpType::kConv2DInt8: {
-      const Value& w = g.value(n.inputs[1]);
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kInt8));
-      LCE_RETURN_IF_ERROR(CheckConstWeight(n, w));
-      LCE_RETURN_IF_ERROR(CheckDType(n, w, DataType::kInt8));
-      LCE_RETURN_IF_ERROR(CheckConvGeometry(n, x, w, /*depthwise=*/false));
+    case OpType::kConv2DInt8:
+      LCE_RETURN_IF_ERROR(CheckConstWeight(n, g.value(n.inputs[1])));
       if (a.conv.padding == Padding::kSameOne) {
         return Bad(n, "one-padding is not supported for int8 conv");
       }
@@ -296,46 +208,23 @@ Status ValidateNode(const Graph& g, const Node& n) {
                                           a.conv.out_c));
       return CheckPerChannel(n, "bias_int32", a.bias_int32.size(),
                              a.conv.out_c);
-    }
-    case OpType::kLceBConv2d: {
-      const Value& w = g.value(n.inputs[1]);
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kBitpacked));
-      LCE_RETURN_IF_ERROR(CheckConstWeight(n, w));
-      if (w.dtype != DataType::kFloat32 && w.dtype != DataType::kBitpacked) {
-        return Bad(n, "weights must be float32 or bitpacked");
-      }
-      LCE_RETURN_IF_ERROR(CheckConvGeometry(n, x, w, /*depthwise=*/false));
+    case OpType::kLceBConv2d:
+      LCE_RETURN_IF_ERROR(CheckConstWeight(n, g.value(n.inputs[1])));
       LCE_RETURN_IF_ERROR(
           CheckPerChannel(n, "multiplier", a.multiplier.size(), a.conv.out_c));
       return CheckPerChannel(n, "bias", a.bias.size(), a.conv.out_c);
-    }
-    case OpType::kFullyConnected: {
-      const Value& w = g.value(n.inputs[1]);
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
-      LCE_RETURN_IF_ERROR(CheckConstWeight(n, w));
-      LCE_RETURN_IF_ERROR(CheckDType(n, w, DataType::kFloat32));
-      LCE_RETURN_IF_ERROR(CheckFcGeometry(n, x, w));
+    case OpType::kFullyConnected:
+      LCE_RETURN_IF_ERROR(CheckConstWeight(n, g.value(n.inputs[1])));
       return CheckPerChannel(n, "bias", a.bias.size(), a.fc_out_features);
-    }
-    case OpType::kLceBFullyConnected: {
-      const Value& w = g.value(n.inputs[1]);
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kBitpacked));
-      LCE_RETURN_IF_ERROR(CheckConstWeight(n, w));
-      if (w.dtype != DataType::kFloat32 && w.dtype != DataType::kBitpacked) {
-        return Bad(n, "weights must be float32 or bitpacked");
-      }
-      LCE_RETURN_IF_ERROR(CheckFcGeometry(n, x, w));
+    case OpType::kLceBFullyConnected:
+      LCE_RETURN_IF_ERROR(CheckConstWeight(n, g.value(n.inputs[1])));
       LCE_RETURN_IF_ERROR(CheckPerChannel(n, "multiplier", a.multiplier.size(),
                                           a.fc_out_features));
       return CheckPerChannel(n, "bias", a.bias.size(), a.fc_out_features);
-    }
-    case OpType::kFakeSign:
-    case OpType::kRelu:
-      return CheckDType(n, x, DataType::kFloat32);
     case OpType::kBatchNorm: {
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
-      LCE_RETURN_IF_ERROR(CheckMinRank(n, x, 1));
-      const std::int64_t c = x.shape.dim(x.shape.rank() - 1);
+      // The contract guarantees a last (channel) axis.
+      const Shape& x = g.value(n.inputs[0]).shape;
+      const std::int64_t c = x.dim(x.rank() - 1);
       if (static_cast<std::int64_t>(a.bn_scale.size()) != c ||
           static_cast<std::int64_t>(a.bn_offset.size()) != c) {
         return Bad(n, "bn_scale/bn_offset must have one entry per channel");
@@ -343,63 +232,21 @@ Status ValidateNode(const Graph& g, const Node& n) {
       return Status::Ok();
     }
     case OpType::kPRelu: {
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
-      LCE_RETURN_IF_ERROR(CheckMinRank(n, x, 1));
-      const std::int64_t c = x.shape.dim(x.shape.rank() - 1);
-      if (static_cast<std::int64_t>(a.prelu_slope.size()) != c) {
+      const Shape& x = g.value(n.inputs[0]).shape;
+      if (static_cast<std::int64_t>(a.prelu_slope.size()) !=
+          x.dim(x.rank() - 1)) {
         return Bad(n, "prelu_slope must have one entry per channel");
       }
       return Status::Ok();
     }
-    case OpType::kSoftmax:
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
-      return CheckMinRank(n, x, 1);
-    case OpType::kMaxPool2D:
-    case OpType::kAvgPool2D:
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
-      return CheckPoolGeometry(n, x);
-    case OpType::kLceBMaxPool2d:
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kBitpacked));
-      return CheckPoolGeometry(n, x);
-    case OpType::kGlobalAvgPool:
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
-      return CheckRank(n, x, 4);
-    case OpType::kAdd: {
-      const Value& b = g.value(n.inputs[1]);
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
-      LCE_RETURN_IF_ERROR(CheckDType(n, b, DataType::kFloat32));
-      if (x.shape != b.shape) return Bad(n, "operand shapes must match");
-      return Status::Ok();
-    }
-    case OpType::kConcat:
-      for (int id : n.inputs) {
-        LCE_RETURN_IF_ERROR(CheckDType(n, g.value(id), DataType::kFloat32));
-      }
-      return Status::Ok();
-    case OpType::kMulChannel: {
-      const Value& gate = g.value(n.inputs[1]);
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
-      return CheckDType(n, gate, DataType::kFloat32);
-    }
-    case OpType::kSlice:
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
-      return CheckRank(n, x, 4);
     case OpType::kQuantizeInt8:
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
       return CheckQuant(n, "output", a.output_quant);
     case OpType::kDequantizeInt8:
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kInt8));
       return CheckQuant(n, "input", a.input_quant);
-    case OpType::kLceQuantize:
-      LCE_RETURN_IF_ERROR(CheckDType(n, x, DataType::kFloat32));
-      return CheckMinRank(n, x, 1);
-    case OpType::kLceDequantize:
-      return CheckDType(n, x, DataType::kBitpacked);
+    default:
+      return Status::Ok();
   }
-  return Status::InvalidArgument("node '" + n.name + "' has invalid op type");
 }
-
-namespace {
 
 Status ValidateGraphImpl(const Graph& g, const ResourceLimits& limits) {
   if (static_cast<std::int64_t>(g.nodes().size()) > limits.max_nodes) {
@@ -503,10 +350,6 @@ Status ValidateGraphImpl(const Graph& g, const ResourceLimits& limits) {
     LCE_RETURN_IF_ERROR(ValidateNode(g, *n));
     LCE_RETURN_IF_ERROR(ValidateNodeResources(*n, limits));
   }
-
-  // Structural re-inference: stored output shapes/dtypes must match what the
-  // ops produce, and producer back-links must hold.
-  LCE_RETURN_IF_ERROR(g.Validate());
 
   // Acyclicity: every live node must be reachable in a topological sweep.
   if (static_cast<std::int64_t>(g.TopologicalOrder().size()) != live_nodes) {

@@ -7,8 +7,11 @@
 // any further checks on model-derived data. Concretely, for every live node
 // it verifies:
 //
-//   * operand arity, ranks, and dtypes for all op types;
-//   * weight operands are constants of the expected dtype and rank;
+//   * the op's operand contract (Graph::InferOutput, graph/ir.h): operand
+//     count, dtypes and ranks, and the conv/pool/FC geometry, re-run on the
+//     stored node; the stored geometry and output value must equal what the
+//     contract derives, so a rewrite cannot desynchronize them;
+//   * weight operands are constants with backing storage;
 //   * per-channel attribute vectors (bias, multiplier, bn_scale/offset,
 //     prelu_slope, bias_int32, weight_scales) are empty or exactly
 //     channel-sized;
@@ -16,10 +19,10 @@
 //     output type) and op-specific padding restrictions hold;
 //   * quantization parameters are finite and positive where a kernel will
 //     divide by or cast through them;
-//   * bitpacked values have rank >= 1 (the storage layout packs the
-//     innermost dimension) and bconv operands agree channel-wise;
-//   * stored output shapes/dtypes match re-inference (via Graph::Validate),
-//     the graph is acyclic, and all producer/consumer links are alive.
+//
+// and for the whole graph: bitpacked values have rank >= 1 (the storage
+// layout packs the innermost dimension), the graph is acyclic, and all
+// producer/consumer links and graph inputs/outputs are alive.
 //
 // It also enforces ResourceLimits: per-tensor element/byte caps (computed
 // overflow-checked), total constant bytes, node/value counts, and a bound
@@ -38,16 +41,11 @@
 
 namespace lce {
 
-// Validates a single live node's semantics (arity, operand dtypes/ranks,
-// constant-weight requirements, attribute legality). The node's input value
-// ids must be in range for `g` (guaranteed for graphs built through
-// Graph::TryAddNode).
-Status ValidateNode(const Graph& g, const Node& n);
-
-// Full-graph validation: structural consistency (Graph::Validate), per-node
-// semantics (ValidateNode), topological sanity, graph-input/output
-// liveness, and resource limits. Called by DeserializeGraph on every loaded
-// model and by CompiledModel::Compile before planning memory.
+// The one graph validator: per-node semantics (above), topological sanity,
+// graph-input/output liveness, and resource limits. Called by
+// DeserializeGraph on every loaded model and by CompiledModel::Compile
+// before planning memory; the converter and the post-training quantizer run
+// it with ResourceLimits::Unlimited() after their rewrites.
 Status ValidateGraph(const Graph& g, const ResourceLimits& limits = {});
 
 // Admissibility predicate for the specialization surface (docs/SERVING.md,

@@ -33,6 +33,8 @@ struct Conv2DGeometry {
            filter_w * in_c * out_c;
   }
 
+  bool operator==(const Conv2DGeometry&) const = default;
+
  private:
   int OutSize(int in, int filter, int stride) const {
     if (padding == Padding::kValid) {
@@ -59,6 +61,8 @@ struct Pool2DGeometry {
   int out_w() const { return OutSize(in_w, filter_w, stride_w); }
   int pad_h_begin() const { return PadBegin(in_h, filter_h, stride_h); }
   int pad_w_begin() const { return PadBegin(in_w, filter_w, stride_w); }
+
+  bool operator==(const Pool2DGeometry&) const = default;
 
  private:
   int OutSize(int in, int filter, int stride) const {

@@ -26,6 +26,7 @@
 #include "core/tensor.h"
 #include "graph/compiled_model.h"
 #include "graph/printer.h"
+#include "graph/validator.h"
 #include "models/builder.h"
 #include "models/macs.h"
 #include "models/zoo.h"

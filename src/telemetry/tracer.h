@@ -12,14 +12,11 @@
 //     Compile to record the compile phases;
 //   * from the environment: LCE_TRACE=<path> enables tracing at startup and
 //     writes the Chrome trace JSON to <path> at process exit (so any
-//     existing binary can be traced without code changes);
-//   * at compile time the whole mechanism is removed with
-//     -DLCE_TELEMETRY_DISABLED (cmake -DLCE_TELEMETRY=OFF): the macros
-//     expand to nothing and `TracingActive()` folds to `false`.
+//     existing binary can be traced without code changes).
 //
-// When compiled in but disabled, an instrumented scope costs one relaxed
-// atomic load. Buffer overflow never corrupts output: excess spans are
-// dropped and counted in the `tracer.dropped_spans` metric.
+// While disabled, an instrumented scope costs one relaxed atomic load.
+// Buffer overflow never corrupts output: excess spans are dropped and
+// counted in the `tracer.dropped_spans` metric.
 //
 // Usage:
 //   void Compute(...) {
@@ -40,12 +37,6 @@
 #include "telemetry/clock.h"
 
 namespace lce::telemetry {
-
-#ifdef LCE_TELEMETRY_DISABLED
-inline constexpr bool kTracingCompiledIn = false;
-#else
-inline constexpr bool kTracingCompiledIn = true;
-#endif
 
 // Span names longer than this are truncated when recorded (names are copied
 // into fixed-size slots so the buffers stay allocation-free and POD).
@@ -142,16 +133,10 @@ class Tracer {
   friend void DumpTraceAtExit();
 };
 
-// True when tracing is compiled in and currently enabled. Call sites doing
-// manual RecordComplete bookkeeping should branch on this so the disabled
-// path stays free of clock reads.
-inline bool TracingActive() {
-  if constexpr (!kTracingCompiledIn) {
-    return false;
-  } else {
-    return Tracer::Global().enabled();
-  }
-}
+// True when tracing is currently enabled. Call sites doing manual
+// RecordComplete bookkeeping should branch on this so the disabled path
+// stays free of clock reads.
+inline bool TracingActive() { return Tracer::Global().enabled(); }
 
 // RAII span: records [construction, destruction) on the calling thread.
 // When tracing is disabled at construction time, destruction is free.
@@ -194,14 +179,6 @@ class TraceScope {
 #define LCE_TRACE_CONCAT_INNER(a, b) a##b
 #define LCE_TRACE_CONCAT(a, b) LCE_TRACE_CONCAT_INNER(a, b)
 
-#ifdef LCE_TELEMETRY_DISABLED
-#define LCE_TRACE_SCOPE(name) \
-  do {                        \
-  } while (0)
-#define LCE_TRACE_SCOPE_CAT(name, category) \
-  do {                                      \
-  } while (0)
-#else
 // Span covering the rest of the enclosing scope. `name` may be any
 // expression convertible to const char* that stays valid until scope exit
 // (string literals and node-name c_str()s both qualify).
@@ -211,7 +188,6 @@ class TraceScope {
 #define LCE_TRACE_SCOPE_CAT(name, category)   \
   ::lce::telemetry::TraceScope LCE_TRACE_CONCAT(lce_trace_scope_, \
                                                 __LINE__)((name), (category))
-#endif
 
 }  // namespace lce::telemetry
 

@@ -212,6 +212,15 @@ void Trainer::Backward() {
         const auto& xin = value_data_.at(n.inputs[0]);
         const Value& wv = graph_.value(n.inputs[1]);
         const float* w = wv.constant_data.data<float>();
+        // A binarized conv ran on the signs of its latent weights.
+        std::vector<float> w_sign;
+        if (n.attrs.binarize_weights) {
+          w_sign.resize(wv.constant_data.num_elements());
+          for (std::size_t i = 0; i < w_sign.size(); ++i) {
+            w_sign[i] = SignValue(w[i]);
+          }
+          w = w_sign.data();
+        }
         auto& dx = grad_of(n.inputs[0]);
         auto& dw = params_.at(wv.id).grad;
         float* db = n.attrs.bias.empty() ? nullptr
@@ -237,23 +246,22 @@ void Trainer::Backward() {
                   const int iy = oy * g.stride_h - ph + ky;
                   for (int kx = 0; kx < g.filter_w; ++kx) {
                     const int ix = ox * g.stride_w - pw + kx;
-                    const bool padded =
-                        iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w;
+                    const std::int64_t wk =
+                        ((static_cast<std::int64_t>(oc) * g.filter_h + ky) *
+                             g.filter_w + kx) * g.in_c;
+                    float* dwk = dw.data() + wk;
+                    if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) {
+                      for (int c = 0; c < g.in_c; ++c) dwk[c] += gy * pad;
+                      continue;
+                    }
+                    const std::int64_t xk =
+                        (static_cast<std::int64_t>(iy) * g.in_w + ix) * g.in_c;
+                    const float* xt = xi + xk;
+                    const float* wt = w + wk;
+                    float* dxt = dxi + xk;
                     for (int c = 0; c < g.in_c; ++c) {
-                      const std::int64_t widx =
-                          ((static_cast<std::int64_t>(oc) * g.filter_h + ky) *
-                               g.filter_w + kx) * g.in_c + c;
-                      float weff = w[widx];
-                      if (n.attrs.binarize_weights) weff = SignValue(weff);
-                      const float xv =
-                          padded ? pad
-                                 : xi[(static_cast<std::int64_t>(iy) * g.in_w +
-                                       ix) * g.in_c + c];
-                      dw[widx] += gy * xv;
-                      if (!padded) {
-                        dxi[(static_cast<std::int64_t>(iy) * g.in_w + ix) *
-                                g.in_c + c] += gy * weff;
-                      }
+                      dwk[c] += gy * xt[c];
+                      dxt[c] += gy * wt[c];
                     }
                   }
                 }

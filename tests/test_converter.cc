@@ -12,6 +12,7 @@
 #include "converter/passes.h"
 #include "core/random.h"
 #include "graph/compiled_model.h"
+#include "graph/validator.h"
 #include "models/builder.h"
 
 namespace lce {
@@ -85,7 +86,7 @@ Graph MicroModel(bool with_shortcut, Padding bin_pad) {
 TEST(CloneGraph, ClonesComputeTheSameFunction) {
   Graph g = MicroModel(true, Padding::kSameOne);
   Graph clone = CloneGraph(g);
-  ASSERT_TRUE(clone.Validate().ok());
+  ASSERT_TRUE(ValidateGraph(clone, ResourceLimits::Unlimited()).ok());
   ExpectSameFunction(g, clone, 1, 0.0f);
 }
 
@@ -98,7 +99,7 @@ TEST(ConverterPasses, FuseBatchNormIntoFloatConv) {
   g.MarkOutput(x);
   Graph converted = CloneGraph(g);
   EXPECT_EQ(FuseBatchNormIntoFloatConv(converted), 1);
-  ASSERT_TRUE(converted.Validate().ok());
+  ASSERT_TRUE(ValidateGraph(converted, ResourceLimits::Unlimited()).ok());
   EXPECT_EQ(converted.CountOps(OpType::kBatchNorm), 0);
   ExpectSameFunction(g, converted, 2, 1e-4f);
 }
@@ -136,7 +137,7 @@ TEST(ConverterPasses, LowerBinarizedConvs) {
   Graph converted = CloneGraph(g);
   EXPECT_EQ(LowerBinarizedConvs(converted), 1);
   EliminateDeadNodes(converted);
-  ASSERT_TRUE(converted.Validate().ok());
+  ASSERT_TRUE(ValidateGraph(converted, ResourceLimits::Unlimited()).ok());
   EXPECT_EQ(converted.CountOps(OpType::kLceQuantize), 1);
   EXPECT_EQ(converted.CountOps(OpType::kLceBConv2d), 1);
   EXPECT_EQ(converted.CountOps(OpType::kFakeSign), 0);
@@ -164,7 +165,7 @@ TEST(ConverterPasses, FuseBConvOutputTransform) {
   LowerBinarizedConvs(g);
   const int fused = FuseBConvOutputTransform(g);
   EXPECT_GE(fused, 3);  // relu+bn on layer 1, bn on layers 2 and 3
-  ASSERT_TRUE(g.Validate().ok());
+  ASSERT_TRUE(ValidateGraph(g, ResourceLimits::Unlimited()).ok());
 }
 
 TEST(ConverterPasses, ElideQuantizeMakesBitpackedChain) {

@@ -4,6 +4,7 @@
 
 #include "core/random.h"
 #include "graph/ir.h"
+#include "graph/validator.h"
 #include "models/builder.h"
 
 namespace lce {
@@ -48,7 +49,8 @@ TEST(GraphIR, ValidatePassesOnWellFormedGraph) {
   x = b.GlobalAvgPool(x);
   x = b.Dense(x, 10);
   g.MarkOutput(x);
-  EXPECT_TRUE(g.Validate().ok()) << g.Validate().message();
+  const Status s = ValidateGraph(g, ResourceLimits::Unlimited());
+  EXPECT_TRUE(s.ok()) << s.message();
 }
 
 TEST(GraphIR, TopologicalOrderRespectsDependencies) {
@@ -78,7 +80,7 @@ TEST(GraphIR, TopologicalOrderHandlesLateInsertedProducers) {
   attrs.bn_offset.assign(4, 0.0f);
   const int bn_out = g.AddNode(OpType::kBatchNorm, "late_bn", {x}, attrs);
   g.ReplaceInput(g.value(relu_out).producer, x, bn_out);
-  ASSERT_TRUE(g.Validate().ok());
+  ASSERT_TRUE(ValidateGraph(g, ResourceLimits::Unlimited()).ok());
   const auto order = g.TopologicalOrder();
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(g.node(order[0]).name, "late_bn");
@@ -120,7 +122,7 @@ TEST(GraphIR, ValidateCatchesDanglingOutput) {
   const int y = b.Relu(x);
   g.MarkOutput(y);
   g.RemoveNode(g.value(y).producer);
-  EXPECT_FALSE(g.Validate().ok());
+  EXPECT_FALSE(ValidateGraph(g, ResourceLimits::Unlimited()).ok());
 }
 
 TEST(GraphIR, ConcatChannelArithmetic) {

@@ -12,6 +12,7 @@
 #include "converter/serializer.h"
 #include "core/random.h"
 #include "graph/compiled_model.h"
+#include "graph/validator.h"
 #include "models/macs.h"
 #include "models/zoo.h"
 
@@ -42,7 +43,7 @@ class ZooModelTest : public ::testing::TestWithParam<int> {};
 TEST_P(ZooModelTest, BuildsValidatesAndConverts) {
   const ZooModel& m = AllZooModels()[GetParam()];
   Graph g = m.build(kTestHw);
-  ASSERT_TRUE(g.Validate().ok()) << m.name;
+  ASSERT_TRUE(ValidateGraph(g, ResourceLimits::Unlimited()).ok()) << m.name;
   ASSERT_GT(g.CountOps(OpType::kConv2D), 0);
 
   Graph converted = CloneGraph(g);
@@ -127,7 +128,7 @@ TEST(QuickNet, Table3Configurations) {
 
 TEST(QuickNet, StemReducesSpatialBy4) {
   Graph g = BuildQuickNet(QuickNetMediumConfig(), 224);
-  ASSERT_TRUE(g.Validate().ok());
+  ASSERT_TRUE(ValidateGraph(g, ResourceLimits::Unlimited()).ok());
   // Find the first binarized conv and check its input spatial size is 56.
   for (const auto& n : g.nodes()) {
     if (n->type == OpType::kConv2D && n->attrs.binarize_weights) {
@@ -159,9 +160,9 @@ TEST(ShortcutAblation, VariantsDifferOnlyInGlue) {
   Graph a = BuildBinarizedResNet18(ShortcutMode::kAllBlocks, kTestHw);
   Graph b = BuildBinarizedResNet18(ShortcutMode::kRegularOnly, kTestHw);
   Graph c = BuildBinarizedResNet18(ShortcutMode::kNone, kTestHw);
-  ASSERT_TRUE(a.Validate().ok());
-  ASSERT_TRUE(b.Validate().ok());
-  ASSERT_TRUE(c.Validate().ok());
+  ASSERT_TRUE(ValidateGraph(a, ResourceLimits::Unlimited()).ok());
+  ASSERT_TRUE(ValidateGraph(b, ResourceLimits::Unlimited()).ok());
+  ASSERT_TRUE(ValidateGraph(c, ResourceLimits::Unlimited()).ok());
   const auto sa = ComputeModelStats(a);
   const auto sb = ComputeModelStats(b);
   const auto sc = ComputeModelStats(c);

@@ -11,6 +11,7 @@
 #include "core/bitpack.h"
 #include "core/random.h"
 #include "graph/compiled_model.h"
+#include "graph/validator.h"
 #include "kernels/bconv2d.h"
 #include "kernels/bmaxpool.h"
 #include "kernels/pooling.h"
@@ -255,7 +256,7 @@ TEST_P(RandomGraphFuzz, ConversionPreservesSemantics) {
   x = b.GlobalAvgPool(x);
   x = b.Dense(x, 8);
   g.MarkOutput(x);
-  ASSERT_TRUE(g.Validate().ok());
+  ASSERT_TRUE(ValidateGraph(g, ResourceLimits::Unlimited()).ok());
 
   Graph converted = CloneGraph(g);
   ASSERT_TRUE(Convert(converted).ok());

@@ -64,7 +64,7 @@ TEST(PublicApi, ZooAndCostModelReachable) {
   using namespace lce;
   EXPECT_EQ(AllZooModels().size(), 14u);
   Graph g = BuildQuickNet(QuickNetSmallConfig(), 64);
-  EXPECT_TRUE(g.Validate().ok());
+  EXPECT_TRUE(ValidateGraph(g, ResourceLimits::Unlimited()).ok());
 }
 
 }  // namespace

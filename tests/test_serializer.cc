@@ -242,6 +242,21 @@ TEST(Serializer, EnforcesModelByteLimitOnConstants) {
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
 }
 
+TEST(Serializer, ContractViolationIsInvalidArgument) {
+  // A node that decodes but breaks its op's contract (here Add on bitpacked
+  // operands) is a semantic error, not a malformed byte stream.
+  Graph g;
+  const int a = g.AddInput("a", DataType::kFloat32, Shape{1, 64});
+  const int b = g.AddInput("b", DataType::kFloat32, Shape{1, 64});
+  g.MarkOutput(g.AddNode(OpType::kAdd, "add", {a, b}, OpAttrs{}));
+  g.SetValueType(a, DataType::kBitpacked);
+  g.SetValueType(b, DataType::kBitpacked);
+  const auto bytes = SerializeGraph(g);
+  Graph loaded;
+  const Status s = DeserializeGraph(bytes.data(), bytes.size(), &loaded);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.message();
+}
+
 TEST(Serializer, RejectsTrailingGarbage) {
   Graph g = SmallModel();
   auto bytes = SerializeGraph(g);

@@ -28,6 +28,7 @@ Graph SmallModel() {
   x = b.Conv(x, 16, 3, 2, Padding::kSameZero);
   x = b.BatchNorm(x);
   x = b.Relu(x);
+  x = b.MaxPool(x, 2, 2, Padding::kValid);
   x = b.BinaryConv(x, 16, 3, 1, Padding::kSameOne);
   x = b.BatchNorm(x);
   x = b.GlobalAvgPool(x);
@@ -144,6 +145,20 @@ TEST(Validator, TryAddNodeRejectsEmptyConvOutput) {
   EXPECT_FALSE(g.TryAddNode(OpType::kConv2D, "c", {x, wid}, a, &out).ok());
 }
 
+TEST(Validator, TryAddNodeRejectsOverflowingSliceRange) {
+  // slice_begin + slice_count must not wrap in int arithmetic and pass the
+  // channel bound check.
+  Graph g;
+  const int x = g.AddInput("x", DataType::kFloat32, Shape{1, 4, 4, 16});
+  OpAttrs a;
+  a.slice_begin = std::numeric_limits<int>::max() - 4;
+  a.slice_count = 8;
+  int out = -1;
+  const Status s = g.TryAddNode(OpType::kSlice, "s", {x}, a, &out);
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+}
+
 // ---- ValidateGraph rejects corrupted-but-parseable graphs -------------------
 
 // Each case corrupts one aspect of a freshly built valid graph and names the
@@ -172,6 +187,14 @@ void WrongBiasSize(Graph& g) {
 void GeometryMismatch(Graph& g) {
   FindNode(g, OpType::kConv2D).attrs.conv.in_h += 1;
 }
+void PoolGeometryMismatch(Graph& g) {
+  FindNode(g, OpType::kMaxPool2D).attrs.pool.in_w += 1;
+}
+void FcFeatureMismatch(Graph& g) {
+  // Only the contract guards fc_in_features; a wrong fc_out_features would
+  // also trip the bias size check.
+  FindNode(g, OpType::kFullyConnected).attrs.fc_in_features += 1;
+}
 void WrongMultiplierSize(Graph& g) {
   Node& n = FindNode(g, OpType::kLceBConv2d);
   n.attrs.multiplier.assign(n.attrs.conv.out_c + 1, 1.0f);
@@ -189,6 +212,10 @@ TEST(Validator, RejectsCorruptedGraphs) {
       {"BadPaddingEnum", false, BadPaddingEnum, StatusCode::kInvalidArgument},
       {"WrongBiasSize", false, WrongBiasSize, StatusCode::kInvalidArgument},
       {"GeometryMismatch", false, GeometryMismatch,
+       StatusCode::kInvalidArgument},
+      {"PoolGeometryMismatch", false, PoolGeometryMismatch,
+       StatusCode::kInvalidArgument},
+      {"FcFeatureMismatch", false, FcFeatureMismatch,
        StatusCode::kInvalidArgument},
       {"WrongMultiplierSize", true, WrongMultiplierSize,
        StatusCode::kInvalidArgument},
@@ -208,16 +235,31 @@ TEST(Validator, RejectsCorruptedGraphs) {
 }
 
 TEST(Validator, RejectsAddOnBitpackedOperands) {
-  // InferOutput accepts any equal-shaped operands for kAdd, but AddFloat
-  // reads float storage; bitpacked values store fewer words than logical
-  // elements, so this dtype confusion would read out of bounds.
+  // AddFloat reads float storage; bitpacked values store fewer words than
+  // logical elements, so this dtype confusion would read out of bounds. The
+  // op contract refuses it when the node is built...
   Graph g;
   const int a = g.AddInput("a", DataType::kBitpacked, Shape{1, 64});
   const int b = g.AddInput("b", DataType::kBitpacked, Shape{1, 64});
   int out = -1;
-  ASSERT_TRUE(g.TryAddNode(OpType::kAdd, "add", {a, b}, OpAttrs{}, &out).ok());
-  g.MarkOutput(out);
-  const Status s = ValidateGraph(g);
+  const Status built =
+      g.TryAddNode(OpType::kAdd, "add", {a, b}, OpAttrs{}, &out);
+  EXPECT_FALSE(built.ok());
+  EXPECT_EQ(built.code(), StatusCode::kInvalidArgument);
+
+  // ...and the validator refuses it when a rewrite switches the operands of
+  // a float Add to bitpacked afterwards.
+  Graph rewritten;
+  const int fa = rewritten.AddInput("a", DataType::kFloat32, Shape{1, 64});
+  const int fb = rewritten.AddInput("b", DataType::kFloat32, Shape{1, 64});
+  ASSERT_TRUE(
+      rewritten.TryAddNode(OpType::kAdd, "add", {fa, fb}, OpAttrs{}, &out)
+          .ok());
+  rewritten.MarkOutput(out);
+  ASSERT_TRUE(ValidateGraph(rewritten).ok());
+  rewritten.SetValueType(fa, DataType::kBitpacked);
+  rewritten.SetValueType(fb, DataType::kBitpacked);
+  const Status s = ValidateGraph(rewritten);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }

@@ -6,6 +6,7 @@
 
 #include "converter/convert.h"
 #include "converter/passes.h"
+#include "graph/validator.h"
 #include "models/builder.h"
 #include "models/macs.h"
 #include "models/zoo.h"
@@ -174,11 +175,11 @@ TEST(ZooStructure, CancelLceQuantizeDequantizePass) {
   bc.bconv_output = BConvOutputType::kFloat;
   v = g.AddNode(OpType::kLceBConv2d, "bconv1", {v, w2_id}, bc);
   g.MarkOutput(v);
-  ASSERT_TRUE(g.Validate().ok());
+  ASSERT_TRUE(ValidateGraph(g, ResourceLimits::Unlimited()).ok());
 
   EXPECT_EQ(CancelLceQuantizeDequantize(g), 1);
   EliminateDeadNodes(g);
-  ASSERT_TRUE(g.Validate().ok());
+  ASSERT_TRUE(ValidateGraph(g, ResourceLimits::Unlimited()).ok());
   EXPECT_EQ(g.CountOps(OpType::kLceDequantize), 0);
   EXPECT_EQ(g.CountOps(OpType::kLceQuantize), 1);
 }
