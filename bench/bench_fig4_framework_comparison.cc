@@ -14,7 +14,7 @@
 #include "bgemm_baselines.h"
 #include "core/bitpack.h"
 #include "gemm/bgemm.h"
-#include "kernels/im2col.h"
+#include "im2col.h"
 #include "models/zoo.h"
 #include "telemetry/run_report.h"
 

@@ -52,8 +52,11 @@ void BM_FloatGemm(benchmark::State& state) {
   gemm::PackedFloatMatrix packed(rhs.data(), kN, kK);
   std::vector<float> out(static_cast<std::size_t>(kM) * kN);
   gemm::Context ctx(1);
+  // The plain GEMM is the float GEMM's 1x1 convolution case.
+  const Conv2DGeometry geo = FullyConnectedGeometry(kM, kK, kN);
   for (auto _ : state) {
-    gemm::FloatGemm(lhs.data(), kM, packed, out.data(), kN, ctx);
+    gemm::FloatGemm(lhs.data(), geo, packed, nullptr, Activation::kNone,
+                    out.data(), ctx);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["GMAC/s"] = benchmark::Counter(

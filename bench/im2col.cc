@@ -1,4 +1,4 @@
-#include "kernels/im2col.h"
+#include "im2col.h"
 
 #include <cstring>
 

@@ -1,5 +1,10 @@
 // im2col: rearranges convolution input patches into GEMM LHS rows (paper
 // section 3.2, stage one of LceBConv2d and of the float/int8 convolutions).
+// No production kernel builds a patch matrix -- the binary and int8
+// convolutions gather through the ConvPipeline, the float convolution into
+// its GEMM's A panels -- so these full-image gathers serve the benchmarks'
+// im2col baseline (im2col_baseline.h) and the tests that use them as
+// oracles.
 //
 // Patch layout per output position: [filter_h][filter_w][channels], matching
 // OHWI weights flattened per output channel.
@@ -8,8 +13,8 @@
 // encode +1.0 -- i.e. *one-padding* falls out of bitpacked im2col naturally.
 // Zero-padding for binary convolutions requires the correction step
 // implemented in bconv2d.cc.
-#ifndef LCE_KERNELS_IM2COL_H_
-#define LCE_KERNELS_IM2COL_H_
+#ifndef LCE_BENCH_IM2COL_H_
+#define LCE_BENCH_IM2COL_H_
 
 #include <cstdint>
 
@@ -42,17 +47,6 @@ void Im2ColBitpackedGroup(const TBitpacked* input, const Conv2DGeometry& geo,
                           int total_words, int word_begin, int word_count,
                           TBitpacked* output);
 
-// GEMM LHS geometry helpers.
-inline std::int64_t Im2ColRows(const Conv2DGeometry& g) {
-  return static_cast<std::int64_t>(g.batch) * g.out_h() * g.out_w();
-}
-inline int Im2ColDepthFloat(const Conv2DGeometry& g) {
-  return g.filter_h * g.filter_w * g.in_c;
-}
-inline int Im2ColDepthBitpacked(const Conv2DGeometry& g) {
-  return g.filter_h * g.filter_w * BitpackedWords(g.in_c);
-}
-
 }  // namespace lce
 
-#endif  // LCE_KERNELS_IM2COL_H_
+#endif  // LCE_BENCH_IM2COL_H_

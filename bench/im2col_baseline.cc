@@ -4,7 +4,7 @@
 
 #include "core/bitpack.h"
 #include "core/macros.h"
-#include "kernels/im2col.h"
+#include "im2col.h"
 
 namespace lce::bench {
 

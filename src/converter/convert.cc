@@ -2,48 +2,19 @@
 
 #include "converter/passes.h"
 #include "core/macros.h"
+#include "graph/shape_variant.h"
 #include "graph/validator.h"
 #include "telemetry/tracer.h"
 
 namespace lce {
 
 Graph CloneGraph(const Graph& g) {
-  Graph out;
-  // Values and nodes are recreated in id order so ids are preserved, which
-  // keeps cross-references (producers/consumers/inputs/outputs) valid.
-  std::vector<int> value_map(g.values().size(), -1);
-  // First pass: inputs and constants (values without producers).
-  // AddInput/AddConstant/AddNode allocate ids sequentially, so we must
-  // recreate values in exactly the original creation order. Walk ids in
-  // order and dispatch on what created them.
-  for (const auto& v : g.values()) {
-    if (v->producer >= 0) continue;  // created by AddNode below
-    if (v->is_constant) {
-      Tensor copy = v->constant_data;  // shares underlying storage
-      const int id = out.AddConstant(v->name, std::move(copy));
-      value_map[v->id] = id;
-    } else {
-      const int id = out.AddInput(v->name, v->dtype, v->shape);
-      value_map[v->id] = id;
-    }
-  }
-  // Nodes in topological (original) order.
-  for (const auto& n : g.nodes()) {
-    if (!n->alive) continue;
-    std::vector<int> inputs;
-    for (int in : n->inputs) {
-      LCE_DCHECK(value_map[in] >= 0);
-      inputs.push_back(value_map[in]);
-    }
-    const int out_val = out.AddNode(n->type, n->name, std::move(inputs),
-                                    n->attrs);
-    value_map[n->outputs[0]] = out_val;
-  }
-  for (int o : g.output_ids()) {
-    LCE_DCHECK(value_map[o] >= 0);
-    out.MarkOutput(value_map[o]);
-  }
-  return out;
+  std::vector<Shape> shapes;
+  for (const int id : g.input_ids()) shapes.push_back(g.value(id).shape);
+  std::unique_ptr<Graph> clone;
+  const Status st = CloneGraphWithInputShapes(g, shapes, &clone);
+  LCE_CHECK(st.ok() && "a graph replays at its own input shapes");
+  return std::move(*clone);
 }
 
 Status Convert(Graph& g, const ConvertOptions& options, ConvertStats* stats) {

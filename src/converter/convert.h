@@ -41,8 +41,10 @@ struct ConvertStats {
   int dead_nodes_removed = 0;
 };
 
-// Deep-copies a graph (constant tensor storage is shared, which is safe
-// because constants are read-only).
+// Copies a graph's live nodes, its inputs and the constants they read,
+// replayed at the graph's own input shapes (CloneGraphWithInputShapes).
+// Constant tensor storage is shared, which is safe because constants are
+// read-only. Value and node ids may differ from the source's.
 Graph CloneGraph(const Graph& g);
 
 // Converts `g` in place. The graph is validated after every pass; a failed

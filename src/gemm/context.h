@@ -56,9 +56,12 @@ class Context {
   KernelProfile profile() const { return profile_; }
 
   // Returns scratch memory of at least `bytes` bytes, reused across calls.
-  // Slot 0 and 1 are independent (LHS / RHS packing buffers). Slots are a
-  // fixed contract between the kernels (see their header comments); an
-  // out-of-range slot is a programmer error, not a resize request.
+  // Slots are independent buffers and a fixed contract between the kernels:
+  // slot 0 holds the float GEMM's A panels (gathered from the input) and
+  // Int8Gemm's staged rows; slot 2 the ConvPipeline's per-shard scratch and
+  // the accumulators of BFullyConnected and the benchmarks' im2col
+  // baseline; slot 1 only that baseline's patch matrix. An out-of-range
+  // slot is a programmer error, not a resize request.
   //
   // Every request is recorded in the per-slot high-water gauges
   // `gemm.scratch_bytes.slot<N>`, which is what the fused-BConv2D tests use

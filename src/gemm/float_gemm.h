@@ -1,10 +1,15 @@
-// Packed float GEMM used by the full-precision layers (first/last layers,
-// pointwise shortcut convolutions, ...). This plays the role TFLite's Ruy
-// float path plays in the paper's measurements.
+// Packed float GEMM used by the full-precision layers: the float
+// convolutions (first layers, pointwise shortcut convolutions, ...) and the
+// fully connected layers, which run as 1x1 convolutions over
+// [batch, 1, 1, in]. This plays the role TFLite's Ruy float path plays in
+// the paper's measurements.
 //
-// Computes out[m][n] = sum_k lhs[m][k] * rhs[n][k]  (RHS stored row-major,
-// i.e. "B transposed": convolution weights are packed one output channel per
-// row, which is exactly OHWI flattened).
+// Computes out[r][j] = act(sum_k patch(r)[k] * rhs[j][k] + bias[j]), where
+// patch(r) is output position r's [filter_h][filter_w][in_c] input patch and
+// the RHS is stored one output channel per row (OHWI flattened). The patch
+// matrix is never built: each kFloatMr-row A panel is gathered straight from
+// the NHWC input, and the bias and activation are applied as each tile is
+// stored.
 #ifndef LCE_GEMM_FLOAT_GEMM_H_
 #define LCE_GEMM_FLOAT_GEMM_H_
 
@@ -12,6 +17,7 @@
 
 #include "core/aligned_buffer.h"
 #include "gemm/context.h"
+#include "kernels/conv_params.h"
 
 namespace lce::gemm {
 
@@ -21,7 +27,6 @@ inline constexpr int kFloatNr = 16;
 // RHS packed once at op-preparation time into [k][NR]-interleaved tiles.
 class PackedFloatMatrix {
  public:
-  PackedFloatMatrix() = default;
   PackedFloatMatrix(const float* rows, int n, int k);
 
   int n() const { return n_; }
@@ -42,12 +47,14 @@ class PackedFloatMatrix {
   AlignedBuffer buf_;
 };
 
-void FloatGemm(const float* lhs, int m, const PackedFloatMatrix& rhs,
-               float* out, int ldc, Context& ctx);
-
-// Convenience overload packing the RHS internally.
-void FloatGemm(const float* lhs, int m, const float* rhs, int n, int k,
-               float* out, int ldc, Context& ctx);
+// Convolves the NHWC `input` under `g` with `rhs` (g.out_c rows of
+// filter_h * filter_w * in_c) into the NHWC `out`. Padded taps read 0.0, or
+// +1.0 under Padding::kSameOne (the training dialect's emulated one-padded
+// binarized convolution). `bias` (null: none) is added and `activation`
+// applied where each tile is stored. Scratch slot 0 holds the A panels.
+void FloatGemm(const float* input, const Conv2DGeometry& g,
+               const PackedFloatMatrix& rhs, const float* bias,
+               Activation activation, float* out, Context& ctx);
 
 }  // namespace lce::gemm
 

@@ -372,9 +372,9 @@ Status CompiledModel::Build(CompileOptions options,
   // kernel: the expensive geometry-invariant state (packed/bitpacked
   // weights, correction tables, output transforms) is shared by reference
   // and only the geometry-dependent state (indirection tables, tile plans)
-  // is rebuilt for the specialized geometry. Shape-agnostic kernels (the
-  // fully connected pair, which read the batch from their input tensor at
-  // Run) are aliased outright.
+  // is rebuilt for the specialized geometry. The binary fully connected
+  // kernel, which reads the batch from its input tensor at Run, is aliased
+  // outright.
   LCE_TRACE_SCOPE_CAT("prepare/pack", "interpreter");
   std::size_t packed_weight_bytes = 0;
   kernels_.clear();
@@ -392,9 +392,17 @@ Status CompiledModel::Build(CompileOptions options,
       src = &weight_source->kernels_[src_id];
     }
     switch (n.type) {
-      case OpType::kConv2D: {
+      case OpType::kConv2D:
+      case OpType::kFullyConnected: {
+        // A fully connected layer runs as the 1x1 convolution over its
+        // [batch, in] input; its [out][in] weights are OHWI [out][1][1][in].
         Conv2DFloatAttrs attrs;
         attrs.geo = n.attrs.conv;
+        if (n.type == OpType::kFullyConnected) {
+          attrs.geo = FullyConnectedGeometry(
+              static_cast<int>(graph_.value(n.inputs[0]).shape.dim(0)),
+              n.attrs.fc_in_features, n.attrs.fc_out_features);
+        }
         attrs.activation = n.attrs.activation;
         attrs.bias = n.attrs.bias;
         if (src != nullptr) {
@@ -404,8 +412,8 @@ Status CompiledModel::Build(CompileOptions options,
         const Value& w = graph_.value(n.inputs[1]);
         LCE_DCHECK(w.is_constant);
         if (n.attrs.binarize_weights) {
-          // Training dialect: the emulated binarized conv applies sign() to
-          // its latent float weights at execution time.
+          // Training dialect: the emulated binarized conv / FC applies sign()
+          // to its latent float weights at execution time.
           std::vector<float> signed_w(w.constant_data.num_elements());
           const float* wsrc = w.constant_data.data<float>();
           for (std::size_t i = 0; i < signed_w.size(); ++i) {
@@ -432,34 +440,6 @@ Status CompiledModel::Build(CompileOptions options,
         LCE_DCHECK(w.is_constant);
         k.dwconv = std::make_shared<DepthwiseConv2DFloat>(
             w.constant_data.data<float>(), attrs);
-        break;
-      }
-      case OpType::kFullyConnected: {
-        if (src != nullptr) {
-          // Batch-agnostic (batch comes from the input tensor at Run):
-          // the specialization aliases the root kernel outright.
-          k.fc = src->fc;
-          break;
-        }
-        const Value& w = graph_.value(n.inputs[1]);
-        LCE_DCHECK(w.is_constant);
-        FullyConnectedAttrs attrs;
-        attrs.in_features = n.attrs.fc_in_features;
-        attrs.out_features = n.attrs.fc_out_features;
-        attrs.activation = n.attrs.activation;
-        attrs.bias = n.attrs.bias;
-        if (n.attrs.binarize_weights) {
-          // Training dialect: emulated binarized FC with sign()ed weights.
-          std::vector<float> signed_w(w.constant_data.num_elements());
-          const float* wsrc = w.constant_data.data<float>();
-          for (std::size_t i = 0; i < signed_w.size(); ++i) {
-            signed_w[i] = SignValue(wsrc[i]);
-          }
-          k.fc = std::make_shared<FullyConnectedFloat>(signed_w.data(), attrs);
-        } else {
-          k.fc = std::make_shared<FullyConnectedFloat>(
-              w.constant_data.data<float>(), attrs);
-        }
         break;
       }
       case OpType::kLceBFullyConnected: {
@@ -651,7 +631,8 @@ void ExecutionContext::RunNode(const Node& n, OpProfile* prof) {
   Tensor out = ValueTensor(n.outputs[0]);
   const auto& kernels = model_->kernels_;
   switch (n.type) {
-    case OpType::kConv2D: {
+    case OpType::kConv2D:
+    case OpType::kFullyConnected: {
       Tensor in = ValueTensor(n.inputs[0]);
       kernels[n.id].conv->Run(in, out, ctx_);
       break;
@@ -659,11 +640,6 @@ void ExecutionContext::RunNode(const Node& n, OpProfile* prof) {
     case OpType::kDepthwiseConv2D: {
       Tensor in = ValueTensor(n.inputs[0]);
       kernels[n.id].dwconv->Run(in, out);
-      break;
-    }
-    case OpType::kFullyConnected: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      kernels[n.id].fc->Run(in, out, ctx_);
       break;
     }
     case OpType::kLceBFullyConnected: {

@@ -45,7 +45,6 @@
 #include "kernels/conv2d_float.h"
 #include "kernels/conv2d_int8.h"
 #include "kernels/depthwise_conv.h"
-#include "kernels/fully_connected.h"
 
 namespace lce::telemetry {
 class Histogram;
@@ -221,15 +220,15 @@ class CompiledModel {
   // Kernel Run() is const and keeps no per-invocation state (all scratch
   // comes from the caller's gemm::Context), so one kernel instance serves
   // all concurrent contexts. shared_ptr because a specialization aliases
-  // the root's shape-agnostic kernels (bfc/fc) outright and holds
-  // weight-sharing siblings of the geometry-dependent ones.
+  // the root's shape-agnostic kernel (bfc) outright and holds
+  // weight-sharing siblings of the geometry-dependent ones. `conv` also
+  // serves kFullyConnected, as a 1x1 convolution.
   struct PreparedKernels {
     std::shared_ptr<const BConv2D> bconv;
     std::shared_ptr<const BFullyConnected> bfc;
     std::shared_ptr<const Conv2DFloat> conv;
     std::shared_ptr<const Conv2DInt8> conv_int8;
     std::shared_ptr<const DepthwiseConv2DFloat> dwconv;
-    std::shared_ptr<const FullyConnectedFloat> fc;
   };
   std::vector<PreparedKernels> kernels_;
   // Retained for Specialize (specializations compile under the same limits

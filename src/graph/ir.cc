@@ -192,15 +192,17 @@ Status ResolvePool(const Value& x, Pool2DGeometry* g) {
 }
 
 // Derives a fully connected layer's features from x [N, in] and its
-// weights [out, in].
+// weights [out, in]. N is bounded too: the layer runs as a 1x1 convolution
+// whose geometry holds it.
 Status ResolveFc(const Value& x, const Value& w, OpAttrs* attrs) {
   if (x.shape.rank() != 2) return RankError(x, "2");
   if (w.shape.rank() != 2) return RankError(w, "2");
   if (x.shape.dim(1) != w.shape.dim(1)) {
     return Status::InvalidArgument("fc input feature mismatch");
   }
-  if (!AllInRange({w.shape.dim(0), w.shape.dim(1)})) {
-    return Status::InvalidArgument("fc features out of supported range");
+  if (!AllInRange({x.shape.dim(0), w.shape.dim(0), w.shape.dim(1)})) {
+    return Status::InvalidArgument(
+        "fc batch or features out of supported range");
   }
   attrs->fc_out_features = static_cast<int>(w.shape.dim(0));
   attrs->fc_in_features = static_cast<int>(w.shape.dim(1));

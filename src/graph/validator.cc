@@ -107,11 +107,13 @@ Status CheckContract(const Graph& g, const Node& n) {
   return Status::Ok();
 }
 
-// Bounds a convolution's im2col patch-matrix footprint (rows x depth
-// elements). That is the float kernel's Run-time patch scratch, and up to
-// a small constant factor the indirection table the binary and int8 kernels
-// build at Compile (rows x taps int32 entries). Both live outside the
-// planned arena, so the arena cap does not cover them.
+// Bounds a convolution's im2col footprint (rows x depth elements), which no
+// kernel materialises as a patch matrix. It is the size of the
+// float GEMM's Run-time A panels (every output row's patch, gathered into
+// 4-row panels), and up to a small constant factor that of the indirection
+// table the binary and int8 kernels build at Compile (rows x taps int32
+// entries). Both live outside the planned arena, so the arena cap does not
+// cover them.
 Status CheckIm2ColBytes(const Node& n, std::int64_t depth,
                         std::int64_t elem_bytes,
                         const ResourceLimits& limits) {

@@ -7,7 +7,6 @@
 
 #include "core/bitpack.h"
 #include "core/macros.h"
-#include "kernels/im2col.h"
 #include "kernels/pipeline/gather_pack.h"
 #include "telemetry/metrics.h"
 

@@ -5,7 +5,6 @@
 
 #include "core/bitpack.h"
 #include "core/macros.h"
-#include "kernels/im2col.h"
 #include "telemetry/metrics.h"
 
 namespace lce {

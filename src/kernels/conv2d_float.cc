@@ -1,7 +1,6 @@
 #include "kernels/conv2d_float.h"
 
 #include "core/macros.h"
-#include "kernels/im2col.h"
 
 namespace lce {
 
@@ -19,7 +18,7 @@ Conv2DFloat::Conv2DFloat(const Conv2DFloat& base, Conv2DFloatAttrs attrs)
     : attrs_(std::move(attrs)), packed_weights_(base.packed_weights_) {
   // The packed weight panels depend only on channels and filter size, so a
   // sibling may differ in batch and spatial input size (shape buckets); the
-  // im2col geometry is derived from attrs_ per Run.
+  // GEMM reads the patch geometry from attrs_ per Run.
   const Conv2DGeometry& g = attrs_.geo;
   const Conv2DGeometry& bg = base.attrs_.geo;
   LCE_CHECK(g.in_c == bg.in_c && g.out_c == bg.out_c &&
@@ -33,32 +32,11 @@ void Conv2DFloat::Run(const Tensor& input, Tensor& output,
   const Conv2DGeometry& g = attrs_.geo;
   LCE_CHECK(input.dtype() == DataType::kFloat32);
   LCE_CHECK(output.dtype() == DataType::kFloat32);
-  LCE_CHECK_EQ(input.shape().dim(3), g.in_c);
-
-  const std::int64_t rows = Im2ColRows(g);
-  const int depth = Im2ColDepthFloat(g);
-  auto* patches = reinterpret_cast<float*>(ctx.Scratch(
-      1, static_cast<std::size_t>(rows) * depth * sizeof(float)));
-  // SAME_ONE is the training-dialect emulation of one-padded binarized
-  // convolutions: pad with +1.0 instead of 0.
-  const float pad_value = g.padding == Padding::kSameOne ? 1.0f : 0.0f;
-  Im2ColFloat(input.data<float>(), g, pad_value, patches);
-
-  float* out = output.data<float>();
-  gemm::FloatGemm(patches, static_cast<int>(rows), *packed_weights_, out,
-                  g.out_c, ctx);
-
-  if (!attrs_.bias.empty() || attrs_.activation != Activation::kNone) {
-    const float* bias = attrs_.bias.empty() ? nullptr : attrs_.bias.data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float* o = out + r * g.out_c;
-      for (int n = 0; n < g.out_c; ++n) {
-        float v = o[n];
-        if (bias != nullptr) v += bias[n];
-        o[n] = ApplyActivation(v, attrs_.activation);
-      }
-    }
-  }
+  // The last dimension: a fully connected layer's tensors are rank 2.
+  LCE_CHECK_EQ(input.shape().dim(input.shape().rank() - 1), g.in_c);
+  gemm::FloatGemm(input.data<float>(), g, *packed_weights_,
+                  attrs_.bias.empty() ? nullptr : attrs_.bias.data(),
+                  attrs_.activation, output.data<float>(), ctx);
 }
 
 }  // namespace lce

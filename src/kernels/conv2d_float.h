@@ -1,5 +1,8 @@
-// Full-precision Conv2D (im2col + packed float GEMM), the role TFLite's
-// float convolution plays for the non-binary layers of the models.
+// Full-precision Conv2D on the packed float GEMM, which gathers its patches
+// straight from the input and applies bias and activation as it stores: the
+// role TFLite's float convolution plays for the non-binary layers of the
+// models. A fully connected layer is its 1x1 case over [batch, 1, 1, in]
+// (FullyConnectedGeometry in kernels/conv_params.h).
 #ifndef LCE_KERNELS_CONV2D_FLOAT_H_
 #define LCE_KERNELS_CONV2D_FLOAT_H_
 
@@ -29,7 +32,9 @@ class Conv2DFloat {
   // (the kernel reads the batch from attrs at Run).
   Conv2DFloat(const Conv2DFloat& base, Conv2DFloatAttrs attrs);
 
-  // input: float NHWC; output: float NHWC [batch, oh, ow, out_c].
+  // input: float NHWC; output: float NHWC [batch, oh, ow, out_c]. The 1x1
+  // case also takes the rank-2 [batch, in] / [batch, out] tensors of a
+  // fully connected layer.
   void Run(const Tensor& input, Tensor& output, gemm::Context& ctx) const;
 
   const Conv2DFloatAttrs& attrs() const { return attrs_; }

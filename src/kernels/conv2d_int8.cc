@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/macros.h"
-#include "kernels/im2col.h"
 #include "kernels/pipeline/gather_pack.h"
 #include "telemetry/metrics.h"
 

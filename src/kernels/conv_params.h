@@ -79,6 +79,32 @@ struct Pool2DGeometry {
   }
 };
 
+// The convolution's GEMM shape: one LHS row per output position, and a
+// row depth of one patch ([filter_h][filter_w][channels], in floats or in
+// bitpacked words).
+inline std::int64_t Im2ColRows(const Conv2DGeometry& g) {
+  return static_cast<std::int64_t>(g.batch) * g.out_h() * g.out_w();
+}
+inline int Im2ColDepthFloat(const Conv2DGeometry& g) {
+  return g.filter_h * g.filter_w * g.in_c;
+}
+inline int Im2ColDepthBitpacked(const Conv2DGeometry& g) {
+  return g.filter_h * g.filter_w * BitpackedWords(g.in_c);
+}
+
+// A fully connected layer as the 1x1 convolution it runs as: its
+// [batch, in] input is NHWC [batch, 1, 1, in].
+inline Conv2DGeometry FullyConnectedGeometry(int batch, int in_features,
+                                             int out_features) {
+  Conv2DGeometry g;
+  g.batch = batch;
+  g.in_h = g.in_w = 1;
+  g.in_c = in_features;
+  g.filter_h = g.filter_w = 1;
+  g.out_c = out_features;
+  return g;
+}
+
 // Applies a fused activation to a float value.
 inline float ApplyActivation(float v, Activation act) {
   switch (act) {

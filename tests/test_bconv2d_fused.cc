@@ -15,7 +15,6 @@
 #include "core/random.h"
 #include "gemm/bgemm.h"
 #include "kernels/bconv2d.h"
-#include "kernels/im2col.h"
 #include "kernels/reference.h"
 #include "telemetry/metrics.h"
 

@@ -1,72 +1,128 @@
 // Full-precision convolution / depthwise / fully-connected kernel tests
-// against the naive references.
+// against the naive references; the float GEMM's convolutions (and a fully
+// connected layer, its 1x1 case) must also agree bitwise across thread
+// counts and kernel profiles.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <tuple>
+#include <cstring>
+#include <ostream>
 #include <vector>
 
 #include "core/random.h"
 #include "gemm/context.h"
 #include "kernels/conv2d_float.h"
 #include "kernels/depthwise_conv.h"
-#include "kernels/fully_connected.h"
 #include "kernels/reference.h"
 
 namespace lce {
 namespace {
 
-class ConvFloatShapes
-    : public ::testing::TestWithParam<
-          std::tuple<int, int, int, int, int, Padding>> {};
+// Runs `op` on `input` at every thread count and kernel profile the float
+// GEMM splits on, requires the outputs to agree bitwise, and returns them.
+std::vector<float> RunEverywhere(const Conv2DFloat& op, const Tensor& input,
+                                 const Shape& out_shape) {
+  std::vector<float> first;
+  for (int threads : {1, 3}) {
+    for (auto profile :
+         {gemm::KernelProfile::kSimd, gemm::KernelProfile::kScalar}) {
+      Tensor out(DataType::kFloat32, out_shape);
+      gemm::Context ctx(threads, profile);
+      op.Run(input, out, ctx);
+      std::vector<float> got(out.data<float>(),
+                             out.data<float>() + out.num_elements());
+      if (first.empty()) {
+        first = got;
+      } else {
+        EXPECT_EQ(std::memcmp(got.data(), first.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "threads=" << threads << " profile="
+            << static_cast<int>(profile);
+      }
+    }
+  }
+  return first;
+}
+
+struct ConvCase {
+  int batch, h, w, in_c, out_c, k, stride;
+  Padding pad;
+  Activation act;
+};
+
+void PrintTo(const ConvCase& c, std::ostream* os) {
+  *os << c.batch << "x" << c.h << "x" << c.w << "x" << c.in_c << " -> "
+      << c.out_c << ", " << c.k << "x" << c.k << "/" << c.stride
+      << ", padding " << static_cast<int>(c.pad) << ", activation "
+      << static_cast<int>(c.act);
+}
+
+class ConvFloatShapes : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvFloatShapes, MatchesReference) {
-  const auto [hw, in_c, out_c, k, stride, pad] = GetParam();
+  const ConvCase c = GetParam();
   Conv2DGeometry geo;
-  geo.in_h = geo.in_w = hw;
-  geo.in_c = in_c;
-  geo.out_c = out_c;
-  geo.filter_h = geo.filter_w = k;
-  geo.stride_h = geo.stride_w = stride;
-  geo.padding = pad;
+  geo.batch = c.batch;
+  geo.in_h = c.h;
+  geo.in_w = c.w;
+  geo.in_c = c.in_c;
+  geo.out_c = c.out_c;
+  geo.filter_h = geo.filter_w = c.k;
+  geo.stride_h = geo.stride_w = c.stride;
+  geo.padding = c.pad;
 
-  Rng rng(hw + in_c * 3 + out_c * 7 + k + stride);
-  Tensor input(DataType::kFloat32, Shape{1, hw, hw, in_c});
+  Rng rng(c.h + c.in_c * 3 + c.out_c * 7 + c.k + c.stride +
+          (c.batch - 1) * 1000 + (c.w - c.h) * 100);
+  Tensor input(DataType::kFloat32, Shape{c.batch, c.h, c.w, c.in_c});
   FillUniform(input, rng);
-  std::vector<float> weights(static_cast<std::size_t>(out_c) * k * k * in_c);
+  std::vector<float> weights(static_cast<std::size_t>(c.out_c) * c.k * c.k *
+                             c.in_c);
   for (auto& v : weights) v = rng.Uniform();
-  std::vector<float> bias(out_c);
+  std::vector<float> bias(c.out_c);
   for (auto& v : bias) v = rng.Uniform();
 
   Conv2DFloatAttrs attrs;
   attrs.geo = geo;
-  attrs.activation = Activation::kRelu;
+  attrs.activation = c.act;
   attrs.bias = bias;
   Conv2DFloat op(weights.data(), attrs);
+  const std::vector<float> got = RunEverywhere(
+      op, input, Shape{c.batch, geo.out_h(), geo.out_w(), c.out_c});
 
-  Tensor out(DataType::kFloat32, Shape{1, geo.out_h(), geo.out_w(), out_c});
-  gemm::Context ctx(1);
-  op.Run(input, out, ctx);
-
-  std::vector<float> expected(out.num_elements());
-  RefConv2DFloat(input.data<float>(), weights.data(), geo, 0.0f, nullptr,
-                 bias.data(), Activation::kRelu, expected.data());
-  for (std::int64_t i = 0; i < out.num_elements(); ++i) {
-    ASSERT_NEAR(out.data<float>()[i], expected[i],
+  std::vector<float> expected(got.size());
+  RefConv2DFloat(input.data<float>(), weights.data(), geo,
+                 c.pad == Padding::kSameOne ? 1.0f : 0.0f, nullptr,
+                 bias.data(), c.act, expected.data());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_NEAR(got[i], expected[i],
                 1e-4f * std::max(1.0f, std::abs(expected[i])))
         << i;
   }
 }
 
+// The output rows (batch * out_h * out_w) leave 0, 2 or 3 rows of the last
+// 4-row (kFloatMr) A panel empty.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ConvFloatShapes,
     ::testing::Values(
-        std::make_tuple(6, 3, 8, 3, 1, Padding::kSameZero),
-        std::make_tuple(8, 16, 16, 3, 1, Padding::kValid),
-        std::make_tuple(9, 4, 20, 5, 2, Padding::kSameZero),
-        std::make_tuple(12, 3, 16, 7, 2, Padding::kSameZero),
-        std::make_tuple(5, 10, 10, 1, 1, Padding::kValid),
-        std::make_tuple(11, 7, 33, 3, 2, Padding::kValid)));
+        ConvCase{1, 6, 6, 3, 8, 3, 1, Padding::kSameZero, Activation::kRelu},
+        ConvCase{1, 8, 8, 16, 16, 3, 1, Padding::kValid, Activation::kRelu},
+        ConvCase{1, 9, 9, 4, 20, 5, 2, Padding::kSameZero, Activation::kRelu},
+        ConvCase{1, 12, 12, 3, 16, 7, 2, Padding::kSameZero,
+                 Activation::kRelu},
+        ConvCase{1, 5, 5, 10, 10, 1, 1, Padding::kValid, Activation::kRelu},
+        ConvCase{1, 11, 11, 7, 33, 3, 2, Padding::kValid, Activation::kRelu},
+        ConvCase{3, 7, 10, 5, 19, 3, 1, Padding::kSameZero,
+                 Activation::kNone},
+        ConvCase{3, 7, 10, 6, 17, 3, 2, Padding::kSameOne, Activation::kRelu},
+        ConvCase{3, 7, 10, 4, 9, 3, 2, Padding::kValid, Activation::kRelu6},
+        ConvCase{3, 7, 10, 3, 21, 5, 1, Padding::kSameOne,
+                 Activation::kSigmoid},
+        ConvCase{2, 9, 5, 8, 16, 3, 2, Padding::kSameZero,
+                 Activation::kRelu6},
+        ConvCase{3, 10, 7, 2, 5, 1, 2, Padding::kValid,
+                 Activation::kSigmoid}));
 
 TEST(Conv2DFloat, OnePaddingForEmulatedBinarizedConv) {
   // SAME_ONE pads with +1.0 (used when executing the training dialect).
@@ -136,8 +192,10 @@ TEST(DepthwiseConv, BlurKernelSumsToOne) {
   }
 }
 
-TEST(FullyConnected, MatchesNaive) {
-  const int batch = 3, in = 50, out_f = 17;
+TEST(FullyConnected, RunsAsOneByOneConv) {
+  // A fully connected layer is the 1x1 Conv2DFloat over [batch, 1, 1, in]:
+  // rank-2 tensors, [out][in] weights.
+  const int batch = 5, in = 50, out_f = 17;
   Rng rng(9);
   Tensor input(DataType::kFloat32, Shape{batch, in});
   FillUniform(input, rng);
@@ -146,26 +204,26 @@ TEST(FullyConnected, MatchesNaive) {
   std::vector<float> bias(out_f);
   for (auto& v : bias) v = rng.Uniform();
 
-  FullyConnectedAttrs attrs;
-  attrs.in_features = in;
-  attrs.out_features = out_f;
-  attrs.bias = bias;
-  attrs.activation = Activation::kSigmoid;
-  FullyConnectedFloat op(weights.data(), attrs);
-  Tensor out(DataType::kFloat32, Shape{batch, out_f});
-  gemm::Context ctx(1);
-  op.Run(input, out, ctx);
-
-  for (int b = 0; b < batch; ++b) {
-    for (int n = 0; n < out_f; ++n) {
-      double acc = bias[n];
-      for (int i = 0; i < in; ++i) {
-        acc += static_cast<double>(input.data<float>()[b * in + i]) *
-               weights[static_cast<std::size_t>(n) * in + i];
+  for (Activation act : {Activation::kNone, Activation::kRelu,
+                         Activation::kRelu6, Activation::kSigmoid}) {
+    Conv2DFloatAttrs attrs;
+    attrs.geo = FullyConnectedGeometry(batch, in, out_f);
+    attrs.bias = bias;
+    attrs.activation = act;
+    Conv2DFloat op(weights.data(), attrs);
+    const std::vector<float> got =
+        RunEverywhere(op, input, Shape{batch, out_f});
+    for (int b = 0; b < batch; ++b) {
+      for (int n = 0; n < out_f; ++n) {
+        double acc = bias[n];
+        for (int i = 0; i < in; ++i) {
+          acc += static_cast<double>(input.data<float>()[b * in + i]) *
+                 weights[static_cast<std::size_t>(n) * in + i];
+        }
+        const float expected = ApplyActivation(static_cast<float>(acc), act);
+        ASSERT_NEAR(got[b * out_f + n], expected, 1e-5f)
+            << "activation " << static_cast<int>(act);
       }
-      const float expected = ApplyActivation(static_cast<float>(acc),
-                                             Activation::kSigmoid);
-      ASSERT_NEAR(out.data<float>()[b * out_f + n], expected, 1e-5f);
     }
   }
 }

@@ -15,8 +15,8 @@
 #include "gemm/bgemm.h"
 #include "gemm/indirect_bgemm.h"
 #include "gemm/int8_gemm.h"
+#include "im2col.h"
 #include "kernels/conv2d_int8.h"
-#include "kernels/im2col.h"
 #include "kernels/pipeline/gather_pack.h"
 #include "kernels/pipeline/tile_plan.h"
 

@@ -14,7 +14,6 @@
 #include "kernels/bconv2d.h"
 #include "kernels/bdepthwise.h"
 #include "kernels/conv2d_int8.h"
-#include "kernels/im2col.h"
 #include "kernels/reference.h"
 #include "telemetry/metrics.h"
 

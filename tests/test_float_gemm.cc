@@ -1,8 +1,10 @@
-// Float GEMM tests against a naive triple loop, both kernel profiles,
-// edge tiles and prepacked reuse.
+// Float GEMM tests against a naive triple loop: both kernel profiles
+// (bitwise equal), edge tiles and multithreading. A plain [m][k] x [n][k]^T
+// product is the GEMM's 1x1 convolution case over [m, 1, 1, k].
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -27,6 +29,17 @@ void NaiveGemm(const std::vector<float>& lhs, const std::vector<float>& rhs,
   }
 }
 
+// out[m][n] = lhs[m][k] x rhs[n][k]^T, run as the 1x1 convolution.
+std::vector<float> Gemm(const std::vector<float>& lhs, int m,
+                        const std::vector<float>& rhs, int n, int k,
+                        Context& ctx) {
+  const PackedFloatMatrix packed(rhs.data(), n, k);
+  std::vector<float> out(static_cast<std::size_t>(m) * n);
+  FloatGemm(lhs.data(), FullyConnectedGeometry(m, k, n), packed, nullptr,
+            Activation::kNone, out.data(), ctx);
+  return out;
+}
+
 class FloatGemmShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -41,8 +54,7 @@ TEST_P(FloatGemmShapes, MatchesNaive) {
   NaiveGemm(lhs, rhs, m, n, k, &expected);
 
   Context ctx(1);
-  std::vector<float> out(static_cast<std::size_t>(m) * n);
-  FloatGemm(lhs.data(), m, rhs.data(), n, k, out.data(), n, ctx);
+  const std::vector<float> out = Gemm(lhs, m, rhs, n, k, ctx);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_NEAR(out[i], expected[i], 1e-4f * std::max(1.0f, std::abs(expected[i])))
         << "element " << i;
@@ -58,25 +70,24 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(100, 10, 576)));
 
 TEST(FloatGemm, ProfilesAgree) {
-  const int m = 19, n = 37, k = 123;
+  // Bitwise: the scalar kernel rounds the way the SIMD one does (a fused
+  // multiply-add per MAC, in the same k order) whatever the compiler's
+  // contraction setting, which the Debug sanitizer builds do not apply.
+  const int m = 517, n = 37, k = 147;
   Rng rng(5);
   std::vector<float> lhs(static_cast<std::size_t>(m) * k);
   std::vector<float> rhs(static_cast<std::size_t>(n) * k);
   for (auto& v : lhs) v = rng.Uniform();
   for (auto& v : rhs) v = rng.Uniform();
-  std::vector<float> simd(static_cast<std::size_t>(m) * n);
-  std::vector<float> scalar(simd.size());
-  {
-    Context ctx(1, KernelProfile::kSimd);
-    FloatGemm(lhs.data(), m, rhs.data(), n, k, simd.data(), n, ctx);
-  }
-  {
-    Context ctx(1, KernelProfile::kScalar);
-    FloatGemm(lhs.data(), m, rhs.data(), n, k, scalar.data(), n, ctx);
-  }
+  Context simd_ctx(1, KernelProfile::kSimd);
+  Context scalar_ctx(1, KernelProfile::kScalar);
+  const std::vector<float> simd = Gemm(lhs, m, rhs, n, k, simd_ctx);
+  const std::vector<float> scalar = Gemm(lhs, m, rhs, n, k, scalar_ctx);
+  int differing = 0;
   for (std::size_t i = 0; i < simd.size(); ++i) {
-    EXPECT_NEAR(simd[i], scalar[i], 1e-4f) << i;
+    differing += std::memcmp(&simd[i], &scalar[i], sizeof(float)) != 0;
   }
+  EXPECT_EQ(differing, 0) << "of " << simd.size() << " outputs";
 }
 
 TEST(FloatGemm, MultithreadedMatches) {
@@ -89,8 +100,7 @@ TEST(FloatGemm, MultithreadedMatches) {
   std::vector<float> expected;
   NaiveGemm(lhs, rhs, m, n, k, &expected);
   Context ctx(3);
-  std::vector<float> out(static_cast<std::size_t>(m) * n);
-  FloatGemm(lhs.data(), m, rhs.data(), n, k, out.data(), n, ctx);
+  const std::vector<float> out = Gemm(lhs, m, rhs, n, k, ctx);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_NEAR(out[i], expected[i], 1e-4f);
   }
@@ -109,9 +119,7 @@ TEST(FloatGemm, ExactForSmallIntegers) {
   std::vector<float> expected;
   NaiveGemm(lhs, rhs, m, n, k, &expected);
   Context ctx(1);
-  std::vector<float> out(static_cast<std::size_t>(m) * n);
-  FloatGemm(lhs.data(), m, rhs.data(), n, k, out.data(), n, ctx);
-  EXPECT_EQ(out, expected);
+  EXPECT_EQ(Gemm(lhs, m, rhs, n, k, ctx), expected);
 }
 
 }  // namespace

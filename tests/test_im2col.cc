@@ -6,7 +6,7 @@
 
 #include "core/bitpack.h"
 #include "core/random.h"
-#include "kernels/im2col.h"
+#include "im2col.h"
 
 namespace lce {
 namespace {

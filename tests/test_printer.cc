@@ -58,7 +58,8 @@ TEST(Printer, DotIsWellFormed) {
   EXPECT_NE(dot.find("}\n"), std::string::npos);
   // Every live node appears exactly once as a definition.
   for (int id : g.TopologicalOrder()) {
-    const std::string def = "n" + std::to_string(id) + " [label=";
+    const std::string def =
+        std::string("n").append(std::to_string(id)).append(" [label=");
     EXPECT_NE(dot.find(def), std::string::npos) << def;
   }
 }

@@ -455,7 +455,10 @@ TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters) {
   EXPECT_EQ(JsonEscape("line\nbreak\ttab"), "line\\nbreak\\ttab");
   std::string error;
   EXPECT_TRUE(
-      ValidateJsonSyntax("\"" + JsonEscape("\x01\x1f\"\\\n") + "\"", &error))
+      ValidateJsonSyntax(std::string("\"")
+                             .append(JsonEscape("\x01\x1f\"\\\n"))
+                             .append("\""),
+                         &error))
       << error;
 }
 

@@ -116,6 +116,30 @@ TEST(Validator, TryAddNodeRejectsBadFcRank) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(Validator, TryAddNodeBoundsFcBatch) {
+  // A fully connected layer runs as a 1x1 convolution whose int geometry
+  // holds the batch, so the batch is held to the conv extent bound too.
+  Tensor w(DataType::kFloat32, Shape{4, 6});
+  for (std::int64_t batch :
+       {std::int64_t{0}, (std::int64_t{1} << 24) + 1, std::int64_t{1} << 32}) {
+    Graph g;
+    const int x = g.AddInput("x", DataType::kFloat32, Shape{batch, 6});
+    const int wid = g.AddConstant("w", w);
+    int out = -1;
+    const Status s =
+        g.TryAddNode(OpType::kFullyConnected, "fc", {x, wid}, OpAttrs{}, &out);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "batch " << batch;
+  }
+  Graph g;
+  const int x =
+      g.AddInput("x", DataType::kFloat32, Shape{std::int64_t{1} << 24, 6});
+  const int wid = g.AddConstant("w", w);
+  int out = -1;
+  EXPECT_TRUE(
+      g.TryAddNode(OpType::kFullyConnected, "fc", {x, wid}, OpAttrs{}, &out)
+          .ok());
+}
+
 TEST(Validator, TryAddNodeRejectsExtremeStride) {
   Graph g;
   const int x = g.AddInput("x", DataType::kFloat32, Shape{1, 8, 8, 3});
