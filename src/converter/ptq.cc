@@ -7,6 +7,7 @@
 #include <memory>
 #include <utility>
 
+#include "converter/passes.h"
 #include "core/macros.h"
 #include "core/random.h"
 #include "graph/compiled_model.h"
@@ -82,6 +83,13 @@ Status QuantizeModelInt8(Graph& g, const PtqOptions& options,
                          PtqStats* stats) {
   PtqStats local;
   PtqStats& s = stats != nullptr ? *stats : local;
+
+  // Fold BatchNorm into the convolutions and ReLU into their producers
+  // first, so each conv calibrates and quantizes with both inside: the
+  // BatchNorm lands in the int8 weights and bias, the ReLU becomes the
+  // requant clamp, and no float glue separates two quantized convolutions.
+  FuseBatchNormIntoFloatConv(g);
+  FuseActivationIntoFloatOps(g);
 
   std::map<int, ValueRange> ranges;
   LCE_RETURN_IF_ERROR(Calibrate(g, options, &ranges));
@@ -199,6 +207,8 @@ Status QuantizeModelInt8(Graph& g, const PtqOptions& options,
   }
 
   s.quantize_pairs_cancelled = CancelDequantizeQuantizePairs(g);
+  // A cancelled pair leaves its dequantize without consumers.
+  EliminateDeadNodes(g);
   return ValidateGraph(g, ResourceLimits::Unlimited());
 }
 

@@ -3,15 +3,20 @@
 // paper benchmarks binarization against (Figures 2/3, Table 2).
 //
 // Pipeline (standard TFLite-style PTQ):
-//   1. Calibrate: run the float graph on calibration inputs, recording the
+//   1. Fold: FuseBatchNormIntoFloatConv and FuseActivationIntoFloatOps (the
+//      passes Convert runs first) fold each BatchNorm into its conv's
+//      weights and bias and each ReLU into its producer, so a conv's ReLU
+//      becomes the requantization clamp.
+//   2. Calibrate: run the float graph on calibration inputs, recording the
 //      min/max range of every Conv2D input and output via the execution
 //      context's observer hook (ExecutionOptions::observer).
-//   2. Rewrite each float Conv2D (not the emulated binarized ones) into
+//   3. Rewrite each float Conv2D (not the emulated binarized ones) into
 //        QuantizeInt8 -> Conv2DInt8 -> DequantizeInt8
 //      with per-tensor affine activations, symmetric int8 weights, and the
 //      float bias requantized to int32 at scale s_in * s_w.
-//   3. Cancel adjacent Dequantize -> Quantize pairs so chained quantized
-//      convolutions pass int8 activations directly.
+//   4. Cancel adjacent Dequantize -> Quantize pairs so chained quantized
+//      convolutions pass int8 activations directly, then remove the nodes
+//      left without consumers (the cancelled pairs' dequantizes).
 #ifndef LCE_CONVERTER_PTQ_H_
 #define LCE_CONVERTER_PTQ_H_
 

@@ -58,9 +58,9 @@ class Context {
   // Returns scratch memory of at least `bytes` bytes, reused across calls.
   // Slots are independent buffers and a fixed contract between the kernels:
   // slot 0 holds the float GEMM's A panels (gathered from the input) and
-  // Int8Gemm's staged rows; slot 2 the ConvPipeline's per-shard scratch and
-  // the accumulators of BFullyConnected and the benchmarks' im2col
-  // baseline; slot 1 only that baseline's patch matrix. An out-of-range
+  // Int8Gemm's staged rows; slot 1 only the benchmarks' im2col baseline's
+  // patch matrix; slot 2 the ConvPipeline's per-shard scratch and the
+  // accumulators of BFullyConnected and that baseline. An out-of-range
   // slot is a programmer error, not a resize request.
   //
   // Every request is recorded in the per-slot high-water gauges
@@ -76,8 +76,7 @@ class Context {
     static telemetry::Metric* gauges[kNumScratchSlots] = {
         telemetry::MetricsRegistry::Global().Gauge("gemm.scratch_bytes.slot0"),
         telemetry::MetricsRegistry::Global().Gauge("gemm.scratch_bytes.slot1"),
-        telemetry::MetricsRegistry::Global().Gauge("gemm.scratch_bytes.slot2"),
-        telemetry::MetricsRegistry::Global().Gauge("gemm.scratch_bytes.slot3")};
+        telemetry::MetricsRegistry::Global().Gauge("gemm.scratch_bytes.slot2")};
     gauges[slot]->SetMax(static_cast<std::int64_t>(bytes));
     auto& buf = scratch_[slot];
     if (!buf || buf->size() < bytes) {
@@ -87,7 +86,7 @@ class Context {
     return buf->data();
   }
 
-  static constexpr int kNumScratchSlots = 4;
+  static constexpr int kNumScratchSlots = 3;
 
   // Cooperative-cancellation token of the request currently executing on
   // this context, or null. Set by ExecutionContext::Invoke for the duration

@@ -770,20 +770,12 @@ void ExecutionContext::RunNode(const Node& n, OpProfile* prof) {
     }
     case OpType::kQuantizeInt8: {
       Tensor in = ValueTensor(n.inputs[0]);
-      const float* src = in.data<float>();
-      std::int8_t* dst = out.data<std::int8_t>();
-      const QuantParams& q = n.attrs.output_quant;
-      const std::int64_t count = in.num_elements();
-      for (std::int64_t i = 0; i < count; ++i) dst[i] = QuantizeValue(src[i], q);
+      QuantizeInt8(in, n.attrs.output_quant, ctx_.profile(), out);
       break;
     }
     case OpType::kDequantizeInt8: {
       Tensor in = ValueTensor(n.inputs[0]);
-      const std::int8_t* src = in.data<std::int8_t>();
-      float* dst = out.data<float>();
-      const QuantParams& q = n.attrs.input_quant;
-      const std::int64_t count = in.num_elements();
-      for (std::int64_t i = 0; i < count; ++i) dst[i] = DequantizeValue(src[i], q);
+      DequantizeInt8(in, n.attrs.input_quant, out);
       break;
     }
     case OpType::kLceQuantize: {

@@ -74,8 +74,8 @@ std::unique_ptr<pipeline::OutputTransform> MakeInt8RequantTransform(
 
   return std::make_unique<pipeline::Int8RequantTransform>(
       out_c, attrs.input_quant.zero_point, attrs.output_quant.zero_point,
-      row_sums, attrs.bias, std::move(requant_multiplier),
-      std::move(requant_shift), act_min, act_max);
+      row_sums, attrs.bias, requant_multiplier, requant_shift, act_min,
+      act_max);
 }
 
 Conv2DInt8::Conv2DInt8(const std::int8_t* weights_ohwi, Conv2DInt8Attrs attrs)

@@ -41,8 +41,8 @@ struct Conv2DInt8Attrs {
 // The requantization policy of a Conv2DInt8 with these attrs: multipliers
 // and shifts from the input/weight/output scales (per channel when
 // attrs.weight_scales is set), the fused activation as a clamp, and the
-// input zero-point correction through `row_sums` (the packed weight
-// panels' per-channel sums, which must outlive the transform).
+// input zero-point correction from `row_sums` (the packed weight panels'
+// per-channel sums, folded into the transform's per-channel offsets).
 std::unique_ptr<pipeline::OutputTransform> MakeInt8RequantTransform(
     const Conv2DInt8Attrs& attrs, const std::int32_t* row_sums);
 
@@ -69,8 +69,7 @@ class Conv2DInt8 {
 
  private:
   // Batch-invariant prepared weight state, shared (read-only) between a
-  // kernel and its batch-variant siblings. The transform references
-  // dot_panels.row_sums(), so both live and die together.
+  // kernel and its batch-variant siblings.
   struct SharedWeights {
     gemm::PackedInt8DotPanels dot_panels;
     // Requantization policy (multipliers, shifts, activation clamp).

@@ -15,6 +15,12 @@ void AddFloat(const Tensor& a, const Tensor& b, Activation act, Tensor& out) {
   const std::int64_t n = a.num_elements();
   if (act == Activation::kNone) {
     for (std::int64_t i = 0; i < n; ++i) po[i] = pa[i] + pb[i];
+  } else if (act == Activation::kRelu) {
+    // ReluFloat's branch-free form: ApplyActivation(kRelu), vectorized.
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float v = pa[i] + pb[i];
+      po[i] = v > 0.0f ? v : 0.0f;
+    }
   } else {
     for (std::int64_t i = 0; i < n; ++i) {
       po[i] = ApplyActivation(pa[i] + pb[i], act);

@@ -6,7 +6,6 @@
 
 #include "core/bitpack.h"
 #include "core/macros.h"
-#include "core/quantization.h"
 
 namespace lce::pipeline {
 namespace {
@@ -183,40 +182,61 @@ void Int32OutputTransform::Apply(const std::int32_t* acc, std::int64_t row0,
 
 Int8RequantTransform::Int8RequantTransform(
     int out_c, std::int32_t z_in, std::int32_t z_out,
-    const std::int32_t* row_sums, std::vector<std::int32_t> bias,
-    std::vector<std::int32_t> multiplier, std::vector<int> shift,
+    const std::int32_t* row_sums, const std::vector<std::int32_t>& bias,
+    const std::vector<std::int32_t>& multiplier, const std::vector<int>& shift,
     std::int32_t act_min, std::int32_t act_max)
     : out_c_(out_c),
-      z_in_(z_in),
       z_out_(z_out),
-      row_sums_(row_sums),
-      bias_(std::move(bias)),
-      mult_(std::move(multiplier)),
-      shift_(std::move(shift)),
-      per_channel_(mult_.size() > 1),
       act_min_(act_min),
-      act_max_(act_max) {
-  LCE_CHECK_EQ(mult_.size(), shift_.size());
-  if (per_channel_) LCE_CHECK_EQ(static_cast<int>(mult_.size()), out_c);
-  if (!bias_.empty()) LCE_CHECK_EQ(static_cast<int>(bias_.size()), out_c);
+      act_max_(act_max),
+      offset_(out_c),
+      mult_(out_c),
+      left_(out_c),
+      right_(out_c),
+      round_(out_c) {
+  LCE_CHECK_EQ(multiplier.size(), shift.size());
+  const bool per_channel = multiplier.size() > 1;
+  if (per_channel) LCE_CHECK_EQ(static_cast<int>(multiplier.size()), out_c);
+  if (!bias.empty()) LCE_CHECK_EQ(static_cast<int>(bias.size()), out_c);
+  for (int n = 0; n < out_c; ++n) {
+    const std::int64_t b = bias.empty() ? 0 : bias[n];
+    offset_[n] = static_cast<std::int32_t>(
+        b - static_cast<std::int64_t>(z_in) * row_sums[n]);
+    const int q = per_channel ? n : 0;
+    mult_[n] = multiplier[q];
+    left_[n] = std::clamp(shift[q], 0, 32);
+    right_[n] = std::clamp(-shift[q], 0, 32);
+    round_[n] = (std::int64_t{1} << right_[n]) >> 1;
+  }
 }
 
 void Int8RequantTransform::Apply(const std::int32_t* acc, std::int64_t row0,
                                  std::int64_t nrows, void* out_void) const {
   const int out_c = out_c_;
   std::int8_t* out = static_cast<std::int8_t*>(out_void) + row0 * out_c;
-  const bool has_bias = !bias_.empty();
+  const std::int32_t* offset = offset_.data();
+  const std::int32_t* mult = mult_.data();
+  const std::int32_t* left = left_.data();
+  const std::int32_t* right = right_.data();
+  const std::int64_t* round = round_.data();
+  const std::int64_t z_out = z_out_, lo = act_min_, hi = act_max_;
+  constexpr std::int64_t kInt32Min = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
   for (std::int64_t r = 0; r < nrows; ++r) {
     const std::int32_t* a = acc + r * out_c;
     std::int8_t* o = out + r * out_c;
     for (int n = 0; n < out_c; ++n) {
-      std::int32_t v = a[n] - z_in_ * row_sums_[n];
-      if (has_bias) v += bias_[n];
-      const int q = per_channel_ ? n : 0;
-      v = MultiplyByQuantizedMultiplier(v, mult_[q], shift_[q]);
-      v += z_out_;
-      v = std::clamp(v, act_min_, act_max_);
-      o[n] = static_cast<std::int8_t>(v);
+      // MultiplyByQuantizedMultiplier without its branches: a left shift
+      // of 32 saturates every nonzero high half past the int32 clamp, and
+      // a rounding right shift of 32 sends every high half to 0.
+      const auto v = static_cast<std::int32_t>(
+          static_cast<std::uint32_t>(a[n]) +
+          static_cast<std::uint32_t>(offset[n]));
+      const std::int64_t prod = 2 * static_cast<std::int64_t>(v) * mult[n];
+      const std::int64_t high = (prod + (std::int64_t{1} << 31)) >> 32;
+      const std::int64_t s = ((high << left[n]) + round[n]) >> right[n];
+      const std::int64_t q = std::clamp(s, kInt32Min, kInt32Max) + z_out;
+      o[n] = static_cast<std::int8_t>(std::clamp(q, lo, hi));
     }
   }
 }

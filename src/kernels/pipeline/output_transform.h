@@ -81,30 +81,35 @@ class Int32OutputTransform : public OutputTransform {
   int out_c_;
 };
 
-// out = clamp(z_out + M[c] * (acc - z_in * row_sums[c] + bias[c])), int8.
-// `row_sums` points at the packed weight matrix's per-row sums (input
-// zero-point correction) and must outlive the transform; multiplier/shift
-// hold one entry per channel, or a single broadcast entry (per-tensor).
+// out = clamp(z_out + M[c] * (acc - z_in * row_sums[c] + bias[c])), int8,
+// where M[c] * x is MultiplyByQuantizedMultiplier (core/quantization.h)
+// and the z_out add cannot wrap. `row_sums` holds the packed weights'
+// per-channel sums (input zero-point correction) and is read only by the
+// constructor; bias may be empty (0); multiplier/shift hold one entry per
+// channel, or a single broadcast entry (per-tensor).
+//
+// The constructor folds everything per channel into offset = bias - z_in *
+// row_sums (int32, wrapping), the shift split into left/right counts
+// clamped to [0, 32] and the right shift's rounding term, so Apply is one
+// branch-free loop the compiler vectorizes in int64 lanes (docs/KERNELS.md
+// "Int8 path").
 class Int8RequantTransform : public OutputTransform {
  public:
   Int8RequantTransform(int out_c, std::int32_t z_in, std::int32_t z_out,
                        const std::int32_t* row_sums,
-                       std::vector<std::int32_t> bias,
-                       std::vector<std::int32_t> multiplier,
-                       std::vector<int> shift, std::int32_t act_min,
+                       const std::vector<std::int32_t>& bias,
+                       const std::vector<std::int32_t>& multiplier,
+                       const std::vector<int>& shift, std::int32_t act_min,
                        std::int32_t act_max);
   void Apply(const std::int32_t* acc, std::int64_t row0, std::int64_t nrows,
              void* out) const override;
 
  private:
   int out_c_;
-  std::int32_t z_in_, z_out_;
-  const std::int32_t* row_sums_;
-  std::vector<std::int32_t> bias_;
-  std::vector<std::int32_t> mult_;
-  std::vector<int> shift_;
-  bool per_channel_;
-  std::int32_t act_min_, act_max_;
+  std::int32_t z_out_, act_min_, act_max_;
+  // Per output channel.
+  std::vector<std::int32_t> offset_, mult_, left_, right_;
+  std::vector<std::int64_t> round_;  // 2^(right - 1), or 0 when right is 0
 };
 
 }  // namespace lce::pipeline

@@ -143,10 +143,13 @@ void RefConv2DInt8(const std::int8_t* input, const std::int8_t* weights,
           QuantizeMultiplier(static_cast<double>(input_quant.scale) *
                                  weight_scales[n] / output_quant.scale,
                              &multiplier, &shift);
-          const std::int32_t q =
-              MultiplyByQuantizedMultiplier(acc, multiplier, shift) +
+          // In int64: a saturated product plus z_out must not wrap.
+          const std::int64_t q =
+              static_cast<std::int64_t>(
+                  MultiplyByQuantizedMultiplier(acc, multiplier, shift)) +
               output_quant.zero_point;
-          output[o++] = static_cast<std::int8_t>(std::clamp(q, lo, hi));
+          output[o++] = static_cast<std::int8_t>(
+              std::clamp<std::int64_t>(q, lo, hi));
         }
       }
     }

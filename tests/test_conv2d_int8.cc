@@ -2,6 +2,7 @@
 // convolution of the dequantized data to within quantization error.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -129,6 +130,43 @@ TEST(Conv2DInt8, ZeroPointPaddingContributesNothing) {
   op.Run(input_q, out_q, ctx);
   for (std::int64_t i = 0; i < out_q.num_elements(); ++i) {
     EXPECT_EQ(out_q.data<std::int8_t>()[i], 0) << i;
+  }
+}
+
+TEST(Conv2DInt8, SaturatedRequantStaysOnItsRail) {
+  // s_in * s_w / s_out = 1e6 saturates the fixed-point product at the int32
+  // rail; adding z_out there used to wrap to the opposite rail, in the
+  // kernel and the reference alike.
+  Conv2DGeometry geo;
+  geo.in_h = geo.in_w = 2;
+  geo.in_c = 1;
+  geo.out_c = 1;
+  geo.filter_h = geo.filter_w = 1;
+  geo.padding = Padding::kValid;
+  for (const std::int8_t w : {std::int8_t{127}, std::int8_t{-127}}) {
+    for (const std::int32_t z_out : {-5, 5}) {
+      Conv2DInt8Attrs attrs;
+      attrs.geo = geo;
+      attrs.input_quant = {1.0f, 0};
+      attrs.weight_quant = {1.0f, 0};
+      attrs.output_quant = {1e-6f, z_out};
+      Tensor input_q(DataType::kInt8, Shape{1, 2, 2, 1});
+      std::fill_n(input_q.data<std::int8_t>(), 4, std::int8_t{127});
+      Conv2DInt8 op(&w, attrs);
+      Tensor out_q(DataType::kInt8, Shape{1, 2, 2, 1});
+      gemm::Context ctx(1);
+      op.Run(input_q, out_q, ctx);
+      std::int8_t ref[4];
+      const float weight_scale = 1.0f;
+      RefConv2DInt8(input_q.data<std::int8_t>(), &w, geo, attrs.input_quant,
+                    &weight_scale, attrs.output_quant, nullptr,
+                    Activation::kNone, ref);
+      const int want = w > 0 ? 127 : -128;
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(out_q.data<std::int8_t>()[i], want) << "z_out " << z_out;
+        EXPECT_EQ(ref[i], want) << "z_out " << z_out;
+      }
+    }
   }
 }
 

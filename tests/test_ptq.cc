@@ -3,6 +3,7 @@
 // activations between adjacent convolutions, and survive serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -85,8 +86,8 @@ TEST(Ptq, ChainedConvsPassInt8Directly) {
   EXPECT_EQ(stats.convs_quantized, 2);
   EXPECT_EQ(stats.quantize_pairs_cancelled, 1);
   EXPECT_EQ(g.CountOps(OpType::kQuantizeInt8), 1);
-  EXPECT_EQ(g.CountOps(OpType::kDequantizeInt8), 2)
-      << "the intermediate dequantize survives only if it still has uses";
+  EXPECT_EQ(g.CountOps(OpType::kDequantizeInt8), 1)
+      << "the intermediate dequantize has no uses left and is removed";
 }
 
 TEST(Ptq, SkipsBinarizedConvolutions) {
@@ -175,6 +176,32 @@ TEST(Ptq, QuantizedModelShrinksConstants) {
   ASSERT_TRUE(QuantizeModelInt8(g).ok());
   // Weights go from 4 bytes to 1 byte; glue (BN vectors) stays float.
   EXPECT_LT(g.ConstantBytes(), float_bytes / 3);
+}
+
+TEST(Ptq, FloatResNet18EmitsNoFloatGlue) {
+  Graph g = BuildFloatResNet18(64);
+  PtqStats stats;
+  ASSERT_TRUE(QuantizeModelInt8(g, {}, &stats).ok());
+  // Every BatchNorm folds into its conv and every ReLU into its conv's
+  // requant clamp or its residual Add.
+  EXPECT_EQ(g.CountOps(OpType::kBatchNorm), 0);
+  EXPECT_EQ(g.CountOps(OpType::kRelu), 0);
+  // Each block's first conv feeds its second directly in int8 (8 pairs).
+  // What remains quantizes the float inputs of the stem, of each block's
+  // first conv and of the 3 downsample convs, and dequantizes the outputs
+  // that feed the max pool and the residual adds.
+  EXPECT_EQ(stats.quantize_pairs_cancelled, 8);
+  EXPECT_EQ(g.CountOps(OpType::kQuantizeInt8), 12);
+  EXPECT_EQ(g.CountOps(OpType::kDequantizeInt8), 12);
+  for (const auto& n : g.nodes()) {
+    if (!n->alive) continue;
+    for (const int out : n->outputs) {
+      bool used = std::find(g.output_ids().begin(), g.output_ids().end(),
+                            out) != g.output_ids().end();
+      for (const int c : g.value(out).consumers) used |= g.node(c).alive;
+      EXPECT_TRUE(used) << n->name << " runs with no consumer";
+    }
+  }
 }
 
 TEST(Ptq, FloatResNet18EndToEnd) {
