@@ -4,6 +4,7 @@
 // robust per-kernel numbers (real time, iterations auto-tuned).
 #include <benchmark/benchmark.h>
 
+#include <iterator>
 #include <vector>
 
 #include "core/bitpack.h"
@@ -14,6 +15,7 @@
 #include "im2col_baseline.h"
 #include "kernels/bconv2d.h"
 #include "kernels/bmaxpool.h"
+#include "kernels/conv2d_float.h"
 #include "kernels/quantize_ops.h"
 
 namespace {
@@ -64,6 +66,61 @@ void BM_FloatGemm(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FloatGemm);
+
+// The zoo's float-convolution shapes (stems, a shortcut and a transition
+// 1x1, the classifier) on Conv2DFloat at 1 thread, with bias and ReLU.
+struct FloatConvShape {
+  const char* name;
+  Conv2DGeometry geo;
+};
+
+Conv2DGeometry ConvShape(int hw, int in_c, int out_c, int k, int stride) {
+  Conv2DGeometry g;
+  g.in_h = g.in_w = hw;
+  g.in_c = in_c;
+  g.out_c = out_c;
+  g.filter_h = g.filter_w = k;
+  g.stride_h = g.stride_w = stride;
+  g.padding = Padding::kSameZero;
+  return g;
+}
+
+const FloatConvShape kFloatConvShapes[] = {
+    {"7x7/2 3->64 at 224", ConvShape(224, 3, 64, 7, 2)},
+    {"3x3/2 3->16 at 224", ConvShape(224, 3, 16, 3, 2)},
+    {"1x1 16->64 at 56", ConvShape(56, 16, 64, 1, 1)},
+    {"1x1 448->224 at 28", ConvShape(28, 448, 224, 1, 1)},
+    {"fc 512->1000 batch 1", FullyConnectedGeometry(1, 512, 1000)},
+};
+
+void BM_Conv2DFloat(benchmark::State& state) {
+  const FloatConvShape& s = kFloatConvShapes[state.range(0)];
+  const Conv2DGeometry& g = s.geo;
+  Rng rng(8);
+  Tensor in(DataType::kFloat32, Shape{g.batch, g.in_h, g.in_w, g.in_c});
+  FillUniform(in, rng);
+  std::vector<float> w(static_cast<std::size_t>(g.out_c) *
+                       Im2ColDepthFloat(g));
+  for (auto& v : w) v = rng.Uniform();
+  Conv2DFloatAttrs attrs;
+  attrs.geo = g;
+  attrs.activation = Activation::kRelu;
+  attrs.bias.assign(g.out_c, 0.1f);
+  const Conv2DFloat op(w.data(), attrs);
+  Tensor out(DataType::kFloat32,
+             Shape{g.batch, g.out_h(), g.out_w(), g.out_c});
+  gemm::Context ctx(1);
+  for (auto _ : state) {
+    op.Run(in, out, ctx);
+    benchmark::DoNotOptimize(out.raw_data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(s.name);
+  state.counters["GMAC/s"] = benchmark::Counter(
+      static_cast<double>(g.macs()) * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Conv2DFloat)->DenseRange(0, std::size(kFloatConvShapes) - 1);
 
 void BM_Int8Gemm(benchmark::State& state) {
   Rng rng(3);

@@ -32,9 +32,9 @@ struct ResourceLimits {
   std::size_t max_arena_bytes = std::size_t{8} << 30;  // 8 GiB
 
   // Worst-case im2col footprint of a single convolution (rows *
-  // filter_volume * element_size): the size of the float GEMM's A-panel
-  // scratch, and a bound on the per-convolution indirection tables. Both
-  // live outside the planned arena.
+  // filter_volume * element_size): a bound on the per-convolution
+  // indirection tables, which live outside the planned arena. Float
+  // convolutions keep the same cap; their GEMM's scratch is block-sized.
   std::size_t max_im2col_bytes = std::size_t{2} << 30;  // 2 GiB
 
   // Graph-structure caps.

@@ -16,6 +16,7 @@
 #define LCE_GEMM_CONTEXT_H_
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <utility>
@@ -57,11 +58,19 @@ class Context {
 
   // Returns scratch memory of at least `bytes` bytes, reused across calls.
   // Slots are independent buffers and a fixed contract between the kernels:
-  // slot 0 holds the float GEMM's A panels (gathered from the input) and
-  // Int8Gemm's staged rows; slot 1 only the benchmarks' im2col baseline's
-  // patch matrix; slot 2 the ConvPipeline's per-shard scratch and the
-  // accumulators of BFullyConnected and that baseline. An out-of-range
-  // slot is a programmer error, not a resize request.
+  // slot 0 holds the float GEMM's per-shard blocks of gathered patch rows
+  // (block-sized, independent of the image; a 1x1, stride-1 convolution or
+  // a fully connected layer asks for none) and Int8Gemm's staged rows;
+  // slot 1 only the benchmarks' im2col baseline's patch matrix; slot 2 the
+  // ConvPipeline's per-shard scratch and the accumulators of
+  // BFullyConnected and that baseline. An out-of-range slot is a
+  // programmer error, not a resize request.
+  //
+  // Where NDEBUG is not defined (Debug and sanitizer builds), every call
+  // fills the bytes it returns with 0xFF: NaN as floats, -1 as integers. A
+  // kernel that reads scratch it did not write in this call then fails
+  // deterministically instead of reading whatever an earlier call or the
+  // allocator left. Release builds skip the fill.
   //
   // Every request is recorded in the per-slot high-water gauges
   // `gemm.scratch_bytes.slot<N>`, which is what the fused-BConv2D tests use
@@ -83,6 +92,9 @@ class Context {
       if (LCE_FAULT_SCRATCH_ALLOC_SHOULD_FAIL(slot)) throw std::bad_alloc();
       buf = std::make_unique<AlignedBuffer>(bytes);
     }
+#ifndef NDEBUG
+    std::memset(buf->data(), 0xFF, bytes);
+#endif
     return buf->data();
   }
 

@@ -1,10 +1,15 @@
 #include "gemm/float_gemm.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#define LCE_FLOAT_GEMM_AVX512 1
+#elif defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 #define LCE_FLOAT_GEMM_AVX2 1
 #endif
@@ -13,6 +18,27 @@
 
 namespace lce::gemm {
 namespace {
+
+// Rows of one micro-kernel tile: what the widest kernel compiled into this
+// build keeps in registers, one zmm accumulator per row under AVX-512, two
+// ymm per row under AVX2, and the portable kernel's four.
+#if defined(LCE_FLOAT_GEMM_AVX512)
+constexpr int kFloatMr = 12;
+#elif defined(LCE_FLOAT_GEMM_AVX2)
+constexpr int kFloatMr = 6;
+#else
+constexpr int kFloatMr = 4;
+#endif
+
+// Row tiles per block: a shard gathers kBlockRows patch rows, then runs
+// every B tile over them while they are cache-resident.
+constexpr int kBlockTiles = 8;
+constexpr int kBlockRows = kBlockTiles * kFloatMr;
+
+// acc[i][j] = sum over kk of a[i * k + kk] * b[kk * kFloatNr + j], for the
+// first R rows of a row-major A block (row stride k) and one packed B tile.
+using KernelFn = void (*)(const float* a, const float* b, int k,
+                          float (*acc)[kFloatNr]);
 
 // Packs rows [row0, row0+rows) of an [n][k] row-major matrix into
 // [k][rows]-interleaved layout, zero-padding missing rows.
@@ -27,96 +53,172 @@ void PackPanel(const float* src, int n, int k, int row0, int rows,
   }
 }
 
-// Gathers A panel `t` from the NHWC input: its rows are output positions
-// [t * kFloatMr, +kFloatMr) of m = batch * out_h * out_w, and element
-// [kk][r] is element kk of row r's [filter_h][filter_w][in_c] patch. Rows
-// past the last output position read the padding value; their results are
-// never stored.
-void GatherPanel(const float* input, const Conv2DGeometry& g, std::int64_t m,
-                 std::int64_t t, float* dst) {
+// Gathers patch rows [row0, row0 + rows) of the NHWC input row-major into
+// dst (row r at dst + r * K, K = filter_h * filter_w * in_c). A filter row
+// whose taps all lie inside the image is one contiguous run of
+// filter_w * in_c floats; taps outside it read the padding value (+1.0
+// under SAME_ONE, else 0.0).
+void GatherBlock(const float* input, const Conv2DGeometry& g,
+                 std::int64_t row0, int rows, float* dst) {
   const int out_h = g.out_h(), out_w = g.out_w();
   const float pad = g.padding == Padding::kSameOne ? 1.0f : 0.0f;
-  // Per row: batch index (-1 past the end) and the input position of the
-  // top-left tap.
-  int batch[kFloatMr], iy0[kFloatMr], ix0[kFloatMr];
-  for (int r = 0; r < kFloatMr; ++r) {
-    const std::int64_t row = t * kFloatMr + r;
-    const std::int64_t q = row / out_w;
-    batch[r] = row < m ? static_cast<int>(q / out_h) : -1;
-    iy0[r] = static_cast<int>(q % out_h) * g.stride_h - g.pad_h_begin();
-    ix0[r] = static_cast<int>(row % out_w) * g.stride_w - g.pad_w_begin();
-  }
   const int c = g.in_c;
-  for (int ky = 0; ky < g.filter_h; ++ky) {
-    for (int kx = 0; kx < g.filter_w; ++kx) {
-      for (int r = 0; r < kFloatMr; ++r) {
-        const int iy = iy0[r] + ky, ix = ix0[r] + kx;
-        float* d = dst + r;
-        if (batch[r] >= 0 && iy >= 0 && iy < g.in_h && ix >= 0 &&
-            ix < g.in_w) {
-          const float* s =
-              input +
-              ((static_cast<std::int64_t>(batch[r]) * g.in_h + iy) * g.in_w +
-               ix) * c;
-          for (int i = 0; i < c; ++i) d[i * kFloatMr] = s[i];
+  const int run = g.filter_w * c;
+  for (int r = 0; r < rows; ++r) {
+    const std::int64_t row = row0 + r;
+    const std::int64_t q = row / out_w;
+    const std::int64_t b = q / out_h;
+    const int iy0 = static_cast<int>(q % out_h) * g.stride_h - g.pad_h_begin();
+    const int ix0 =
+        static_cast<int>(row % out_w) * g.stride_w - g.pad_w_begin();
+    const bool row_inside = ix0 >= 0 && ix0 + g.filter_w <= g.in_w;
+    for (int ky = 0; ky < g.filter_h; ++ky, dst += run) {
+      const int iy = iy0 + ky;
+      if (iy < 0 || iy >= g.in_h) {
+        std::fill_n(dst, run, pad);
+        continue;
+      }
+      const float* line = input + (b * g.in_h + iy) * g.in_w * c;
+      if (row_inside) {
+        std::memcpy(dst, line + static_cast<std::int64_t>(ix0) * c,
+                    sizeof(float) * run);
+        continue;
+      }
+      for (int kx = 0; kx < g.filter_w; ++kx) {
+        const int ix = ix0 + kx;
+        if (ix < 0 || ix >= g.in_w) {
+          std::fill_n(dst + kx * c, c, pad);
         } else {
-          for (int i = 0; i < c; ++i) d[i * kFloatMr] = pad;
+          std::memcpy(dst + kx * c, line + static_cast<std::int64_t>(ix) * c,
+                      sizeof(float) * c);
         }
       }
-      dst += static_cast<std::int64_t>(c) * kFloatMr;
     }
   }
 }
 
-#ifdef LCE_FLOAT_GEMM_AVX2
-// 4x16 micro-kernel with FMA: 8 accumulator registers, A broadcast, B loaded
-// as two 8-float vectors per k step.
-void KernelAvx(const float* apanel, const float* bpanel, int k,
-               float acc_out[kFloatMr][kFloatNr]) {
-  __m256 acc[kFloatMr][2];
-  for (int i = 0; i < kFloatMr; ++i) {
-    acc[i][0] = _mm256_setzero_ps();
-    acc[i][1] = _mm256_setzero_ps();
+#ifdef LCE_FLOAT_GEMM_AVX512
+// R x 16 tile: one zmm accumulator per row, B loaded once per k step and
+// each A element broadcast into its row's fused multiply-add. The k loop is
+// a do-while (k >= 1 always): with a zero-trip path GCC 12 keeps the
+// accumulators in a zeroed stack array and copies them out on every call.
+struct KernelAvx512 {
+  template <int R>
+  static void Run(const float* a, const float* b, int k,
+                  float (*acc_out)[kFloatNr]) {
+    __m512 acc[R];
+    for (int i = 0; i < R; ++i) acc[i] = _mm512_setzero_ps();
+    int kk = 0;
+    do {  // k >= 1
+      const __m512 bv = _mm512_load_ps(b + kk * kFloatNr);
+      for (int i = 0; i < R; ++i) {
+        acc[i] = _mm512_fmadd_ps(
+            _mm512_set1_ps(a[static_cast<std::int64_t>(i) * k + kk]), bv,
+            acc[i]);
+      }
+    } while (++kk < k);
+    for (int i = 0; i < R; ++i) _mm512_storeu_ps(acc_out[i], acc[i]);
   }
-  for (int kk = 0; kk < k; ++kk) {
-    const __m256 b0 = _mm256_load_ps(bpanel + kk * kFloatNr);
-    const __m256 b1 = _mm256_load_ps(bpanel + kk * kFloatNr + 8);
-    const float* a = apanel + kk * kFloatMr;
-    for (int i = 0; i < kFloatMr; ++i) {
-      const __m256 ai = _mm256_set1_ps(a[i]);
-      acc[i][0] = _mm256_fmadd_ps(ai, b0, acc[i][0]);
-      acc[i][1] = _mm256_fmadd_ps(ai, b1, acc[i][1]);
+};
+using KernelSimd = KernelAvx512;
+#elif defined(LCE_FLOAT_GEMM_AVX2)
+// R x 16 tile: two ymm accumulators per row.
+struct KernelAvx2 {
+  template <int R>
+  static void Run(const float* a, const float* b, int k,
+                  float (*acc_out)[kFloatNr]) {
+    __m256 acc[R][2];
+    for (int i = 0; i < R; ++i) {
+      acc[i][0] = _mm256_setzero_ps();
+      acc[i][1] = _mm256_setzero_ps();
+    }
+    int kk = 0;
+    do {  // k >= 1
+      const __m256 b0 = _mm256_load_ps(b + kk * kFloatNr);
+      const __m256 b1 = _mm256_load_ps(b + kk * kFloatNr + 8);
+      for (int i = 0; i < R; ++i) {
+        const __m256 ai =
+            _mm256_set1_ps(a[static_cast<std::int64_t>(i) * k + kk]);
+        acc[i][0] = _mm256_fmadd_ps(ai, b0, acc[i][0]);
+        acc[i][1] = _mm256_fmadd_ps(ai, b1, acc[i][1]);
+      }
+    } while (++kk < k);
+    for (int i = 0; i < R; ++i) {
+      _mm256_storeu_ps(&acc_out[i][0], acc[i][0]);
+      _mm256_storeu_ps(&acc_out[i][8], acc[i][1]);
     }
   }
-  for (int i = 0; i < kFloatMr; ++i) {
-    _mm256_storeu_ps(&acc_out[i][0], acc[i][0]);
-    _mm256_storeu_ps(&acc_out[i][8], acc[i][1]);
-  }
-}
+};
+using KernelSimd = KernelAvx2;
 #endif
 
 // Portable kernel; written so the compiler can vectorize the inner j loop.
-// Where KernelAvx is compiled it rounds the way KernelAvx does (one fused
-// multiply-add per MAC, same k order), so the two profiles agree bitwise
-// whatever the compiler's contraction setting. Without hardware FMA,
-// std::fma would be a libm call per MAC, so those builds multiply and add.
-void KernelScalar(const float* apanel, const float* bpanel, int k,
-                  float acc_out[kFloatMr][kFloatNr]) {
-  float acc[kFloatMr][kFloatNr] = {};
-  for (int kk = 0; kk < k; ++kk) {
-    const float* a = apanel + kk * kFloatMr;
-    const float* b = bpanel + kk * kFloatNr;
-    for (int i = 0; i < kFloatMr; ++i) {
-#ifdef LCE_FLOAT_GEMM_AVX2
-      for (int j = 0; j < kFloatNr; ++j) {
-        acc[i][j] = std::fma(a[i], b[j], acc[i][j]);
-      }
+// Where a SIMD kernel is compiled it rounds the way that kernel does (one
+// fused multiply-add per MAC, same k order), so the two profiles agree
+// bitwise whatever the compiler's contraction setting. Without hardware
+// FMA, std::fma would be a libm call per MAC, so those builds multiply and
+// add.
+struct KernelScalar {
+  template <int R>
+  static void Run(const float* a, const float* b, int k,
+                  float (*acc_out)[kFloatNr]) {
+    float acc[R][kFloatNr] = {};
+    for (int kk = 0; kk < k; ++kk) {
+      const float* bk = b + kk * kFloatNr;
+      for (int i = 0; i < R; ++i) {
+        const float ai = a[static_cast<std::int64_t>(i) * k + kk];
+#if defined(LCE_FLOAT_GEMM_AVX512) || defined(LCE_FLOAT_GEMM_AVX2)
+        for (int j = 0; j < kFloatNr; ++j) {
+          acc[i][j] = std::fma(ai, bk[j], acc[i][j]);
+        }
 #else
-      for (int j = 0; j < kFloatNr; ++j) acc[i][j] += a[i] * b[j];
+        for (int j = 0; j < kFloatNr; ++j) acc[i][j] += ai * bk[j];
 #endif
+      }
+    }
+    std::memcpy(acc_out, acc, sizeof(acc));
+  }
+};
+
+// kernels[R - 1] computes R rows, so an edge tile computes only its real
+// rows.
+template <class Kernel, std::size_t... R>
+constexpr std::array<KernelFn, kFloatMr> KernelsByRows(
+    std::index_sequence<R...>) {
+  return {&Kernel::template Run<static_cast<int>(R) + 1>...};
+}
+
+// Stores rows x cols of a tile as act(acc + bias) (no add without a bias).
+using StoreFn = void (*)(const float (*acc)[kFloatNr], int rows, int cols,
+                         const float* bias, float* out, int ldo);
+
+template <bool kHasBias, Activation kAct>
+void StoreTile(const float (*acc)[kFloatNr], int rows, int cols,
+               const float* bias, float* out, int ldo) {
+  for (int i = 0; i < rows; ++i) {
+    float* o = out + static_cast<std::int64_t>(i) * ldo;
+    for (int j = 0; j < cols; ++j) {
+      float v = acc[i][j];
+      if constexpr (kHasBias) v += bias[j];
+      o[j] = ApplyActivation(v, kAct);
     }
   }
-  std::memcpy(acc_out, acc, sizeof(acc));
+}
+
+template <bool kHasBias>
+StoreFn PickStore(Activation activation) {
+  switch (activation) {
+    case Activation::kNone:
+      return StoreTile<kHasBias, Activation::kNone>;
+    case Activation::kRelu:
+      return StoreTile<kHasBias, Activation::kRelu>;
+    case Activation::kRelu6:
+      return StoreTile<kHasBias, Activation::kRelu6>;
+    case Activation::kSigmoid:
+      return StoreTile<kHasBias, Activation::kSigmoid>;
+  }
+  LCE_CHECK(false && "unknown activation");
+  return nullptr;
 }
 
 }  // namespace
@@ -141,41 +243,51 @@ void FloatGemm(const float* input, const Conv2DGeometry& g,
   LCE_CHECK(n == g.out_c && k == Im2ColDepthFloat(g));
   const std::int64_t m = Im2ColRows(g);
   const std::int64_t m_tiles = (m + kFloatMr - 1) / kFloatMr;
-  const std::int64_t a_tile_elems = static_cast<std::int64_t>(k) * kFloatMr;
+  // A 1x1, stride-1 convolution has no padding, and its patch row r is
+  // input pixel r: the rows are read in place, with the same row stride k.
+  const bool in_place = g.filter_h == 1 && g.filter_w == 1 &&
+                        g.stride_h == 1 && g.stride_w == 1;
+  const int shards = ctx.pool().PlannedShards(m_tiles);
+  const std::int64_t block_elems = static_cast<std::int64_t>(kBlockRows) * k;
+  float* blocks =
+      in_place ? nullptr
+               : reinterpret_cast<float*>(ctx.Scratch(
+                     0, static_cast<std::size_t>(shards * block_elems) *
+                            sizeof(float)));
 
-  auto* apanels = reinterpret_cast<float*>(ctx.Scratch(
-      0, static_cast<std::size_t>(m_tiles * a_tile_elems) * sizeof(float)));
-#ifdef LCE_FLOAT_GEMM_AVX2
-  const auto kernel =
-      ctx.profile() == KernelProfile::kSimd ? KernelAvx : KernelScalar;
+  static constexpr auto kScalarKernels =
+      KernelsByRows<KernelScalar>(std::make_index_sequence<kFloatMr>());
+#if defined(LCE_FLOAT_GEMM_AVX512) || defined(LCE_FLOAT_GEMM_AVX2)
+  static constexpr auto kSimdKernels =
+      KernelsByRows<KernelSimd>(std::make_index_sequence<kFloatMr>());
+  const auto& kernels =
+      ctx.profile() == KernelProfile::kSimd ? kSimdKernels : kScalarKernels;
 #else
-  const auto kernel = KernelScalar;
+  const auto& kernels = kScalarKernels;
 #endif
-  // Each shard gathers its own A panels, then computes them. Loop order: B
-  // tiles outermost within each shard so a packed B panel (kFloatNr x K,
-  // L2-resident) is reused across every LHS tile of the shard instead of
-  // being re-streamed per row tile -- for a 3136x64x576 GEMM this cuts B
-  // traffic by the number of m-tiles.
-  ctx.pool().ParallelFor(m_tiles, [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t mt = begin; mt < end; ++mt) {
-      GatherPanel(input, g, m, mt, apanels + mt * a_tile_elems);
-    }
-    float acc[kFloatMr][kFloatNr];
-    for (int nt = 0; nt < rhs.num_tiles(); ++nt) {
-      const int col0 = nt * kFloatNr;
-      const int cols = std::min(kFloatNr, n - col0);
-      for (std::int64_t mt = begin; mt < end; ++mt) {
-        const std::int64_t row0 = mt * kFloatMr;
-        const int rows =
-            static_cast<int>(std::min<std::int64_t>(kFloatMr, m - row0));
-        kernel(apanels + mt * a_tile_elems, rhs.tile(nt), k, acc);
-        for (int i = 0; i < rows; ++i) {
-          float* o = out + (row0 + i) * n + col0;
-          for (int j = 0; j < cols; ++j) {
-            const float v =
-                bias != nullptr ? acc[i][j] + bias[col0 + j] : acc[i][j];
-            o[j] = ApplyActivation(v, activation);
-          }
+  const StoreFn store = bias != nullptr ? PickStore<true>(activation)
+                                        : PickStore<false>(activation);
+
+  ctx.pool().ParallelForShard(m_tiles, [&](int shard, std::int64_t begin,
+                                           std::int64_t end) {
+    float acc[kFloatMr][kFloatNr] = {};
+    float* block = in_place ? nullptr : blocks + shard * block_elems;
+    for (std::int64_t t = begin; t < end; t += kBlockTiles) {
+      const std::int64_t row0 = t * kFloatMr;
+      const int rows = static_cast<int>(
+          std::min(std::min(end, t + kBlockTiles) * kFloatMr, m) - row0);
+      if (!in_place) GatherBlock(input, g, row0, rows, block);
+      const float* a = in_place ? input + row0 * k : block;
+      for (int nt = 0; nt < rhs.num_tiles(); ++nt) {
+        const int col0 = nt * kFloatNr;
+        const int cols = std::min(kFloatNr, n - col0);
+        const float* tile_bias = bias != nullptr ? bias + col0 : nullptr;
+        for (int r = 0; r < rows; r += kFloatMr) {
+          const int tile_rows = std::min(kFloatMr, rows - r);
+          kernels[tile_rows - 1](a + static_cast<std::int64_t>(r) * k,
+                                 rhs.tile(nt), k, acc);
+          store(acc, tile_rows, cols, tile_bias,
+                out + (row0 + r) * n + col0, n);
         }
       }
     }

@@ -7,9 +7,17 @@
 // Computes out[r][j] = act(sum_k patch(r)[k] * rhs[j][k] + bias[j]), where
 // patch(r) is output position r's [filter_h][filter_w][in_c] input patch and
 // the RHS is stored one output channel per row (OHWI flattened). The patch
-// matrix is never built: each kFloatMr-row A panel is gathered straight from
-// the NHWC input, and the bias and activation are applied as each tile is
-// stored.
+// matrix is never built whole: each shard walks its output rows in blocks,
+// gathers one block of patch rows into its slice of scratch slot 0, runs
+// every B tile over it, and applies the bias and activation as each tile is
+// stored. Scratch slot 0 is therefore block-sized, independent of the
+// image. A 1x1, stride-1 convolution and every fully connected layer read
+// their patch rows in place (patch row r is input pixel r) and use no
+// scratch.
+//
+// Each output is the fused multiply-add chain over k = 0..K-1 from +0.0,
+// then + bias, then the activation, in every tile shape, block order,
+// thread count and kernel profile, so all of them agree bitwise.
 #ifndef LCE_GEMM_FLOAT_GEMM_H_
 #define LCE_GEMM_FLOAT_GEMM_H_
 
@@ -21,7 +29,7 @@
 
 namespace lce::gemm {
 
-inline constexpr int kFloatMr = 4;
+// Columns of one micro-kernel tile: the packed B layout.
 inline constexpr int kFloatNr = 16;
 
 // RHS packed once at op-preparation time into [k][NR]-interleaved tiles.
@@ -51,7 +59,8 @@ class PackedFloatMatrix {
 // filter_h * filter_w * in_c) into the NHWC `out`. Padded taps read 0.0, or
 // +1.0 under Padding::kSameOne (the training dialect's emulated one-padded
 // binarized convolution). `bias` (null: none) is added and `activation`
-// applied where each tile is stored. Scratch slot 0 holds the A panels.
+// applied where each tile is stored. Scratch slot 0 holds each shard's
+// block of gathered patch rows; a 1x1, stride-1 convolution uses none.
 void FloatGemm(const float* input, const Conv2DGeometry& g,
                const PackedFloatMatrix& rhs, const float* bias,
                Activation activation, float* out, Context& ctx);

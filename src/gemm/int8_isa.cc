@@ -13,6 +13,9 @@ namespace {
 
 #if defined(__x86_64__) || defined(__i386__)
 
+// The CPUID and XCR0 probes are compiled only where a tier that calls them
+// is (AVX-512 VNNI implies AVX2).
+#if defined(__AVX2__)
 // XCR0 via raw xgetbv: <immintrin.h>'s _xgetbv needs -mxsave, and CPUID
 // already guaranteed OSXSAVE before this is called.
 unsigned long long Xcr0() {
@@ -28,19 +31,21 @@ bool OsSavesYmm() {
   return (Xcr0() & 0x6) == 0x6;           // xmm + ymm state
 }
 
-bool OsSavesZmm() {
-  unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-  if (!(ecx & (1u << 27))) return false;   // OSXSAVE
-  return (Xcr0() & 0xe6) == 0xe6;          // xmm + ymm + opmask + zmm state
-}
-
 // Leaf 7 subleaf 0: EBX bit 5 = AVX2, EBX bit 30 = AVX512BW,
 // ECX bit 11 = AVX512_VNNI.
 bool CpuHasAvx2() {
   unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
   return (ebx & (1u << 5)) != 0 && OsSavesYmm();
+}
+#endif  // __AVX2__
+
+#if defined(__AVX512VNNI__)
+bool OsSavesZmm() {
+  unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  if (!(ecx & (1u << 27))) return false;   // OSXSAVE
+  return (Xcr0() & 0xe6) == 0xe6;          // xmm + ymm + opmask + zmm state
 }
 
 bool CpuHasVnni() {
@@ -51,6 +56,7 @@ bool CpuHasVnni() {
   if (!(ecx & (1u << 11))) return false;  // AVX512_VNNI
   return OsSavesZmm();
 }
+#endif  // __AVX512VNNI__
 
 #endif  // x86
 

@@ -108,12 +108,11 @@ Status CheckContract(const Graph& g, const Node& n) {
 }
 
 // Bounds a convolution's im2col footprint (rows x depth elements), which no
-// kernel materialises as a patch matrix. It is the size of the
-// float GEMM's Run-time A panels (every output row's patch, gathered into
-// 4-row panels), and up to a small constant factor that of the indirection
-// table the binary and int8 kernels build at Compile (rows x taps int32
-// entries). Both live outside the planned arena, so the arena cap does not
-// cover them.
+// kernel materialises as a patch matrix. Up to a small constant factor it
+// is the size of the indirection table the binary and int8 kernels build
+// at Compile (rows x taps int32 entries), which lives outside the planned
+// arena, so the arena cap does not cover it. Float convolutions keep the
+// same cap, although their GEMM's scratch is block-sized.
 Status CheckIm2ColBytes(const Node& n, std::int64_t depth,
                         std::int64_t elem_bytes,
                         const ResourceLimits& limits) {

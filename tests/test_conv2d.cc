@@ -14,6 +14,7 @@
 #include "kernels/conv2d_float.h"
 #include "kernels/depthwise_conv.h"
 #include "kernels/reference.h"
+#include "telemetry/metrics.h"
 
 namespace lce {
 namespace {
@@ -101,8 +102,10 @@ TEST_P(ConvFloatShapes, MatchesReference) {
   }
 }
 
-// The output rows (batch * out_h * out_w) leave 0, 2 or 3 rows of the last
-// 4-row (kFloatMr) A panel empty.
+// The output rows (batch * out_h * out_w) leave the last row tile of the
+// float GEMM (kFloatMr rows: 12, 6 or 4 by build) partly empty, span
+// several row blocks, or number fewer than one tile; 1x1 stride-1 cases
+// read their rows in place, every other case gathers them.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ConvFloatShapes,
     ::testing::Values(
@@ -122,7 +125,65 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{2, 9, 5, 8, 16, 3, 2, Padding::kSameZero,
                  Activation::kRelu6},
         ConvCase{3, 10, 7, 2, 5, 1, 2, Padding::kValid,
-                 Activation::kSigmoid}));
+                 Activation::kSigmoid},
+        // A 7x7/2 stem: 399 rows, several blocks, a partial last tile.
+        ConvCase{1, 37, 41, 3, 16, 7, 2, Padding::kSameZero,
+                 Activation::kRelu},
+        ConvCase{2, 17, 15, 3, 16, 3, 2, Padding::kSameZero,
+                 Activation::kRelu},
+        // In place: 105 rows, not a multiple of 12, 6 or 4.
+        ConvCase{3, 5, 7, 24, 20, 1, 1, Padding::kValid, Activation::kRelu6},
+        // 1x1 but stride 2: gathered, not read in place.
+        ConvCase{2, 9, 9, 16, 24, 1, 2, Padding::kSameZero,
+                 Activation::kNone},
+        // The top and bottom filter rows fall outside the image.
+        ConvCase{2, 8, 11, 3, 10, 3, 1, Padding::kSameOne, Activation::kRelu},
+        // Two output rows: fewer than one tile in every build.
+        ConvCase{1, 2, 3, 4, 7, 3, 2, Padding::kSameOne, Activation::kRelu}));
+
+TEST(Conv2DFloat, ScratchIsBlockSized) {
+  // The float GEMM gathers each shard's patch rows one block at a time, so
+  // its scratch (slot 0) does not grow with the image, and a 1x1 stride-1
+  // convolution or a fully connected layer reads its rows in place.
+  const auto slot0_high_water = [](const Conv2DGeometry& g) {
+    telemetry::MetricsRegistry::Global().Reset();
+    std::vector<float> weights(static_cast<std::size_t>(g.out_c) *
+                               Im2ColDepthFloat(g));
+    Conv2DFloatAttrs attrs;
+    attrs.geo = g;
+    const Conv2DFloat op(weights.data(), attrs);
+    Tensor input(DataType::kFloat32, Shape{g.batch, g.in_h, g.in_w, g.in_c});
+    input.Zero();
+    Tensor out(DataType::kFloat32, Shape{g.batch, g.out_h(), g.out_w(),
+                                         g.out_c});
+    gemm::Context ctx(1);
+    op.Run(input, out, ctx);
+    return telemetry::MetricsRegistry::Global()
+        .Gauge("gemm.scratch_bytes.slot0")
+        ->value();
+  };
+  const auto conv = [](int hw, int in_c, int out_c, int k, int stride) {
+    Conv2DGeometry g;
+    g.in_h = g.in_w = hw;
+    g.in_c = in_c;
+    g.out_c = out_c;
+    g.filter_h = g.filter_w = k;
+    g.stride_h = g.stride_w = stride;
+    g.padding = Padding::kSameZero;
+    return g;
+  };
+  const Conv2DGeometry stem = conv(224, 3, 64, 7, 2);
+  const std::int64_t stem_bytes = slot0_high_water(stem);
+  EXPECT_GT(stem_bytes, 0);
+  EXPECT_EQ(stem_bytes, slot0_high_water(conv(64, 3, 64, 7, 2)));
+  // Image-sized panels: every patch row of the image.
+  const std::int64_t image_bytes =
+      Im2ColRows(stem) * Im2ColDepthFloat(stem) *
+      static_cast<std::int64_t>(sizeof(float));
+  EXPECT_LT(stem_bytes, image_bytes / 16);
+  EXPECT_EQ(slot0_high_water(conv(28, 64, 32, 1, 1)), 0);
+  EXPECT_EQ(slot0_high_water(FullyConnectedGeometry(3, 512, 100)), 0);
+}
 
 TEST(Conv2DFloat, OnePaddingForEmulatedBinarizedConv) {
   // SAME_ONE pads with +1.0 (used when executing the training dialect).

@@ -59,6 +59,16 @@ TEST_P(FloatGemmShapes, MatchesNaive) {
     EXPECT_NEAR(out[i], expected[i], 1e-4f * std::max(1.0f, std::abs(expected[i])))
         << "element " << i;
   }
+  // Every thread count and kernel profile gives the same bits.
+  for (int threads : {1, 3}) {
+    for (auto profile : {KernelProfile::kSimd, KernelProfile::kScalar}) {
+      Context other(threads, profile);
+      const std::vector<float> got = Gemm(lhs, m, rhs, n, k, other);
+      EXPECT_EQ(std::memcmp(got.data(), out.data(), out.size() * sizeof(float)),
+                0)
+          << "threads=" << threads << " profile=" << static_cast<int>(profile);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -68,6 +78,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3, 50, 27), std::make_tuple(64, 64, 147),
                       std::make_tuple(31, 33, 65),
                       std::make_tuple(100, 10, 576)));
+
+// Every row count of an edge tile in every build (kFloatMr is 12, 6 or 4),
+// on a classifier's shape: a fully connected layer at batch 1..13.
+INSTANTIATE_TEST_SUITE_P(ClassifierRows, FloatGemmShapes,
+                         ::testing::Combine(::testing::Range(1, 14),
+                                            ::testing::Values(1000),
+                                            ::testing::Values(512)));
 
 TEST(FloatGemm, ProfilesAgree) {
   // Bitwise: the scalar kernel rounds the way the SIMD one does (a fused
