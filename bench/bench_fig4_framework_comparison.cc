@@ -13,7 +13,7 @@
 #include "bench_common.h"
 #include "bgemm_baselines.h"
 #include "core/bitpack.h"
-#include "gemm/bgemm.h"
+#include "gemm_drivers.h"
 #include "im2col.h"
 #include "models/zoo.h"
 #include "telemetry/run_report.h"
@@ -77,8 +77,7 @@ int main(int argc, char** argv) {
     gemm::PackedBinaryMatrix packed(w.weights.data(), w.n, w.kw);
 
     const double lce = profiling::MeasureMedianSeconds([&] {
-      gemm::BGemm(w.patches.data(), w.m, packed, w.k_bits, w.out.data(), w.n,
-                  ctx);
+      BGemm(w.patches.data(), w.m, packed, w.k_bits, w.out.data(), w.n, ctx);
     });
     const double dabnn = profiling::MeasureMedianSeconds([&] {
       DaBnnStyleBGemm(w.patches.data(), w.m, w.weights.data(), w.n, w.kw,

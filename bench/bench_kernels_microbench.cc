@@ -9,9 +9,8 @@
 
 #include "core/bitpack.h"
 #include "core/random.h"
-#include "gemm/bgemm.h"
 #include "gemm/float_gemm.h"
-#include "gemm/int8_gemm.h"
+#include "gemm_drivers.h"
 #include "im2col_baseline.h"
 #include "kernels/bconv2d.h"
 #include "kernels/bmaxpool.h"
@@ -36,7 +35,7 @@ void BM_BGemm(benchmark::State& state) {
   std::vector<std::int32_t> out(static_cast<std::size_t>(kM) * kN);
   gemm::Context ctx(1);
   for (auto _ : state) {
-    gemm::BGemm(lhs.data(), kM, packed, kK, out.data(), kN, ctx);
+    bench::BGemm(lhs.data(), kM, packed, kK, out.data(), kN, ctx);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["GMAC/s"] = benchmark::Counter(
@@ -132,7 +131,7 @@ void BM_Int8Gemm(benchmark::State& state) {
   std::vector<std::int32_t> out(static_cast<std::size_t>(kM) * kN);
   gemm::Context ctx(1);
   for (auto _ : state) {
-    gemm::Int8Gemm(lhs.data(), kM, packed, out.data(), kN, ctx);
+    bench::Int8Gemm(lhs.data(), kM, packed, out.data(), kN, ctx);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["GMAC/s"] = benchmark::Counter(

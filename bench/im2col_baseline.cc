@@ -4,6 +4,7 @@
 
 #include "core/bitpack.h"
 #include "core/macros.h"
+#include "gemm_drivers.h"
 #include "im2col.h"
 
 namespace lce::bench {
@@ -68,8 +69,8 @@ void Im2ColBConv2D::Run(const Tensor& input, Tensor& output,
     } else if (!pointwise) {
       Im2ColBitpacked(in, g, patches);
     }
-    gemm::BGemm(pointwise ? in : patches, static_cast<int>(rows),
-                groups_[grp], k_bits_, acc + grp * out_c_pg, g.out_c, ctx);
+    BGemm(pointwise ? in : patches, static_cast<int>(rows), groups_[grp],
+          k_bits_, acc + grp * out_c_pg, g.out_c, ctx);
   }
   transform_->Apply(acc, 0, rows, output.raw_data());
 }
@@ -92,7 +93,7 @@ void Im2ColConv2DInt8::Run(const Tensor& input, Tensor& output,
              patches);
   auto* acc = reinterpret_cast<std::int32_t*>(ctx.Scratch(
       2, static_cast<std::size_t>(rows) * g.out_c * sizeof(std::int32_t)));
-  gemm::Int8Gemm(patches, static_cast<int>(rows), panels_, acc, g.out_c, ctx);
+  Int8Gemm(patches, static_cast<int>(rows), panels_, acc, g.out_c, ctx);
   transform_->Apply(acc, 0, rows, output.raw_data());
 }
 

@@ -1,14 +1,15 @@
 // The paper's section 3.2 baseline for the convolution ablations: the
 // full-image im2col -> GEMM -> output transform pipeline that the fused
 // row-tile ConvPipeline (kernels/pipeline/conv_pipeline.h) replaced. It is
-// assembled from the full-image gathers in im2col.h and public engine
-// pieces -- the packed GEMMs and the shared output transforms -- so each
-// production kernel keeps exactly one execution path while the benches
-// that quantify the fusion still have the unfused pipeline to measure
-// against.
+// assembled from the full-image gathers in im2col.h, the full-matrix GEMM
+// drivers in gemm_drivers.h and public engine pieces -- the packed weight
+// matrices and the shared output transforms -- so each production kernel
+// keeps exactly one execution path while the benches that quantify the
+// fusion still have the unfused pipeline to measure against.
 //
 // Scratch: context slot 1 holds the image's patch matrix, slot 2 the
-// image's int32 accumulator.
+// image's int32 accumulator, and the int8 driver's slot 0 its K-padded
+// rows.
 #ifndef LCE_BENCH_IM2COL_BASELINE_H_
 #define LCE_BENCH_IM2COL_BASELINE_H_
 

@@ -26,6 +26,12 @@ class AlignedBuffer {
   // serving path converts it to Status::ResourceExhausted at its catch
   // points (ExecutionContext construction and Invoke). Code with no catch
   // point keeps the old die-on-OOM behavior via std::terminate.
+  //
+  // The contents start unspecified. Where NDEBUG is not defined (Debug and
+  // sanitizer builds) they are filled with 0xFF -- NaN as floats, -1 as
+  // integers, every bitpacked channel -1 -- so an arena, tensor or packed
+  // buffer read before it is written fails deterministically instead of
+  // reading whatever the allocator left. Release builds skip the fill.
   explicit AlignedBuffer(std::size_t size_bytes,
                          std::size_t alignment = kDefaultAlignment)
       : size_(size_bytes) {
@@ -36,6 +42,9 @@ class AlignedBuffer {
         (size_bytes + alignment - 1) / alignment * alignment;
     data_ = static_cast<std::uint8_t*>(std::aligned_alloc(alignment, rounded));
     if (data_ == nullptr) throw std::bad_alloc();
+#ifndef NDEBUG
+    std::memset(data_, 0xFF, rounded);
+#endif
   }
 
   AlignedBuffer(const AlignedBuffer&) = delete;

@@ -13,7 +13,6 @@
 #endif
 
 #include "core/macros.h"
-#include "telemetry/metrics.h"
 #include "telemetry/tracer.h"
 
 namespace lce::gemm {
@@ -326,39 +325,6 @@ void BGemmComputeBlock(const TBitpacked* const* rows, int taps, int word_begin,
                       ldc);
     }
   }
-}
-
-void BGemm(const TBitpacked* lhs, int m, const PackedBinaryMatrix& rhs,
-           int k_bits, std::int32_t* out, int ldc, Context& ctx) {
-  // One BGEMM computes m x n dot products of k_bits binary positions each.
-  static telemetry::Metric* macs =
-      telemetry::MetricsRegistry::Global().Counter("bgemm.binary_macs");
-  macs->Add(static_cast<std::int64_t>(m) * rhs.n() * k_bits);
-
-  LCE_TRACE_SCOPE_CAT("bgemm/compute", "gemm");
-  const int kw = rhs.kw();
-  const KernelProfile profile = ctx.profile();
-  const int m_tiles = (m + kBgemmMr - 1) / kBgemmMr;
-  ctx.pool().ParallelFor(m_tiles, [&](std::int64_t begin, std::int64_t end) {
-    // Blocks of up to kBlockTiles row tiles share each weight tile while
-    // it is cache-resident; every row is read in place (one tap per row).
-    constexpr int kBlockTiles = 16;
-    const TBitpacked* row_ptrs[kBlockTiles * kBgemmMr];
-    for (std::int64_t t = begin; t < end; t += kBlockTiles) {
-      const std::int64_t row0 = t * kBgemmMr;
-      const int block_rows = static_cast<int>(std::min<std::int64_t>(
-          std::min<std::int64_t>(end - t, kBlockTiles) * kBgemmMr, m - row0));
-      for (int i = 0; i < block_rows; ++i) row_ptrs[i] = lhs + (row0 + i) * kw;
-      BGemmComputeBlock(row_ptrs, /*taps=*/1, /*word_begin=*/0, kw, rhs, k_bits,
-                        profile, block_rows, out + row0 * ldc, ldc);
-    }
-  });
-}
-
-void BGemm(const TBitpacked* lhs, int m, const TBitpacked* rhs, int n, int kw,
-           int k_bits, std::int32_t* out, int ldc, Context& ctx) {
-  PackedBinaryMatrix packed(rhs, n, kw);
-  BGemm(lhs, m, packed, k_bits, out, ldc, ctx);
 }
 
 }  // namespace lce::gemm

@@ -17,7 +17,11 @@
 // 32 channels. There is no horizontal reduction, K is never padded beyond
 // the 32-bit words the tensors already use, and the activations are read
 // in place through a table of row pointers -- no LHS panel is packed.
-// Work is sharded across threads over LHS row tiles.
+// The library's one driver is the ConvPipeline
+// (kernels/pipeline/conv_pipeline.h): it shards row tiles across threads
+// and runs BGemmComputeBlock per block for every binary convolution and
+// binary fully connected layer. The full-matrix BGemm driver of the
+// benches and the GEMM tests is bench/gemm_drivers.h.
 //
 // The `kSimd` profile runs the best kernel compiled in: AVX-512 VPOPCNTDQ,
 // else NEON (vcnt + pairwise widening), else AVX2 (pshufb nibble-LUT byte
@@ -74,7 +78,7 @@ class PackedBinaryMatrix {
 // `word_begin`; taps * words must equal rhs.kw(). A convolution points
 // each tap at a pixel's channel vector (or at a zero row for a padded
 // tap), a grouped one selects its group's words with `word_begin`, and a
-// plain matrix uses taps = 1 with one pointer per row.
+// pointwise one or a plain matrix uses taps = 1 with one pointer per row.
 //
 // Loop order is channel-tile-outer / row-tile-inner so each packed weight
 // tile stays cache-resident across the whole block; the tail row tile runs
@@ -83,15 +87,6 @@ void BGemmComputeBlock(const TBitpacked* const* rows, int taps, int word_begin,
                        int words, const PackedBinaryMatrix& rhs, int k_bits,
                        KernelProfile profile, int block_rows, std::int32_t* out,
                        int ldc);
-
-// out[i][j] = k_bits - 2*popcount(lhs_i ^ rhs_j); out is row-major MxN with
-// leading dimension ldc. lhs is [m][rhs.kw()], read in place.
-void BGemm(const TBitpacked* lhs, int m, const PackedBinaryMatrix& rhs,
-           int k_bits, std::int32_t* out, int ldc, Context& ctx);
-
-// Convenience overload packing the RHS internally (tests, one-shot use).
-void BGemm(const TBitpacked* lhs, int m, const TBitpacked* rhs, int n, int kw,
-           int k_bits, std::int32_t* out, int ldc, Context& ctx);
 
 }  // namespace lce::gemm
 

@@ -60,11 +60,12 @@ class Context {
   // Slots are independent buffers and a fixed contract between the kernels:
   // slot 0 holds the float GEMM's per-shard blocks of gathered patch rows
   // (block-sized, independent of the image; a 1x1, stride-1 convolution or
-  // a fully connected layer asks for none) and Int8Gemm's staged rows;
-  // slot 1 only the benchmarks' im2col baseline's patch matrix; slot 2 the
-  // ConvPipeline's per-shard scratch and the accumulators of
-  // BFullyConnected and that baseline. An out-of-range slot is a
-  // programmer error, not a resize request.
+  // a fully connected layer asks for none); slot 2 the ConvPipeline's
+  // per-shard scratch (every binary and int8 convolution and binary fully
+  // connected layer). Only bench code (bench/) uses slot 1: the im2col
+  // baseline's patch matrix, with its accumulator in slot 2 and the
+  // full-matrix Int8Gemm's K-padded rows in slot 0. An out-of-range slot
+  // is a programmer error, not a resize request.
   //
   // Where NDEBUG is not defined (Debug and sanitizer builds), every call
   // fills the bytes it returns with 0xFF: NaN as floats, -1 as integers. A

@@ -294,47 +294,4 @@ void Int8DotComputeBlock(const std::int8_t* arows, int lda,
   }
 }
 
-void Int8Gemm(const std::int8_t* lhs, int m, const PackedInt8DotPanels& rhs,
-              std::int32_t* out, int ldc, Context& ctx) {
-  // 128 rows per block, as the fused int8 convolution computes them.
-  constexpr int kBlockRows = 128;
-  const int k = rhs.k();
-  const int lda = rhs.k_groups() * kInt8DotKg;
-  // Rows are read in place when k is already a whole number of K-groups.
-  std::int8_t* staged =
-      lda == k ? nullptr
-               : reinterpret_cast<std::int8_t*>(ctx.Scratch(
-                     0, static_cast<std::size_t>(m) * lda));
-  const Int8Tier tier = ctx.profile() == KernelProfile::kScalar
-                            ? Int8Tier::kScalar
-                            : SelectInt8Tier();
-  const std::int64_t blocks = (m + kBlockRows - 1) / kBlockRows;
-  ctx.pool().ParallelFor(blocks, [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t b = begin; b < end; ++b) {
-      const std::int64_t row0 = b * kBlockRows;
-      const int rows = static_cast<int>(
-          std::min<std::int64_t>(kBlockRows, m - row0));
-      const std::int8_t* arows = lhs + row0 * k;
-      if (staged != nullptr) {
-        std::int8_t* s = staged + row0 * lda;
-        for (int r = 0; r < rows; ++r) {
-          std::memcpy(s + static_cast<std::int64_t>(r) * lda,
-                      arows + static_cast<std::int64_t>(r) * k,
-                      static_cast<std::size_t>(k));
-          std::memset(s + static_cast<std::int64_t>(r) * lda + k, 0,
-                      static_cast<std::size_t>(lda - k));
-        }
-        arows = s;
-      }
-      Int8DotComputeBlock(arows, lda, rhs, tier, rows, out + row0 * ldc, ldc);
-    }
-  });
-}
-
-void Int8Gemm(const std::int8_t* lhs, int m, const std::int8_t* rhs, int n,
-              int k, std::int32_t* out, int ldc, Context& ctx) {
-  const PackedInt8DotPanels packed(rhs, n, k);
-  Int8Gemm(lhs, m, packed, out, ldc, ctx);
-}
-
 }  // namespace lce::gemm

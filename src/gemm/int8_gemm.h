@@ -12,6 +12,11 @@
 // each activation byte by XOR 0x80 in-register and subtract
 // 128 * rowsum(rhs) (precomputed at pack time) in the epilogue, so the
 // public contract stays an exact signed dot product.
+//
+// The library's one driver is the ConvPipeline
+// (kernels/pipeline/conv_pipeline.h), which runs Int8DotComputeBlock per
+// row block of every int8 convolution. The full-matrix Int8Gemm driver of
+// the benches and the GEMM tests is bench/gemm_drivers.h.
 #ifndef LCE_GEMM_INT8_GEMM_H_
 #define LCE_GEMM_INT8_GEMM_H_
 
@@ -19,7 +24,6 @@
 #include <vector>
 
 #include "core/aligned_buffer.h"
-#include "gemm/context.h"
 #include "gemm/int8_isa.h"
 
 namespace lce::gemm {
@@ -80,17 +84,6 @@ class PackedInt8DotPanels {
 void Int8DotComputeBlock(const std::int8_t* arows, int lda,
                          const PackedInt8DotPanels& rhs, Int8Tier tier,
                          int block_rows, std::int32_t* out, int ldc);
-
-// Full GEMM of `m` row-major lhs rows (leading dimension rhs.k()) against
-// the packed panels, in 128-row Int8DotComputeBlock calls spread over the
-// context's pool. Runs the scalar tier under a scalar-profile context and
-// SelectInt8Tier() otherwise. Scratch: slot 0 holds the lhs rows
-// zero-padded to the panels' K-groups, used only when rhs.k() % 4 != 0.
-void Int8Gemm(const std::int8_t* lhs, int m, const PackedInt8DotPanels& rhs,
-              std::int32_t* out, int ldc, Context& ctx);
-
-void Int8Gemm(const std::int8_t* lhs, int m, const std::int8_t* rhs, int n,
-              int k, std::int32_t* out, int ldc, Context& ctx);
 
 }  // namespace lce::gemm
 

@@ -20,12 +20,6 @@
 namespace lce {
 namespace {
 
-bool IsBinaryOp(OpType t) {
-  return t == OpType::kLceQuantize || t == OpType::kLceDequantize ||
-         t == OpType::kLceBConv2d || t == OpType::kLceBMaxPool2d ||
-         t == OpType::kLceBFullyConnected;
-}
-
 // Bytes of packed binary weights currently resident across all live
 // CompiledModels. Unlike the per-model high-water gauges this accumulates,
 // so a server can verify weights are shared rather than duplicated per
@@ -372,9 +366,7 @@ Status CompiledModel::Build(CompileOptions options,
   // kernel: the expensive geometry-invariant state (packed/bitpacked
   // weights, correction tables, output transforms) is shared by reference
   // and only the geometry-dependent state (indirection tables, tile plans)
-  // is rebuilt for the specialized geometry. The binary fully connected
-  // kernel, which reads the batch from its input tensor at Run, is aliased
-  // outright.
+  // is rebuilt for the specialized geometry.
   LCE_TRACE_SCOPE_CAT("prepare/pack", "interpreter");
   std::size_t packed_weight_bytes = 0;
   kernels_.clear();
@@ -406,7 +398,7 @@ Status CompiledModel::Build(CompileOptions options,
         attrs.activation = n.attrs.activation;
         attrs.bias = n.attrs.bias;
         if (src != nullptr) {
-          k.conv = std::make_shared<Conv2DFloat>(*src->conv, std::move(attrs));
+          k.conv = std::make_unique<Conv2DFloat>(*src->conv, std::move(attrs));
           break;
         }
         const Value& w = graph_.value(n.inputs[1]);
@@ -419,9 +411,9 @@ Status CompiledModel::Build(CompileOptions options,
           for (std::size_t i = 0; i < signed_w.size(); ++i) {
             signed_w[i] = SignValue(wsrc[i]);
           }
-          k.conv = std::make_shared<Conv2DFloat>(signed_w.data(), attrs);
+          k.conv = std::make_unique<Conv2DFloat>(signed_w.data(), attrs);
         } else {
-          k.conv = std::make_shared<Conv2DFloat>(w.constant_data.data<float>(),
+          k.conv = std::make_unique<Conv2DFloat>(w.constant_data.data<float>(),
                                                  attrs);
         }
         break;
@@ -432,37 +424,14 @@ Status CompiledModel::Build(CompileOptions options,
         attrs.activation = n.attrs.activation;
         attrs.bias = n.attrs.bias;
         if (src != nullptr) {
-          k.dwconv = std::make_shared<DepthwiseConv2DFloat>(*src->dwconv,
+          k.dwconv = std::make_unique<DepthwiseConv2DFloat>(*src->dwconv,
                                                             std::move(attrs));
           break;
         }
         const Value& w = graph_.value(n.inputs[1]);
         LCE_DCHECK(w.is_constant);
-        k.dwconv = std::make_shared<DepthwiseConv2DFloat>(
+        k.dwconv = std::make_unique<DepthwiseConv2DFloat>(
             w.constant_data.data<float>(), attrs);
-        break;
-      }
-      case OpType::kLceBFullyConnected: {
-        if (src != nullptr) {
-          k.bfc = src->bfc;  // batch-agnostic, aliased outright
-          break;
-        }
-        const Value& w = graph_.value(n.inputs[1]);
-        LCE_DCHECK(w.is_constant);
-        BFullyConnectedAttrs attrs;
-        attrs.in_features = n.attrs.fc_in_features;
-        attrs.out_features = n.attrs.fc_out_features;
-        attrs.pre_activation = n.attrs.pre_activation;
-        attrs.multiplier = n.attrs.multiplier;
-        attrs.bias = n.attrs.bias;
-        if (w.dtype == DataType::kBitpacked) {
-          k.bfc = std::make_shared<BFullyConnected>(
-              w.constant_data.data<TBitpacked>(), attrs);
-        } else {
-          k.bfc = std::make_shared<BFullyConnected>(
-              w.constant_data.data<float>(), attrs);
-        }
-        packed_weight_bytes += k.bfc->packed_weights_bytes();
         break;
       }
       case OpType::kConv2DInt8: {
@@ -476,33 +445,43 @@ Status CompiledModel::Build(CompileOptions options,
         attrs.weight_scales = n.attrs.weight_scales;
         if (src != nullptr) {
           k.conv_int8 =
-              std::make_shared<Conv2DInt8>(*src->conv_int8, std::move(attrs));
+              std::make_unique<Conv2DInt8>(*src->conv_int8, std::move(attrs));
           break;
         }
         const Value& w = graph_.value(n.inputs[1]);
         LCE_DCHECK(w.is_constant);
-        k.conv_int8 = std::make_shared<Conv2DInt8>(
+        k.conv_int8 = std::make_unique<Conv2DInt8>(
             w.constant_data.data<std::int8_t>(), attrs);
         break;
       }
-      case OpType::kLceBConv2d: {
+      case OpType::kLceBConv2d:
+      case OpType::kLceBFullyConnected: {
+        // A binary fully connected layer runs as the 1x1 BConv2D over its
+        // [batch, in] input, with float output; its [out][in] weights are
+        // OHWI [out][1][1][in].
         BConv2DAttrs attrs;
         attrs.geo = n.attrs.conv;
         attrs.output_type = n.attrs.bconv_output;
+        if (n.type == OpType::kLceBFullyConnected) {
+          attrs.geo = FullyConnectedGeometry(
+              static_cast<int>(graph_.value(n.inputs[0]).shape.dim(0)),
+              n.attrs.fc_in_features, n.attrs.fc_out_features);
+          attrs.output_type = BConvOutputType::kFloat;
+        }
         attrs.pre_activation = n.attrs.pre_activation;
         attrs.multiplier = n.attrs.multiplier;
         attrs.bias = n.attrs.bias;
         if (src != nullptr) {
-          k.bconv = std::make_shared<BConv2D>(*src->bconv, std::move(attrs));
+          k.bconv = std::make_unique<BConv2D>(*src->bconv, std::move(attrs));
           break;
         }
         const Value& w = graph_.value(n.inputs[1]);
         LCE_DCHECK(w.is_constant);
         if (w.dtype == DataType::kBitpacked) {
-          k.bconv = std::make_shared<BConv2D>(
+          k.bconv = std::make_unique<BConv2D>(
               w.constant_data.data<TBitpacked>(), attrs);
         } else {
-          k.bconv = std::make_shared<BConv2D>(w.constant_data.data<float>(),
+          k.bconv = std::make_unique<BConv2D>(w.constant_data.data<float>(),
                                               attrs);
         }
         packed_weight_bytes += k.bconv->packed_weights_bytes();
@@ -642,12 +621,8 @@ void ExecutionContext::RunNode(const Node& n, OpProfile* prof) {
       kernels[n.id].dwconv->Run(in, out);
       break;
     }
+    case OpType::kLceBConv2d:
     case OpType::kLceBFullyConnected: {
-      Tensor in = ValueTensor(n.inputs[0]);
-      kernels[n.id].bfc->Run(in, out, ctx_);
-      break;
-    }
-    case OpType::kLceBConv2d: {
       Tensor in = ValueTensor(n.inputs[0]);
       kernels[n.id].bconv->Run(in, out, ctx_,
                                prof != nullptr ? &prof->bconv : nullptr);

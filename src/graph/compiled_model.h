@@ -41,7 +41,6 @@
 #include "gemm/context.h"
 #include "graph/ir.h"
 #include "kernels/bconv2d.h"
-#include "kernels/bfully_connected.h"
 #include "kernels/conv2d_float.h"
 #include "kernels/conv2d_int8.h"
 #include "kernels/depthwise_conv.h"
@@ -79,8 +78,9 @@ struct OpProfile {
   std::string name;
   OpType type = OpType::kConv2D;
   double seconds = 0.0;
-  BConvStageTimes bconv;  // only meaningful for kLceBConv2d
-  // True for the binary operators (LceQuantize/LceBConv2d/LceBMaxPool2d).
+  // Only meaningful for kLceBConv2d and kLceBFullyConnected (a 1x1 BConv2D).
+  BConvStageTimes bconv;
+  // True for the binary operators (IsBinaryOp in graph/ir.h).
   bool is_binary_op = false;
 };
 
@@ -219,16 +219,15 @@ class CompiledModel {
   // Prepared kernel objects, indexed by node id (only one is non-null).
   // Kernel Run() is const and keeps no per-invocation state (all scratch
   // comes from the caller's gemm::Context), so one kernel instance serves
-  // all concurrent contexts. shared_ptr because a specialization aliases
-  // the root's shape-agnostic kernel (bfc) outright and holds
-  // weight-sharing siblings of the geometry-dependent ones. `conv` also
-  // serves kFullyConnected, as a 1x1 convolution.
+  // all concurrent contexts. Each model owns its kernels; a specialization
+  // builds weight-sharing siblings of its root's. `conv` also serves
+  // kFullyConnected and `bconv` kLceBFullyConnected, each as a 1x1
+  // convolution.
   struct PreparedKernels {
-    std::shared_ptr<const BConv2D> bconv;
-    std::shared_ptr<const BFullyConnected> bfc;
-    std::shared_ptr<const Conv2DFloat> conv;
-    std::shared_ptr<const Conv2DInt8> conv_int8;
-    std::shared_ptr<const DepthwiseConv2DFloat> dwconv;
+    std::unique_ptr<const BConv2D> bconv;
+    std::unique_ptr<const Conv2DFloat> conv;
+    std::unique_ptr<const Conv2DInt8> conv_int8;
+    std::unique_ptr<const DepthwiseConv2DFloat> dwconv;
   };
   std::vector<PreparedKernels> kernels_;
   // Retained for Specialize (specializations compile under the same limits

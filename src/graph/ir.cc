@@ -80,6 +80,12 @@ int ExpectedArity(OpType t) {
   }
 }
 
+bool IsBinaryOp(OpType t) {
+  return t == OpType::kLceQuantize || t == OpType::kLceDequantize ||
+         t == OpType::kLceBConv2d || t == OpType::kLceBMaxPool2d ||
+         t == OpType::kLceBFullyConnected;
+}
+
 namespace {
 
 // One bound on every convolution, pooling and fully connected extent,

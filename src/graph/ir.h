@@ -73,6 +73,11 @@ std::string_view OpTypeName(OpType t);
 // operand contract (Graph::InferOutput) checks every node against it.
 int ExpectedArity(OpType t);
 
+// The inference dialect's binary ops (bitpack, unpack and every op that
+// reads bitpacked operands): what the profile's binary share and the
+// printer's binary MAC split count.
+bool IsBinaryOp(OpType t);
+
 // One attrs struct shared by all ops; each op reads the fields it needs.
 struct OpAttrs {
   // Convolution / pooling geometry.

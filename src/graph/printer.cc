@@ -6,12 +6,6 @@
 namespace lce {
 namespace {
 
-bool IsBinaryOp(OpType t) {
-  return t == OpType::kLceQuantize || t == OpType::kLceDequantize ||
-         t == OpType::kLceBConv2d || t == OpType::kLceBMaxPool2d ||
-         t == OpType::kLceBFullyConnected;
-}
-
 std::int64_t NodeMacs(const Node& n) {
   switch (n.type) {
     case OpType::kConv2D:

@@ -38,18 +38,9 @@ BConv2D::BConv2D(const TBitpacked* packed_weights_ohwi, BConv2DAttrs attrs)
 
 BConv2D::BConv2D(const BConv2D& base, BConv2DAttrs attrs)
     : attrs_(std::move(attrs)), weights_(base.weights_) {
-  // Everything the shared state encodes -- packed weights, correction
-  // tables, output transforms, all keyed by channels/filter/stride/padding
-  // -- must be identical; the batch and the spatial input size (shape
-  // buckets) may differ, since InitGeometry rebuilds every
-  // spatially-dependent structure (indirection table, zero row, tile plan)
-  // for this instance's own geometry.
-  const Conv2DGeometry& g = attrs_.geo;
-  const Conv2DGeometry& bg = base.attrs_.geo;
-  LCE_CHECK(g.in_c == bg.in_c && g.out_c == bg.out_c &&
-            g.filter_h == bg.filter_h && g.filter_w == bg.filter_w &&
-            g.stride_h == bg.stride_h && g.stride_w == bg.stride_w &&
-            g.padding == bg.padding);
+  // InitGeometry rebuilds every spatially-dependent structure (indirection
+  // table, zero row, tile plan) for this instance's own geometry.
+  CheckSiblingGeometry(attrs_.geo, base.attrs_.geo);
   LCE_CHECK(attrs_.groups == base.attrs_.groups &&
             attrs_.output_type == base.attrs_.output_type);
   InitGeometry();
@@ -265,7 +256,8 @@ void BConv2D::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
                   BConvStageTimes* times) const {
   const Conv2DGeometry& g = attrs_.geo;
   LCE_CHECK(input.dtype() == DataType::kBitpacked);
-  LCE_CHECK_EQ(input.shape().dim(3), g.in_c);
+  // The last dimension: a fully connected layer's tensors are rank 2.
+  LCE_CHECK_EQ(input.shape().dim(input.shape().rank() - 1), g.in_c);
   switch (attrs_.output_type) {
     case BConvOutputType::kFloat:
       LCE_CHECK(output.dtype() == DataType::kFloat32);

@@ -15,7 +15,9 @@
 //
 // Execution runs through the shared fused row-tile engine
 // (kernels/pipeline/conv_pipeline.h) for all group counts; the transforms
-// are the shared policies in kernels/pipeline/output_transform.h. The
+// are the shared policies in kernels/pipeline/output_transform.h. A binary
+// fully connected layer (LceBFullyConnected) runs as the 1x1 case over
+// [batch, 1, 1, in] (FullyConnectedGeometry in kernels/conv_params.h). The
 // paper's full-image im2col + BGEMM baseline lives with the benchmarks
 // (bench/im2col_baseline.h).
 //
@@ -92,12 +94,14 @@ class BConv2D {
   // Batch-variant sibling (docs/SERVING.md): shares `base`'s per-group
   // packed matrices, zero-padding correction table and output transform --
   // all batch-invariant -- and rebuilds only the geometry-dependent state
-  // (indirection cache, tile plan). `attrs` must match base.attrs() in
-  // everything except geo.batch.
+  // (indirection cache, tile plan). `attrs` may differ from base.attrs()
+  // only in what CheckSiblingGeometry allows (batch, spatial input size).
   BConv2D(const BConv2D& base, BConv2DAttrs attrs);
 
   // input: bitpacked NHWC [batch, in_h, in_w, in_c(packed)].
   // output: dtype matching attrs.output_type, shape [batch, oh, ow, out_c].
+  // The 1x1 case also takes the rank-2 [batch, in] / [batch, out] tensors
+  // of a binary fully connected layer.
   // scratch usage: context slot 2 (per-shard row-pointer tables + row-tile
   // accumulator).
   void Run(const Tensor& input, Tensor& output, gemm::Context& ctx,

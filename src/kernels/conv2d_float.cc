@@ -16,15 +16,8 @@ Conv2DFloat::Conv2DFloat(const float* weights_ohwi, Conv2DFloatAttrs attrs)
 
 Conv2DFloat::Conv2DFloat(const Conv2DFloat& base, Conv2DFloatAttrs attrs)
     : attrs_(std::move(attrs)), packed_weights_(base.packed_weights_) {
-  // The packed weight panels depend only on channels and filter size, so a
-  // sibling may differ in batch and spatial input size (shape buckets); the
-  // GEMM reads the patch geometry from attrs_ per Run.
-  const Conv2DGeometry& g = attrs_.geo;
-  const Conv2DGeometry& bg = base.attrs_.geo;
-  LCE_CHECK(g.in_c == bg.in_c && g.out_c == bg.out_c &&
-            g.filter_h == bg.filter_h && g.filter_w == bg.filter_w &&
-            g.stride_h == bg.stride_h && g.stride_w == bg.stride_w &&
-            g.padding == bg.padding);
+  // The GEMM reads the patch geometry from attrs_ per Run.
+  CheckSiblingGeometry(attrs_.geo, base.attrs_.geo);
 }
 
 void Conv2DFloat::Run(const Tensor& input, Tensor& output,

@@ -28,8 +28,8 @@ class Conv2DFloat {
   Conv2DFloat(const float* weights_ohwi, Conv2DFloatAttrs attrs);
 
   // Batch-variant sibling (docs/SERVING.md): shares `base`'s packed weight
-  // matrix; `attrs` must match base.attrs() in everything except geo.batch
-  // (the kernel reads the batch from attrs at Run).
+  // matrix; `attrs` may differ from base.attrs() only in what
+  // CheckSiblingGeometry allows (batch, spatial input size).
   Conv2DFloat(const Conv2DFloat& base, Conv2DFloatAttrs attrs);
 
   // input: float NHWC; output: float NHWC [batch, oh, ow, out_c]. The 1x1

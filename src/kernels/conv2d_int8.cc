@@ -98,17 +98,9 @@ Conv2DInt8::Conv2DInt8(const std::int8_t* weights_ohwi, Conv2DInt8Attrs attrs)
 
 Conv2DInt8::Conv2DInt8(const Conv2DInt8& base, Conv2DInt8Attrs attrs)
     : attrs_(std::move(attrs)), weights_(base.weights_) {
-  // Everything the shared state encodes -- dot panels, row sums, requant
-  // transform, all keyed by channels/filter/stride/padding -- must be
-  // identical; the batch and the spatial input size (shape buckets) may
-  // differ, since InitGeometry rebuilds the indirection cache and tile plan
-  // for this instance's own geometry.
-  const Conv2DGeometry& g = attrs_.geo;
-  const Conv2DGeometry& bg = base.attrs_.geo;
-  LCE_CHECK(g.in_c == bg.in_c && g.out_c == bg.out_c &&
-            g.filter_h == bg.filter_h && g.filter_w == bg.filter_w &&
-            g.stride_h == bg.stride_h && g.stride_w == bg.stride_w &&
-            g.padding == bg.padding);
+  // InitGeometry rebuilds the indirection cache and tile plan for this
+  // instance's own geometry.
+  CheckSiblingGeometry(attrs_.geo, base.attrs_.geo);
   InitGeometry();
 }
 

@@ -57,7 +57,8 @@ class Conv2DInt8 {
   // Batch-variant sibling (docs/SERVING.md): shares `base`'s packed weight
   // panels and requantization transform (batch-invariant) and rebuilds only
   // the geometry-dependent state (indirection cache, tile plan). `attrs`
-  // must match base.attrs() in everything except geo.batch.
+  // may differ from base.attrs() only in what CheckSiblingGeometry allows
+  // (batch, spatial input size).
   Conv2DInt8(const Conv2DInt8& base, Conv2DInt8Attrs attrs);
 
   // input: int8 NHWC; output: int8 NHWC.

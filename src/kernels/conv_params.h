@@ -92,6 +92,18 @@ inline int Im2ColDepthBitpacked(const Conv2DGeometry& g) {
   return g.filter_h * g.filter_w * BitpackedWords(g.in_c);
 }
 
+// What a weight-sharing sibling kernel (docs/SERVING.md) may change: the
+// batch and the spatial input size. Channels, filter, stride and padding
+// key every piece of prepared weight state (packed weights, correction
+// tables, output transforms), so they must equal the base kernel's.
+inline void CheckSiblingGeometry(const Conv2DGeometry& g,
+                                 const Conv2DGeometry& base) {
+  LCE_CHECK(g.in_c == base.in_c && g.out_c == base.out_c &&
+            g.filter_h == base.filter_h && g.filter_w == base.filter_w &&
+            g.stride_h == base.stride_h && g.stride_w == base.stride_w &&
+            g.padding == base.padding);
+}
+
 // A fully connected layer as the 1x1 convolution it runs as: its
 // [batch, in] input is NHWC [batch, 1, 1, in].
 inline Conv2DGeometry FullyConnectedGeometry(int batch, int in_features,

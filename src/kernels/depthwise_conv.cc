@@ -21,15 +21,8 @@ DepthwiseConv2DFloat::DepthwiseConv2DFloat(const float* weights,
 DepthwiseConv2DFloat::DepthwiseConv2DFloat(const DepthwiseConv2DFloat& base,
                                            DepthwiseConv2DAttrs attrs)
     : attrs_(std::move(attrs)), weights_(base.weights_) {
-  // The shared weight vector depends only on channels and filter size, so a
-  // sibling may differ in batch and spatial input size (shape buckets); Run
-  // walks the spatial extent from attrs_ directly.
-  const Conv2DGeometry& g = attrs_.geo;
-  const Conv2DGeometry& bg = base.attrs_.geo;
-  LCE_CHECK(g.in_c == bg.in_c && g.out_c == bg.out_c &&
-            g.filter_h == bg.filter_h && g.filter_w == bg.filter_w &&
-            g.stride_h == bg.stride_h && g.stride_w == bg.stride_w &&
-            g.padding == bg.padding);
+  // Run walks the spatial extent from attrs_ directly.
+  CheckSiblingGeometry(attrs_.geo, base.attrs_.geo);
 }
 
 void DepthwiseConv2DFloat::Run(const Tensor& input, Tensor& output) const {

@@ -25,8 +25,8 @@ class DepthwiseConv2DFloat {
   DepthwiseConv2DFloat(const float* weights, DepthwiseConv2DAttrs attrs);
 
   // Batch-variant sibling (docs/SERVING.md): shares `base`'s weights;
-  // `attrs` must match base.attrs() in everything except geo.batch (the
-  // kernel reads the batch from attrs at Run).
+  // `attrs` may differ from base.attrs() only in what CheckSiblingGeometry
+  // allows (batch, spatial input size).
   DepthwiseConv2DFloat(const DepthwiseConv2DFloat& base,
                        DepthwiseConv2DAttrs attrs);
 

@@ -1,8 +1,11 @@
-// Binarized fully-connected tests: kernel correctness against the float
-// reference, converter lowering, and end-to-end binary-MLP equivalence.
+// Binarized fully-connected tests: the 1x1 BConv2D a binary fully
+// connected layer runs as (FullyConnectedGeometry over rank-2 tensors)
+// against the float reference, bitwise across threads and profiles;
+// converter lowering; and end-to-end binary-MLP equivalence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -12,12 +15,47 @@
 #include "core/bitpack.h"
 #include "core/random.h"
 #include "graph/compiled_model.h"
-#include "kernels/bfully_connected.h"
+#include "kernels/bconv2d.h"
 #include "kernels/reference.h"
 #include "models/builder.h"
 
 namespace lce {
 namespace {
+
+// The attrs CompiledModel builds for an LceBFullyConnected node.
+BConv2DAttrs FcAttrs(int batch, int in, int out) {
+  BConv2DAttrs attrs;
+  attrs.geo = FullyConnectedGeometry(batch, in, out);
+  attrs.output_type = BConvOutputType::kFloat;
+  return attrs;
+}
+
+// Runs `op` on the rank-2 bitpacked `x` at threads {1, 3} x both profiles,
+// requires every run bitwise equal to the first, and returns that one.
+std::vector<float> RunEverywhere(const BConv2D& op, const Tensor& x) {
+  const int batch = static_cast<int>(x.shape().dim(0));
+  const int out = op.attrs().geo.out_c;
+  std::vector<float> first;
+  for (const int threads : {1, 3}) {
+    for (const auto profile :
+         {gemm::KernelProfile::kSimd, gemm::KernelProfile::kScalar}) {
+      Tensor y(DataType::kFloat32, Shape{batch, out});
+      gemm::Context ctx(threads, profile);
+      op.Run(x, y, ctx);
+      std::vector<float> got(y.data<float>(),
+                             y.data<float>() + y.num_elements());
+      if (first.empty()) {
+        first = std::move(got);
+        continue;
+      }
+      EXPECT_EQ(0, std::memcmp(got.data(), first.data(),
+                               first.size() * sizeof(float)))
+          << "threads=" << threads << " scalar="
+          << (profile == gemm::KernelProfile::kScalar);
+    }
+  }
+  return first;
+}
 
 class BfcShapes : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -31,13 +69,8 @@ TEST_P(BfcShapes, MatchesSignedFloatMatmul) {
   std::vector<float> w(static_cast<std::size_t>(out) * in);
   for (auto& v : w) v = rng.Sign();
 
-  BFullyConnectedAttrs attrs;
-  attrs.in_features = in;
-  attrs.out_features = out;
-  BFullyConnected op(w.data(), attrs);
-  Tensor y(DataType::kFloat32, Shape{batch, out});
-  gemm::Context ctx(1);
-  op.Run(x_b, y, ctx);
+  const BConv2D op(w.data(), FcAttrs(batch, in, out));
+  const std::vector<float> y = RunEverywhere(op, x_b);
 
   for (int b = 0; b < batch; ++b) {
     for (int n = 0; n < out; ++n) {
@@ -46,18 +79,24 @@ TEST_P(BfcShapes, MatchesSignedFloatMatmul) {
         expected += static_cast<std::int32_t>(
             x_f.data<float>()[b * in + k] * w[static_cast<std::size_t>(n) * in + k]);
       }
-      ASSERT_EQ(y.data<float>()[b * out + n], static_cast<float>(expected))
+      ASSERT_EQ(y[static_cast<std::size_t>(b) * out + n],
+                static_cast<float>(expected))
           << "b=" << b << " n=" << n;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, BfcShapes,
-    ::testing::Values(std::make_tuple(1, 32, 8), std::make_tuple(2, 100, 17),
-                      std::make_tuple(3, 4096, 64),
-                      std::make_tuple(5, 33, 129),
-                      std::make_tuple(1, 9216, 4096)));
+// Batches 1-13 at one width cover every row count of an 8-row tile and a
+// second, partial tile; 70 outputs end in a partial 32-channel tile.
+std::vector<std::tuple<int, int, int>> BfcShapeList() {
+  std::vector<std::tuple<int, int, int>> shapes = {
+      {1, 32, 8}, {2, 100, 17}, {3, 4096, 64}, {5, 33, 129}, {1, 9216, 4096}};
+  for (int batch = 1; batch <= 13; ++batch) shapes.emplace_back(batch, 150, 70);
+  return shapes;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, BfcShapes,
+                         ::testing::ValuesIn(BfcShapeList()));
 
 TEST(BFullyConnected, OutlivesItsWeightBuffer) {
   // The bitpacked-weights constructor reads the caller's buffer only while
@@ -76,28 +115,17 @@ TEST(BFullyConnected, OutlivesItsWeightBuffer) {
       static_cast<std::size_t>(out) * BitpackedWords(in);
   auto packed = std::make_unique<TBitpacked[]>(words);
   BitpackMatrix(w.data(), out, in, packed.get());
-  BFullyConnectedAttrs attrs;
-  attrs.in_features = in;
-  attrs.out_features = out;
-  const BFullyConnected op(packed.get(), attrs);
+  const BConv2DAttrs attrs = FcAttrs(batch, in, out);
+  const BConv2D op(packed.get(), attrs);
   std::fill_n(packed.get(), words, ~TBitpacked{0});
   packed.reset();
 
-  Tensor y(DataType::kFloat32, Shape{batch, out});
-  gemm::Context ctx(1);
-  op.Run(x_b, y, ctx);
-  Conv2DGeometry geo;
-  geo.batch = batch;
-  geo.in_h = geo.in_w = 1;
-  geo.in_c = in;
-  geo.out_c = out;
-  geo.filter_h = geo.filter_w = 1;
-  geo.padding = Padding::kValid;
+  const std::vector<float> y = RunEverywhere(op, x_b);
   std::vector<float> expected(static_cast<std::size_t>(batch) * out);
-  RefConv2DFloat(x_f.data<float>(), w.data(), geo, /*pad_value=*/0.0f,
+  RefConv2DFloat(x_f.data<float>(), w.data(), attrs.geo, /*pad_value=*/0.0f,
                  nullptr, nullptr, Activation::kNone, expected.data());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(y.data<float>()[i], expected[i]) << i;
+    ASSERT_EQ(y[i], expected[i]) << i;
   }
 }
 
@@ -114,23 +142,15 @@ TEST(BFullyConnected, FusedTransform) {
   for (auto& v : mult) v = rng.Uniform(-0.2f, 0.2f);
   for (auto& v : bias) v = rng.Uniform(-1.0f, 1.0f);
 
-  BFullyConnectedAttrs plain;
-  plain.in_features = in;
-  plain.out_features = out;
-  BFullyConnected raw_op(w.data(), plain);
-  Tensor raw(DataType::kFloat32, Shape{1, out});
-  gemm::Context ctx(1);
-  raw_op.Run(x_b, raw, ctx);
+  const BConv2DAttrs plain = FcAttrs(1, in, out);
+  const std::vector<float> raw = RunEverywhere(BConv2D(w.data(), plain), x_b);
 
-  BFullyConnectedAttrs fused = plain;
+  BConv2DAttrs fused = plain;
   fused.multiplier = mult;
   fused.bias = bias;
-  BFullyConnected fused_op(w.data(), fused);
-  Tensor y(DataType::kFloat32, Shape{1, out});
-  fused_op.Run(x_b, y, ctx);
+  const std::vector<float> y = RunEverywhere(BConv2D(w.data(), fused), x_b);
   for (int n = 0; n < out; ++n) {
-    ASSERT_FLOAT_EQ(y.data<float>()[n],
-                    raw.data<float>()[n] * mult[n] + bias[n]);
+    ASSERT_FLOAT_EQ(y[n], raw[n] * mult[n] + bias[n]);
   }
 }
 

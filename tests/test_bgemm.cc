@@ -1,6 +1,7 @@
-// BGEMM tests: the channel-in-lane XOR-POPCOUNT kernel against the
-// reference dot product on both kernel profiles, edge tiles,
-// multithreading and the baseline (DaBNN/TVM/BMXNet-style) kernels.
+// BGEMM tests: the channel-in-lane XOR-POPCOUNT kernel, driven through the
+// benches' full-matrix BGemm (bench/gemm_drivers.h), against the reference
+// dot product on both kernel profiles, edge tiles, multithreading and the
+// baseline (DaBNN/TVM/BMXNet-style) kernels.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -11,9 +12,12 @@
 #include "core/bitpack.h"
 #include "core/random.h"
 #include "gemm/bgemm.h"
+#include "gemm_drivers.h"
 
 namespace lce::gemm {
 namespace {
+
+using bench::BGemm;
 
 struct BinaryProblem {
   int m, n, k_bits;

@@ -2,6 +2,7 @@
 // helpers and the deterministic RNG.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <set>
 
@@ -72,6 +73,23 @@ TEST(AlignedBuffer, ZeroFills) {
   AlignedBuffer buf(128);
   buf.Zero();
   for (std::size_t i = 0; i < buf.size(); ++i) EXPECT_EQ(buf.data()[i], 0);
+}
+
+TEST(AlignedBuffer, DebugBuildsPoisonFreshStorage) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "Release builds leave fresh buffers unfilled";
+#else
+  // Every fresh buffer -- arena, tensor, packed weights -- starts as 0xFF,
+  // so a read before the first write fails deterministically.
+  AlignedBuffer buf(100);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    ASSERT_EQ(buf.data()[i], 0xFF) << i;
+  }
+  Tensor t(DataType::kFloat32, Shape{2, 3});
+  for (std::int64_t i = 0; i < t.num_elements(); ++i) {
+    EXPECT_TRUE(std::isnan(t.data<float>()[i])) << i;
+  }
+#endif
 }
 
 TEST(Tensor, FloatStorage) {

@@ -1,5 +1,6 @@
 // Int8 GEMM tests: every tier of gemm/int8_isa.h against one exact
-// reference, through Int8Gemm (1 and 4 threads) and Int8DotComputeBlock,
+// reference, through the benches' full-matrix Int8Gemm
+// (bench/gemm_drivers.h; 1 and 4 threads) and Int8DotComputeBlock,
 // profile agreement, the panel layout and row sums -- including the
 // adversarial +-127/-128 patterns that would expose a saturating
 // vpmaddubsw implementation.
@@ -13,9 +14,12 @@
 #include "core/random.h"
 #include "gemm/int8_gemm.h"
 #include "gemm/int8_isa.h"
+#include "gemm_drivers.h"
 
 namespace lce::gemm {
 namespace {
+
+using bench::Int8Gemm;
 
 void NaiveInt8Gemm(const std::vector<std::int8_t>& lhs,
                    const std::vector<std::int8_t>& rhs, int m, int n, int k,

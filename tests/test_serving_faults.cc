@@ -205,8 +205,11 @@ TEST_F(ServingFaults, StalledShardMissesDeadlineMidModel) {
   const std::vector<float> expected = Reference(model, 53);
   auto server = OneExecutorServer(model);
 
-  // Stall every shard-0 execution long past the deadline for the whole run.
-  FaultInjector::Global().StallShard(/*shard=*/0, /*delay=*/30ms,
+  // Stall every shard-0 execution past the deadline for the whole run: the
+  // first stall alone (the stem, the model's first ParallelForShard) outlasts
+  // the 100 ms deadline, so the request cannot finish inside it however fast
+  // the rest of the model runs.
+  FaultInjector::Global().StallShard(/*shard=*/0, /*delay=*/150ms,
                                      /*times=*/64);
   const Status s = server->Infer(
       [](ExecutionContext& ctx) { FillInput(ctx.input(0), 53); }, nullptr,

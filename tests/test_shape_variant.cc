@@ -2,7 +2,8 @@
 // "Multi-resolution serving"): the graph-level input-shape clone, one
 // bit-exactness helper over InputSignatures -- every lane of
 // Specialize(root, {batch, h, w}) against a fresh batch-1 compile at
-// (h, w), for float, depthwise, binary and int8 pipelines, square and not
+// (h, w), for float, depthwise, binary conv, binary fully connected and
+// int8 pipelines, square and not
 // -- the packed-weights-stay-flat guarantee over an (h, w) x batch grid,
 // the non-square-root routing regression, the registry (caching,
 // compile-once under concurrency, cap enforcement, rejection codes,
@@ -69,6 +70,24 @@ Graph MakeMixedGraph(int h, int w) {
   return g;
 }
 Graph MakeMixedGraph(int input_hw) { return MakeMixedGraph(input_hw, input_hw); }
+
+// Float stem + binary fully connected head (LceBFullyConnected with the
+// BatchNorm fused into its transform) + dense classifier.
+Graph MakeBinaryFcGraph(int input_hw) {
+  Graph g;
+  ModelBuilder b(g, 11);
+  int x = b.Input(input_hw, input_hw, 3);
+  x = b.Conv(x, 32, 3, 2, Padding::kSameZero);
+  x = b.GlobalAvgPool(x);
+  x = b.BinaryDense(x, 48);
+  x = b.BatchNorm(x);
+  x = b.Dense(x, 10);
+  g.MarkOutput(x);
+  ConvertStats stats;
+  LCE_CHECK(Convert(g, {}, &stats).ok());
+  LCE_CHECK(stats.bfcs_lowered == 1);
+  return g;
+}
 
 // All-float model PTQ'd to int8: specializations must carry the
 // requantization pipeline bit-exactly too.
@@ -258,6 +277,22 @@ TEST(Specialize, MixedPipelineBitExactAcrossSignatures) {
   }
   const auto root24 = CompileRoot(MakeMixedGraph(24));
   ExpectSpecializationMatchesFresh(root24, {1, 32, 32}, 1002);
+
+  // The binary fully connected layer: its specializations build
+  // weight-sharing BConv2D siblings, so the resident gauge stays flat.
+  auto* resident = telemetry::MetricsRegistry::Global().Gauge(
+      "weights.resident_packed_bytes");
+  const auto bfc_root = CompileRoot(MakeBinaryFcGraph(16));
+  ASSERT_GT(bfc_root->packed_weight_bytes(), 0u);
+  const std::int64_t resident_with_root = resident->value();
+  for (const InputSignature sig :
+       {InputSignature{2, 16, 16}, InputSignature{3, 16, 16},
+        InputSignature{3, 24, 24}}) {
+    ExpectSpecializationMatchesFresh(bfc_root, sig, 1100 + sig.batch * 64 +
+                                                        sig.h + sig.w);
+  }
+  EXPECT_EQ(resident->value(), resident_with_root)
+      << "specializing the binary FC must not move the resident gauge";
 }
 
 TEST(Specialize, Int8RequantizePipelineBitExactAcrossSignatures) {
