@@ -57,7 +57,7 @@ void BM_FloatGemm(benchmark::State& state) {
   const Conv2DGeometry geo = FullyConnectedGeometry(kM, kK, kN);
   for (auto _ : state) {
     gemm::FloatGemm(lhs.data(), geo, packed, nullptr, Activation::kNone,
-                    out.data(), ctx);
+                    out.data(), kN, ctx);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["GMAC/s"] = benchmark::Counter(

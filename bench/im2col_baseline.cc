@@ -72,7 +72,7 @@ void Im2ColBConv2D::Run(const Tensor& input, Tensor& output,
     BGemm(pointwise ? in : patches, static_cast<int>(rows), groups_[grp],
           k_bits_, acc + grp * out_c_pg, g.out_c, ctx);
   }
-  transform_->Apply(acc, 0, rows, output.raw_data());
+  transform_->Apply(acc, 0, rows, output.raw_data(), output.row_stride());
 }
 
 Im2ColConv2DInt8::Im2ColConv2DInt8(const std::int8_t* weights_ohwi,
@@ -94,7 +94,7 @@ void Im2ColConv2DInt8::Run(const Tensor& input, Tensor& output,
   auto* acc = reinterpret_cast<std::int32_t*>(ctx.Scratch(
       2, static_cast<std::size_t>(rows) * g.out_c * sizeof(std::int32_t)));
   Int8Gemm(patches, static_cast<int>(rows), panels_, acc, g.out_c, ctx);
-  transform_->Apply(acc, 0, rows, output.raw_data());
+  transform_->Apply(acc, 0, rows, output.raw_data(), output.row_stride());
 }
 
 }  // namespace lce::bench

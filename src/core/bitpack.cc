@@ -42,9 +42,14 @@ void UnpackRow(const TBitpacked* src, int channels, float* dst) {
 
 void BitpackMatrix(const float* src, std::int64_t outer, int channels,
                    TBitpacked* dst) {
+  BitpackMatrix(src, outer, channels, channels, dst);
+}
+
+void BitpackMatrix(const float* src, std::int64_t outer, int channels,
+                   std::int64_t src_stride, TBitpacked* dst) {
   const int words = BitpackedWords(channels);
   for (std::int64_t i = 0; i < outer; ++i) {
-    BitpackRow(src + i * channels, channels, dst + i * words);
+    BitpackRow(src + i * src_stride, channels, dst + i * words);
   }
 }
 
@@ -62,7 +67,8 @@ void BitpackTensor(const Tensor& src, Tensor& dst) {
   LCE_CHECK(src.shape() == dst.shape());
   const int channels = static_cast<int>(src.shape().dim(src.shape().rank() - 1));
   const std::int64_t outer = src.num_elements() / channels;
-  BitpackMatrix(src.data<float>(), outer, channels, dst.data<TBitpacked>());
+  BitpackMatrix(src.data<float>(), outer, channels, src.row_stride(),
+                dst.data<TBitpacked>());
 }
 
 void UnpackTensor(const Tensor& src, Tensor& dst) {

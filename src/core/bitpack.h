@@ -28,12 +28,17 @@ void UnpackRow(const TBitpacked* src, int channels, float* dst);
 // src: [outer, channels] float, dst: [outer, words(channels)] bitpacked.
 void BitpackMatrix(const float* src, std::int64_t outer, int channels,
                    TBitpacked* dst);
+// The same over source rows `src_stride` floats apart (src_stride >=
+// channels): a channel slice of a wider buffer.
+void BitpackMatrix(const float* src, std::int64_t outer, int channels,
+                   std::int64_t src_stride, TBitpacked* dst);
 
 void UnpackMatrix(const TBitpacked* src, std::int64_t outer, int channels,
                   float* dst);
 
 // Convenience wrappers operating on Tensors. The destination tensor must
 // have dtype kBitpacked (resp. kFloat32) and the same logical shape.
+// BitpackTensor's source may be a strided view (Tensor::row_stride()).
 void BitpackTensor(const Tensor& src, Tensor& dst);
 void UnpackTensor(const Tensor& src, Tensor& dst);
 

@@ -41,6 +41,30 @@ class Tensor {
     return t;
   }
 
+  // Wraps one channel slice of a wider buffer (not owned): consecutive
+  // innermost rows start `row_stride` storage elements apart instead of
+  // back to back. Only ExecutionContext makes these, for the Concat inputs
+  // it writes in place in their Concat's output (docs/PERFORMANCE.md), and
+  // only the kernels listed there take one.
+  static Tensor StridedView(DataType dtype, Shape shape, void* data,
+                            std::int64_t row_stride) {
+    Tensor t = View(dtype, shape, data);
+    if (row_stride != t.row_stride()) {
+      LCE_CHECK_GT(row_stride, t.row_stride());
+      t.row_stride_ = row_stride;
+    }
+    return t;
+  }
+
+  // Storage elements from the start of one innermost row to the next: the
+  // packed width of the last dimension unless this is a strided view.
+  std::int64_t row_stride() const {
+    if (row_stride_ != 0) return row_stride_;
+    if (shape_.rank() == 0) return 1;
+    return StorageElements(dtype_, Shape{shape_.dim(shape_.rank() - 1)});
+  }
+  bool is_dense() const { return row_stride_ == 0; }
+
   DataType dtype() const { return dtype_; }
   const Shape& shape() const { return shape_; }
 
@@ -53,6 +77,7 @@ class Tensor {
     return StorageElements(dtype_, shape_);
   }
 
+  // Bytes of the dense layout (a strided view spans more).
   std::size_t byte_size() const { return ByteSize(dtype_, shape_); }
 
   bool allocated() const { return data_ != nullptr; }
@@ -70,7 +95,7 @@ class Tensor {
   const void* raw_data() const { return data_; }
 
   void Zero() {
-    LCE_CHECK(data_ != nullptr);
+    LCE_CHECK(data_ != nullptr && is_dense());
     std::memset(data_, 0, byte_size());
   }
 
@@ -128,6 +153,7 @@ class Tensor {
   Shape shape_;
   std::shared_ptr<AlignedBuffer> buffer_;  // null when viewing external data
   std::uint8_t* data_ = nullptr;
+  std::int64_t row_stride_ = 0;  // 0: dense
   QuantParams quant_;
 };
 

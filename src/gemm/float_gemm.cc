@@ -190,13 +190,13 @@ constexpr std::array<KernelFn, kFloatMr> KernelsByRows(
 
 // Stores rows x cols of a tile as act(acc + bias) (no add without a bias).
 using StoreFn = void (*)(const float (*acc)[kFloatNr], int rows, int cols,
-                         const float* bias, float* out, int ldo);
+                         const float* bias, float* out, std::int64_t ldo);
 
 template <bool kHasBias, Activation kAct>
 void StoreTile(const float (*acc)[kFloatNr], int rows, int cols,
-               const float* bias, float* out, int ldo) {
+               const float* bias, float* out, std::int64_t ldo) {
   for (int i = 0; i < rows; ++i) {
-    float* o = out + static_cast<std::int64_t>(i) * ldo;
+    float* o = out + i * ldo;
     for (int j = 0; j < cols; ++j) {
       float v = acc[i][j];
       if constexpr (kHasBias) v += bias[j];
@@ -237,10 +237,12 @@ PackedFloatMatrix::PackedFloatMatrix(const float* rows, int n, int k)
 
 void FloatGemm(const float* input, const Conv2DGeometry& g,
                const PackedFloatMatrix& rhs, const float* bias,
-               Activation activation, float* out, Context& ctx) {
+               Activation activation, float* out, std::int64_t ldo,
+               Context& ctx) {
   const int k = rhs.k();
   const int n = rhs.n();
   LCE_CHECK(n == g.out_c && k == Im2ColDepthFloat(g));
+  LCE_CHECK_GE(ldo, n);
   const std::int64_t m = Im2ColRows(g);
   const std::int64_t m_tiles = (m + kFloatMr - 1) / kFloatMr;
   // A 1x1, stride-1 convolution has no padding, and its patch row r is
@@ -287,7 +289,7 @@ void FloatGemm(const float* input, const Conv2DGeometry& g,
           kernels[tile_rows - 1](a + static_cast<std::int64_t>(r) * k,
                                  rhs.tile(nt), k, acc);
           store(acc, tile_rows, cols, tile_bias,
-                out + (row0 + r) * n + col0, n);
+                out + (row0 + r) * ldo + col0, ldo);
         }
       }
     }

@@ -56,14 +56,17 @@ class PackedFloatMatrix {
 };
 
 // Convolves the NHWC `input` under `g` with `rhs` (g.out_c rows of
-// filter_h * filter_w * in_c) into the NHWC `out`. Padded taps read 0.0, or
-// +1.0 under Padding::kSameOne (the training dialect's emulated one-padded
-// binarized convolution). `bias` (null: none) is added and `activation`
-// applied where each tile is stored. Scratch slot 0 holds each shard's
-// block of gathered patch rows; a 1x1, stride-1 convolution uses none.
+// filter_h * filter_w * in_c) into the NHWC `out`, whose output position r
+// starts at out + r * ldo (ldo >= g.out_c; more when `out` is a channel
+// slice of a wider buffer). Padded taps read 0.0, or +1.0 under
+// Padding::kSameOne (the training dialect's emulated one-padded binarized
+// convolution). `bias` (null: none) is added and `activation` applied
+// where each tile is stored. Scratch slot 0 holds each shard's block of
+// gathered patch rows; a 1x1, stride-1 convolution uses none.
 void FloatGemm(const float* input, const Conv2DGeometry& g,
                const PackedFloatMatrix& rhs, const float* bias,
-               Activation activation, float* out, Context& ctx);
+               Activation activation, float* out, std::int64_t ldo,
+               Context& ctx);
 
 }  // namespace lce::gemm
 

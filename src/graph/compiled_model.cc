@@ -56,6 +56,65 @@ InputSignature GraphSignature(const Graph& g) {
   return sig;
 }
 
+// Concat inputs written in place (docs/PERFORMANCE.md). The planner may
+// place a Concat input inside the Concat's output -- a channel slice whose
+// rows are the output's row stride apart -- only when the kernel that
+// writes it and every other kernel that reads it take a row stride. These
+// two lists are that contract; RunNode hands a strided view to no other op.
+//
+// Writers: the float BConv2D's output transform (ConvPipelineArgs::
+// out_stride), the float convolution (FloatGemm's ldo), the float max pool,
+// and a Concat, which copies the inputs it does not host row by row.
+bool WritesStridedSlice(const Node& n) {
+  switch (n.type) {
+    case OpType::kLceBConv2d:
+      return n.attrs.bconv_output == BConvOutputType::kFloat;
+    case OpType::kConv2D:
+    case OpType::kMaxPool2D:
+    case OpType::kConcat:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Readers: LceQuantize (BitpackMatrix over a strided source) and a Concat.
+bool ReadsStridedSlice(OpType t) {
+  return t == OpType::kLceQuantize || t == OpType::kConcat;
+}
+
+// Whether Concat `n` may host its input `a`, given that neither is a graph
+// input, output or constant and no earlier Concat hosts `a`: `a` appears
+// once among n's inputs (not Concat({y, y})), its producer writes strided
+// and its other live consumers read strided.
+bool CanHostConcatInput(const Graph& g, const Node& n, int a,
+                        const std::vector<int>& step) {
+  const Value& v = g.value(a);
+  return std::count(n.inputs.begin(), n.inputs.end(), a) == 1 &&
+         v.producer >= 0 && WritesStridedSlice(g.node(v.producer)) &&
+         std::all_of(v.consumers.begin(), v.consumers.end(), [&](int c) {
+           return c == n.id || step[c] < 0 ||
+                  ReadsStridedSlice(g.node(c).type);
+         });
+}
+
+// Copies each row of the float `src` into channels [channel, channel +
+// src's channels) of the same row of `dst`, both through their row
+// strides: a Concat's copy of an input it does not host, and an observer's
+// dense copy of a hosted value.
+void CopyChannels(const Tensor& src, int channel, Tensor& dst) {
+  const Shape& s = src.shape();
+  const std::int64_t rows = s.dim(0) * s.dim(1) * s.dim(2);
+  const auto bytes = static_cast<std::size_t>(s.dim(3)) * sizeof(float);
+  const float* from = src.data<float>();
+  float* to = dst.data<float>() + channel;
+  const std::int64_t from_stride = src.row_stride();
+  const std::int64_t to_stride = dst.row_stride();
+  for (std::int64_t r = 0; r < rows; ++r) {
+    std::memcpy(to + r * to_stride, from + r * from_stride, bytes);
+  }
+}
+
 }  // namespace
 
 CompiledModel::CompiledModel(const Graph& graph) : graph_(graph) {}
@@ -280,18 +339,17 @@ Status CompiledModel::Build(CompileOptions options,
   }
   const int num_steps = static_cast<int>(order_.size());
 
-  // Lifetimes for every non-constant value touched by the live graph. The
-  // validator guarantees alive values have alive producers and that every
-  // per-tensor byte size is computable; the running total is still checked
-  // here so the planner's offset arithmetic and the arena allocation below
-  // stay bounded by the configured limit.
-  std::vector<BufferRequest> requests;
-  offsets_.assign(graph_.values().size(), 0);
-  in_arena_.assign(graph_.values().size(), false);
-  std::size_t total_bytes = 0;
+  // Lifetimes [first, last] of every non-constant value touched by the live
+  // graph. The validator guarantees alive values have alive producers and
+  // that every per-tensor byte size is computable; the running total is
+  // still checked below so the planner's offset arithmetic and the arena
+  // allocation stay bounded by the configured limit.
+  const std::size_t num_values = graph_.values().size();
+  std::vector<int> first(num_values, 0), last(num_values, 0);
+  std::vector<bool> is_io(num_values, false);
+  placements_.assign(num_values, {});
   for (const auto& v : graph_.values()) {
     if (!v->alive || v->is_constant) continue;
-    int first = v->producer >= 0 ? step[v->producer] : 0;
     if (v->producer >= 0 && step[v->producer] < 0) {
       // A live value whose producer was removed can never be written. It
       // must not be silently skipped: it would get no arena placement, and
@@ -303,9 +361,12 @@ Status CompiledModel::Build(CompileOptions options,
                               "' has a dead producer; refusing to plan "
                               "memory for an unwritable value");
     }
-    int last = first;
+    int& f = first[v->id];
+    int& l = last[v->id];
+    f = v->producer >= 0 ? step[v->producer] : 0;
+    l = f;
     for (int c : v->consumers) {
-      if (step[c] >= 0) last = std::max(last, step[c]);
+      if (step[c] >= 0) l = std::max(l, step[c]);
     }
     const bool is_graph_output =
         std::find(graph_.output_ids().begin(), graph_.output_ids().end(),
@@ -313,7 +374,8 @@ Status CompiledModel::Build(CompileOptions options,
     const bool is_graph_input =
         std::find(graph_.input_ids().begin(), graph_.input_ids().end(),
                   v->id) != graph_.input_ids().end();
-    if (is_graph_input) first = 0;
+    is_io[v->id] = is_graph_input || is_graph_output;
+    if (is_graph_input) f = 0;
     // Graph outputs get an *exclusive* arena region (lifetime spanning the
     // whole execution) rather than one starting at their producer's step.
     // This is the serving layer's no-partial-writes guarantee: a request
@@ -322,13 +384,57 @@ Status CompiledModel::Build(CompileOptions options,
     // exclusively by the output's own producer node. Costs a few KiB of
     // arena (logit-sized tensors) in exchange for overload-safe semantics.
     if (is_graph_output) {
-      first = 0;
-      last = num_steps;
+      f = 0;
+      l = num_steps;
     }
     if (v->consumers.empty() && !is_graph_output) {
       // Value produced but never read; still needs storage for the write.
-      last = first;
+      l = f;
     }
+    placements_[v->id].in_arena = true;
+  }
+
+  // Concat inputs written in place (docs/PERFORMANCE.md): each Concat, in
+  // execution order, hosts the inputs that pass CanHostConcatInput and that
+  // no earlier Concat hosts. Graph inputs and outputs are never hosted nor
+  // hosts, which keeps output() bytes exclusive to their producer.
+  std::vector<int> channel_offset(num_values, 0);
+  for (const int id : order_) {
+    const Node& n = graph_.node(id);
+    if (n.type != OpType::kConcat || is_io[n.outputs[0]]) continue;
+    int channel = 0;
+    for (const int a : n.inputs) {
+      const Value& v = graph_.value(a);
+      if (!v.is_constant && !is_io[a] && placements_[a].host < 0 &&
+          CanHostConcatInput(graph_, n, a, step)) {
+        placements_[a].host = n.outputs[0];
+        channel_offset[a] = channel;
+      }
+      channel += static_cast<int>(v.shape.dim(3));
+    }
+  }
+  // Hosting nests: a hosted value's outermost host (its root) holds the
+  // bytes, at the summed channel offset, and lives from the first write of
+  // any of its members to the last read of any.
+  std::vector<int> root(num_values, -1), root_channel(num_values, 0);
+  hosted_bytes_ = 0;
+  for (const auto& v : graph_.values()) {
+    if (placements_[v->id].host < 0) continue;
+    int r = v->id;
+    while (placements_[r].host >= 0) {
+      root_channel[v->id] += channel_offset[r];
+      r = placements_[r].host;
+    }
+    root[v->id] = r;
+    first[r] = std::min(first[r], first[v->id]);
+    last[r] = std::max(last[r], last[v->id]);
+    hosted_bytes_ += Tensor::ByteSize(v->dtype, v->shape);
+  }
+
+  std::vector<BufferRequest> requests;
+  std::size_t total_bytes = 0;
+  for (const auto& v : graph_.values()) {
+    if (!placements_[v->id].in_arena || root[v->id] >= 0) continue;
     std::size_t bytes = 0;
     if (!Tensor::CheckedByteSize(v->dtype, v->shape, &bytes)) {
       return Status::Internal("tensor size overflow slipped past validation");
@@ -342,23 +448,30 @@ Status CompiledModel::Build(CompileOptions options,
         total_bytes > options.limits.max_arena_bytes) {
       return Status::ResourceExhausted("arena exceeds the resource limit");
     }
-    requests.push_back({v->id, bytes, first, last});
+    requests.push_back({v->id, bytes, first[v->id], last[v->id]});
   }
-  const auto placements = PlanMemory(std::move(requests), kDefaultAlignment,
-                                     &arena_size_);
+  const auto planned = PlanMemory(std::move(requests), kDefaultAlignment,
+                                  &arena_size_);
   LCE_DCHECK(arena_size_ <= total_bytes);
-  for (const auto& p : placements) {
-    offsets_[p.id] = p.offset;
-    in_arena_[p.id] = true;
+  for (const auto& p : planned) placements_[p.id].offset = p.offset;
+  for (const auto& v : graph_.values()) {
+    const int r = root[v->id];
+    if (r < 0) continue;
+    ValuePlacement& p = placements_[v->id];
+    p.offset = placements_[r].offset +
+               static_cast<std::size_t>(root_channel[v->id]) * sizeof(float);
+    p.row_stride = graph_.value(r).shape.dim(3);
   }
   // Arena accounting: the planned arena is the high-water mark of the
-  // lifetime-shared plan; the unshared sum shows what sharing saved.
-  telemetry::MetricsRegistry::Global()
-      .Gauge("interpreter.arena_bytes")
+  // lifetime-shared plan; the unshared sum shows what sharing saved, and
+  // the hosted bytes what writing Concat inputs in place saved.
+  auto& reg = telemetry::MetricsRegistry::Global();
+  reg.Gauge("interpreter.arena_bytes")
       ->SetMax(static_cast<std::int64_t>(arena_size_));
-  telemetry::MetricsRegistry::Global()
-      .Gauge("planner.unshared_bytes")
+  reg.Gauge("planner.unshared_bytes")
       ->SetMax(static_cast<std::int64_t>(total_bytes));
+  reg.Gauge("planner.hosted_bytes")
+      ->SetMax(static_cast<std::int64_t>(hosted_bytes_));
   }  // prepare/plan
 
   // Build kernels. On a specialization build (weight_source != null) the
@@ -556,9 +669,11 @@ Tensor ExecutionContext::ValueTensor(int value_id) {
     return Tensor::View(v.dtype, v.shape,
                         const_cast<void*>(v.constant_data.raw_data()));
   }
-  LCE_DCHECK(model_->in_arena_[value_id]);
-  return Tensor::View(v.dtype, v.shape,
-                      arena_.data() + model_->offsets_[value_id]);
+  const CompiledModel::ValuePlacement& p = model_->placements_[value_id];
+  LCE_DCHECK(p.in_arena);
+  std::uint8_t* data = arena_.data() + p.offset;
+  if (p.row_stride == 0) return Tensor::View(v.dtype, v.shape, data);
+  return Tensor::StridedView(v.dtype, v.shape, data, p.row_stride);
 }
 
 namespace {
@@ -607,6 +722,13 @@ void ExecutionContext::Reset() {
 }
 
 void ExecutionContext::RunNode(const Node& n, OpProfile* prof) {
+  const auto& placements = model_->placements_;
+  LCE_DCHECK(placements[n.outputs[0]].row_stride == 0 ||
+             WritesStridedSlice(n));
+  LCE_DCHECK(ReadsStridedSlice(n.type) ||
+             std::all_of(n.inputs.begin(), n.inputs.end(), [&](int in) {
+               return placements[in].row_stride == 0;
+             }));
   Tensor out = ValueTensor(n.outputs[0]);
   const auto& kernels = model_->kernels_;
   switch (n.type) {
@@ -688,21 +810,15 @@ void ExecutionContext::RunNode(const Node& n, OpProfile* prof) {
       break;
     }
     case OpType::kConcat: {
-      // Channel-axis concat: interleave per spatial position.
-      const Shape& os = out.shape();
-      const std::int64_t outer = os.dim(0) * os.dim(1) * os.dim(2);
-      const int out_c = static_cast<int>(os.dim(3));
-      float* dst = out.data<float>();
-      int offset = 0;
-      for (int in_id : n.inputs) {
-        Tensor in = ValueTensor(in_id);
-        const int c = static_cast<int>(in.shape().dim(3));
-        const float* src = in.data<float>();
-        for (std::int64_t r = 0; r < outer; ++r) {
-          std::memcpy(dst + r * out_c + offset, src + r * c,
-                      static_cast<std::size_t>(c) * sizeof(float));
+      // Channel-axis concat: the inputs it hosts were written in place by
+      // their producers; it copies the others into their channel slices.
+      int channel = 0;
+      for (const int in_id : n.inputs) {
+        const Tensor in = ValueTensor(in_id);
+        if (placements[in_id].host != n.outputs[0]) {
+          CopyChannels(in, channel, out);
         }
-        offset += c;
+        channel += static_cast<int>(in.shape().dim(3));
       }
       break;
     }
@@ -847,7 +963,13 @@ Status ExecutionContext::Invoke(const CancellationToken* cancel) {
                                        n.name + "'");
     }
     if (options_.observer) {
-      options_.observer(n, ValueTensor(n.outputs[0]));
+      Tensor observed = ValueTensor(n.outputs[0]);
+      if (!observed.is_dense()) {
+        Tensor dense(observed.dtype(), observed.shape());
+        CopyChannels(observed, 0, dense);
+        observed = std::move(dense);
+      }
+      options_.observer(n, observed);
     }
     ++step;
   }

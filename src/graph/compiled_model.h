@@ -149,6 +149,24 @@ class CompiledModel {
   }
   // Bytes each ExecutionContext allocates for its arena.
   std::size_t arena_bytes() const { return arena_size_; }
+
+  // Where a non-constant value lives in each context's arena. A Concat
+  // input written in place ("hosted", docs/PERFORMANCE.md) is a channel
+  // slice of the Concat output that hosts it: its offset lies inside the
+  // host's bytes and its rows are row_stride floats apart, the channel
+  // count of the outermost host.
+  struct ValuePlacement {
+    bool in_arena = false;        // false for constants and dead values
+    std::size_t offset = 0;       // bytes from the arena start
+    std::int64_t row_stride = 0;  // 0: dense
+    int host = -1;                // value id of the hosting Concat output
+  };
+  const ValuePlacement& placement(int value_id) const {
+    return placements_[value_id];
+  }
+  // Bytes of the Concat inputs written in place: the copies a request no
+  // longer makes (the planner.hosted_bytes gauge).
+  std::size_t hosted_bytes() const { return hosted_bytes_; }
   // Bytes of bitpacked weights held by this model's kernels -- allocated
   // once here, shared by every context. Specializations report 0: their
   // kernels alias the root's weights, and the resident-bytes gauge must
@@ -210,10 +228,10 @@ class CompiledModel {
   // they stay valid for the process lifetime.
   std::vector<telemetry::Histogram*> node_histograms_;
 
-  std::vector<int> order_;                // topological node order
-  std::vector<std::size_t> offsets_;      // per-value arena offset
-  std::vector<bool> in_arena_;            // per-value: placed in arena?
+  std::vector<int> order_;                    // topological node order
+  std::vector<ValuePlacement> placements_;    // per value id
   std::size_t arena_size_ = 0;
+  std::size_t hosted_bytes_ = 0;
   std::size_t packed_weight_bytes_ = 0;
 
   // Prepared kernel objects, indexed by node id (only one is non-null).
@@ -255,7 +273,9 @@ struct ExecutionOptions {
   // Called after each node executes with its output tensor (still valid at
   // that point; the arena may reuse it later). Used by the post-training
   // quantizer's range calibration and by the STE trainer, which keeps every
-  // activation for its backward pass.
+  // activation for its backward pass. The tensor is always dense: a Concat
+  // input written in place in its Concat's output (a strided channel slice,
+  // docs/PERFORMANCE.md) is handed over as a dense copy.
   std::function<void(const Node&, const Tensor&)> observer;
 };
 

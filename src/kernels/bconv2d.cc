@@ -293,6 +293,7 @@ void BConv2D::Run(const Tensor& input, Tensor& output, gemm::Context& ctx,
       g.padding == Padding::kSameZero ? &corrector : nullptr;
   args.transform = weights_->transform.get();
   args.out = output.raw_data();
+  args.out_stride = output.row_stride();
   pipeline::RunConvPipeline(args, ctx, times);
 }
 

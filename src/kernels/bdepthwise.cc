@@ -147,6 +147,7 @@ void BDepthwiseConv2D::Run(const Tensor& input, Tensor& output,
   args.compute = &compute;
   args.transform = transform_.get();
   args.out = output.raw_data();
+  args.out_stride = output.row_stride();
   pipeline::RunConvPipeline(args, ctx, nullptr);
 }
 

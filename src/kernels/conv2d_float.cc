@@ -29,7 +29,8 @@ void Conv2DFloat::Run(const Tensor& input, Tensor& output,
   LCE_CHECK_EQ(input.shape().dim(input.shape().rank() - 1), g.in_c);
   gemm::FloatGemm(input.data<float>(), g, *packed_weights_,
                   attrs_.bias.empty() ? nullptr : attrs_.bias.data(),
-                  attrs_.activation, output.data<float>(), ctx);
+                  attrs_.activation, output.data<float>(),
+                  output.row_stride(), ctx);
 }
 
 }  // namespace lce

@@ -197,6 +197,7 @@ void Conv2DInt8::Run(const Tensor& input, Tensor& output,
   args.compute = &compute;
   args.transform = weights_->transform.get();
   args.out = output.raw_data();
+  args.out_stride = output.row_stride();
   pipeline::RunConvPipeline(args, ctx, nullptr);
 }
 

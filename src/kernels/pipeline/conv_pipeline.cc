@@ -29,6 +29,7 @@ void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
   LCE_CHECK(args.compute != nullptr);
   LCE_CHECK(args.transform != nullptr);
   LCE_CHECK(args.out != nullptr);
+  LCE_CHECK_GT(args.out_stride, 0);
   LCE_CHECK_GT(args.block_tiles, 0);
 
   const TilePlan& plan = *args.plan;
@@ -67,6 +68,7 @@ void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
   const RowCorrector* corrector = args.corrector;
   const OutputTransform* transform = args.transform;
   void* out = args.out;
+  const std::int64_t out_stride = args.out_stride;
   // Cooperative cancellation (docs/SERVING.md): each shard polls the
   // current request's token between row-tile blocks and abandons its
   // remaining blocks once it expires. The node's output is then unspecified
@@ -110,7 +112,7 @@ void RunConvPipeline(const ConvPipelineArgs& args, gemm::Context& ctx,
           if (corrector != nullptr && !plan.AllInterior(t, t + block_tiles)) {
             corrector->Apply(block_acc, row0, block_rows);
           }
-          transform->Apply(block_acc, row0, block_rows, out);
+          transform->Apply(block_acc, row0, block_rows, out, out_stride);
           if (timed) {
             const std::uint64_t s2 = NowNanos();
             gemm_ns += s1 - s0;

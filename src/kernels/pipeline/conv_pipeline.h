@@ -100,6 +100,9 @@ struct ConvPipelineArgs {
   const RowCorrector* corrector = nullptr; // optional, border blocks only
   const OutputTransform* transform = nullptr;  // required
   void* out = nullptr;  // start of the full output buffer
+  // Required: output elements from one output row to the next (the output
+  // tensor's Tensor::row_stride(), which a channel-slice view widens).
+  std::int64_t out_stride = 0;
 };
 
 // Runs the fused pipeline. Scratch: context slot 2 (per-shard compute

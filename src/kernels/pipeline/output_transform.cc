@@ -35,27 +35,35 @@ FloatOutputTransform::FloatOutputTransform(int out_c, Activation pre_activation,
 }
 
 void FloatOutputTransform::Apply(const std::int32_t* acc, std::int64_t row0,
-                                 std::int64_t nrows, void* out_void) const {
+                                 std::int64_t nrows, void* out_void,
+                                 std::int64_t out_stride) const {
   const int out_c = out_c_;
-  float* out = static_cast<float*>(out_void) + row0 * out_c;
+  float* out = static_cast<float*>(out_void) + row0 * out_stride;
   const bool has_mult = !mult_.empty();
   const bool has_bias = !bias_.empty();
   const float* mult = has_mult ? mult_.data() : nullptr;
   const float* bias = has_bias ? bias_.data() : nullptr;
-  const std::int64_t total = nrows * out_c;
 
   // Specialized branch-free inner loops so the compiler vectorizes the
   // int->float conversion and the fused affine (this transform runs on
   // every output element; see Table 4).
   const bool relu = pre_ == Activation::kRelu;
   if (!has_mult && !has_bias) {
-    if (relu) {
-      for (std::int64_t i = 0; i < total; ++i) {
-        out[i] = static_cast<float>(acc[i] > 0 ? acc[i] : 0);
-      }
-    } else {
-      for (std::int64_t i = 0; i < total; ++i) {
-        out[i] = static_cast<float>(acc[i]);
+    // Dense rows are one run of nrows * out_c values.
+    const bool dense = out_stride == out_c;
+    const std::int64_t runs = dense ? 1 : nrows;
+    const std::int64_t width = dense ? nrows * out_c : out_c;
+    for (std::int64_t r = 0; r < runs; ++r) {
+      const std::int32_t* a = acc + r * out_c;
+      float* o = out + r * out_stride;
+      if (relu) {
+        for (std::int64_t i = 0; i < width; ++i) {
+          o[i] = static_cast<float>(a[i] > 0 ? a[i] : 0);
+        }
+      } else {
+        for (std::int64_t i = 0; i < width; ++i) {
+          o[i] = static_cast<float>(a[i]);
+        }
       }
     }
     return;
@@ -63,7 +71,7 @@ void FloatOutputTransform::Apply(const std::int32_t* acc, std::int64_t row0,
   if (pre_ == Activation::kNone || relu) {
     for (std::int64_t r = 0; r < nrows; ++r) {
       const std::int32_t* a = acc + r * out_c;
-      float* o = out + r * out_c;
+      float* o = out + r * out_stride;
       if (relu) {
         for (int n = 0; n < out_c; ++n) {
           const float v = static_cast<float>(a[n] > 0 ? a[n] : 0);
@@ -82,7 +90,7 @@ void FloatOutputTransform::Apply(const std::int32_t* acc, std::int64_t row0,
   // General (rare) activations: the straightforward loop.
   for (std::int64_t r = 0; r < nrows; ++r) {
     const std::int32_t* a = acc + r * out_c;
-    float* o = out + r * out_c;
+    float* o = out + r * out_stride;
     for (int n = 0; n < out_c; ++n) {
       float v = ApplyActivation(static_cast<float>(a[n]), pre_);
       if (has_mult) v *= mult[n];
@@ -148,15 +156,16 @@ BitpackedOutputTransform::BitpackedOutputTransform(
 }
 
 void BitpackedOutputTransform::Apply(const std::int32_t* acc, std::int64_t row0,
-                                     std::int64_t nrows, void* out_void) const {
+                                     std::int64_t nrows, void* out_void,
+                                     std::int64_t out_stride) const {
   const int out_c = out_c_;
   const int words = BitpackedWords(out_c);
-  TBitpacked* out = static_cast<TBitpacked*>(out_void) + row0 * words;
+  TBitpacked* out = static_cast<TBitpacked*>(out_void) + row0 * out_stride;
   const std::int32_t* cmp = cmp_.data();
   const std::uint32_t* flip = flip_.data();
   for (std::int64_t r = 0; r < nrows; ++r) {
     const std::int32_t* a = acc + r * out_c;
-    TBitpacked* o = out + r * words;
+    TBitpacked* o = out + r * out_stride;
     for (int w = 0; w < words; ++w) {
       const int base = w * kBitpackWordSize;
       const int valid = std::min(kBitpackWordSize, out_c - base);
@@ -174,10 +183,13 @@ void BitpackedOutputTransform::Apply(const std::int32_t* acc, std::int64_t row0,
 }
 
 void Int32OutputTransform::Apply(const std::int32_t* acc, std::int64_t row0,
-                                 std::int64_t nrows, void* out_void) const {
-  std::int32_t* out = static_cast<std::int32_t*>(out_void) + row0 * out_c_;
-  std::memcpy(out, acc,
-              static_cast<std::size_t>(nrows) * out_c_ * sizeof(std::int32_t));
+                                 std::int64_t nrows, void* out_void,
+                                 std::int64_t out_stride) const {
+  std::int32_t* out = static_cast<std::int32_t*>(out_void) + row0 * out_stride;
+  for (std::int64_t r = 0; r < nrows; ++r) {
+    std::memcpy(out + r * out_stride, acc + r * out_c_,
+                static_cast<std::size_t>(out_c_) * sizeof(std::int32_t));
+  }
 }
 
 Int8RequantTransform::Int8RequantTransform(
@@ -211,9 +223,10 @@ Int8RequantTransform::Int8RequantTransform(
 }
 
 void Int8RequantTransform::Apply(const std::int32_t* acc, std::int64_t row0,
-                                 std::int64_t nrows, void* out_void) const {
+                                 std::int64_t nrows, void* out_void,
+                                 std::int64_t out_stride) const {
   const int out_c = out_c_;
-  std::int8_t* out = static_cast<std::int8_t*>(out_void) + row0 * out_c;
+  std::int8_t* out = static_cast<std::int8_t*>(out_void) + row0 * out_stride;
   const std::int32_t* offset = offset_.data();
   const std::int32_t* mult = mult_.data();
   const std::int32_t* left = left_.data();
@@ -224,7 +237,7 @@ void Int8RequantTransform::Apply(const std::int32_t* acc, std::int64_t row0,
   constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
   for (std::int64_t r = 0; r < nrows; ++r) {
     const std::int32_t* a = acc + r * out_c;
-    std::int8_t* o = out + r * out_c;
+    std::int8_t* o = out + r * out_stride;
     for (int n = 0; n < out_c; ++n) {
       // MultiplyByQuantizedMultiplier without its branches: a left shift
       // of 32 saturates every nonzero high half past the int32 clamp, and

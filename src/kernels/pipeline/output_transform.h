@@ -32,8 +32,12 @@ class OutputTransform {
   // Transforms `nrows` accumulator rows (stride out_c) holding flattened
   // output positions [row0, row0 + nrows), writing into `out` (the start of
   // the full output buffer; the transform applies the row0 offset itself).
+  // Output row r starts `out_stride` output elements (bitpacked words for
+  // the bitpacked flavor) after row r - 1: the dense width, or more when
+  // the output is a channel slice of a wider buffer.
   virtual void Apply(const std::int32_t* acc, std::int64_t row0,
-                     std::int64_t nrows, void* out) const = 0;
+                     std::int64_t nrows, void* out,
+                     std::int64_t out_stride) const = 0;
 };
 
 // v = mult[c] * pre_act(acc) + bias[c]; mult/bias empty means 1 / 0.
@@ -42,7 +46,7 @@ class FloatOutputTransform : public OutputTransform {
   FloatOutputTransform(int out_c, Activation pre_activation,
                        std::vector<float> multiplier, std::vector<float> bias);
   void Apply(const std::int32_t* acc, std::int64_t row0, std::int64_t nrows,
-             void* out) const override;
+             void* out, std::int64_t out_stride) const override;
 
  private:
   int out_c_;
@@ -60,7 +64,7 @@ class BitpackedOutputTransform : public OutputTransform {
                            const std::vector<float>& multiplier,
                            const std::vector<float>& bias);
   void Apply(const std::int32_t* acc, std::int64_t row0, std::int64_t nrows,
-             void* out) const override;
+             void* out, std::int64_t out_stride) const override;
 
  private:
   int out_c_;
@@ -75,7 +79,7 @@ class Int32OutputTransform : public OutputTransform {
  public:
   explicit Int32OutputTransform(int out_c) : out_c_(out_c) {}
   void Apply(const std::int32_t* acc, std::int64_t row0, std::int64_t nrows,
-             void* out) const override;
+             void* out, std::int64_t out_stride) const override;
 
  private:
   int out_c_;
@@ -102,7 +106,7 @@ class Int8RequantTransform : public OutputTransform {
                        const std::vector<int>& shift, std::int32_t act_min,
                        std::int32_t act_max);
   void Apply(const std::int32_t* acc, std::int64_t row0, std::int64_t nrows,
-             void* out) const override;
+             void* out, std::int64_t out_stride) const override;
 
  private:
   int out_c_;

@@ -12,12 +12,13 @@ void MaxPool2DFloat(const Tensor& input, const Pool2DGeometry& g,
   const int pad_h = g.pad_h_begin(), pad_w = g.pad_w_begin();
   const float* in = input.data<float>();
   float* out = output.data<float>();
+  const std::int64_t out_stride = output.row_stride();
   for (int b = 0; b < g.batch; ++b) {
     for (int oy = 0; oy < out_h; ++oy) {
       for (int ox = 0; ox < out_w; ++ox) {
         float* o =
             out + ((static_cast<std::int64_t>(b) * out_h + oy) * out_w + ox) *
-                      g.channels;
+                      out_stride;
         for (int c = 0; c < g.channels; ++c) {
           o[c] = -std::numeric_limits<float>::infinity();
         }

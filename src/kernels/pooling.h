@@ -8,7 +8,8 @@
 
 namespace lce {
 
-// Float max pooling, NHWC. Padded positions are ignored.
+// Float max pooling, NHWC. Padded positions are ignored. The output may be
+// a channel slice of a wider buffer (its Tensor::row_stride()).
 void MaxPool2DFloat(const Tensor& input, const Pool2DGeometry& geo,
                     Tensor& output);
 

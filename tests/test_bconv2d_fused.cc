@@ -5,9 +5,14 @@
 // channel counts -- single- and multi-threaded, and for every output type.
 // On top of the value parity, these tests pin down the resource contract:
 // no full-image accumulator in scratch slot 2, no im2col patch buffer in
-// slot 1, and the `bconv2d.fused_tiles` telemetry counter.
+// slot 1, and the `bconv2d.fused_tiles` telemetry counter. Float output
+// into a channel slice of a wider buffer, and every output transform's row
+// stride, are checked against the dense run with sentinel-filled buffers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <memory>
 #include <ostream>
 #include <vector>
 
@@ -15,6 +20,7 @@
 #include "core/random.h"
 #include "gemm/bgemm.h"
 #include "kernels/bconv2d.h"
+#include "kernels/pipeline/output_transform.h"
 #include "kernels/reference.h"
 #include "telemetry/metrics.h"
 
@@ -166,6 +172,141 @@ TEST(BConvFused, Int32OutputMatchesReference) {
     ASSERT_EQ(out.data<std::int32_t>()[i],
               static_cast<std::int32_t>(expected[i]))
         << i;
+  }
+}
+
+// A float-output BConv2D writing into a channel slice of a wider buffer,
+// the way a Concat input is written in place (docs/PERFORMANCE.md):
+// bitwise the dense run, with every float outside the slice left at its
+// sentinel. Both paddings, batch 2, with the fused multiplier and bias of
+// a DenseNet layer's batch norm.
+TEST(BConvFused, FloatOutputIntoStridedSlice) {
+  constexpr int kOutC = 40, kOffset = 24, kStride = kOffset + kOutC + 8;
+  constexpr std::uint32_t kSentinel = 0x7fc0beefu;  // a NaN no store writes
+  for (const Padding pad : {Padding::kSameOne, Padding::kSameZero}) {
+    const Problem p = MakeProblem(9, 64, kOutC, 3, 1, pad, 1, 31, 2);
+    BConv2DAttrs attrs;
+    attrs.geo = p.geo;
+    attrs.output_type = BConvOutputType::kFloat;
+    Rng rng(5);
+    for (int n = 0; n < kOutC; ++n) {
+      attrs.multiplier.push_back(rng.Uniform(-0.1f, 0.1f));
+      attrs.bias.push_back(rng.Uniform(-1.0f, 1.0f));
+    }
+    const BConv2D op(p.weights.data(), attrs);
+    const Shape shape{2, p.geo.out_h(), p.geo.out_w(), kOutC};
+    const std::int64_t rows = Im2ColRows(p.geo);
+    for (int threads : {1, 3}) {
+      for (const gemm::KernelProfile profile :
+           {gemm::KernelProfile::kSimd, gemm::KernelProfile::kScalar}) {
+        gemm::Context ctx(threads, profile);
+        Tensor dense(DataType::kFloat32, shape);
+        op.Run(p.input_packed, dense, ctx);
+        std::vector<std::uint32_t> wide(rows * kStride, kSentinel);
+        Tensor slice = Tensor::StridedView(DataType::kFloat32, shape,
+                                           wide.data() + kOffset, kStride);
+        op.Run(p.input_packed, slice, ctx);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          for (int j = 0; j < kStride; ++j) {
+            const std::uint32_t got = wide[r * kStride + j];
+            if (j >= kOffset && j < kOffset + kOutC) {
+              ASSERT_EQ(std::memcmp(&got,
+                                    dense.data<float>() + r * kOutC + j -
+                                        kOffset,
+                                    sizeof(got)),
+                        0)
+                  << "pad " << static_cast<int>(pad) << " threads "
+                  << threads << " row " << r << " channel " << j - kOffset;
+            } else {
+              ASSERT_EQ(got, kSentinel) << "row " << r << " slot " << j;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Every output transform honours the row stride it is given: rows written
+// out_stride elements apart equal the dense rows bitwise, and no byte
+// between or before them is written. row0 = 2 checks that the stride also
+// places the first row.
+TEST(OutputTransform, EveryFlavorHonoursRowStride) {
+  constexpr int kOutC = 40, kRows = 7, kRow0 = 2, kExtra = 5;
+  constexpr std::uint8_t kSentinel = 0xa5;
+  Rng rng(17);
+  std::vector<std::int32_t> acc(kRows * kOutC);
+  for (auto& a : acc) a = static_cast<std::int32_t>(rng.UniformInt(201)) - 100;
+  std::vector<float> mult(kOutC), bias(kOutC);
+  for (auto& m : mult) m = rng.Uniform(-0.5f, 0.5f);
+  for (auto& b : bias) b = rng.Uniform(-2.0f, 2.0f);
+  std::vector<std::int32_t> row_sums(kOutC), bias_int32(kOutC);
+  for (auto& r : row_sums) r = static_cast<std::int32_t>(rng.UniformInt(64));
+  for (auto& b : bias_int32) b = static_cast<std::int32_t>(rng.UniformInt(64));
+
+  struct Flavor {
+    const char* name;
+    std::unique_ptr<pipeline::OutputTransform> transform;
+    int elem_bytes;
+    std::int64_t dense_stride;
+  };
+  std::vector<Flavor> flavors;
+  flavors.push_back({"float", std::make_unique<pipeline::FloatOutputTransform>(
+                                  kOutC, Activation::kNone,
+                                  std::vector<float>{}, std::vector<float>{}),
+                     4, kOutC});
+  flavors.push_back(
+      {"float relu", std::make_unique<pipeline::FloatOutputTransform>(
+                         kOutC, Activation::kRelu, std::vector<float>{},
+                         std::vector<float>{}),
+       4, kOutC});
+  flavors.push_back({"float affine",
+                     std::make_unique<pipeline::FloatOutputTransform>(
+                         kOutC, Activation::kNone, mult, bias),
+                     4, kOutC});
+  flavors.push_back({"float relu affine",
+                     std::make_unique<pipeline::FloatOutputTransform>(
+                         kOutC, Activation::kRelu, mult, bias),
+                     4, kOutC});
+  flavors.push_back({"float relu6 affine",
+                     std::make_unique<pipeline::FloatOutputTransform>(
+                         kOutC, Activation::kRelu6, mult, bias),
+                     4, kOutC});
+  flavors.push_back(
+      {"bitpacked", std::make_unique<pipeline::BitpackedOutputTransform>(
+                        kOutC, 100, Activation::kNone, mult, bias),
+       4, BitpackedWords(kOutC)});
+  flavors.push_back(
+      {"int32", std::make_unique<pipeline::Int32OutputTransform>(kOutC), 4,
+       kOutC});
+  flavors.push_back(
+      {"int8", std::make_unique<pipeline::Int8RequantTransform>(
+                   kOutC, 3, -5, row_sums.data(), bias_int32,
+                   std::vector<std::int32_t>{1 << 30}, std::vector<int>{-2},
+                   -128, 127),
+       1, kOutC});
+
+  for (const Flavor& f : flavors) {
+    const std::int64_t stride = f.dense_stride + kExtra;
+    std::vector<std::uint8_t> dense(
+        (kRow0 + kRows) * f.dense_stride * f.elem_bytes, kSentinel);
+    std::vector<std::uint8_t> wide((kRow0 + kRows) * stride * f.elem_bytes,
+                                   kSentinel);
+    f.transform->Apply(acc.data(), kRow0, kRows, dense.data(),
+                       f.dense_stride);
+    f.transform->Apply(acc.data(), kRow0, kRows, wide.data(), stride);
+    const std::int64_t row_bytes = f.dense_stride * f.elem_bytes;
+    for (int r = 0; r < kRow0 + kRows; ++r) {
+      for (std::int64_t b = 0; b < stride * f.elem_bytes; ++b) {
+        const std::uint8_t got = wide[r * stride * f.elem_bytes + b];
+        if (r >= kRow0 && b < row_bytes) {
+          ASSERT_EQ(got, dense[r * row_bytes + b])
+              << f.name << " row " << r << " byte " << b;
+        } else {
+          ASSERT_EQ(got, kSentinel) << f.name << " row " << r << " byte " << b;
+        }
+      }
+    }
   }
 }
 

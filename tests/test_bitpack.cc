@@ -3,11 +3,14 @@
 // parameterized sweeps over channel counts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/bitpack.h"
 #include "core/random.h"
 #include "core/tensor.h"
+#include "kernels/quantize_ops.h"
 
 namespace lce {
 namespace {
@@ -119,6 +122,43 @@ TEST(Bitpack, MatrixPackingIsRowIndependent) {
     for (int w = 0; w < words; ++w) {
       EXPECT_EQ(whole[r * words + w], single[w]) << "row " << r;
     }
+  }
+}
+
+// LceQuantize over a channel slice of a wider buffer (a Concat input
+// written in place): the packed words equal the dense run's, and the
+// floats around the slice -- a sign-bit-set sentinel that would set a bit
+// if read -- are neither read into the result nor written. Channel counts
+// below, at, between and past whole words.
+TEST(Bitpack, LceQuantizeFromStridedSource) {
+  constexpr std::uint32_t kSentinel = 0xffc0beefu;  // a negative NaN
+  constexpr int kOffset = 6;
+  for (const int channels : {7, 32, 45, 64, 100}) {
+    const Shape shape{2, 3, 3, channels};
+    const std::int64_t rows = 18;
+    const int stride = channels + 13;
+    Rng rng(channels);
+    Tensor dense_src(DataType::kFloat32, shape);
+    FillUniform(dense_src, rng);
+    std::vector<std::uint32_t> wide(rows * stride, kSentinel);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      std::memcpy(&wide[r * stride + kOffset],
+                  dense_src.data<float>() + r * channels,
+                  static_cast<std::size_t>(channels) * sizeof(float));
+    }
+    const std::vector<std::uint32_t> before = wide;
+
+    Tensor dense_out(DataType::kBitpacked, shape);
+    Tensor strided_out(DataType::kBitpacked, shape);
+    LceQuantize(dense_src, dense_out);
+    const Tensor slice = Tensor::StridedView(DataType::kFloat32, shape,
+                                             wide.data() + kOffset, stride);
+    LceQuantize(slice, strided_out);
+    EXPECT_EQ(std::memcmp(strided_out.raw_data(), dense_out.raw_data(),
+                          dense_out.byte_size()),
+              0)
+        << channels << " channels";
+    EXPECT_EQ(wide, before) << channels << " channels";
   }
 }
 

@@ -36,7 +36,7 @@ std::vector<float> Gemm(const std::vector<float>& lhs, int m,
   const PackedFloatMatrix packed(rhs.data(), n, k);
   std::vector<float> out(static_cast<std::size_t>(m) * n);
   FloatGemm(lhs.data(), FullyConnectedGeometry(m, k, n), packed, nullptr,
-            Activation::kNone, out.data(), ctx);
+            Activation::kNone, out.data(), n, ctx);
   return out;
 }
 
@@ -85,6 +85,67 @@ INSTANTIATE_TEST_SUITE_P(ClassifierRows, FloatGemmShapes,
                          ::testing::Combine(::testing::Range(1, 14),
                                             ::testing::Values(1000),
                                             ::testing::Values(512)));
+
+// Output into a channel slice of a wider buffer (ldo > n), the way a Concat
+// input is written in place: bitwise the dense run, with every float
+// outside the slice left at its sentinel. Both the in-place 1x1 path (a
+// fully connected layer over m rows) and the gathering 3x3 path (an m x 3
+// image), with a bias and an activation in the store.
+class FloatGemmStridedOutput : public ::testing::TestWithParam<int> {};
+
+TEST_P(FloatGemmStridedOutput, MatchesDenseAndKeepsSentinel) {
+  const int m = GetParam();
+  const int n = 37, in_c = 9;
+  constexpr int kOffset = 5, kLdo = 37 + 19;
+  constexpr std::uint32_t kSentinel = 0x7fc0beefu;  // a NaN no store writes
+  Conv2DGeometry conv;
+  conv.in_h = m;
+  conv.in_w = 3;
+  conv.in_c = in_c;
+  conv.out_c = n;
+  conv.filter_h = conv.filter_w = 3;
+  conv.padding = Padding::kSameZero;
+  for (const Conv2DGeometry& g :
+       {FullyConnectedGeometry(m, in_c, n), conv}) {
+    const std::int64_t rows = Im2ColRows(g);
+    const int k = Im2ColDepthFloat(g);
+    Rng rng(m * 11 + k);
+    std::vector<float> input(
+        static_cast<std::size_t>(g.batch) * g.in_h * g.in_w * in_c);
+    std::vector<float> rhs(static_cast<std::size_t>(n) * k), bias(n);
+    for (auto& v : input) v = rng.Uniform(-1.0f, 1.0f);
+    for (auto& v : rhs) v = rng.Uniform(-1.0f, 1.0f);
+    for (auto& v : bias) v = rng.Uniform(-1.0f, 1.0f);
+    const PackedFloatMatrix packed(rhs.data(), n, k);
+    for (int threads : {1, 3}) {
+      for (auto profile : {KernelProfile::kSimd, KernelProfile::kScalar}) {
+        Context ctx(threads, profile);
+        std::vector<float> dense(static_cast<std::size_t>(rows) * n);
+        FloatGemm(input.data(), g, packed, bias.data(), Activation::kRelu,
+                  dense.data(), n, ctx);
+        std::vector<std::uint32_t> wide(static_cast<std::size_t>(rows) * kLdo,
+                                        kSentinel);
+        FloatGemm(input.data(), g, packed, bias.data(), Activation::kRelu,
+                  reinterpret_cast<float*>(wide.data()) + kOffset, kLdo, ctx);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          for (int j = 0; j < kLdo; ++j) {
+            const std::uint32_t got = wide[r * kLdo + j];
+            if (j >= kOffset && j < kOffset + n) {
+              ASSERT_EQ(std::memcmp(&got, &dense[r * n + j - kOffset], 4), 0)
+                  << "row " << r << " col " << j - kOffset << " threads "
+                  << threads << " filter " << g.filter_h;
+            } else {
+              ASSERT_EQ(got, kSentinel) << "row " << r << " slot " << j;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EdgeRows, FloatGemmStridedOutput,
+                         ::testing::Range(1, 14));
 
 TEST(FloatGemm, ProfilesAgree) {
   // Bitwise: the scalar kernel rounds the way the SIMD one does (a fused

@@ -226,7 +226,7 @@ void ExpectRequantMatchesOracle(const RequantCase& c, Rng& rng) {
   }
   // row0 = 1: the transform offsets the output, not the accumulators.
   std::vector<std::int8_t> out((kRows + 1) * kOutC, 0x55);
-  transform.Apply(acc.data(), 1, kRows, out.data());
+  transform.Apply(acc.data(), 1, kRows, out.data(), kOutC);
   for (int n = 0; n < kOutC; ++n) ASSERT_EQ(out[n], 0x55);
   for (int i = 0; i < kRows * kOutC; ++i) {
     const int n = i % kOutC;

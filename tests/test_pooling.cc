@@ -1,6 +1,8 @@
 // Full-precision pooling tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/random.h"
@@ -28,6 +30,50 @@ TEST(MaxPool2D, MatchesReference) {
   RefMaxPool2DFloat(in.data<float>(), geo, expected.data());
   for (std::int64_t i = 0; i < out.num_elements(); ++i) {
     ASSERT_EQ(out.data<float>()[i], expected[i]);
+  }
+}
+
+// Output into a channel slice of a wider buffer, the way a Concat input is
+// written in place: bitwise the dense run, with every float outside the
+// slice left at its sentinel.
+TEST(MaxPool2D, StridedOutputMatchesDense) {
+  constexpr int kChannels = 9, kOffset = 4, kStride = kChannels + 7;
+  constexpr std::uint32_t kSentinel = 0x7fc0beefu;  // a NaN no pool writes
+  for (const Padding pad : {Padding::kSameZero, Padding::kValid}) {
+    Pool2DGeometry geo;
+    geo.batch = 2;
+    geo.in_h = geo.in_w = 7;
+    geo.channels = kChannels;
+    geo.filter_h = geo.filter_w = 3;
+    geo.stride_h = geo.stride_w = 2;
+    geo.padding = pad;
+    Rng rng(4);
+    Tensor in(DataType::kFloat32, Shape{2, 7, 7, kChannels});
+    FillUniform(in, rng);
+    const Shape out_shape{2, geo.out_h(), geo.out_w(), kChannels};
+    Tensor dense(DataType::kFloat32, out_shape);
+    MaxPool2DFloat(in, geo, dense);
+
+    const std::int64_t rows = dense.num_elements() / kChannels;
+    std::vector<std::uint32_t> wide(rows * kStride, kSentinel);
+    Tensor slice = Tensor::StridedView(DataType::kFloat32, out_shape,
+                                       wide.data() + kOffset, kStride);
+    MaxPool2DFloat(in, geo, slice);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (int j = 0; j < kStride; ++j) {
+        const std::uint32_t got = wide[r * kStride + j];
+        if (j >= kOffset && j < kOffset + kChannels) {
+          ASSERT_EQ(std::memcmp(&got,
+                                dense.data<float>() + r * kChannels + j -
+                                    kOffset,
+                                sizeof(got)),
+                    0)
+              << "row " << r << " channel " << j - kOffset;
+        } else {
+          ASSERT_EQ(got, kSentinel) << "row " << r << " slot " << j;
+        }
+      }
+    }
   }
 }
 

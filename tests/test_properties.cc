@@ -3,6 +3,7 @@
 // tests with the algebraic identities the whole design rests on.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -21,9 +22,10 @@
 namespace lce {
 namespace {
 
-std::vector<float> RunGraph(const Graph& g, std::uint64_t seed) {
+std::vector<float> RunGraph(const Graph& g, std::uint64_t seed,
+                            const CompileOptions& options = {}) {
   std::shared_ptr<const CompiledModel> model;
-  const Status s = CompiledModel::Compile(g, {}, &model);
+  const Status s = CompiledModel::Compile(g, options, &model);
   EXPECT_TRUE(s.ok()) << s.message();
   if (!s.ok()) return {};
   ExecutionContext exec(model);
@@ -265,6 +267,33 @@ TEST_P(RandomGraphFuzz, ConversionPreservesSemantics) {
   ASSERT_EQ(ya.size(), yb.size());
   for (std::size_t i = 0; i < ya.size(); ++i) {
     ASSERT_NEAR(ya[i], yb[i], 1e-3f) << "seed " << seed << " output " << i;
+  }
+
+  // The planner writes Concat inputs in place in their Concat's output
+  // (docs/PERFORMANCE.md). Graph outputs are never hosts, so the twin with
+  // every Concat output marked as one hosts nothing; both must give the
+  // same bits at every thread count and kernel profile.
+  Graph twin = CloneGraph(converted);
+  for (const int id : twin.TopologicalOrder()) {
+    if (twin.node(id).type == OpType::kConcat) {
+      twin.MarkOutput(twin.node(id).outputs[0]);
+    }
+  }
+  for (const int threads : {1, 4}) {
+    for (const gemm::KernelProfile profile :
+         {gemm::KernelProfile::kSimd, gemm::KernelProfile::kScalar}) {
+      CompileOptions options;
+      options.num_threads = threads;
+      options.kernel_profile = profile;
+      const auto hosted = RunGraph(converted, seed, options);
+      const auto oracle = RunGraph(twin, seed, options);
+      ASSERT_EQ(hosted.size(), oracle.size());
+      ASSERT_EQ(std::memcmp(hosted.data(), oracle.data(),
+                            hosted.size() * sizeof(float)),
+                0)
+          << "seed " << seed << " threads " << threads << " profile "
+          << static_cast<int>(profile);
+    }
   }
 }
 
