@@ -16,11 +16,18 @@ namespace {
 using namespace lce;
 using namespace lce::bench;
 
+// Profiled Invokes per model, after one warm-up; each node's time is its
+// median over them. On a shared 4-vCPU host, six consecutive runs at 3 or
+// 30 Invokes spread a model's total by 29-57%; at 100 the shares agree to
+// within about 3 points and the totals to 4-29%, the host's own drift, which
+// 300 Invokes did not narrow (EXPERIMENTS.md, Figure 5).
+constexpr int kProfiledInvokes = 100;
+
 void BreakdownFor(const char* label, const std::function<Graph(int)>& build,
                   gemm::KernelProfile profile) {
   Graph g;
   auto exec = PrepareConverted(g, build, 224, profile, /*profiling=*/true);
-  const auto prof = profiling::ProfileModel(*exec, 3);
+  const auto prof = profiling::ProfileModel(*exec, kProfiledInvokes);
   const double total = profiling::TotalSeconds(prof);
 
   double binary = 0.0, first_layer = 0.0, other_fp = 0.0;

@@ -32,9 +32,10 @@ struct ResourceLimits {
   std::size_t max_arena_bytes = std::size_t{8} << 30;  // 8 GiB
 
   // Worst-case im2col footprint of a single convolution (rows *
-  // filter_volume * element_size): a bound on the per-convolution
-  // indirection tables, which live outside the planned arena. Float
-  // convolutions keep the same cap; their GEMM's scratch is block-sized.
+  // filter_volume * element_size): a bound on the binary convolutions'
+  // indirection tables, the only per-convolution tables, which live
+  // outside the planned arena. Float and int8 convolutions keep the same
+  // cap, although they build no table and their scratch is block-sized.
   std::size_t max_im2col_bytes = std::size_t{2} << 30;  // 2 GiB
 
   // Graph-structure caps.
@@ -52,8 +53,9 @@ struct ResourceLimits {
   // applies to every variant build independently).
   std::int64_t max_shape_buckets = 8;
   // Largest admissible square input resolution for a shape bucket.
-  // 4096 px is far above any zoo scenario (96-320 px) while keeping
-  // indirection tables and tile plans comfortably sized.
+  // 4096 px is far above any zoo scenario (96-320 px) while keeping the
+  // binary kernels' indirection tables and every tile plan comfortably
+  // sized.
   std::int64_t max_input_hw = 4096;
 
   // No limits (trusted in-process graphs); overflow checks stay active.

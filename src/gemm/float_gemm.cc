@@ -15,6 +15,7 @@
 #endif
 
 #include "core/macros.h"
+#include "kernels/pipeline/gather_pack.h"
 
 namespace lce::gemm {
 namespace {
@@ -49,50 +50,6 @@ void PackPanel(const float* src, int n, int k, int row0, int rows,
       const int row = row0 + r;
       dst[static_cast<std::int64_t>(kk) * rows + r] =
           row < n ? src[static_cast<std::int64_t>(row) * k + kk] : 0.0f;
-    }
-  }
-}
-
-// Gathers patch rows [row0, row0 + rows) of the NHWC input row-major into
-// dst (row r at dst + r * K, K = filter_h * filter_w * in_c). A filter row
-// whose taps all lie inside the image is one contiguous run of
-// filter_w * in_c floats; taps outside it read the padding value (+1.0
-// under SAME_ONE, else 0.0).
-void GatherBlock(const float* input, const Conv2DGeometry& g,
-                 std::int64_t row0, int rows, float* dst) {
-  const int out_h = g.out_h(), out_w = g.out_w();
-  const float pad = g.padding == Padding::kSameOne ? 1.0f : 0.0f;
-  const int c = g.in_c;
-  const int run = g.filter_w * c;
-  for (int r = 0; r < rows; ++r) {
-    const std::int64_t row = row0 + r;
-    const std::int64_t q = row / out_w;
-    const std::int64_t b = q / out_h;
-    const int iy0 = static_cast<int>(q % out_h) * g.stride_h - g.pad_h_begin();
-    const int ix0 =
-        static_cast<int>(row % out_w) * g.stride_w - g.pad_w_begin();
-    const bool row_inside = ix0 >= 0 && ix0 + g.filter_w <= g.in_w;
-    for (int ky = 0; ky < g.filter_h; ++ky, dst += run) {
-      const int iy = iy0 + ky;
-      if (iy < 0 || iy >= g.in_h) {
-        std::fill_n(dst, run, pad);
-        continue;
-      }
-      const float* line = input + (b * g.in_h + iy) * g.in_w * c;
-      if (row_inside) {
-        std::memcpy(dst, line + static_cast<std::int64_t>(ix0) * c,
-                    sizeof(float) * run);
-        continue;
-      }
-      for (int kx = 0; kx < g.filter_w; ++kx) {
-        const int ix = ix0 + kx;
-        if (ix < 0 || ix >= g.in_w) {
-          std::fill_n(dst + kx * c, c, pad);
-        } else {
-          std::memcpy(dst + kx * c, line + static_cast<std::int64_t>(ix) * c,
-                      sizeof(float) * c);
-        }
-      }
     }
   }
 }
@@ -249,6 +206,7 @@ void FloatGemm(const float* input, const Conv2DGeometry& g,
   // input pixel r: the rows are read in place, with the same row stride k.
   const bool in_place = g.filter_h == 1 && g.filter_w == 1 &&
                         g.stride_h == 1 && g.stride_w == 1;
+  const float pad = g.padding == Padding::kSameOne ? 1.0f : 0.0f;
   const int shards = ctx.pool().PlannedShards(m_tiles);
   const std::int64_t block_elems = static_cast<std::int64_t>(kBlockRows) * k;
   float* blocks =
@@ -278,7 +236,9 @@ void FloatGemm(const float* input, const Conv2DGeometry& g,
       const std::int64_t row0 = t * kFloatMr;
       const int rows = static_cast<int>(
           std::min(std::min(end, t + kBlockTiles) * kFloatMr, m) - row0);
-      if (!in_place) GatherBlock(input, g, row0, rows, block);
+      if (!in_place) {
+        pipeline::GatherPatchRows(input, g, pad, row0, rows, k, block);
+      }
       const float* a = in_place ? input + row0 * k : block;
       for (int nt = 0; nt < rhs.num_tiles(); ++nt) {
         const int col0 = nt * kFloatNr;

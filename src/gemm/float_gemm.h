@@ -8,10 +8,11 @@
 // patch(r) is output position r's [filter_h][filter_w][in_c] input patch and
 // the RHS is stored one output channel per row (OHWI flattened). The patch
 // matrix is never built whole: each shard walks its output rows in blocks,
-// gathers one block of patch rows into its slice of scratch slot 0, runs
-// every B tile over it, and applies the bias and activation as each tile is
-// stored. Scratch slot 0 is therefore block-sized, independent of the
-// image. A 1x1, stride-1 convolution and every fully connected layer read
+// gathers one block of patch rows into its slice of scratch slot 0 (with
+// pipeline::GatherPatchRows, the dense gather the int8 convolution shares),
+// runs every B tile over it, and applies the bias and activation as each
+// tile is stored. Scratch slot 0 is therefore block-sized, independent of
+// the image. A 1x1, stride-1 convolution and every fully connected layer read
 // their patch rows in place (patch row r is input pixel r) and use no
 // scratch.
 //

@@ -478,8 +478,8 @@ Status CompiledModel::Build(CompileOptions options,
   // weight-bearing kernels are constructed as siblings of the mapped source
   // kernel: the expensive geometry-invariant state (packed/bitpacked
   // weights, correction tables, output transforms) is shared by reference
-  // and only the geometry-dependent state (indirection tables, tile plans)
-  // is rebuilt for the specialized geometry.
+  // and only the geometry-dependent state (the binary kernels' indirection
+  // tables, tile plans) is rebuilt for the specialized geometry.
   LCE_TRACE_SCOPE_CAT("prepare/pack", "interpreter");
   std::size_t packed_weight_bytes = 0;
   kernels_.clear();

@@ -101,9 +101,9 @@ class CompiledModel {
   // spatial extent, and the root's own signature returns `root` itself. A
   // specialization owns its graph clone, topological order and arena plan,
   // but every weight-bearing kernel shares the root kernel's packed
-  // weights -- only geometry-dependent state (indirection tables, zero
-  // rows, tile plans) is rebuilt -- so it costs O(IR) metadata plus its
-  // arena and reports 0 packed-weight bytes.
+  // weights -- only geometry-dependent state (the binary kernels'
+  // indirection tables and zero rows, tile plans) is rebuilt -- so it costs
+  // O(IR) metadata plus its arena and reports 0 packed-weight bytes.
   //
   // Every specialization lives in the root's one registry, keyed by
   // signature. Thread-safe: concurrent first requests for an unseen

@@ -109,10 +109,11 @@ Status CheckContract(const Graph& g, const Node& n) {
 
 // Bounds a convolution's im2col footprint (rows x depth elements), which no
 // kernel materialises as a patch matrix. Up to a small constant factor it
-// is the size of the indirection table the binary and int8 kernels build
-// at Compile (rows x taps int32 entries), which lives outside the planned
-// arena, so the arena cap does not cover it. Float convolutions keep the
-// same cap, although their GEMM's scratch is block-sized.
+// is the size of the indirection table the binary kernels build at Compile
+// (rows x taps int32 entries), the only per-convolution table, which lives
+// outside the planned arena, so the arena cap does not cover it. Float and
+// int8 convolutions keep the same cap, although they build no table and
+// their scratch is block-sized.
 Status CheckIm2ColBytes(const Node& n, std::int64_t depth,
                         std::int64_t elem_bytes,
                         const ResourceLimits& limits) {

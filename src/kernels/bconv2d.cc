@@ -7,7 +7,6 @@
 
 #include "core/bitpack.h"
 #include "core/macros.h"
-#include "kernels/pipeline/gather_pack.h"
 #include "telemetry/metrics.h"
 
 namespace lce {
@@ -73,7 +72,7 @@ void BConv2D::InitGeometry() {
   // on the geometry, so it is built once here instead of on every Run (the
   // indirection setup cost stays out of the inference hot path).
   if (!DirectPack()) {
-    indirection_ = gemm::IndirectionOffsets(g);
+    indirection_ = pipeline::IndirectionOffsets(g);
     // 0 bits = +1.0 one-padding; a whole pixel wide, so every group's
     // word slice of it stays in bounds.
     zero_row_.assign(BitpackedWords(g.in_c), 0);

@@ -37,9 +37,9 @@
 #include "core/types.h"
 #include "gemm/bgemm.h"
 #include "gemm/context.h"
-#include "gemm/indirect_bgemm.h"
 #include "kernels/conv_params.h"
 #include "kernels/pipeline/conv_pipeline.h"
+#include "kernels/pipeline/gather_pack.h"
 
 namespace lce {
 
@@ -164,7 +164,7 @@ class BConv2D {
   // geometry-only indirection table, built once here rather than per Run,
   // plus the all-zero row padded taps point at (one-padding). zero_row_
   // is sized words(in_c), so each group's word slice of it is in bounds.
-  gemm::IndirectionOffsets indirection_;
+  pipeline::IndirectionOffsets indirection_;
   std::vector<TBitpacked> zero_row_;
 
   // Interior/border row-tile classification (shared engine input).

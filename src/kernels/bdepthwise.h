@@ -12,9 +12,10 @@
 //
 // Execution runs through the shared fused row-tile engine
 // (kernels/pipeline/conv_pipeline.h): the bit-sliced counter is the
-// micro-kernel policy, the taps are resolved through the prepare-time
-// indirection cache, and the shared float output transform applies the
-// fused multiplier/bias per cache-resident tile.
+// micro-kernel policy, it reads its taps in place through the row pointers
+// BConv2D's BGEMM reads through too (pipeline::GatherRowPointers), and the
+// shared float output transform applies the fused multiplier/bias per
+// cache-resident tile.
 #ifndef LCE_KERNELS_BDEPTHWISE_H_
 #define LCE_KERNELS_BDEPTHWISE_H_
 
@@ -25,9 +26,9 @@
 #include "core/tensor.h"
 #include "core/types.h"
 #include "gemm/context.h"
-#include "gemm/indirect_bgemm.h"
 #include "kernels/conv_params.h"
 #include "kernels/pipeline/conv_pipeline.h"
+#include "kernels/pipeline/gather_pack.h"
 
 namespace lce {
 
@@ -50,7 +51,8 @@ class BDepthwiseConv2D {
   BDepthwiseConv2D(const float* weights, BDepthwiseConv2DAttrs attrs);
 
   // input: bitpacked NHWC; output: float NHWC.
-  // scratch usage: context slot 2 (per-shard row-tile accumulator).
+  // scratch usage: context slot 2 (per-shard row-pointer tables + row-tile
+  // accumulator).
   void Run(const Tensor& input, Tensor& output, gemm::Context& ctx) const;
 
   const BDepthwiseConv2DAttrs& attrs() const { return attrs_; }
@@ -64,7 +66,7 @@ class BDepthwiseConv2D {
   // Pipeline state, built once at construction: tap offsets, one-padding
   // source row, interior/border tile classification and the shared float
   // output transform.
-  gemm::IndirectionOffsets indirection_;
+  pipeline::IndirectionOffsets indirection_;
   std::vector<TBitpacked> zero_row_;
   pipeline::TilePlan tile_plan_;
   std::unique_ptr<pipeline::OutputTransform> transform_;

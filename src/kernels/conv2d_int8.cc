@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "core/macros.h"
@@ -98,8 +99,7 @@ Conv2DInt8::Conv2DInt8(const std::int8_t* weights_ohwi, Conv2DInt8Attrs attrs)
 
 Conv2DInt8::Conv2DInt8(const Conv2DInt8& base, Conv2DInt8Attrs attrs)
     : attrs_(std::move(attrs)), weights_(base.weights_) {
-  // InitGeometry rebuilds the indirection cache and tile plan for this
-  // instance's own geometry.
+  // InitGeometry rebuilds the tile plan for this instance's own geometry.
   CheckSiblingGeometry(attrs_.geo, base.attrs_.geo);
   InitGeometry();
 }
@@ -110,21 +110,18 @@ void Conv2DInt8::InitGeometry() {
   // subtraction (the value Im2ColInt8 pads with too).
   pad_value_ = static_cast<std::int8_t>(
       std::clamp(attrs_.input_quant.zero_point, -128, 127));
-
-  // Pipeline state: byte-offset tap table and interior classification,
-  // both geometry-only, built once here.
-  indirection_ = gemm::IndirectionOffsets(g, g.in_c);
   tile_plan_ = pipeline::TilePlan(g, kTileRows);
 }
 
-// TileCompute policy of the int8 kernel, every tier: the gather stages raw
-// patch rows and the dot kernels broadcast 4-byte activation groups
-// straight from them, with no panel interleave pass. The block compute is
-// panel-outer / row-inner over the Compile()-time PackedInt8DotPanels
-// (weight-stationary: one panel stays L1-resident across all rows of the
-// block before the next streams in). The tier is fixed at selection time
-// rather than read from the engine's profile, so LCE_FORCE_ISA=scalar
-// reaches the scalar kernel even in a SIMD-profile context.
+// TileCompute policy of the int8 kernel, every tier: the dense patch gather
+// stages the block's raw patch rows (K zero-padded to lda) and the dot
+// kernels broadcast 4-byte activation groups straight from them, with no
+// panel interleave pass. The block compute is panel-outer / row-inner over
+// the Compile()-time PackedInt8DotPanels (weight-stationary: one panel
+// stays L1-resident across all rows of the block before the next streams
+// in). The tier is fixed at selection time rather than read from the
+// engine's profile, so LCE_FORCE_ISA=scalar reaches the scalar kernel even
+// in a SIMD-profile context.
 class Conv2DInt8DotTileCompute final : public pipeline::TileCompute {
  public:
   Conv2DInt8DotTileCompute(const Conv2DInt8& op, const std::int8_t* input,
@@ -140,25 +137,20 @@ class Conv2DInt8DotTileCompute final : public pipeline::TileCompute {
            lda_;
   }
 
-  void ComputeBlock(std::int64_t tile0, int block_tiles, std::int64_t row0,
-                    int block_rows, const pipeline::TilePlan& plan,
+  void ComputeBlock(std::int64_t /*tile0*/, int block_tiles,
+                    std::int64_t row0, int block_rows,
+                    const pipeline::TilePlan& /*plan*/,
                     gemm::KernelProfile /*profile*/, std::uint8_t* scratch,
                     std::int32_t* acc) const override {
-    constexpr int kTileRows = Conv2DInt8::kTileRows;
     auto* rows_stage = reinterpret_cast<std::int8_t*>(scratch);
-    for (int i = 0; i < block_tiles; ++i) {
-      const std::int64_t trow0 =
-          row0 + static_cast<std::int64_t>(i) * kTileRows;
-      // Fetch the next tile's feature-map lines while this tile gathers.
-      if (i + 1 < block_tiles) {
-        pipeline::PrefetchInt8GatherSources(input_, op_.indirection_,
-                                            trow0 + kTileRows, kTileRows);
-      }
-      pipeline::GatherStageInt8Dot(
-          input_, op_.indirection_, op_.pad_value_, trow0, kTileRows, lda_,
-          plan.interior(tile0 + i),
-          rows_stage + static_cast<std::int64_t>(i) * kTileRows * lda_);
-    }
+    pipeline::GatherPatchRows(input_, op_.attrs_.geo, op_.pad_value_, row0,
+                              block_rows, lda_, rows_stage);
+    // Rows of the last tile past the image are zeroed, so every staged row
+    // the scratch size counts is defined; the dot kernels stop at
+    // block_rows and never read them.
+    const int staged_rows = block_tiles * Conv2DInt8::kTileRows;
+    std::memset(rows_stage + static_cast<std::int64_t>(block_rows) * lda_, 0,
+                static_cast<std::size_t>(staged_rows - block_rows) * lda_);
     gemm::Int8DotComputeBlock(rows_stage, lda_, op_.weights_->dot_panels,
                               tier_, block_rows, acc, op_.attrs_.geo.out_c);
   }

@@ -3,8 +3,9 @@
 // comparisons. Per-tensor affine quantization, symmetric weights.
 //
 // Execution runs through the shared fused row-tile engine
-// (kernels/pipeline/conv_pipeline.h): patch rows are byte-gathered through
-// the prepare-time indirection cache into staged rows, the selected tier's
+// (kernels/pipeline/conv_pipeline.h): patch rows are copied into staged rows
+// by the dense gather the float convolution shares
+// (pipeline::GatherPatchRows), the selected tier's
 // dot-product kernel (gemm/int8_isa.h) multiplies them against the one
 // packed weight layout, gemm::PackedInt8DotPanels, and the requantization
 // is the shared Int8RequantTransform applied per cache-resident tile.
@@ -18,7 +19,6 @@
 #include "core/quantization.h"
 #include "core/tensor.h"
 #include "gemm/context.h"
-#include "gemm/indirect_bgemm.h"
 #include "gemm/int8_gemm.h"
 #include "kernels/conv_params.h"
 #include "kernels/pipeline/conv_pipeline.h"
@@ -56,7 +56,7 @@ class Conv2DInt8 {
 
   // Batch-variant sibling (docs/SERVING.md): shares `base`'s packed weight
   // panels and requantization transform (batch-invariant) and rebuilds only
-  // the geometry-dependent state (indirection cache, tile plan). `attrs`
+  // the geometry-dependent state (the tile plan). `attrs`
   // may differ from base.attrs() only in what CheckSiblingGeometry allows
   // (batch, spatial input size).
   Conv2DInt8(const Conv2DInt8& base, Conv2DInt8Attrs attrs);
@@ -77,8 +77,8 @@ class Conv2DInt8 {
     std::unique_ptr<pipeline::OutputTransform> transform;
   };
 
-  // Builds the geometry-dependent per-variant state (pad value, indirection
-  // cache, tile plan) -- the only setup a batch-variant sibling repeats.
+  // Builds the geometry-dependent per-variant state (pad value, tile plan)
+  // -- the only setup a batch-variant sibling repeats.
   void InitGeometry();
 
   friend class Conv2DInt8DotTileCompute;
@@ -88,9 +88,7 @@ class Conv2DInt8 {
   // Byte value padded taps read: the input zero point, so padding
   // contributes zero after offset subtraction.
   std::int8_t pad_value_ = 0;
-  // Pipeline state: byte-offset tap table (elems_per_pixel = in_c) and the
-  // interior/border tile classification.
-  gemm::IndirectionOffsets indirection_;
+  // Pipeline state: the interior/border tile classification.
   pipeline::TilePlan tile_plan_;
 };
 

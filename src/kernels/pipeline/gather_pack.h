@@ -1,29 +1,70 @@
-// Gather strategies of the ConvPipeline (policy seam #1): read a patch row
-// straight from the feature map through the prepare-time int32
-// indirection cache (gemm/indirect_bgemm.h), without materializing im2col
-// patches.
+// Patch gathers (policy seam #1 of the ConvPipeline, and the A side of the
+// float GEMM): how a convolution reads output position r's im2col row, its
+// [filter_h][filter_w][in_c] input patch in OHWI weight order, straight
+// from the NHWC feature map without building the patch matrix. One gather
+// per operand type:
+//   * GatherPatchRows<T> — float and int8: copies patch rows into a
+//     row-major block, one run per filter row that lies inside the image,
+//     with tap positions computed from the geometry. gemm::FloatGemm
+//     gathers its A blocks with it, Conv2DInt8 the staged rows its dot
+//     kernels read.
+//   * GatherRowPointers — bitpacked: a table of per-tap pointers into the
+//     feature map, read through the prepare-time IndirectionOffsets table.
+//     BConv2D's BGEMM (plain and grouped) and BDepthwiseConv2D's
+//     bit-sliced counters read their taps in place through it.
 //
-// Two families, one per consumer:
-//   * GatherRowPointers  — the binary kernels read activations in place:
-//     a table of per-tap row pointers into the feature map (or the zero
-//     row for padded taps) that gemm::BGemmComputeBlock reads through
-//     (BConv2D, plain and grouped).
-//   * GatherStageInt8Dot — the int8 byte gather into the staged rows the
-//     dot-product kernels read (Conv2DInt8); padded taps read the input
-//     zero point, exactly like Im2ColInt8.
-//
-// All take an `interior` flag from the shared TilePlan: interior tiles have
-// no padded taps, so the gather skips the kPaddedTap sentinel check
-// entirely.
+// The bitpacked kernels keep the table because a tap is only a few words
+// there, so the per-tap address is the gather's whole cost: computing row
+// pointers from the geometry measured several times slower than reading
+// them from the table (docs/PERFORMANCE.md).
 #ifndef LCE_KERNELS_PIPELINE_GATHER_PACK_H_
 #define LCE_KERNELS_PIPELINE_GATHER_PACK_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "core/types.h"
-#include "gemm/indirect_bgemm.h"
+#include "kernels/conv_params.h"
 
 namespace lce::pipeline {
+
+// Copies patch rows [row0, row0 + rows) of the NHWC `input` under `g` into
+// dst, row r at dst + r * ld. A patch row is K = filter_h * filter_w * in_c
+// elements; ld >= K, and each row's [K, ld) tail is zeroed. Taps outside
+// the image read `pad`: 0.0 (or +1.0 under SAME_ONE) for float, the input
+// zero point for int8. Requires row0 + rows <= Im2ColRows(g). Instantiated
+// for float and std::int8_t.
+template <typename T>
+void GatherPatchRows(const T* input, const Conv2DGeometry& g, T pad,
+                     std::int64_t row0, int rows, std::int64_t ld, T* dst);
+
+// Geometry-only tap table of the bitpacked convolutions: for every (output
+// position, filter tap), the word offset of the source pixel's channel
+// vector in the bitpacked NHWC input, or kPaddedTap for taps that fall
+// outside the image. A kernel builds it once at prepare time (the
+// geometry, batch included, is fixed then), and every Run and shard reads
+// it.
+class IndirectionOffsets {
+ public:
+  // Sentinel for taps reading spatial padding.
+  static constexpr std::int32_t kPaddedTap = -1;
+
+  IndirectionOffsets() = default;
+  explicit IndirectionOffsets(const Conv2DGeometry& geo);
+
+  std::int64_t rows() const { return rows_; }  // batch * out_h * out_w
+  int taps() const { return taps_; }           // filter_h * filter_w
+  int words() const { return words_; }         // words(in_c) per pixel
+  // Offsets for output position r: taps() entries.
+  const std::int32_t* row(std::int64_t r) const {
+    return offsets_.data() + r * taps_;
+  }
+
+ private:
+  std::int64_t rows_ = 0;
+  int taps_ = 0, words_ = 0;
+  std::vector<std::int32_t> offsets_;  // [rows][taps]
+};
 
 // Fills dst[r * ind.taps() + t], for r < `nrows`, with the address of the
 // channel vector that tap t of output position row0 + r reads: `input`
@@ -32,34 +73,9 @@ namespace lce::pipeline {
 // the concatenation of its taps' vectors. With `interior` set the
 // padded-tap sentinel check is skipped (caller guarantees no padded taps,
 // see pipeline/tile_plan.h). Requires row0 + nrows <= ind.rows().
-void GatherRowPointers(const TBitpacked* input,
-                       const gemm::IndirectionOffsets& ind,
+void GatherRowPointers(const TBitpacked* input, const IndirectionOffsets& ind,
                        const TBitpacked* zero_row, std::int64_t row0,
                        int nrows, bool interior, const TBitpacked** dst);
-
-// Int8 byte gather: `ind` must have been built with elems_per_pixel = in_c
-// (byte offsets). Stages `tile_rows` raw patch rows of taps*in_c bytes
-// straight into `dst`, row-major with leading dimension `lda` (>= taps*in_c;
-// the tail is zeroed so K-padding contributes nothing), filling padded
-// taps with `pad_value` (the clamped input zero point). The dot kernels
-// (gemm::Int8DotComputeBlock) read these rows directly, with no panel
-// interleave pass. Rows beyond ind.rows() are zeroed (they never reach the
-// output).
-void GatherStageInt8Dot(const std::int8_t* input,
-                        const gemm::IndirectionOffsets& ind,
-                        std::int8_t pad_value, std::int64_t row0,
-                        int tile_rows, int lda, bool interior,
-                        std::int8_t* dst);
-
-// Software-prefetches the gather sources of rows [row0, row0+tile_rows):
-// one prefetch per 64-byte line of each tap's channel vector. The int8
-// TileCompute calls this one tile ahead of the gather, so the next tile's
-// feature-map lines are already in flight while the current tile's dot
-// products execute (the gather stage is the int8 path's main memory-
-// latency exposure; see docs/PERFORMANCE.md).
-void PrefetchInt8GatherSources(const std::int8_t* input,
-                               const gemm::IndirectionOffsets& ind,
-                               std::int64_t row0, int tile_rows);
 
 }  // namespace lce::pipeline
 

@@ -74,28 +74,41 @@ std::vector<LayerLatency> PerLayerLatency(
   return out;
 }
 
+std::vector<lce::OpProfile> MedianProfile(
+    const std::vector<std::vector<lce::OpProfile>>& runs) {
+  LCE_CHECK(!runs.empty());
+  std::vector<lce::OpProfile> out = runs.front();
+  for (const auto& run : runs) LCE_CHECK_EQ(run.size(), out.size());
+  std::vector<double> samples(runs.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const auto median = [&](auto field) {
+      for (std::size_t r = 0; r < runs.size(); ++r) {
+        samples[r] = field(runs[r][i]);
+      }
+      return Median(samples);
+    };
+    out[i].seconds = median([](const lce::OpProfile& p) { return p.seconds; });
+    out[i].bconv.im2col =
+        median([](const lce::OpProfile& p) { return p.bconv.im2col; });
+    out[i].bconv.gemm =
+        median([](const lce::OpProfile& p) { return p.bconv.gemm; });
+    out[i].bconv.transform =
+        median([](const lce::OpProfile& p) { return p.bconv.transform; });
+  }
+  return out;
+}
+
 std::vector<lce::OpProfile> ProfileModel(lce::ExecutionContext& exec,
                                          int iters) {
   LCE_CHECK_GT(iters, 0);
   exec.Invoke();  // warmup, discarded
-  std::vector<std::vector<double>> samples;
-  std::vector<lce::OpProfile> base;
+  std::vector<std::vector<lce::OpProfile>> runs;
+  runs.reserve(iters);
   for (int it = 0; it < iters; ++it) {
     exec.Invoke();
-    const auto& prof = exec.profile();
-    if (it == 0) {
-      base = prof;
-      samples.resize(prof.size());
-    }
-    LCE_CHECK_EQ(prof.size(), base.size());
-    for (std::size_t i = 0; i < prof.size(); ++i) {
-      samples[i].push_back(prof[i].seconds);
-    }
+    runs.push_back(exec.profile());
   }
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    base[i].seconds = Median(samples[i]);
-  }
-  return base;
+  return MedianProfile(runs);
 }
 
 }  // namespace lce::profiling

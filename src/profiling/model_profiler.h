@@ -36,9 +36,17 @@ struct LayerLatency {
 std::vector<LayerLatency> PerLayerLatency(
     const std::vector<lce::OpProfile>& profile);
 
+// Per-node medians over `runs`, each one Invoke's profile of the same
+// graph (ExecutionContext::profile()): a node's seconds and each field of
+// its bconv stage split are the medians of that node's samples, so
+// OperatorBreakdown subtracts a median output transform from a median
+// total. Requires at least one run.
+std::vector<lce::OpProfile> MedianProfile(
+    const std::vector<std::vector<lce::OpProfile>>& runs);
+
 // Runs `iters` profiled inferences on `exec` (which must have been built
-// with ExecutionOptions::enable_profiling) and returns the per-op profile
-// with median-of-iterations latencies (robust against scheduler noise).
+// with ExecutionOptions::enable_profiling) after one discarded warm-up and
+// returns their MedianProfile (robust against scheduler noise).
 std::vector<lce::OpProfile> ProfileModel(lce::ExecutionContext& exec,
                                          int iters);
 

@@ -2,6 +2,7 @@
 // kernel against the float depthwise reference on +/-1 data.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -59,6 +60,71 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(7, 64, 3, 2, Padding::kValid),
                       std::make_tuple(9, 33, 3, 1, Padding::kSameOne),
                       std::make_tuple(10, 100, 3, 3, Padding::kValid)));
+
+// Batched inputs whose row tiles (BDepthwiseConv2D::kTileRows output
+// positions) straddle images, and rectangular inputs and filters: every
+// output bitwise equal to the reference at threads {1, 3} x both profiles.
+TEST(BDepthwise, BatchedAndRectangularMatchReferenceEverywhere) {
+  const struct {
+    int batch, h, w, c, fh, fw, sh, sw;
+    Padding pad;
+  } cases[] = {
+      // Output rows per image: 25, 15, 15, 63, 15 and 15, none a multiple
+      // of the 4-row tile.
+      {3, 5, 5, 32, 3, 3, 1, 1, Padding::kSameOne},
+      {2, 9, 3, 64, 3, 3, 2, 1, Padding::kSameOne},
+      {4, 7, 5, 40, 3, 3, 1, 1, Padding::kValid},
+      {1, 9, 14, 33, 3, 5, 1, 2, Padding::kSameOne},
+      {2, 13, 7, 96, 5, 3, 2, 2, Padding::kValid},
+      {5, 3, 5, 32, 1, 3, 1, 1, Padding::kSameOne},
+  };
+  for (const auto& c : cases) {
+    Conv2DGeometry geo;
+    geo.batch = c.batch;
+    geo.in_h = c.h;
+    geo.in_w = c.w;
+    geo.in_c = geo.out_c = c.c;
+    geo.filter_h = c.fh;
+    geo.filter_w = c.fw;
+    geo.stride_h = c.sh;
+    geo.stride_w = c.sw;
+    geo.padding = c.pad;
+    SCOPED_TRACE(::testing::Message()
+                 << c.batch << "x" << c.h << "x" << c.w << "x" << c.c << " "
+                 << c.fh << "x" << c.fw << "/" << c.sh << "x" << c.sw);
+
+    Rng rng(c.batch * 101 + c.h * 13 + c.w + c.c);
+    Tensor in_f(DataType::kFloat32, Shape{c.batch, c.h, c.w, c.c});
+    FillSigns(in_f, rng);
+    Tensor in_b(DataType::kBitpacked, in_f.shape());
+    BitpackTensor(in_f, in_b);
+    std::vector<float> w(static_cast<std::size_t>(c.fh) * c.fw * c.c);
+    for (auto& v : w) v = rng.Sign();
+    BDepthwiseConv2DAttrs attrs;
+    attrs.geo = geo;
+    const BDepthwiseConv2D op(w.data(), attrs);
+
+    const Shape out_shape{c.batch, geo.out_h(), geo.out_w(), c.c};
+    std::vector<float> expected(static_cast<std::size_t>(
+        out_shape.num_elements()));
+    RefDepthwiseConv2DFloat(in_f.data<float>(), w.data(), geo, nullptr,
+                            Activation::kNone, expected.data(),
+                            /*pad_value=*/1.0f);
+    for (const int threads : {1, 3}) {
+      for (const auto profile :
+           {gemm::KernelProfile::kSimd, gemm::KernelProfile::kScalar}) {
+        Tensor out(DataType::kFloat32, out_shape);
+        gemm::Context ctx(threads, profile);
+        op.Run(in_b, out, ctx);
+        EXPECT_EQ(std::memcmp(out.data<float>(), expected.data(),
+                              expected.size() * sizeof(float)),
+                  0)
+            << "threads=" << threads
+            << " profile=" << static_cast<int>(profile);
+      }
+    }
+  }
+}
 
 TEST(BDepthwise, FusedMultiplierAndBias) {
   Conv2DGeometry geo;

@@ -170,5 +170,46 @@ TEST(OperatorBreakdown, RowsSortedBySeconds) {
   EXPECT_EQ(rows[0].category, "Full precision Add");
 }
 
+// Three timed Invokes of a two-node graph, the first an outlier in every
+// field (a cold first run): each field of each node is its own median, so
+// the Table 4 accumulation loop is a median total minus a median transform.
+TEST(MedianProfile, TakesEachFieldsMedianPerNode) {
+  const auto run = [](double conv, double bconv, double gemm,
+                      double transform) {
+    std::vector<lce::OpProfile> p(2);
+    p[0].name = "stem";
+    p[0].type = lce::OpType::kConv2D;
+    p[0].seconds = conv;
+    p[1].name = "bconv";
+    p[1].type = lce::OpType::kLceBConv2d;
+    p[1].is_binary_op = true;
+    p[1].seconds = bconv;
+    p[1].bconv.gemm = gemm;
+    p[1].bconv.transform = transform;
+    return p;
+  };
+  const auto prof = MedianProfile({run(9.0, 20.0, 12.0, 8.0),
+                                   run(1.0, 3.0, 2.0, 0.5),
+                                   run(1.2, 3.2, 2.2, 0.7)});
+  ASSERT_EQ(prof.size(), 2u);
+  EXPECT_EQ(prof[1].name, "bconv");
+  EXPECT_EQ(prof[1].type, lce::OpType::kLceBConv2d);
+  EXPECT_TRUE(prof[1].is_binary_op);
+  EXPECT_DOUBLE_EQ(prof[0].seconds, 1.2);
+  EXPECT_DOUBLE_EQ(prof[1].seconds, 3.2);
+  EXPECT_DOUBLE_EQ(prof[1].bconv.gemm, 2.2);
+  EXPECT_DOUBLE_EQ(prof[1].bconv.transform, 0.7);
+
+  double accum = -1.0, transform = -1.0;
+  for (const auto& r : OperatorBreakdown(prof)) {
+    if (r.category == "LceBConv2d (accumulation loop)") accum = r.seconds;
+    if (r.category == "LceBConv2d (output transformation)") {
+      transform = r.seconds;
+    }
+  }
+  EXPECT_DOUBLE_EQ(accum, 3.2 - 0.7);
+  EXPECT_DOUBLE_EQ(transform, 0.7);
+}
+
 }  // namespace
 }  // namespace lce::profiling

@@ -1,9 +1,9 @@
 // Unit tests for the shared ConvPipeline building blocks: the
-// interior/border TilePlan and the gather strategies (kernels/pipeline/).
-// Each gather is checked against the im2col it replaces: the binary
-// row-pointer table must address exactly the words of each im2col row
-// (full or group-sliced), and each int8 staged row must equal its im2col
-// row, zero-padded to the dot kernels' K-groups.
+// interior/border TilePlan, the bitpacked tap table and the patch gathers
+// (kernels/pipeline/). Each gather is checked against the im2col it
+// replaces: the binary row-pointer table must address exactly the words of
+// each im2col row (full or group-sliced), and each dense float or int8
+// patch row must equal its im2col row, zero-padded to its row stride.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,10 +13,7 @@
 #include "core/bitpack.h"
 #include "core/random.h"
 #include "gemm/bgemm.h"
-#include "gemm/indirect_bgemm.h"
-#include "gemm/int8_gemm.h"
 #include "im2col.h"
-#include "kernels/conv2d_int8.h"
 #include "kernels/pipeline/gather_pack.h"
 #include "kernels/pipeline/tile_plan.h"
 
@@ -121,7 +118,7 @@ void CheckRowPointersMatchIm2Col(const Conv2DGeometry& g, int groups = 1) {
   const int group_words = total_words / groups;
   const int taps = g.filter_h * g.filter_w;
   const int group_kw = taps * group_words;
-  const gemm::IndirectionOffsets ind(g);
+  const pipeline::IndirectionOffsets ind(g);
   const std::vector<TBitpacked> zero_row(total_words, 0);
   const pipeline::TilePlan plan(g, gemm::kBgemmMr);
 
@@ -200,68 +197,112 @@ TEST(GatherRowPointers, GroupSliceMatchesGroupIm2Col) {
   }
 }
 
-TEST(GatherPack, Int8MatchesIm2Col) {
-  constexpr int kTileRows = Conv2DInt8::kTileRows;
+TEST(IndirectionOffsets, PaddedTapsAreMarked) {
+  const auto g = MakeGeo(4, 32, 3, 1, Padding::kSameOne);
+  const pipeline::IndirectionOffsets ind(g);
+  EXPECT_EQ(ind.rows(), 16);
+  EXPECT_EQ(ind.taps(), 9);
+  EXPECT_EQ(ind.words(), 1);
+  // Output (0,0), tap (0,0) reads (-1,-1): a padded tap.
+  EXPECT_EQ(ind.row(0)[0], pipeline::IndirectionOffsets::kPaddedTap);
+  // Tap (1,1) reads (0,0): the first input word.
+  EXPECT_EQ(ind.row(0)[4], 0);
+}
+
+TEST(IndirectionOffsets, StridedTapsPointAtStridedPixels) {
+  const auto g = MakeGeo(8, 32, 3, 2, Padding::kValid);
+  const pipeline::IndirectionOffsets ind(g);
+  ASSERT_EQ(ind.rows(), 9);  // (8-3)/2+1 = 3 per axis
+  // Output (1,1) tap (0,0) reads input pixel (2,2) = word 18.
+  EXPECT_EQ(ind.row(1 * 3 + 1)[0], 18);
+}
+
+// Gathers every patch row of `g` with GatherPatchRows in blocks of `block`
+// rows (so blocks straddle images when a batch has several), each into a
+// sentinel-filled buffer of row stride `ld`: every element the gather owns
+// must be written, each row must equal its im2col row in `patches`, and its
+// [K, ld) tail must be zero.
+template <typename T>
+void CheckPatchRows(const T* in, const Conv2DGeometry& g, T pad,
+                    const std::vector<T>& patches, std::int64_t ld,
+                    int block) {
+  const std::int64_t rows = Im2ColRows(g);
+  const int k = Im2ColDepthFloat(g);
+  // ld elements, so data() is non-null even when the tail is empty.
+  const std::vector<T> zeros(static_cast<std::size_t>(ld), T{0});
+  std::vector<T> got(static_cast<std::size_t>(block) * ld);
+  for (std::int64_t row0 = 0; row0 < rows; row0 += block) {
+    const int n = static_cast<int>(std::min<std::int64_t>(block, rows - row0));
+    std::memset(got.data(), 0x5A, got.size() * sizeof(T));
+    pipeline::GatherPatchRows(in, g, pad, row0, n, ld, got.data());
+    for (int r = 0; r < n; ++r) {
+      const T* row = got.data() + r * ld;
+      ASSERT_EQ(std::memcmp(row, patches.data() + (row0 + r) * k,
+                            sizeof(T) * k),
+                0)
+          << "ld " << ld << ", block " << block << ", row " << row0 + r;
+      ASSERT_EQ(std::memcmp(row + k, zeros.data(), sizeof(T) * (ld - k)), 0)
+          << "ld " << ld << ", row " << row0 + r << ": tail past K not zero";
+    }
+  }
+}
+
+TEST(GatherPack, PatchRowsMatchIm2Col) {
   const struct {
-    int hw, in_c, k, stride;
+    int batch, h, w, c, fh, fw, sh, sw;
     Padding pad;
-    int batch;
   } cases[] = {
-      {8, 16, 3, 1, Padding::kSameZero, 1},
-      {9, 24, 3, 2, Padding::kSameZero, 1},  // 25 rows: last tile overhangs
-      {6, 8, 1, 1, Padding::kValid, 1},
-      // ResNet stem: k = 147 is not a multiple of 4, so lda = 148; 49 rows.
-      {13, 3, 7, 2, Padding::kSameZero, 1},
-      // 25 rows per image: tile 12 holds the last row of image 0 and the
-      // first of image 1.
-      {5, 12, 3, 1, Padding::kSameZero, 2},
+      {1, 9, 13, 5, 3, 3, 1, 1, Padding::kSameZero},  // rectangular
+      {2, 7, 5, 4, 3, 3, 2, 2, Padding::kSameOne},
+      {1, 8, 11, 6, 3, 5, 1, 2, Padding::kSameZero},  // rectangular filter
+      {1, 6, 8, 16, 3, 3, 1, 1, Padding::kValid},
+      {2, 11, 10, 3, 2, 2, 3, 3, Padding::kValid},    // stride > filter
+      {3, 7, 9, 8, 1, 1, 2, 2, Padding::kSameZero},   // 1x1, stride 2
+      {2, 10, 9, 2, 3, 2, 4, 3, Padding::kSameOne},   // stride > filter
+      {1, 23, 19, 3, 7, 7, 2, 2, Padding::kSameZero}, // the 7x7/2 stem
+      {3, 5, 6, 12, 3, 3, 1, 1, Padding::kSameZero},  // 30 rows per image
   };
   for (const auto& c : cases) {
-    const Conv2DGeometry g =
-        MakeGeo(c.hw, c.in_c, c.k, c.stride, c.pad, c.batch);
+    Conv2DGeometry g;
+    g.batch = c.batch;
+    g.in_h = c.h;
+    g.in_w = c.w;
+    g.in_c = g.out_c = c.c;
+    g.filter_h = c.fh;
+    g.filter_w = c.fw;
+    g.stride_h = c.sh;
+    g.stride_w = c.sw;
+    g.padding = c.pad;
     SCOPED_TRACE(::testing::Message()
-                 << "hw=" << c.hw << " in_c=" << c.in_c << " k=" << c.k
-                 << " batch=" << c.batch);
-    Rng rng(c.hw + c.in_c);
-    Tensor in(DataType::kInt8, Shape{c.batch, g.in_h, g.in_w, g.in_c});
-    FillInt8(in, rng);
-    const std::int8_t pad_value = 3;  // a nonzero input zero point
-
+                 << c.batch << "x" << c.h << "x" << c.w << "x" << c.c << " "
+                 << c.fh << "x" << c.fw << "/" << c.sh << "x" << c.sw
+                 << " padding " << static_cast<int>(c.pad));
+    Rng rng(c.h * 31 + c.w * 7 + c.c + c.fh);
     const std::int64_t rows = Im2ColRows(g);
-    const int depth = Im2ColDepthFloat(g);
-    std::vector<std::int8_t> patches(static_cast<std::size_t>(rows) * depth);
-    Im2ColInt8(in.data<std::int8_t>(), g, pad_value, patches.data());
+    const int k = Im2ColDepthFloat(g);
+    const std::size_t patch_elems = static_cast<std::size_t>(rows) * k;
+    const Shape shape{c.batch, c.h, c.w, c.c};
+    // 7 rows per block straddle images; one block takes the whole batch.
+    const int blocks[] = {1, 7, static_cast<int>(rows)};
 
-    const gemm::IndirectionOffsets ind(g, g.in_c);
-    const pipeline::TilePlan plan(g, kTileRows);
-    const int lda = (depth + gemm::kInt8DotKg - 1) / gemm::kInt8DotKg *
-                    gemm::kInt8DotKg;
-    const std::vector<std::int8_t> zeros(lda, 0);
-    std::vector<std::int8_t> got(static_cast<std::size_t>(kTileRows) * lda);
+    // Float: padded taps read 0.0, or +1.0 under SAME_ONE.
+    Tensor in_f(DataType::kFloat32, shape);
+    FillUniform(in_f, rng);
+    const float pad_f = c.pad == Padding::kSameOne ? 1.0f : 0.0f;
+    std::vector<float> patches_f(patch_elems);
+    Im2ColFloat(in_f.data<float>(), g, pad_f, patches_f.data());
+    // Int8: padded taps read a nonzero input zero point.
+    Tensor in_q(DataType::kInt8, shape);
+    FillInt8(in_q, rng);
+    const std::int8_t pad_q = -7;
+    std::vector<std::int8_t> patches_q(patch_elems);
+    Im2ColInt8(in_q.data<std::int8_t>(), g, pad_q, patches_q.data());
 
-    for (std::int64_t t = 0; t < plan.num_tiles(); ++t) {
-      const std::int64_t row0 = t * kTileRows;
-      // A sentinel fill: every byte the gather owns must be written.
-      std::fill(got.begin(), got.end(), static_cast<std::int8_t>(0x5A));
-      pipeline::GatherStageInt8Dot(in.data<std::int8_t>(), ind, pad_value,
-                                   row0, kTileRows, lda, plan.interior(t),
-                                   got.data());
-      for (int r = 0; r < kTileRows; ++r) {
-        const std::int8_t* staged =
-            got.data() + static_cast<std::size_t>(r) * lda;
-        if (row0 + r >= rows) {
-          EXPECT_EQ(std::memcmp(staged, zeros.data(), lda), 0)
-              << "row " << row0 + r << " past the end is not zero";
-          continue;
-        }
-        EXPECT_EQ(std::memcmp(staged,
-                              patches.data() +
-                                  static_cast<std::size_t>(row0 + r) * depth,
-                              depth),
-                  0)
-            << "row " << row0 + r;
-        EXPECT_EQ(std::memcmp(staged + depth, zeros.data(), lda - depth), 0)
-            << "row " << row0 + r << " K padding is not zero";
+    for (const std::int64_t ld : {std::int64_t{k}, std::int64_t{k} + 5}) {
+      for (const int block : blocks) {
+        CheckPatchRows(in_f.data<float>(), g, pad_f, patches_f, ld, block);
+        CheckPatchRows(in_q.data<std::int8_t>(), g, pad_q, patches_q, ld,
+                       block);
       }
     }
   }
