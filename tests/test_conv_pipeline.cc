@@ -1,9 +1,10 @@
 // Unit tests for the shared ConvPipeline building blocks: the
-// interior/border TilePlan, the bitpacked tap table and the patch gathers
-// (kernels/pipeline/). Each gather is checked against the im2col it
-// replaces: the binary row-pointer table must address exactly the words of
-// each im2col row (full or group-sliced), and each dense float or int8
-// patch row must equal its im2col row, zero-padded to its row stride.
+// interior/border TilePlan and the patch gathers (kernels/pipeline/; the
+// bitpacked tap table itself is checked by test_indirect_bgemm). Each
+// gather is checked against the im2col it replaces: the binary row-pointer
+// table must address exactly the words of each im2col row (full or
+// group-sliced), and each dense float or int8 patch row must equal its
+// im2col row, zero-padded to its row stride.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -195,26 +196,6 @@ TEST(GatherRowPointers, GroupSliceMatchesGroupIm2Col) {
     CheckRowPointersMatchIm2Col(MakeGeo(8, c.in_c, 3, 1, Padding::kSameOne),
                                 c.groups);
   }
-}
-
-TEST(IndirectionOffsets, PaddedTapsAreMarked) {
-  const auto g = MakeGeo(4, 32, 3, 1, Padding::kSameOne);
-  const pipeline::IndirectionOffsets ind(g);
-  EXPECT_EQ(ind.rows(), 16);
-  EXPECT_EQ(ind.taps(), 9);
-  EXPECT_EQ(ind.words(), 1);
-  // Output (0,0), tap (0,0) reads (-1,-1): a padded tap.
-  EXPECT_EQ(ind.row(0)[0], pipeline::IndirectionOffsets::kPaddedTap);
-  // Tap (1,1) reads (0,0): the first input word.
-  EXPECT_EQ(ind.row(0)[4], 0);
-}
-
-TEST(IndirectionOffsets, StridedTapsPointAtStridedPixels) {
-  const auto g = MakeGeo(8, 32, 3, 2, Padding::kValid);
-  const pipeline::IndirectionOffsets ind(g);
-  ASSERT_EQ(ind.rows(), 9);  // (8-3)/2+1 = 3 per axis
-  // Output (1,1) tap (0,0) reads input pixel (2,2) = word 18.
-  EXPECT_EQ(ind.row(1 * 3 + 1)[0], 18);
 }
 
 // Gathers every patch row of `g` with GatherPatchRows in blocks of `block`

@@ -1,10 +1,11 @@
-// IndirectionOffsets unit tests: the prepare-time gather table the
-// ConvPipeline kernels read their patch rows through.
+// IndirectionOffsets unit tests: the prepare-time bitpacked tap table
+// (kernels/pipeline/gather_pack.h) through which BConv2D's indirect BGEMM
+// and BDepthwiseConv2D read their patch rows.
 #include <gtest/gtest.h>
 
-#include "gemm/indirect_bgemm.h"
+#include "kernels/pipeline/gather_pack.h"
 
-namespace lce::gemm {
+namespace lce::pipeline {
 namespace {
 
 Conv2DGeometry MakeGeo(int hw, int c, int k, int stride, Padding pad) {
@@ -38,4 +39,4 @@ TEST(IndirectionOffsets, StridedTapsPointAtStridedPixels) {
 }
 
 }  // namespace
-}  // namespace lce::gemm
+}  // namespace lce::pipeline
